@@ -8,8 +8,8 @@ Two modes:
   adds the cluster scaling ladder, ``--failover`` the shard-failover
   drill (a seeded victim crash mid-scan), and ``--render-cache`` the
   rendered-response wire-cache A/B ladder (cache off vs on, byte-
-  identical records and Figure 1/2 aggregates, wall-clock speedup
-  floor), all under the same identity gate;
+  identical records and Figure 1/2 aggregates), all under the same
+  identity gate;
 * ``--serve`` — the serving benchmark.  Replays the five load scenarios
   (steady, flash crowd, stampede, outage+recovery, overload) through a
   resilient frontend once per retry-jitter seed, then the
@@ -180,9 +180,8 @@ def main(argv: list[str] | None = None) -> int:
             "add the rendered-response wire-cache A/B ladder: each "
             "worker rung scans cache-off vs cache-on at both "
             "retry-jitter seeds and must agree byte-for-byte on every "
-            "per-domain categorization and the Figure 1/2 aggregates; "
-            "the wall-clock speedup floor is enforced at 1000+ domains "
-            "(gates the exit code)"
+            "per-domain categorization and the Figure 1/2 aggregates "
+            "(gates the exit code; wall-clock ratios are recorded only)"
         ),
     )
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -286,13 +285,7 @@ def main(argv: list[str] | None = None) -> int:
                     f"stores {render.get('stores', 0)}, "
                     f"hits {render.get('hits', 0)}"
                 )
-            floor = section["speedup_floor"]
-            enforced = "enforced" if section["speedup_enforced"] else "advisory"
-            print(
-                f"  best speedup {section['best_speedup']}x "
-                f"(floor {floor}x, {enforced}): "
-                f"{'ok' if section['speedup_ok'] else 'BELOW FLOOR'}"
-            )
+            print(f"  best speedup {section['best_speedup']}x (recorded, not gated)")
         print(f"report written to {args.out}")
 
     failed = False
@@ -312,7 +305,8 @@ def main(argv: list[str] | None = None) -> int:
             )
         else:
             print(
-                "FAIL: concurrent categorization diverges from the sequential baseline",
+                "FAIL: categorization (or, for --render-cache, a Figure 1/2 "
+                "series) diverges from the baseline run",
                 file=sys.stderr,
             )
         failed = True
@@ -320,13 +314,6 @@ def main(argv: list[str] | None = None) -> int:
         print(
             "FAIL: shard-failover drill contract violated "
             "(or not byte-identical across jitter seeds)",
-            file=sys.stderr,
-        )
-        failed = True
-    if "render_cache" in report and not report["render_cache"]["render_cache_ok"]:
-        print(
-            "FAIL: render-cache A/B gate violated (categorization/figure "
-            "divergence, or wall-clock speedup below the enforced floor)",
             file=sys.stderr,
         )
         failed = True

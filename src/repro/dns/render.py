@@ -110,9 +110,9 @@ _FLAG_TC = 0x0200
 def parse_equivalent(response, wire) -> bool:
     """True when ``Message.from_wire(wire)`` provably reproduces ``response``.
 
-    The fabric's in-process fast path hands a server-built response
-    ``Message`` back to the resolver alongside its encoding so the
-    resolver can skip the re-parse.  That is only sound when the parse
+    The fabric's paved path hands a server-built response ``Message``
+    back to the resolver alongside its encoding so the resolver can
+    skip the re-parse.  That is only sound when the parse
     is an identity, which this proves from cheap invariants alone:
 
     * no truncation happened during encode (the wire's TC bit matches),
@@ -161,6 +161,13 @@ def parse_equivalent(response, wire) -> bool:
         if count != total:
             return False
     return True
+
+
+def paved_reply(response, wire: bytes):
+    """What ``handle_paved`` returns for a freshly encoded ``response``:
+    the wire, plus the Message itself only when handing it to the
+    sender in place of a re-parse is sound (:func:`parse_equivalent`)."""
+    return wire, response if parse_equivalent(response, wire) else None
 
 
 @dataclass

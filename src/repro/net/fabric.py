@@ -98,9 +98,9 @@ class NetworkFabric:
         self._route_filter: Callable[[str], bool] | None = None
         self.stats = FabricStats()
         self.chaos: ChaosPolicy | None = None
-        # Per-thread slot for the paved fast path (see :meth:`send`):
-        # holds the endpoint-built response Message when the last paved
-        # send on this thread proved it parse-equivalent to the wire.
+        # Per-thread slot for the paved path (see :meth:`send`): holds
+        # the endpoint-built response Message when the last send on
+        # this thread proved it parse-equivalent to the wire.
         self._paved_tls = threading.local()
         if chaos is not None:
             self.install_chaos(chaos)
@@ -171,17 +171,20 @@ class NetworkFabric:
         otherwise identical — this fabric does not model TCP setup cost
         beyond one extra round-trip of latency.
 
-        ``message`` opts this send into the *paved* in-process fast
-        path: when the endpoint implements ``handle_paved(wire, source,
-        message)`` it receives the caller's already-parsed query (no
-        wire decode server-side) and may return the response Message
-        alongside the wire; the caller collects it via
+        ``message`` is the caller's already-parsed form of ``wire``.
+        Both ends of this fabric live in one process, so the *paved*
+        path hands it to ``handle_paved(wire, source, message)`` (no
+        wire decode server-side) and the endpoint may hand back its
+        response Message alongside the wire; the caller collects it via
         :meth:`take_paved` and skips its own re-parse.  The wire, every
         latency/loss/stats decision, and the bytes on the "network" are
-        identical to the plain path — only redundant codec work is
-        elided.  The fast path disables itself whenever a chaos policy
-        is installed (chaos mutates wires) or the endpoint lacks the
-        handler, falling back to ``handle_datagram``.
+        identical either way — only redundant codec work is elided.
+        The byte path (``handle_datagram`` in, parse out) remains
+        exactly where an observable property demands it: a chaos policy
+        is installed (chaos mutates wires), the transport is TCP, the
+        endpoint has no ``handle_paved``, or ``parse_equivalent``
+        refuses the response.  Ownership: a Message that crosses the
+        fabric is read-only to the side that received it.
 
         Successful or not, the virtual clock advances: by the link latency
         on success, by ``timeout`` when the query goes unanswered.
@@ -276,8 +279,8 @@ class NetworkFabric:
     def take_paved(self) -> object | None:
         """Return and clear this thread's paved response Message.
 
-        None whenever the last paved :meth:`send` on this thread took
-        the plain wire path (chaos installed, endpoint without
+        None whenever the last :meth:`send` on this thread took the
+        byte path (chaos installed, TCP, endpoint without
         ``handle_paved``, or equivalence unproven) — the caller must
         then parse the returned wire as usual.
         """

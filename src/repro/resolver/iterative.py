@@ -73,20 +73,6 @@ class EngineConfig:
     selection: ServerSelectionConfig = field(default_factory=ServerSelectionConfig)
     #: Seed for retry-jitter decisions, so hardened runs replay exactly.
     rng_seed: int = 20230524
-    #: Memoize the encoded upstream query wire per (qname, rdtype) and
-    #: patch only the message-ID bytes on reuse.  The query for a given
-    #: question is constant apart from its ID, so this skips a
-    #: ``to_wire`` per upstream send; off by default (seed byte path).
-    render_query_cache: bool = False
-    #: Opt into the fabric's paved in-process fast path: upstream sends
-    #: hand the already-built query Message to the endpoint (skipping
-    #: the server-side wire decode) and take back the server's response
-    #: Message when it is provably parse-equivalent to the returned
-    #: wire (skipping the client-side re-parse).  Wire bytes, timing,
-    #: loss, and stats are identical either way; the path falls back to
-    #: plain parsing under chaos policies, TCP, or unproven
-    #: equivalence.  Off by default (seed byte path).
-    paved_fabric: bool = False
     #: Circuit-breaker knobs for the resilience layer.  ``None`` (the
     #: default) disables breakers entirely: no state is kept, no query
     #: is ever short-circuited, and the retry/backoff timing of the
@@ -171,9 +157,6 @@ class IterativeEngine:
         #: Per-server/per-zone circuit breakers; a no-op book when the
         #: config carries no BreakerConfig (the seed behaviour).
         self.breakers = BreakerBook(fabric.clock, self.config.breaker, obs=self.obs)
-        self._query_wire_cache: dict[tuple[Name, int], bytes] | None = (
-            {} if self.config.render_query_cache else None
-        )
         self.server_stats = ServerStatsBook(
             fabric.clock,
             self.config.selection,
@@ -418,21 +401,7 @@ class IterativeEngine:
                 payload=self.config.payload,
                 msg_id=msg_id,
             )
-            # The Message itself is still needed (response vetting and
-            # the TCP fallback both consume it); only the encode can be
-            # memoized, since the wire varies solely in its ID bytes.
-            if self._query_wire_cache is None:
-                wire = query.to_wire()
-            else:
-                cache_key = (qname, int(rdtype))
-                base = self._query_wire_cache.get(cache_key)
-                if base is None:
-                    wire = query.to_wire()
-                    self._query_wire_cache[cache_key] = wire
-                else:
-                    patched = bytearray(base)
-                    patched[0:2] = msg_id.to_bytes(2, "big")
-                    wire = bytes(patched)
+            wire = query.to_wire()
             self.stats.queries += 1
             started = self.fabric.clock.now()
             if self.obs.enabled:
@@ -448,7 +417,7 @@ class IterativeEngine:
                     wire,
                     source=self.config.source_ip,
                     timeout=timeout,
-                    message=query if self.config.paved_fabric else None,
+                    message=query,
                 )
             except Unreachable:
                 self._note(events,
@@ -478,9 +447,9 @@ class IterativeEngine:
                 return None
             rtt = self.fabric.clock.now() - started
             self.server_stats.note_rtt(server, rtt)
-            response = (
-                self.fabric.take_paved() if self.config.paved_fabric else None
-            )
+            # In-process fabric: the server's own response Message comes
+            # back when re-parsing ``raw`` would provably reproduce it.
+            response = self.fabric.take_paved()
             if response is None:
                 response = self._parse_response(raw, server, qname, rdtype, events)
             if response is None:

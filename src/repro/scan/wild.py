@@ -32,7 +32,7 @@ from ..dns.rdata import A, CNAME, NS
 from ..dns.render import (
     RenderCacheStats,
     RenderedWireCache,
-    parse_equivalent,
+    paved_reply,
     wire_key,
 )
 from ..dns.rrset import RRset
@@ -43,7 +43,7 @@ from ..dnssec.keys import KSK_FLAGS, ZSK_FLAGS, KeyPair
 from ..dnssec.nsec3 import base32hex_encode, nsec3_hash
 from ..dnssec.signer import SigningPolicy, sign_rrset
 from ..net.fabric import NetworkFabric
-from ..server.authoritative import AuthoritativeServer
+from ..server.authoritative import AuthoritativeServer, PavedEndpoint
 from ..zones.builder import BuiltZone, ZoneBuilder
 from ..zones.mutations import SigScope, Window, ZoneMutation
 from ..zones.zone import Zone
@@ -135,7 +135,7 @@ class DomainDelegation:
 # ---------------------------------------------------------------------------
 
 
-class VirtualTldServer:
+class VirtualTldServer(PavedEndpoint):
     """Serves one TLD: real signed apex, synthesized delegations."""
 
     def __init__(
@@ -173,50 +173,28 @@ class VirtualTldServer:
 
     # -- fabric endpoint ---------------------------------------------------------
 
-    def handle_datagram(self, wire: bytes, source: str) -> bytes | None:
-        key = wire_key(wire) if self.render_cache is not None else None
-        if key is not None:
-            served = self.render_cache.serve(key, wire)
-            if served is not None:
-                self.queries += 1
-                return served
-        try:
-            query = Message.from_wire(wire)
-        except Exception:
-            return Message(rcode=Rcode.FORMERR, qr=True).to_wire()
-        return self._respond(query, key)[0]
-
     def handle_paved(
         self, wire: bytes, source: str, query: Message
     ) -> tuple[bytes | None, Message | None]:
-        """Fabric fast path: parsed query in, parse-equivalent response
-        Message out (see :meth:`repro.net.fabric.NetworkFabric.send`)."""
+        """Answer ``query`` (the parsed form of ``wire``): response wire
+        plus, when parse-equivalent, the response Message (see
+        :meth:`repro.net.fabric.NetworkFabric.send`)."""
+        self.queries += 1
         key = wire_key(wire) if self.render_cache is not None else None
         if key is not None:
             served = self.render_cache.serve(key, wire)
             if served is not None:
-                self.queries += 1
                 return served, None
-        return self._respond(query, key, paved=True)
-
-    def _respond(
-        self, query: Message, key, paved: bool = False
-    ) -> tuple[bytes | None, Message | None]:
-        self.queries += 1
         if query.question and query.question[0].rdtype == RdataType.AXFR:
             response = query.make_response(recursion_available=False)
             response.rcode = Rcode.REFUSED  # AXFR needs TCP
-            encoded = response.to_wire()
-            if paved and parse_equivalent(response, encoded):
-                return encoded, response
-            return encoded, None
-        response = self.handle_query(query)
+            key = None  # never wire-cached
+        else:
+            response = self.handle_query(query)
         encoded = response.to_wire()
         if key is not None:
             self.render_cache.store(key, encoded, expire_after_min_ttl=True)
-        if paved and parse_equivalent(response, encoded):
-            return encoded, response
-        return encoded, None
+        return paved_reply(response, encoded)
 
     def handle_stream(self, wire: bytes, source: str) -> bytes | None:
         try:
@@ -407,7 +385,7 @@ class VirtualTldServer:
 # ---------------------------------------------------------------------------
 
 
-class HostingServer:
+class HostingServer(PavedEndpoint):
     """Hosts many child zones; materializes each lazily on first query."""
 
     def __init__(self, wild: "WildInternet", max_cached_zones: int = 512):
@@ -422,35 +400,18 @@ class HostingServer:
         self._materialized: dict[Name, bool] = {}
         self.zones_built = 0
 
-    def handle_datagram(self, wire: bytes, source: str) -> bytes | None:
-        key = wire_key(wire) if self.render_cache is not None else None
-        if key is not None:
-            served = self.render_cache.serve(key, wire)
-            if served is not None:
-                self.inner.stats.queries += 1
-                return served
-        try:
-            query = Message.from_wire(wire)
-        except Exception:
-            return Message(rcode=Rcode.FORMERR, qr=True).to_wire()
-        return self._respond(query, source, key)[0]
-
     def handle_paved(
         self, wire: bytes, source: str, query: Message
     ) -> tuple[bytes | None, Message | None]:
-        """Fabric fast path: parsed query in, parse-equivalent response
-        Message out (see :meth:`repro.net.fabric.NetworkFabric.send`)."""
+        """Answer ``query`` (the parsed form of ``wire``): response wire
+        plus, when parse-equivalent, the response Message (see
+        :meth:`repro.net.fabric.NetworkFabric.send`)."""
         key = wire_key(wire) if self.render_cache is not None else None
         if key is not None:
             served = self.render_cache.serve(key, wire)
             if served is not None:
                 self.inner.stats.queries += 1
                 return served, None
-        return self._respond(query, source, key, paved=True)
-
-    def _respond(
-        self, query: Message, source: str, key, paved: bool = False
-    ) -> tuple[bytes | None, Message | None]:
         qname = query.question[0].name if query.question else None
         if qname is not None:
             self._ensure_zone(qname)
@@ -460,9 +421,7 @@ class HostingServer:
         encoded = response.to_wire()
         if key is not None:
             self.render_cache.store(key, encoded, expire_after_min_ttl=True)
-        if paved and parse_equivalent(response, encoded):
-            return encoded, response
-        return encoded, None
+        return paved_reply(response, encoded)
 
     def _ensure_zone(self, qname: Name) -> None:
         domain = self.wild.registered_domain_of(qname)
@@ -493,26 +452,13 @@ class StaleFlippingServer(HostingServer):
         super().__init__(wild)
         self._seen: set[Name] = set()
 
-    def handle_datagram(self, wire: bytes, source: str) -> bytes | None:
-        try:
-            query = Message.from_wire(wire)
-        except Exception:
-            return Message(rcode=Rcode.FORMERR, qr=True).to_wire()
-        refused = self._flip(query)
-        if refused is not None:
-            return refused.to_wire()
-        return super().handle_datagram(wire, source)
-
     def handle_paved(
         self, wire: bytes, source: str, query: Message
     ) -> tuple[bytes | None, Message | None]:
         refused = self._flip(query)
-        if refused is not None:
-            encoded = refused.to_wire()
-            if parse_equivalent(refused, encoded):
-                return encoded, refused
-            return encoded, None
-        return super().handle_paved(wire, source, query)
+        if refused is None:
+            return super().handle_paved(wire, source, query)
+        return paved_reply(refused, refused.to_wire())
 
     def _flip(self, query: Message) -> Message | None:
         """REFUSED response after the first query per zone, else None."""
@@ -532,26 +478,13 @@ class StaleFlippingServer(HostingServer):
 class CnameLoopServer(HostingServer):
     """Answers every A query with a CNAME bouncing inside the domain."""
 
-    def handle_datagram(self, wire: bytes, source: str) -> bytes | None:
-        try:
-            query = Message.from_wire(wire)
-        except Exception:
-            return Message(rcode=Rcode.FORMERR, qr=True).to_wire()
-        looped = self._loop(query)
-        if looped is None:
-            return super().handle_datagram(wire, source)
-        return looped.to_wire()
-
     def handle_paved(
         self, wire: bytes, source: str, query: Message
     ) -> tuple[bytes | None, Message | None]:
         looped = self._loop(query)
         if looped is None:
             return super().handle_paved(wire, source, query)
-        encoded = looped.to_wire()
-        if parse_equivalent(looped, encoded):
-            return encoded, looped
-        return encoded, None
+        return paved_reply(looped, looped.to_wire())
 
     def _loop(self, query: Message) -> Message | None:
         """CNAME bounce for in-domain A queries, None to defer."""

@@ -16,7 +16,7 @@ from ..dns.edns import Edns
 from ..dns.message import Message
 from ..dns.name import Name
 from ..dns.rcode import Rcode
-from ..dns.render import RenderedWireCache, parse_equivalent, wire_key
+from ..dns.render import RenderedWireCache, paved_reply, wire_key
 from ..dns.rrset import RRset
 from ..dns.types import RdataType
 from ..zones.zone import LookupStatus, Zone
@@ -31,7 +31,20 @@ class ServerStats:
     referrals: int = 0
 
 
-class AuthoritativeServer:
+class PavedEndpoint:
+    """Datagram entry point for endpoints whose one answer body is
+    ``handle_paved(wire, source, query)``."""
+
+    def handle_datagram(self, wire: bytes, source: str) -> bytes | None:
+        """Byte path: decode (or FORMERR), then the one answer body."""
+        try:
+            query = Message.from_wire(wire)
+        except Exception:
+            return Message(rcode=Rcode.FORMERR, qr=True).to_wire()
+        return self.handle_paved(wire, source, query)[0]
+
+
+class AuthoritativeServer(PavedEndpoint):
     """An authoritative DNS server endpoint for the fabric."""
 
     def __init__(
@@ -86,26 +99,12 @@ class AuthoritativeServer:
 
     # -- fabric endpoint protocol ------------------------------------------------
 
-    def handle_datagram(self, wire: bytes, source: str) -> bytes | None:
-        key = self._render_key(wire, source)
-        if key is not None:
-            served = self.render_cache.serve(key, wire)
-            if served is not None:
-                self.stats.queries += 1
-                return served
-        try:
-            query = Message.from_wire(wire)
-        except Exception:
-            response = Message(rcode=Rcode.FORMERR, qr=True)
-            return response.to_wire()
-        return self._respond(query, source, key)[0]
-
     def handle_paved(
         self, wire: bytes, source: str, query: Message
     ) -> tuple[bytes | None, Message | None]:
-        """Fabric fast path: the caller's parsed query skips the wire
-        decode, and the response Message rides back whenever re-parsing
-        the encoded wire provably reproduces it (see
+        """Answer ``query`` (the parsed form of ``wire``): the response
+        wire, plus the response Message whenever re-parsing that wire
+        provably reproduces it (see
         :meth:`repro.net.fabric.NetworkFabric.send`)."""
         key = self._render_key(wire, source)
         if key is not None:
@@ -113,7 +112,16 @@ class AuthoritativeServer:
             if served is not None:
                 self.stats.queries += 1
                 return served, None
-        return self._respond(query, source, key, paved=True)
+        response = self.handle_query(query, source)
+        if response is None:
+            return None, None
+        # RFC 6891: the response must fit the client's advertised UDP
+        # payload (512 octets without EDNS); otherwise truncate + TC.
+        max_size = query.edns.payload if query.edns is not None else 512
+        encoded = response.to_wire(max_size=max(512, max_size))
+        if key is not None:
+            self.render_cache.store(key, encoded, expire_after_min_ttl=True)
+        return paved_reply(response, encoded)
 
     def _render_key(self, wire: bytes, source: str):
         if self.render_cache is None:
@@ -124,22 +132,6 @@ class AuthoritativeServer:
         # ACL outcome is the only response input outside the query
         # bytes, so it rides in the key.
         return (raw_key, self.acl.allows(source))
-
-    def _respond(
-        self, query: Message, source: str, key, paved: bool = False
-    ) -> tuple[bytes | None, Message | None]:
-        response = self.handle_query(query, source)
-        if response is None:
-            return None, None
-        # RFC 6891: the response must fit the client's advertised UDP
-        # payload (512 octets without EDNS); otherwise truncate + TC.
-        max_size = query.edns.payload if query.edns is not None else 512
-        encoded = response.to_wire(max_size=max(512, max_size))
-        if key is not None:
-            self.render_cache.store(key, encoded, expire_after_min_ttl=True)
-        if paved and parse_equivalent(response, encoded):
-            return encoded, response
-        return encoded, None
 
     def handle_stream(self, wire: bytes, source: str) -> bytes | None:
         """TCP semantics: same answer, no size limit, never truncated."""

@@ -167,10 +167,8 @@ def run_matrix(
 
     ``render_cache`` fits every authoritative server on the testbed
     fabric with a rendered-response wire cache before driving the
-    matrix; pair it with an ``engine_config`` enabling
-    ``render_query_cache``/``paved_fabric`` to run the full zero-copy
-    bundle — the differential suite pins the resulting 63×7 matrix
-    byte-identical to the plain byte path.
+    matrix — the differential suite pins the resulting 63×7 matrix
+    byte-identical to the uncached one, and both to the byte path.
     """
     testbed = testbed or build_testbed()
     if render_cache:

@@ -1,0 +1,125 @@
+"""Test-only fabrics: the two arms of every paved-vs-byte differential.
+
+``src/`` has no switch between the paved path and the byte path — the
+engine always offers its parsed query and the fabric paves whenever it
+soundly can.  The byte-path arm the differential gates compare against
+therefore lives here: :class:`PlainFabric` simply never forwards
+``message=``.  :class:`CountingFabric` is the paved arm with the
+evidence the gates need to be non-vacuous, and it checks the hand-off
+ownership rule on every send.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from collections import Counter
+
+from repro.dns import render
+from repro.net.fabric import NetworkFabric
+
+
+class CountingFabric(NetworkFabric):
+    """Paved arm: counts hand-backs, asserts nobody mutates a hand-off."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        #: Sends that carried the caller's parsed query.
+        self.offered = 0
+        #: (response Message the caller took instead of re-parsing, the
+        #: wire it stood in for), every one.
+        self.handed_back: list[tuple[object, bytes]] = []
+        self._last_wire = b""
+
+    def send(self, destination, wire, **kwargs):
+        message = kwargs.get("message")
+        if message is not None:
+            self.offered += 1
+        try:
+            response = super().send(destination, wire, **kwargs)
+        finally:
+            # The endpoint received the engine's own query object; it
+            # must still encode to exactly the bytes that were "sent".
+            if message is not None:
+                assert message.to_wire() == wire, "endpoint mutated the query"
+        self._last_wire = response
+        return response
+
+    def take_paved(self):
+        parsed = super().take_paved()
+        if parsed is not None:
+            self.handed_back.append((parsed, self._last_wire))
+        return parsed
+
+    @property
+    def handbacks(self) -> int:
+        return len(self.handed_back)
+
+    def mutated_handbacks(self) -> int:
+        """Handed-back responses that no longer re-encode to the wire
+        they stood in for — i.e. the receiving side wrote to them."""
+        return sum(parsed.to_wire() != wire for parsed, wire in self.handed_back)
+
+
+class PlainFabric(CountingFabric):
+    """Byte-path arm: never forwards ``message=``, so every endpoint
+    sees ``handle_datagram`` and every response is re-parsed."""
+
+    def send(self, destination, wire, **kwargs):
+        kwargs.pop("message", None)
+        return super().send(destination, wire, **kwargs)
+
+
+def count_equivalence_verdicts(monkeypatch) -> Counter:
+    """Count ``parse_equivalent`` verdicts (True = hand-back allowed,
+    False = refusal → byte path) for the rest of the test."""
+    verdicts: Counter = Counter()
+    real = render.parse_equivalent
+
+    def counting(response, wire):
+        verdict = real(response, wire)
+        verdicts[verdict] += 1
+        return verdict
+
+    monkeypatch.setattr(render, "parse_equivalent", counting)
+    return verdicts
+
+
+def _rrset_rows(rrsets) -> list[str]:
+    return sorted(
+        f"{rrset.name} {int(rrset.rdclass)} {int(rrset.rdtype)} {rrset.ttl} "
+        + " ".join(sorted(rdata.to_wire().hex() for rdata in rrset.rdatas))
+        for rrset in rrsets
+    )
+
+
+def served_state(fabric: NetworkFabric) -> dict[str, str]:
+    """Digest of everything the registered servers serve *from*, minus
+    counters: one entry per (endpoint, zone) over names, TTLs and
+    rdatas, plus the wild tiers' answer memos and their query-driven
+    ``set`` entries (zones materialized, zones flipped).  Two arms that
+    saw the same queries and only ever read this state leave it equal."""
+    state: dict[str, str] = {}
+
+    def put(key: str, rows: list[str]) -> None:
+        state[key] = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+
+    for (address, _port), endpoint in zip(
+        fabric.endpoints(), fabric.registered_endpoints()
+    ):
+        prefix = f"{address}#{type(endpoint).__name__}"
+        server = getattr(endpoint, "inner", endpoint)
+        if hasattr(server, "zones"):
+            for zone in server.zones():
+                put(f"{prefix} zone {zone.origin}", _rrset_rows(zone.all_rrsets()))
+        if hasattr(endpoint, "apex_zone"):
+            put(f"{prefix} zone {endpoint.origin}",
+                _rrset_rows(endpoint.apex_zone.all_rrsets()))
+            if endpoint._optout is not None:
+                put(f"{prefix} memo optout",
+                    _rrset_rows(r for r in endpoint._optout if r is not None))
+            for child, sig in sorted((endpoint._ds_sig_cache or {}).items()):
+                put(f"{prefix} memo ds {child}", [sig.to_wire().hex()])
+        for attr in ("_seen", "_materialized"):
+            if hasattr(endpoint, attr):
+                put(f"{prefix} set {attr}", sorted(map(str, getattr(endpoint, attr))))
+    return state

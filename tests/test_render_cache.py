@@ -34,10 +34,11 @@ from repro.dns.render import (
 )
 from repro.dns.rrset import RRset
 from repro.dns.types import RdataType
+from repro.net.chaos import ChaosPolicy
 from repro.net.clock import SimulatedClock
 from repro.resolver.profiles import CLOUDFLARE
 from repro.scan.population import generate_population
-from repro.scan.wild import WildInternet
+from repro.scan.wild import MISMATCH_HOST, WildInternet
 
 
 def make_response(
@@ -265,7 +266,8 @@ class TestParseEquivalent:
 
 
 class TestPavedFabric:
-    """The in-process fast path must change bytes for nobody."""
+    """The in-process hand-off must change bytes for nobody, and must
+    step aside wherever an observable property demands the byte path."""
 
     @pytest.fixture()
     def universe(self):
@@ -298,6 +300,59 @@ class TestPavedFabric:
         wire = Message.make_query(".", RdataType.NS, msg_id=78).to_wire()
         wild.fabric.send(server_ip, wire, source="198.51.100.9")
         assert wild.fabric.take_paved() is None
+
+    def _offer(self, wild, destination, query, **kwargs):
+        """Paved-capable send; returns (wire back, Message handed back)."""
+        raw = wild.fabric.send(
+            destination, query.to_wire(), source="198.51.100.9",
+            message=query, **kwargs,
+        )
+        return raw, wild.fabric.take_paved()
+
+    def test_hand_back_is_the_parse_of_the_wire(self, universe):
+        wild, _population = universe
+        query = Message.make_query(".", RdataType.NS, msg_id=79)
+        raw, parsed = self._offer(wild, wild.root_hints[0], query)
+        assert parsed is not None
+        reparsed = Message.from_wire(raw)
+        assert parsed.to_wire() == raw == reparsed.to_wire()
+        assert str(parsed) == str(reparsed)
+
+    def test_chaos_policy_forces_the_byte_path(self, universe):
+        wild, _population = universe
+        query = Message.make_query(".", RdataType.NS, msg_id=80)
+        want, _parsed = self._offer(wild, wild.root_hints[0], query)
+        wild.fabric.install_chaos(ChaosPolicy(seed=1))
+        got, parsed = self._offer(wild, wild.root_hints[0], query)
+        assert parsed is None and got == want
+        wild.fabric.remove_chaos()
+        assert self._offer(wild, wild.root_hints[0], query)[1] is not None
+
+    def test_tcp_forces_the_byte_path(self, universe):
+        wild, _population = universe
+        query = Message.make_query(".", RdataType.NS, msg_id=81)
+        raw, parsed = self._offer(wild, wild.root_hints[0], query, transport="tcp")
+        assert parsed is None
+        assert Message.from_wire(raw).answer
+
+    def test_endpoint_without_handle_paved_gets_bytes(self, universe):
+        wild, _population = universe
+        endpoint = dict(
+            zip(wild.fabric.endpoints(), wild.fabric.registered_endpoints())
+        )[(MISMATCH_HOST, 53)]
+        assert not hasattr(endpoint, "handle_paved")
+        query = Message.make_query("x.example.", RdataType.A, msg_id=82)
+        raw, parsed = self._offer(wild, MISMATCH_HOST, query)
+        assert parsed is None
+        assert Message.from_wire(raw).id == 82
+
+    def test_equivalence_refusal_gets_bytes(self, universe):
+        wild, _population = universe
+        wild.root_server.report_agent = Name.from_text("agent.example.")
+        query = Message.make_query(".", RdataType.NS, msg_id=83)
+        raw, parsed = self._offer(wild, wild.root_hints[0], query)
+        assert parsed is None
+        assert Message.from_wire(raw).edns.options
 
 
 class TestClusterRenderExactlyOnce:

@@ -9,6 +9,7 @@ from repro.dns.types import RdataType
 from repro.scan.population import Profile
 from repro.scan.wild import (
     WILD_ALGORITHM,
+    WildInternet,
     domain_mutation,
     hosting_address,
     tld_server_address,
@@ -183,3 +184,66 @@ class TestHostingLaziness:
         built_a = small_wild.materialize_zone(domain)
         built_b = small_wild.materialize_zone(domain)
         assert built_a is built_b
+
+
+class TestBytePathDecodesOnce:
+    """Every wild tier answers a byte-path datagram with exactly one
+    ``Message.from_wire``: ``handle_datagram`` decodes, the one answer
+    body (``handle_paved``) takes it from there.  The stale-flipping and
+    CNAME-loop hosts used to decode, then defer to a parent that decoded
+    the same wire again."""
+
+    @pytest.fixture(scope="class")
+    def wild(self, small_population):
+        """Own universe: the stale host's per-zone flip state is written."""
+        return WildInternet(small_population)
+
+    @pytest.fixture()
+    def decodes(self, monkeypatch):
+        calls = []
+        real = Message.from_wire.__func__
+
+        def counting(cls, wire):
+            calls.append(bytes(wire))
+            return real(cls, wire)
+
+        monkeypatch.setattr(Message, "from_wire", classmethod(counting))
+        return calls
+
+    def _wire(self, population, profile, rdtype=RdataType.A):
+        domain = first_domain(population, profile)
+        return Message.make_query(domain.fqdn, rdtype, want_dnssec=True).to_wire()
+
+    def test_tld_and_hosting(self, wild, small_population, decodes):
+        domain = first_domain(small_population, Profile.VALID_UNSIGNED)
+        wire = self._wire(small_population, Profile.VALID_UNSIGNED)
+        for server in (
+            wild.tld_servers[domain.tld],
+            wild.hosting_servers[domain.hosting_index],
+            wild.root_server,
+        ):
+            del decodes[:]
+            assert server.handle_datagram(wire, "198.51.100.1") is not None
+            assert decodes == [wire], type(server).__name__
+
+    def test_stale_flipping_defer_and_flip(self, wild, small_population, decodes):
+        wire = self._wire(small_population, Profile.STALE)
+        # First query per zone defers to the hosting body, later ones flip.
+        for expected in (Rcode.NOERROR, Rcode.REFUSED):
+            del decodes[:]
+            raw = wild.stale_server.handle_datagram(wire, "198.51.100.1")
+            assert decodes == [wire]
+            assert Message.from_wire(raw).rcode == expected
+
+    def test_cname_loop_bounce_and_defer(self, wild, small_population, decodes):
+        # A bounces in-domain; any other type defers to the hosting body.
+        for rdtype in (RdataType.A, RdataType.NS):
+            wire = self._wire(small_population, Profile.OTHER_LOOP, rdtype)
+            del decodes[:]
+            assert wild.loop_server.handle_datagram(wire, "198.51.100.1")
+            assert decodes == [wire]
+
+    def test_garbage_is_formerr_everywhere(self, wild):
+        for server in (wild.stale_server, wild.loop_server, wild.root_server):
+            raw = server.handle_datagram(b"\x00\x01garbage", "198.51.100.1")
+            assert Message.from_wire(raw).rcode == Rcode.FORMERR
