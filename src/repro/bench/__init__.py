@@ -463,25 +463,19 @@ def _render_cache_scan(
     use_lanes: bool,
     jitter_seed: int,
     cache_on: bool,
-    batch: int,
 ) -> tuple[float, dict, str, dict | None]:
     """One arm of the render-cache A/B: returns wall seconds, the
     per-domain categorization, the Figure 1/2 series as CSV text, and
     (for the cache-on arm) the rendered-wire cache counters.
 
-    Both arms ride the paved fabric (there is no other plain-UDP path);
-    the on arm adds rendered-response wire caches on every
-    authoritative tier and batched lane submission.
+    Both arms ride the paved fabric (there is no other plain-UDP path)
+    and the same lane schedule; the on arm differs only in the
+    rendered-response wire caches on every authoritative tier.
     """
     wild = WildInternet(population, render_cache=cache_on)
     scanner = WildScanner(wild, engine_config=EngineConfig(rng_seed=jitter_seed))
     wall_start = time.perf_counter()  # repro: allow[wall-clock]
-    result = scanner.scan(
-        workers=workers,
-        use_lanes=use_lanes,
-        batch=batch if cache_on else 1,
-        coarse=cache_on,
-    )
+    result = scanner.scan(workers=workers, use_lanes=use_lanes)
     wall = time.perf_counter() - wall_start  # repro: allow[wall-clock]
     gtld, cctld = figure1_series(result, population)
     figures_csv = series_to_csv(gtld, cctld, figure2_series(result))
@@ -494,13 +488,12 @@ def bench_render_cache(
     seed: int = DEFAULT_SEED,
     workers_list: Iterable[int] = (1, 8, 32),
     jitter_seeds: Iterable[int] = (1, 20230524),
-    batch: int = 32,
 ) -> dict:
     """Rendered-response wire cache A/B ladder (the tentpole gate).
 
     For each retry-jitter seed and each worker rung, the same population
-    is scanned twice — cache off and cache on (wire caches + batched
-    lanes) — and the two arms must agree byte-for-byte on every
+    is scanned twice — cache off and cache on, nothing else differing —
+    and the two arms must agree byte-for-byte on every
     per-domain categorization *and* on the Figure 1 / Figure 2 aggregate
     series: both are hard gates.  The wall-clock ratio is recorded, not
     gated: both arms are paved, and paving was most of what the
@@ -524,7 +517,6 @@ def bench_render_cache(
                 use_lanes=use_lanes,
                 jitter_seed=jitter_seed,
                 cache_on=False,
-                batch=batch,
             )
             wall_on, cat_on, fig_on, render = _render_cache_scan(
                 population,
@@ -532,7 +524,6 @@ def bench_render_cache(
                 use_lanes=use_lanes,
                 jitter_seed=jitter_seed,
                 cache_on=True,
-                batch=batch,
             )
             if reference is None:
                 reference = cat_off
@@ -564,7 +555,6 @@ def bench_render_cache(
         "population_scale": config.scale,
         "actual_domains": len(population.domains),
         "jitter_seeds": jitter_seeds,
-        "batch": batch,
         "rungs": rungs,
         "best_speedup": max((rung["speedup"] for rung in rungs), default=0.0),
         "comparison_runs": comparisons,

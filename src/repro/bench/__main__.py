@@ -271,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
             section = report["render_cache"]
             print(
                 f"render-cache A/B at {section['target_domains']} domains "
-                f"(batch {section['batch']}, seeds {section['jitter_seeds']}):"
+                f"(seeds {section['jitter_seeds']}):"
             )
             for rung in section["rungs"]:
                 render = rung.get("render_cache") or {}

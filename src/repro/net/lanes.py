@@ -7,9 +7,9 @@ the paper's Section 4.1 pipeline) keep thousands of resolutions in
 flight; to model that without giving up determinism, a
 :class:`VirtualLanePool` runs N worker *lanes* that take strict turns:
 
-* exactly one lane executes at any moment (a token passed under one
-  condition variable), so every shared structure — caches, zone maps,
-  seeded RNGs — is mutated race-free without per-structure locks;
+* exactly one lane executes at any moment (a token handed from lane to
+  lane), so every shared structure — caches, zone maps, seeded RNGs —
+  is mutated race-free without per-structure locks;
 * each lane owns a *lane clock*: clock reads and advances inside a lane
   apply to that lane's virtual time only, so lane A waiting out a 2 s
   timeout does not stall lane B's 10 ms round trip;
@@ -33,10 +33,20 @@ flight; to model that without giving up determinism, a
 When the pool drains, the base clock is set to the *makespan* —
 ``max`` over lane times — which is exactly the wall-clock a real
 concurrent scanner would have spent.
+
+The hand-off rests on two facts the rules above already guarantee.
+Only the token holder ever touches scheduler state, so the scheduler
+needs no mutex; and lanes never run in parallel, so every parked lane
+can sleep on a *baton* of its own (a lock it acquires) and the token
+holder wakes exactly the one lane it chose — or nobody, when it is
+still the minimum itself.  For the same reason lane threads confine
+themselves to one CPU: strictly serial threads gain nothing from a
+second one and would pay a cross-CPU wake-up at every hand-off.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 from collections import deque
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -56,26 +66,32 @@ class _PoolAbort(BaseException):
     """
 
 
+def _share_one_cpu() -> None:
+    """Confine the calling thread to one CPU of its inherited mask.
+
+    Picked by pid so parallel processes do not pile onto the first CPU;
+    a no-op where the platform has no thread affinity.
+    """
+    try:
+        mask = sorted(os.sched_getaffinity(0))
+        os.sched_setaffinity(0, {mask[os.getpid() % len(mask)]})
+    except (AttributeError, OSError):
+        pass
+
+
 class VirtualLanePool:
     """Runs items through ``fn`` on N deterministic virtual-time lanes."""
 
-    def __init__(self, clock, workers: int, coarse: bool = False):
+    def __init__(self, clock, workers: int):
         if workers < 1:
             raise ValueError("need at least one lane")
         self._clock = clock
         self._workers = int(workers)
-        #: Coarse scheduling: ``lane_advance`` only accumulates lane
-        #: time instead of rescheduling, so the token changes hands at
-        #: item boundaries and predicate waits rather than at every
-        #: virtual-latency hop.  Lane times (and thus the makespan) are
-        #: unchanged — only *when* the scheduler compares them differs —
-        #: and scheduling stays a pure function of the workload; what it
-        #: gives up is the globally time-ordered interleaving.  Off by
-        #: default: the seed schedule, byte-for-byte.
-        self._coarse = bool(coarse)
-        self._cv = threading.Condition()
         self._tls = threading.local()
         self._times: list[float] = []
+        #: One lock per lane, held while the lane may not run; releasing
+        #: it is the only wake-up the pool ever issues.
+        self._batons: list = []
         self._queue: deque = deque()
         self._fn: Callable | None = None
         self._running: int | None = None
@@ -102,6 +118,9 @@ class VirtualLanePool:
         base = self._clock.now()
         lanes = min(self._workers, len(queue))
         self._times = [base] * lanes
+        self._batons = [threading.Lock() for _ in range(lanes)]
+        for baton in self._batons:
+            baton.acquire()
         self._queue = queue
         self._fn = fn
         self._running = None
@@ -121,8 +140,9 @@ class VirtualLanePool:
         try:
             for thread in threads:
                 thread.start()
-            with self._cv:
-                self._schedule(None)
+            # Every lane is (or soon will be) parked on its baton; this
+            # thread holds the token until it hands it to the first lane.
+            self._hand_to(self._schedule(None))
             for thread in threads:
                 thread.join()
         finally:
@@ -152,15 +172,8 @@ class VirtualLanePool:
             return False
         if seconds < 0:
             raise ValueError("time only moves forward")
-        if self._coarse:
-            # Token already held; no other lane can observe _times
-            # mid-update because mutation only happens at scheduling
-            # points, and this is no longer one.
-            self._times[lane] += seconds
-            return True
-        with self._cv:
-            self._times[lane] += seconds
-            self._yield_turn(lane)
+        self._times[lane] += seconds
+        self._yield_turn(lane)
         return True
 
     def lane_wait(
@@ -180,67 +193,77 @@ class VirtualLanePool:
         lane = self.lane_id()
         if lane is None:
             return False
-        with self._cv:
-            if not predicate():
-                self._blocked[lane] = predicate
-                if wake_at is not None:
-                    self._wake_at[lane] = wake_at
-                self._yield_turn(lane)
-            else:
-                self._yield_turn(lane)
+        if not predicate():
+            self._blocked[lane] = predicate
+            if wake_at is not None:
+                self._wake_at[lane] = wake_at
+        self._yield_turn(lane)
         return True
 
-    # -- scheduler ----------------------------------------------------------
+    # -- scheduler (token holder only: no lock guards this state) -----------
 
     def _worker(self, lane: int) -> None:
         self._tls.lane = lane
+        _share_one_cpu()
         try:
-            while True:
-                with self._cv:
-                    if self._running == lane:
-                        # Finished an item while holding the token: let a
-                        # lane with a smaller clock claim the next one.
-                        self._yield_turn(lane)
-                    else:
-                        self._await_turn(lane)
-                    if self._failure is not None or not self._queue:
-                        break
-                    item = self._queue.popleft()
-                    self.tasks_run += 1
+            self._park(lane)
+            while self._queue:
+                item = self._queue.popleft()
+                self.tasks_run += 1
                 self._fn(item)
+                # Finished an item while holding the token: let a lane
+                # with a smaller clock claim the next one.
+                self._yield_turn(lane)
         except _PoolAbort:
             pass
         except BaseException as exc:
-            with self._cv:
-                if self._failure is None:
-                    self._failure = exc
+            if self._failure is None:
+                self._failure = exc
         finally:
-            with self._cv:
-                self._finished.add(lane)
-                self._blocked.pop(lane, None)
-                self._wake_at.pop(lane, None)
-                self._schedule(lane)
-            self._tls.lane = None
+            self._hand_to(self._retire(lane))
 
-    def _await_turn(self, lane: int) -> None:
-        """Wait (cv held) until this lane holds the token or must abort."""
-        while self._running != lane and self._failure is None:
-            self._cv.wait()
-        if self._failure is not None and self._running != lane:
+    def _retire(self, lane: int) -> int | None:
+        """Take ``lane`` out of the schedule; returns the lane to wake."""
+        self._finished.add(lane)
+        self._blocked.pop(lane, None)
+        self._wake_at.pop(lane, None)
+        if self._failure is None:
+            choice = self._schedule(lane)
+            if self._failure is None:
+                return choice
+        # Unwind (a lane raised, or the schedule above found a deadlock):
+        # wake the parked lanes one at a time, each to find the token is
+        # not its own, abort through ``fn``, and wake the next.
+        self._running = None
+        return next(
+            (i for i in range(len(self._times)) if i not in self._finished), None
+        )
+
+    def _hand_to(self, lane: int | None) -> None:
+        """Wake ``lane``; the caller must not touch pool state afterwards."""
+        if lane is not None:
+            self._batons[lane].release()
+
+    def _park(self, lane: int) -> None:
+        """Sleep until handed the baton; abort unless the token came with it."""
+        self._batons[lane].acquire()
+        if self._running != lane:
             raise _PoolAbort()
 
     def _yield_turn(self, lane: int) -> None:
-        """Reschedule (cv held) and wait until this lane runs again."""
-        self._schedule(lane)
-        while (
-            self._running != lane or lane in self._blocked
-        ) and self._failure is None:
-            self._cv.wait()
-        if self._failure is not None and self._running != lane:
+        """Reschedule and, unless still the minimum, sleep until chosen again."""
+        if self._failure is not None:
             raise _PoolAbort()
+        choice = self._schedule(lane)
+        if choice == lane:
+            return
+        if choice is None:  # deadlock: this lane was the last one runnable
+            raise _PoolAbort()
+        self._hand_to(choice)
+        self._park(lane)
 
-    def _schedule(self, prev: int | None) -> None:
-        """Pick the next lane (cv held): smallest time, then smallest id."""
+    def _schedule(self, prev: int | None) -> int | None:
+        """Pick the next lane: smallest time, then smallest id."""
         # Predicates may have been satisfied by whatever `prev` just did;
         # a lane unblocked now rejoins no earlier than prev's clock —
         # but a timed waiter never rejoins later than its alarm: its
@@ -276,8 +299,7 @@ class VirtualLanePool:
                     "no runnable lane can satisfy"
                 )
             self._running = None
-            self._cv.notify_all()
-            return
+            return None
         when, choice = min(candidates)
         if choice in self._blocked:
             # Timed wake-up: the predicate never fired, but the lane's
@@ -288,7 +310,7 @@ class VirtualLanePool:
         if choice != self._running:
             self.switches += 1
         self._running = choice
-        self._cv.notify_all()
+        return choice
 
 
 def run_in_lanes(clock, workers: int, items: Sequence[T], fn: Callable[[T], object]) -> None:

@@ -183,8 +183,6 @@ class WildScanner:
         progress_every: int = 2048,
         workers: int = 1,
         use_lanes: bool | None = None,
-        batch: int = 1,
-        coarse: bool = False,
     ) -> ScanResult:
         """Scan ``domains`` (default: the whole population), randomized.
 
@@ -205,14 +203,6 @@ class WildScanner:
         ``use_lanes=True`` to force even a single worker through the
         lane pool (differential tests and pool-overhead benchmarks),
         or ``use_lanes=False`` to force the plain loop.
-
-        ``batch`` > 1 hands each lane a chunk of that many domains per
-        pool item, amortizing the pool's turn-taking over the chunk;
-        ``coarse`` additionally stops the lane clock from rescheduling
-        at every latency hop (see
-        :class:`~repro.net.lanes.VirtualLanePool`).  Both only change
-        the schedule, never per-domain categorization; both are no-ops
-        on the sequential path.
         """
         if domains is None:
             domains = self.wild.population.domains
@@ -257,9 +247,8 @@ class WildScanner:
             if progress is not None and done % progress_every == 0:
                 progress(done, total)
 
-        batch = max(1, int(batch))
         if lanes_on:
-            from ..net.lanes import VirtualLanePool
+            from ..net.lanes import run_in_lanes
 
             clock = self.wild.fabric.clock
 
@@ -267,15 +256,7 @@ class WildScanner:
                 # Fresh pool per phase: phase boundaries are barriers (the
                 # stale TTL advance must happen after *every* prime), and
                 # the pool leaves the base clock at the phase makespan.
-                pool = VirtualLanePool(clock, workers, coarse=coarse)
-                if batch <= 1:
-                    pool.run(items, fn)
-                    return
-                chunks = [
-                    items[start : start + batch]
-                    for start in range(0, len(items), batch)
-                ]
-                pool.run(chunks, lambda chunk: [fn(item) for item in chunk])
+                run_in_lanes(clock, workers, items, fn)
         else:
 
             def run_items(items, fn):

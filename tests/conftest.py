@@ -8,6 +8,7 @@ must treat them as read-only.
 from __future__ import annotations
 
 import os
+from contextlib import nullcontext
 
 import pytest
 
@@ -48,15 +49,26 @@ def small_scan(small_wild):
     return scanner.scan()
 
 
+@pytest.fixture(scope="session")
+def sanitizer_if_requested():
+    """Context-manager factory: the runtime determinism sanitizer when
+    ``REPRO_SANITIZER=1``, a no-op otherwise.  Session-scoped so
+    hypothesis tests can take it and arm *inside* each example (the
+    hypothesis engine itself reads the wall clock between examples)."""
+    if os.environ.get("REPRO_SANITIZER"):
+        return determinism_sanitizer
+    return nullcontext
+
+
 @pytest.fixture(autouse=True)
-def _chaos_determinism_sanitizer(request):
+def _chaos_determinism_sanitizer(request, sanitizer_if_requested):
     """With ``REPRO_SANITIZER=1``, run every chaos test with the runtime
     determinism sanitizer armed: any wall-clock or global-RNG access on
     the fabric path raises instead of silently breaking replay.  CI runs
     the chaos suite once this way (session-scoped fixtures like the
     testbed are built before this function-scoped guard arms)."""
-    if os.environ.get("REPRO_SANITIZER") and request.node.get_closest_marker("chaos"):
-        with determinism_sanitizer():
+    if request.node.get_closest_marker("chaos"):
+        with sanitizer_if_requested():
             yield
     else:
         yield

@@ -1,9 +1,20 @@
 """The deterministic virtual-time lane pool (repro.net.lanes)."""
 
+import os
+import threading
+from types import SimpleNamespace
+
 import pytest
 
+from repro.net import lanes as lanes_module
 from repro.net.clock import SimulatedClock
 from repro.net.lanes import LaneDeadlock, VirtualLanePool
+
+
+@pytest.fixture(autouse=True)
+def _sanitized(sanitizer_if_requested):
+    with sanitizer_if_requested():
+        yield
 
 
 def test_all_items_processed_once():
@@ -152,6 +163,7 @@ def test_pool_restores_clock_mode():
     clock.advance(5)
     assert clock.now() == before + 5
 
+
 def test_timed_wake_fires_when_predicate_never_does():
     """A parked lane with a wake_at is a timer: it resumes at exactly
     that virtual instant even though nothing satisfied its predicate."""
@@ -211,3 +223,145 @@ def test_timed_waiters_do_not_deadlock():
     VirtualLanePool(clock, 2).run(range(4), work)
     assert len(wakes) == 4
     assert all(t >= start + 1.0 for t in wakes)
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity"), reason="platform has no thread affinity"
+)
+def test_lanes_share_one_cpu_of_the_callers_mask():
+    clock = SimulatedClock()
+    before = os.sched_getaffinity(0)
+    masks = []
+
+    def work(_item):
+        masks.append(frozenset(os.sched_getaffinity(0)))
+        clock.advance(1.0)
+
+    VirtualLanePool(clock, 4).run(range(8), work)
+    assert len(set(masks)) == 1  # every lane, the same CPU
+    (mask,) = set(masks)
+    assert len(mask) == 1 and mask <= before
+    assert os.sched_getaffinity(0) == before  # the caller's mask is untouched
+
+
+def test_pool_runs_where_affinity_is_unavailable(monkeypatch):
+    """No ``sched_setaffinity`` (macOS, Windows): same schedule, no pinning."""
+    monkeypatch.setattr(lanes_module, "os", SimpleNamespace(getpid=os.getpid))
+    clock = SimulatedClock()
+    seen = []
+    VirtualLanePool(clock, 4).run(range(20), seen.append)
+    assert sorted(seen) == list(range(20))
+
+
+# -- teardown: nothing broadcasts, so every parked lane must be woken by name --
+
+LANE_COUNTS = (2, 8, 32)
+
+
+class Boom(Exception):
+    pass
+
+
+def run_bounded(pool, items, fn, seconds=60.0):
+    """``pool.run`` on a helper thread under a hard wall timeout, so a
+    lost wake-up fails the test instead of hanging it; returns what
+    ``run`` raised (or None)."""
+    raised = []
+
+    def drive():
+        try:
+            pool.run(items, fn)
+        except BaseException as exc:  # handed back to the test thread
+            raised.append(exc)
+
+    driver = threading.Thread(target=drive, daemon=True)
+    driver.start()
+    driver.join(seconds)
+    assert not driver.is_alive(), "lost wake-up: pool.run() never returned"
+    return raised[0] if raised else None
+
+
+def assert_torn_down_and_reusable(clock, pool, lanes, threads_before):
+    assert clock._lanes is None
+    assert threading.active_count() == threads_before
+    seen = []
+
+    def work(item):
+        clock.advance(0.5)
+        seen.append(item)
+
+    assert run_bounded(pool, range(3 * lanes), work) is None
+    assert sorted(seen) == list(range(3 * lanes))
+    assert threading.active_count() == threads_before
+
+
+@pytest.mark.parametrize("lanes", LANE_COUNTS)
+def test_failure_unwinds_lanes_parked_in_advance(lanes):
+    """Item 1 raises at t=0.5 with every other lane asleep inside
+    ``lane_advance`` at t=1.0.  The last lane turns its abort into a
+    second exception on the way out: the first failure still wins."""
+    clock = SimulatedClock()
+    pool = VirtualLanePool(clock, lanes)
+    before = threading.active_count()
+
+    def work(item):
+        if item == 1:
+            clock.advance(0.5)
+            raise Boom("first")
+        try:
+            for _hop in range(10):
+                clock.advance(1.0)
+        except BaseException:
+            if item == lanes - 1:
+                raise RuntimeError("cleanup failed while unwinding")
+            raise
+
+    failure = run_bounded(pool, range(lanes), work)
+    assert isinstance(failure, Boom) and failure.args == ("first",)
+    assert_torn_down_and_reusable(clock, pool, lanes, before)
+
+
+@pytest.mark.parametrize("lanes", LANE_COUNTS)
+def test_failure_unwinds_lanes_parked_on_predicates(lanes):
+    """Item 0 raises at t=0.5 with every other lane parked on a
+    predicate that never fires — odd lanes forever, even lanes with an
+    alarm far in the future."""
+    clock = SimulatedClock()
+    start = clock.now()
+    pool = VirtualLanePool(clock, lanes)
+    before = threading.active_count()
+    resumed = []
+
+    def work(item):
+        if item == 0:
+            clock.advance(0.5)
+            raise Boom("first")
+        clock.wait_virtual(
+            lambda: False, wake_at=None if item % 2 else start + 1000.0
+        )
+        resumed.append(item)
+
+    failure = run_bounded(pool, range(lanes), work)
+    assert isinstance(failure, Boom)
+    assert resumed == []  # aborted inside the wait, not resumed past it
+    assert_torn_down_and_reusable(clock, pool, lanes, before)
+
+
+@pytest.mark.parametrize("lanes", LANE_COUNTS)
+@pytest.mark.parametrize("found_by", ["last waiter", "retiring lane"])
+def test_deadlock_unwinds_every_parked_lane(lanes, found_by):
+    """A deadlock is noticed either by the last lane to park or by a
+    lane that retires and leaves only parked lanes behind."""
+    clock = SimulatedClock()
+    pool = VirtualLanePool(clock, lanes)
+    before = threading.active_count()
+
+    def work(item):
+        if item == 0 and found_by == "retiring lane":
+            clock.advance(0.5)  # everyone else parks meanwhile
+            return
+        clock.wait_virtual(lambda: False)
+
+    failure = run_bounded(pool, range(lanes), work)
+    assert isinstance(failure, LaneDeadlock)
+    assert_torn_down_and_reusable(clock, pool, lanes, before)

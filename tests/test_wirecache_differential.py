@@ -7,15 +7,15 @@ whenever ``parse_equivalent`` proves a re-parse would be the identity.
 ``src/`` has no switch for that, so the byte-path arm is produced by a
 *test-only* fabric that never forwards ``message=``
 (:class:`tests.fabric_arms.PlainFabric`).  The claim gated here is that
-the two arms — and the paved arm with the optional bundle on top
-(rendered-response wire caches on every authoritative tier, batched
-lane submission) — agree on *everything observable*: every per-domain
-scan record, the Figure 1/2 aggregates, fabric datagram/byte counters,
-and all 63×7 matrix cells, at 1/8/32 workers, through 1 and 2 resolver
-shards and under both retry-jitter seeds.  Every run has the runtime
-determinism sanitizer armed.  The gate is non-vacuous both ways: the
-paved arm must show hand-backs, the plain arm none, and the directed
-fallback worlds must show ``parse_equivalent`` refusals.
+the two arms — and the paved arm with the optional rendered-response
+wire caches on every authoritative tier — agree on *everything
+observable*: every per-domain scan record, the Figure 1/2 aggregates,
+fabric datagram/byte counters, and all 63×7 matrix cells, at 1/8/32
+workers, through 1 and 2 resolver shards and under both retry-jitter
+seeds.  Every run has the runtime determinism sanitizer armed.  The
+gate is non-vacuous both ways: the paved arm must show hand-backs, the
+plain arm none, and the directed fallback worlds must show
+``parse_equivalent`` refusals.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ def scan_paved(population, *, workers: int, jitter_seed: int):
 
 
 def scan_cached(population, *, shards: int, jitter_seed: int, workers: int = 8):
-    """Fresh paved universe with the optional bundle on; sanitizer armed."""
+    """Fresh paved universe with the wire caches on; sanitizer armed."""
     wild = WildInternet(population, fabric=CountingFabric(), render_cache=True)
     kwargs = {}
     if shards > 1:
@@ -118,7 +118,7 @@ def scan_cached(population, *, shards: int, jitter_seed: int, workers: int = 8):
         wild, engine_config=EngineConfig(rng_seed=jitter_seed), **kwargs
     )
     with determinism_sanitizer():
-        result = scanner.scan(workers=workers, use_lanes=True, batch=8, coarse=True)
+        result = scanner.scan(workers=workers, use_lanes=True)
     return scanner, wild, result
 
 
@@ -153,7 +153,7 @@ class TestScanDifferential:
         assert figures_csv(result, population) == figures_csv(baseline, population)
 
     def test_cache_actually_engaged(self, population, plain_arm, paved_arm):
-        """The identities above are not vacuous: the bundle arm really
+        """The identities above are not vacuous: the cached arm really
         stored rendered wires, the paved arms really took Messages
         back, and the plain arm never did."""
         _scanner, wild, _result = scan_cached(population, shards=1, jitter_seed=1)
