@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 # DigestInfo DER prefixes for EMSA-PKCS1-v1_5 (RFC 8017 section 9.2 notes).
 _DIGEST_INFO_PREFIX = {
@@ -107,9 +108,16 @@ class RsaPublicKey:
 
 @dataclass(frozen=True)
 class RsaPrivateKey:
+    """``(n, e, d)`` plus the RFC 8017 section 3.2 CRT quintuple."""
+
     n: int
     e: int
     d: int
+    p: int
+    q: int
+    dp: int  # d mod (p - 1)
+    dq: int  # d mod (q - 1)
+    qinv: int  # q^-1 mod p
 
     @property
     def public(self) -> RsaPublicKey:
@@ -121,7 +129,15 @@ class RsaPrivateKey:
 
 
 def generate_keypair(bits: int = 1024, seed: int | None = None) -> RsaPrivateKey:
-    """Generate an RSA keypair.  Deterministic for a given ``seed``."""
+    """Generate an RSA keypair.  Deterministic for a given ``seed``, so
+    seeded keys are generated once per process (the key is immutable);
+    ``seed=None`` draws fresh entropy every call."""
+    if seed is None:
+        return _generate_keypair(bits, None)
+    return _seeded_keypair(bits, seed)
+
+
+def _generate_keypair(bits: int, seed: int | None) -> RsaPrivateKey:
     rng = random.Random(seed)
     e = 65537
     while True:
@@ -136,7 +152,16 @@ def generate_keypair(bits: int = 1024, seed: int | None = None) -> RsaPrivateKey
         except ValueError:
             continue
         if n.bit_length() == bits:
-            return RsaPrivateKey(n=n, e=e, d=d)
+            return RsaPrivateKey(
+                n=n, e=e, d=d, p=p, q=q,
+                dp=d % (p - 1), dq=d % (q - 1), qinv=pow(q, -1, p),
+            )
+
+
+#: The testbed's zones hold 88 distinct (bits, seed) pairs, 7 s of
+#: Miller-Rabin; every further ``build_testbed()`` in the process asks
+#: for exactly those again.
+_seeded_keypair = lru_cache(maxsize=512)(_generate_keypair)
 
 
 def _emsa_pkcs1_v15(digest_name: str, message: bytes, em_len: int) -> bytes:
@@ -153,7 +178,11 @@ def sign(key: RsaPrivateKey, message: bytes, digest_name: str = "sha256") -> byt
     """RSASSA-PKCS1-v1_5 signature over ``message``."""
     em = _emsa_pkcs1_v15(digest_name, message, key.byte_length)
     m = int.from_bytes(em, "big")
-    s = pow(m, key.d, key.n)
+    # RFC 8017 section 5.1.2 step 2.b: two half-size exponentiations
+    # recombined (Garner); equals pow(m, key.d, key.n).
+    s1 = pow(m, key.dp, key.p)
+    s2 = pow(m, key.dq, key.q)
+    s = s2 + key.q * ((s1 - s2) * key.qinv % key.p)
     return s.to_bytes(key.byte_length, "big")
 
 

@@ -5,9 +5,10 @@ Three server tiers keep a 300k-domain universe tractable:
 * a real signed **root zone** delegating to every TLD;
 * one :class:`VirtualTldServer` per TLD — a real signed apex zone (with
   a single wrap-around *opt-out* NSEC3 covering all children, like
-  ``com`` does in reality) plus referral/DS answers synthesized straight
-  from the population table, so a 100k-delegation TLD costs a few
-  kilobytes instead of gigabytes;
+  ``com`` does in reality), built and signed on the first query that
+  reads it, plus referral/DS answers synthesized straight from the
+  population table, so a 100k-delegation TLD costs a few kilobytes
+  instead of gigabytes;
 * **hosting servers** that materialize a child zone lazily on the first
   query for it, plus a handful of special endpoints (REFUSED/SERVFAIL/
   timeout pools, mismatched-question, NOTAUTH, stale-flipping and
@@ -28,7 +29,7 @@ from ..dns.edns import Edns
 from ..dns.message import Message
 from ..dns.name import Name
 from ..dns.rcode import Rcode
-from ..dns.rdata import A, CNAME, NS
+from ..dns.rdata import AAAA, A, CNAME, NS
 from ..dns.render import (
     RenderCacheStats,
     RenderedWireCache,
@@ -126,8 +127,12 @@ class DomainDelegation:
     """What the TLD publishes for one child."""
 
     ns_names: list[Name]
-    glue: list[tuple[Name, str]]  # (owner, address)
+    glue: list[tuple[Name, A | AAAA]]  # (owner, address record)
     ds_rdatas: list[DS]
+
+
+def _glue(owner: Name, address: str) -> tuple[Name, A | AAAA]:
+    return owner, (AAAA if ":" in address else A)(address=address)
 
 
 # ---------------------------------------------------------------------------
@@ -136,25 +141,30 @@ class DomainDelegation:
 
 
 class VirtualTldServer(PavedEndpoint):
-    """Serves one TLD: real signed apex, synthesized delegations."""
+    """Serves one TLD: real signed apex, synthesized delegations.
+
+    ``apex`` is the apex zone's builder, loaded but not yet built: the
+    keys (and so the DS the root publishes, and every signature made
+    here) exist from the start, the signed zone from the first query
+    that reads :attr:`apex_zone`.  Most TLDs of a universe host no
+    scanned domain and never build theirs.
+    """
 
     def __init__(
         self,
         wild: "WildInternet",
         tld_name: str,
-        apex_zone: Zone,
-        ksk: KeyPair,
-        zsk: KeyPair,
+        apex: ZoneBuilder,
         broken_denial: bool,
         now: int,
         axfr_allowed: bool = False,
     ):
         self.wild = wild
         self.tld = tld_name
-        self.origin = Name.from_text(tld_name + ".")
-        self.apex_zone = apex_zone
-        self.ksk = ksk
-        self.zsk = zsk
+        self.origin = apex.origin
+        self._apex = apex
+        self._apex_zone: Zone | None = None
+        self.ksk, self.zsk = apex.keys()
         self.broken_denial = broken_denial
         self.now = now
         self.axfr_allowed = axfr_allowed
@@ -170,6 +180,12 @@ class VirtualTldServer(PavedEndpoint):
         self._ds_sig_cache: dict | None = None
         self.queries = 0
         self.transfers = 0
+
+    @property
+    def apex_zone(self) -> Zone:
+        if self._apex_zone is None:
+            self._apex_zone = self._apex.build().zone
+        return self._apex_zone
 
     # -- fabric endpoint ---------------------------------------------------------
 
@@ -292,18 +308,7 @@ class VirtualTldServer(PavedEndpoint):
         elif dnssec_ok:
             self._add_optout_denial(response)
         for owner, address in delegation.glue:
-            import ipaddress
-
-            if ipaddress.ip_address(address).version == 6:
-                from ..dns.rdata import AAAA
-
-                response.additional.append(
-                    RRset.of(owner, RdataType.AAAA, AAAA(address=address), ttl=300)
-                )
-            else:
-                response.additional.append(
-                    RRset.of(owner, RdataType.A, A(address=address), ttl=300)
-                )
+            response.additional.append(RRset.of(owner, address.rdtype, address, ttl=300))
         return response
 
     # -- helpers ---------------------------------------------------------------------
@@ -591,15 +596,10 @@ class WildInternet:
             ns_name = Name.from_text("a.nic", origin=origin)
             builder.add(RRset.of(origin, RdataType.NS, NS(target=ns_name), ttl=300))
             builder.add(RRset.of(ns_name, RdataType.A, A(address=address), ttl=300))
-            builder.ensure_soa()
-            built = builder.build()
-            assert built.ksk is not None and built.zsk is not None
             server = VirtualTldServer(
                 wild=self,
                 tld_name=tld.name,
-                apex_zone=built.zone,
-                ksk=built.ksk,
-                zsk=built.zsk,
+                apex=builder,
                 broken_denial=tld.broken_denial,
                 now=self.now,
                 axfr_allowed=tld.axfr_allowed,
@@ -611,7 +611,7 @@ class WildInternet:
             # Delegation in the root.
             root_builder.add(RRset.of(origin, RdataType.NS, NS(target=ns_name), ttl=300))
             root_builder.add(RRset.of(ns_name, RdataType.A, A(address=address), ttl=300))
-            for ds in built.ds_rdatas:
+            for ds in builder.ds_rdatas():
                 root_builder.add(RRset.of(origin, RdataType.DS, ds, ttl=300))
 
         self.root_built = root_builder.build()
@@ -756,22 +756,22 @@ class WildInternet:
         ns1 = Name.from_text("ns1", origin=apex)
         profile = domain.profile
 
-        glue: list[tuple[Name, str]] = []
+        glue: list[tuple[Name, A | AAAA]] = []
         ns_names = [ns1]
         if profile is Profile.LAME_UNREACHABLE:
             # Round-robin over the testbed's special-purpose addresses.
             from ..net.addresses import TESTBED_GLUE
 
             specials = sorted(TESTBED_GLUE.values())
-            glue.append((ns1, specials[_domain_seed(domain.name) % len(specials)]))
+            glue.append(_glue(ns1, specials[_domain_seed(domain.name) % len(specials)]))
         elif profile is Profile.PARTIAL_REFUSED:
             ns2 = Name.from_text("ns2", origin=apex)
             ns_names = [ns1, ns2]
             broken = self.population.broken_ns[domain.ns_index].address
-            glue.append((ns1, broken))
-            glue.append((ns2, hosting_address(domain.hosting_index)))
+            glue.append(_glue(ns1, broken))
+            glue.append(_glue(ns2, hosting_address(domain.hosting_index)))
         else:
-            glue.append((ns1, self.server_address_for(domain)))
+            glue.append(_glue(ns1, self.server_address_for(domain)))
 
         ds_rdatas: list[DS] = []
         if profile is Profile.SIGNED_LAME:
@@ -843,10 +843,8 @@ class WildInternet:
             )
         )
         for owner, address in delegation.glue:
-            import ipaddress
-
-            if ipaddress.ip_address(address).version == 4:
-                builder.add(RRset.of(owner, RdataType.A, A(address=address), ttl=300))
+            if address.rdtype == RdataType.A:
+                builder.add(RRset.of(owner, RdataType.A, address, ttl=300))
         builder.ensure_soa()
         built = builder.build()
         if len(self._zone_cache) > 4096:

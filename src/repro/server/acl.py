@@ -12,12 +12,20 @@ import ipaddress
 from dataclasses import dataclass, field
 
 
+#: Remembered per-source verdicts per ACL; cleared when full.
+_MAX_VERDICTS = 1024
+
+
 @dataclass
 class Acl:
-    """An allow-list of client prefixes."""
+    """An allow-list of client prefixes, fixed at construction."""
 
     prefixes: list[str] = field(default_factory=lambda: ["0.0.0.0/0", "::/0"])
     name: str = "any"
+
+    def __post_init__(self) -> None:
+        self._networks = [ipaddress.ip_network(prefix) for prefix in self.prefixes]
+        self._verdicts: dict[str, bool] = {}
 
     @classmethod
     def any(cls) -> "Acl":
@@ -42,12 +50,20 @@ class Acl:
         return cls(prefixes=[keyword], name=keyword)
 
     def allows(self, source: str) -> bool:
+        verdict = self._verdicts.get(source)
+        if verdict is None:
+            verdict = self._matches(source)
+            if len(self._verdicts) >= _MAX_VERDICTS:
+                self._verdicts.clear()
+            self._verdicts[source] = verdict
+        return verdict
+
+    def _matches(self, source: str) -> bool:
         try:
             address = ipaddress.ip_address(source)
         except ValueError:
             return False
-        for prefix in self.prefixes:
-            network = ipaddress.ip_network(prefix)
-            if address.version == network.version and address in network:
-                return True
-        return False
+        return any(
+            address.version == network.version and address in network
+            for network in self._networks
+        )

@@ -76,7 +76,7 @@ class ZoneBuilder:
         self.mutation = mutation or ZoneMutation()
         self.zone = Zone(origin)
         self._key_seed = key_seed
-        self._shared_keys = shared_keys
+        self._keys = shared_keys
 
     def add(self, rrset: RRset) -> "ZoneBuilder":
         self.zone.add(rrset)
@@ -106,7 +106,7 @@ class ZoneBuilder:
         if not mut.signed:
             return BuiltZone(zone=self.zone, ds_rdatas=[], mutation=mut)
 
-        ksk, zsk = self._make_keys()
+        ksk, zsk = self.keys()
         published = self._published_dnskeys(ksk, zsk)
         dnskey_rrset = RRset(
             name=self.origin, rdtype=RdataType.DNSKEY, ttl=300, rdatas=list(published)
@@ -120,22 +120,24 @@ class ZoneBuilder:
         self._sign_zone(ksk, zsk, dnskey_rrset)
         self._apply_post_sign_mutations(ksk, zsk)
 
-        ds_rdatas = self._make_ds(ksk)
+        ds_rdatas = self.ds_rdatas()
         return BuiltZone(zone=self.zone, ds_rdatas=ds_rdatas, ksk=ksk, zsk=zsk, mutation=mut)
 
     # -- keys ------------------------------------------------------------------------
 
-    def _make_keys(self) -> tuple[KeyPair, KeyPair]:
-        if self._shared_keys is not None:
-            return self._shared_keys
-        mut = self.mutation
-        ksk = KeyPair.generate(
-            mut.algorithm, KSK_FLAGS, bits=mut.key_bits, seed=self._key_seed * 2 + 1
-        )
-        zsk = KeyPair.generate(
-            mut.algorithm, ZSK_FLAGS, bits=mut.key_bits, seed=self._key_seed * 2 + 2
-        )
-        return ksk, zsk
+    def keys(self) -> tuple[KeyPair, KeyPair]:
+        """The zone's (KSK, ZSK): the shared pair, or one derived from
+        ``key_seed`` on first call — before or during :meth:`build`."""
+        if self._keys is None:
+            mut = self.mutation
+            ksk = KeyPair.generate(
+                mut.algorithm, KSK_FLAGS, bits=mut.key_bits, seed=self._key_seed * 2 + 1
+            )
+            zsk = KeyPair.generate(
+                mut.algorithm, ZSK_FLAGS, bits=mut.key_bits, seed=self._key_seed * 2 + 2
+            )
+            self._keys = (ksk, zsk)
+        return self._keys
 
     def _published_dnskeys(self, ksk: KeyPair, zsk: KeyPair) -> list[DNSKEY]:
         mut = self.mutation
@@ -401,10 +403,13 @@ class ZoneBuilder:
 
     # -- DS --------------------------------------------------------------------------------------
 
-    def _make_ds(self, ksk: KeyPair) -> list[DS]:
+    def ds_rdatas(self) -> list[DS]:
+        """What the parent should publish.  A function of the keys and
+        the mutation only, so a parent can be built before this zone is."""
         mut = self.mutation
-        if not mut.publish_ds:
+        if not (mut.signed and mut.publish_ds):
             return []
+        ksk, _zsk = self.keys()
         digest_type = (
             mut.ds_digest_type_override
             if mut.ds_digest_type_override is not None

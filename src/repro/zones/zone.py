@@ -1,23 +1,24 @@
 """Authoritative zone data model and lookup semantics.
 
-A :class:`Zone` stores RRsets keyed by (owner, type) and answers the
-question an authoritative server asks: *given this qname/qtype, is the
-result an answer, a referral, a CNAME, NXDOMAIN, or NODATA?*  Denial-
-of-existence record selection for negative answers lives here too,
-because it depends on the zone's NSEC3 chain.
+A :class:`Zone` stores RRsets by owner name, then by type, and answers
+the question an authoritative server asks: *given this qname/qtype, is
+the result an answer, a referral, a CNAME, NXDOMAIN, or NODATA?*
+Denial-of-existence record selection for negative answers lives here
+too, because it depends on the zone's NSEC3 chain.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum, auto
 
-from ..dns.dnssec_records import NSEC3, RRSIG
+from ..dns.dnssec_records import NSEC, NSEC3, RRSIG
 from ..dns.name import Name
 from ..dns.rdata import CNAME
 from ..dns.rrset import RRset
 from ..dns.types import RdataType
-from ..dnssec.nsec3 import base32hex_encode, hash_covers, nsec3_hash
+from ..dnssec.nsec3 import base32hex_decode, base32hex_encode, hash_covers, nsec3_hash
 
 
 class LookupStatus(Enum):
@@ -35,54 +36,84 @@ class LookupResult:
     node_name: Name | None = None  # the node that matched (cut point for referrals)
 
 
+@dataclass
+class _Nsec3Chain:
+    """The zone's NSEC3 records in hashed-owner order, kept between
+    negative answers (see :meth:`Zone.denial_rrsets`)."""
+
+    iterations: int
+    salt: bytes
+    records: list[tuple[Name, NSEC3]]  # stable-sorted by ``labels``
+    labels: list[bytes]  # lower-cased first owner label per record
+    hashes: list[bytes | None]  # the hash each label encodes; None = undecodable
+    #: True when the chain is a closed ring — every label decodes, the
+    #: hashes strictly increase and each ``next_hash`` is the following
+    #: owner's hash — the one shape in which at most one record covers
+    #: a given hash and it is the hash's predecessor in ``hashes``.
+    closed: bool
+
+
 class Zone:
-    """One authoritative zone."""
+    """One authoritative zone.
+
+    One store: ``owner -> {type -> RRset}``.  :meth:`all_rrsets`
+    enumerates grouped by owner — owners in order of first insertion,
+    types within an owner in order of first insertion — which is the
+    order AXFR bodies and zone-file dumps come out in (RFC 5936 section
+    2.2 leaves RR order between the SOAs unspecified).  An owner whose
+    last RRset is removed leaves the store, and re-enters at the end.
+    """
 
     def __init__(self, origin: Name):
         if not origin.is_absolute():
             raise ValueError("zone origin must be absolute")
         self.origin = origin
-        self._rrsets: dict[tuple[Name, int], RRset] = {}
-        self._names: set[Name] = set()
+        self._nodes: dict[Name, dict[int, RRset]] = {}
+        self._nsec3_chain: _Nsec3Chain | None = None  # derived; see denial_rrsets
 
     # -- content management ---------------------------------------------------
 
     def add(self, rrset: RRset) -> None:
         if not rrset.name.is_subdomain_of(self.origin):
             raise ValueError(f"{rrset.name} is outside zone {self.origin}")
-        key = (rrset.name, int(rrset.rdtype))
-        existing = self._rrsets.get(key)
+        node = self._nodes.setdefault(rrset.name, {})
+        existing = node.get(int(rrset.rdtype))
         if existing is None:
-            self._rrsets[key] = rrset.copy()
+            node[int(rrset.rdtype)] = rrset.copy()
         else:
             for rdata in rrset.rdatas:
                 existing.add(rdata)
-        self._names.add(rrset.name)
+        self._nsec3_chain = None
 
     def remove(self, name: Name, rdtype: RdataType) -> RRset | None:
-        rrset = self._rrsets.pop((name, int(rdtype)), None)
-        if rrset is not None and not any(n == name for (n, _t) in self._rrsets):
-            self._names.discard(name)
+        node = self._nodes.get(name)
+        if node is None:
+            return None
+        rrset = node.pop(int(rdtype), None)
+        if not node:
+            del self._nodes[name]
+        self._nsec3_chain = None
         return rrset
 
     def replace(self, rrset: RRset) -> None:
-        self._rrsets[(rrset.name, int(rrset.rdtype))] = rrset
-        self._names.add(rrset.name)
+        self._nodes.setdefault(rrset.name, {})[int(rrset.rdtype)] = rrset
+        self._nsec3_chain = None
 
     def find(self, name: Name, rdtype: RdataType) -> RRset | None:
-        return self._rrsets.get((name, int(rdtype)))
+        node = self._nodes.get(name)
+        return None if node is None else node.get(int(rdtype))
 
     def rrsets_at(self, name: Name) -> list[RRset]:
-        return [r for (n, _t), r in self._rrsets.items() if n == name]
+        return list(self._nodes.get(name, {}).values())
 
     def all_rrsets(self) -> list[RRset]:
-        return list(self._rrsets.values())
+        return [rrset for node in self._nodes.values() for rrset in node.values()]
 
     def names(self) -> set[Name]:
-        return set(self._names)
+        return set(self._nodes)
 
     def __len__(self) -> int:
-        return len(self._rrsets)
+        return sum(len(node) for node in self._nodes.values())
 
     # -- semantics ----------------------------------------------------------------
 
@@ -104,9 +135,9 @@ class Zone:
 
     def name_exists(self, qname: Name) -> bool:
         """True when the name exists, including as an empty non-terminal."""
-        if qname in self._names:
+        if qname in self._nodes:
             return True
-        return any(existing.is_strict_subdomain_of(qname) for existing in self._names)
+        return any(existing.is_strict_subdomain_of(qname) for existing in self._nodes)
 
     def lookup(self, qname: Name, rdtype: RdataType) -> LookupResult:
         """Authoritative lookup, RFC 1034 section 4.3.2 style."""
@@ -147,7 +178,7 @@ class Zone:
         while current != self.origin:
             current = current.parent()
             candidate = current.prepend(b"*")
-            if candidate in self._names:
+            if candidate in self._nodes:
                 return candidate
         return None
 
@@ -173,23 +204,19 @@ class Zone:
         )
 
     def nsec3_records(self) -> list[tuple[Name, NSEC3]]:
-        out: list[tuple[Name, NSEC3]] = []
-        for (name, rdtype_value), rrset in self._rrsets.items():
-            if rdtype_value == int(RdataType.NSEC3):
-                for rd in rrset.rdatas:
-                    if isinstance(rd, NSEC3):
-                        out.append((name, rd))
-        return out
+        return self._records_of(RdataType.NSEC3, NSEC3)
 
-    def nsec_records(self) -> list[tuple[Name, "NSEC"]]:
-        from ..dns.dnssec_records import NSEC
+    def nsec_records(self) -> list[tuple[Name, NSEC]]:
+        return self._records_of(RdataType.NSEC, NSEC)
 
+    def _records_of(self, rdtype: RdataType, rdata_class: type) -> list:
+        """(owner, rdata) of every ``rdata_class`` record, in store order."""
+        rdtype_value = int(rdtype)
         out = []
-        for (name, rdtype_value), rrset in self._rrsets.items():
-            if rdtype_value == int(RdataType.NSEC):
-                for rd in rrset.rdatas:
-                    if isinstance(rd, NSEC):
-                        out.append((name, rd))
+        for name, node in self._nodes.items():
+            rrset = node.get(rdtype_value)
+            if rrset is not None:
+                out.extend((name, rd) for rd in rrset.rdatas if isinstance(rd, rdata_class))
         return out
 
     def _nsec_denial(self, qname: Name) -> list[RRset]:
@@ -197,7 +224,7 @@ class Zone:
         from ..dnssec.nsec import nsec_covers, nsec_matches
 
         records = self.nsec_records()
-        chosen: dict[Name, "NSEC"] = {}
+        chosen: dict[Name, NSEC] = {}
         for owner, rd in records:
             if nsec_matches(owner, qname):  # NODATA: prove the type set
                 chosen[owner] = rd
@@ -227,40 +254,38 @@ class Zone:
         degrades exactly the way a misconfigured server's would: it
         returns its best candidates and lets the validator reject them.
         """
-        records = self.nsec3_records()
-        if not records:
+        chain = self._nsec3_chain
+        if chain is None:
+            chain = self._nsec3_chain = self._sorted_nsec3_chain()
+        if not chain.records:
             return self._nsec_denial(qname)
-        params = (records[0][1].iterations, records[0][1].salt)
-        iterations, salt = params
-
-        chain = sorted(
-            records, key=lambda pair: pair[0].labels[0].lower()
-        )  # by hashed owner label
+        iterations, salt = chain.iterations, chain.salt
 
         chosen: dict[Name, NSEC3] = {}
 
-        def pick_matching(target_hash: bytes) -> bool:
+        def pick_matching(target_hash: bytes) -> None:
             label = base32hex_encode(target_hash).lower().encode()
-            for owner, rd in chain:
-                if owner.labels[0].lower() == label:
-                    chosen[owner] = rd
-                    return True
-            return False
+            index = bisect_left(chain.labels, label)
+            if index < len(chain.labels) and chain.labels[index] == label:
+                owner, rd = chain.records[index]
+                chosen[owner] = rd
 
         def pick_covering(target_hash: bytes) -> None:
-            for owner, rd in chain:
-                try:
-                    from ..dnssec.nsec3 import base32hex_decode
-
-                    owner_hash = base32hex_decode(owner.labels[0].decode())
-                except (ValueError, UnicodeDecodeError):
-                    continue
-                if hash_covers(owner_hash, rd.next_hash, target_hash):
+            if chain.closed:
+                indexes = [bisect_left(chain.hashes, target_hash) - 1]
+            else:  # damaged chain: first record in label order that covers
+                indexes = range(len(chain.records))
+            for index in indexes:
+                owner_hash = chain.hashes[index]
+                owner, rd = chain.records[index]
+                if owner_hash is not None and hash_covers(
+                    owner_hash, rd.next_hash, target_hash
+                ):
                     chosen[owner] = rd
                     return
             # Damaged chain: include the first record so the response is
             # non-empty (mirrors servers that serve whatever they stored).
-            owner, rd = chain[0]
+            owner, rd = chain.records[0]
             chosen.setdefault(owner, rd)
 
         # closest encloser walk
@@ -292,5 +317,31 @@ class Zone:
                 out.append(sigs)
         return out
 
+    def _sorted_nsec3_chain(self) -> _Nsec3Chain:
+        records = self.nsec3_records()
+        if not records:
+            return _Nsec3Chain(0, b"", [], [], [], False)
+        first = records[0][1]
+        records.sort(key=lambda pair: pair[0].labels[0].lower())  # by hashed owner label
+        hashes: list[bytes | None] = []
+        for owner, _rd in records:
+            try:
+                hashes.append(base32hex_decode(owner.labels[0].decode()))
+            except (ValueError, UnicodeDecodeError):
+                hashes.append(None)
+        closed = None not in hashes and all(
+            rd.next_hash == hashes[(index + 1) % len(hashes)]
+            and (index == 0 or hashes[index - 1] < hashes[index])
+            for index, (_owner, rd) in enumerate(records)
+        )
+        return _Nsec3Chain(
+            iterations=first.iterations,
+            salt=first.salt,
+            records=records,
+            labels=[owner.labels[0].lower() for owner, _rd in records],
+            hashes=hashes,
+            closed=closed,
+        )
+
     def __repr__(self) -> str:
-        return f"<Zone {self.origin} ({len(self._rrsets)} rrsets)>"
+        return f"<Zone {self.origin} ({len(self)} rrsets)>"

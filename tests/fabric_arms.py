@@ -111,9 +111,12 @@ def served_state(fabric: NetworkFabric) -> dict[str, str]:
         if hasattr(server, "zones"):
             for zone in server.zones():
                 put(f"{prefix} zone {zone.origin}", _rrset_rows(zone.all_rrsets()))
-        if hasattr(endpoint, "apex_zone"):
-            put(f"{prefix} zone {endpoint.origin}",
-                _rrset_rows(endpoint.apex_zone.all_rrsets()))
+        if hasattr(endpoint, "_apex_zone"):
+            # Built on first read, so *whether* it exists is query-driven
+            # state too: an arm that built an apex the other did not differs.
+            if endpoint._apex_zone is not None:
+                put(f"{prefix} zone {endpoint.origin}",
+                    _rrset_rows(endpoint._apex_zone.all_rrsets()))
             if endpoint._optout is not None:
                 put(f"{prefix} memo optout",
                     _rrset_rows(r for r in endpoint._optout if r is not None))

@@ -32,6 +32,34 @@ class TestKeygen:
         assert pow(pow(message, key.e, key.n), key.d, key.n) == message
 
 
+class TestCrt:
+    """Signing uses the CRT quintuple; PKCS#1 v1.5 is deterministic, so
+    the bytes must be those of the textbook ``m^d mod n``."""
+
+    @pytest.mark.parametrize(
+        "bits,digest",
+        # (512, "sha512") does not exist: the DigestInfo does not fit.
+        [(512, "sha1"), (512, "sha256"), (1024, "sha1"), (1024, "sha256"), (1024, "sha512")],
+    )
+    def test_crt_signature_equals_plain_exponentiation(self, bits, digest):
+        key = rsa.generate_keypair(bits, seed=9)
+        for message in (b"", b"m", bytes(range(256))):
+            em = rsa._emsa_pkcs1_v15(digest, message, key.byte_length)
+            plain = pow(int.from_bytes(em, "big"), key.d, key.n)
+            signature = rsa.sign(key, message, digest_name=digest)
+            assert signature == plain.to_bytes(key.byte_length, "big")
+            assert rsa.verify(key.public, message, signature, digest_name=digest)
+
+    def test_crt_parameters_are_consistent(self, key):
+        assert key.p * key.q == key.n
+        assert key.dp == key.d % (key.p - 1) and key.dq == key.d % (key.q - 1)
+        assert key.q * key.qinv % key.p == 1
+
+    def test_seeded_keys_are_generated_once(self):
+        assert rsa.generate_keypair(512, seed=31337) is rsa.generate_keypair(512, seed=31337)
+        assert rsa.generate_keypair(512).n != rsa.generate_keypair(512).n  # unseeded: fresh
+
+
 class TestSignVerify:
     def test_sign_verify(self, key):
         signature = rsa.sign(key, b"hello world")

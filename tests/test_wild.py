@@ -5,16 +5,21 @@ import pytest
 from repro.dns.message import Message
 from repro.dns.name import Name
 from repro.dns.rcode import Rcode
+from repro.dns.rdata import A, NS
+from repro.dns.rrset import RRset
 from repro.dns.types import RdataType
 from repro.scan.population import Profile
 from repro.scan.wild import (
     WILD_ALGORITHM,
+    VirtualTldServer,
     WildInternet,
     domain_mutation,
     hosting_address,
     tld_server_address,
 )
-from repro.zones.mutations import SigScope, Window
+from repro.zones.builder import ZoneBuilder
+from repro.zones.mutations import SigScope, Window, ZoneMutation
+from tests.zone_digest import zone_rows
 
 
 def first_domain(population, profile: Profile):
@@ -111,7 +116,7 @@ class TestWildDeployment:
 
         domain = first_domain(small_population, Profile.LAME_UNREACHABLE)
         delegation = small_wild.delegation_for(domain)
-        assert classify(delegation.glue[0][1]).special
+        assert classify(delegation.glue[0][1].address).special
 
 
 class TestVirtualTldServer:
@@ -184,6 +189,87 @@ class TestHostingLaziness:
         built_a = small_wild.materialize_zone(domain)
         built_b = small_wild.materialize_zone(domain)
         assert built_a is built_b
+
+
+class TestLazyTldApex:
+    """A TLD's apex zone is built on the first query that reads it.
+    Whenever that is, it — and everything derived from its keys — must
+    be what building it up front gives."""
+
+    @pytest.fixture()
+    def wild(self, small_population):
+        return WildInternet(small_population)
+
+    @staticmethod
+    def _loaded_builder(wild, tld):
+        index = sorted(wild.population.tlds).index(tld)
+        origin = Name.from_text(tld + ".")
+        builder = ZoneBuilder(
+            origin, now=wild.now, key_seed=100 + index,
+            mutation=ZoneMutation(algorithm=WILD_ALGORITHM, nsec3_iterations=0, nsec3_salt=b""),
+        )
+        ns_name = Name.from_text("a.nic", origin=origin)
+        builder.add(RRset.of(origin, RdataType.NS, NS(target=ns_name), ttl=300))
+        builder.add(RRset.of(ns_name, RdataType.A, A(address=wild.tld_addresses[tld]), ttl=300))
+        return builder
+
+    @staticmethod
+    def _ask(server, rdtype):
+        query = Message.make_query(str(server.origin), rdtype, want_dnssec=True)
+        response = server.handle_query(query)
+        return [(section, r.name, r.rdtype, r.ttl, r.rdatas)
+                for section in ("answer", "authority")
+                for r in getattr(response, section)]
+
+    @pytest.mark.parametrize("queried_first", [False, True])
+    def test_lazy_equals_eager(self, wild, small_population, queried_first):
+        domain = first_domain(small_population, Profile.VALID_SIGNED)
+        tld = domain.tld if queried_first else next(
+            name for name in sorted(small_population.tlds)
+            if all(d.tld != name for d in small_population.domains)
+        )
+        server = wild.tld_servers[tld]
+        assert server._apex_zone is None
+        if queried_first:
+            # A signed referral needs the ZSK but not the zone ...
+            referral = server.handle_query(
+                Message.make_query(domain.fqdn, RdataType.A, want_dnssec=True))
+            assert any(r.rdtype == RdataType.RRSIG for r in referral.authority)
+            assert server._apex_zone is None
+            # ... the validator's DNSKEY fetch is what builds it.
+            self._ask(server, RdataType.DNSKEY)
+            assert server._apex_zone is not None
+
+        builder = self._loaded_builder(wild, tld)
+        eager = builder.build()  # up front, as every TLD used to be
+        eager_server = VirtualTldServer(
+            wild, tld, apex=builder, broken_denial=server.broken_denial, now=wild.now
+        )
+        eager_server._apex_zone = eager.zone  # nothing left to be lazy about
+
+        root = wild.root_built.zone
+        assert root.find(server.origin, RdataType.DS).rdatas == eager.ds_rdatas
+        assert (server.ksk.dnskey(), server.zsk.dnskey()) == (
+            eager.ksk.dnskey(), eager.zsk.dnskey())
+        for rdtype in (RdataType.DNSKEY, RdataType.SOA, RdataType.NS, RdataType.TXT):
+            # TXT is NODATA: SOA + its RRSIG + the opt-out NSEC3 + its RRSIG.
+            assert self._ask(server, rdtype) == self._ask(eager_server, rdtype), rdtype
+        assert zone_rows(server.apex_zone) == zone_rows(eager.zone)
+
+        server.axfr_allowed = eager_server.axfr_allowed = True
+        transfer = Message.make_query(str(server.origin), RdataType.AXFR)
+        lazy_axfr = server.handle_axfr(transfer).answer
+        assert [(r.name, r.rdtype, r.rdatas) for r in lazy_axfr] == [
+            (r.name, r.rdtype, r.rdatas) for r in eager_server.handle_axfr(transfer).answer
+        ]
+        assert lazy_axfr[0].rdtype == lazy_axfr[-1].rdtype == RdataType.SOA
+
+    def test_a_scan_builds_only_the_apexes_it_reads(self, wild):
+        from repro.scan.scanner import WildScanner
+
+        WildScanner(wild).scan()
+        built = [s for s in wild.tld_servers.values() if s._apex_zone is not None]
+        assert 0 < len(built) < len(wild.tld_servers) / 2
 
 
 class TestBytePathDecodesOnce:

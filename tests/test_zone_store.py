@@ -1,0 +1,306 @@
+"""The zone store: one owner-indexed dict, checked against naive
+references, bounded in work, and pinned in content."""
+
+from hypothesis import given, settings, strategies as st
+
+from repro.dns.dnssec_records import NSEC3
+from repro.dns.name import Name
+from repro.dns.rdata import A, NS, TXT
+from repro.dns.rrset import RRset
+from repro.dns.types import RdataType
+from repro.dnssec import rsa
+from repro.dnssec.nsec3 import base32hex_decode, base32hex_encode, hash_covers, nsec3_hash
+from repro.scan.wild import WildInternet
+from repro.testbed.infra import build_testbed
+from repro.zones.builder import ZoneBuilder
+from repro.zones.mutations import ZoneMutation
+from repro.zones.zone import Zone
+from tests.zone_digest import content_digest, served_zones
+
+ORIGIN = Name.from_text("store.test.")
+NOW = 1_684_108_800
+
+
+# -- model test ---------------------------------------------------------------
+
+
+class FlatZone:
+    """The reference: one list, every question answered by scanning it."""
+
+    def __init__(self) -> None:
+        self.rows: list[RRset] = []
+
+    def _index(self, name, rdtype):
+        for index, row in enumerate(self.rows):
+            if row.name == name and row.rdtype == rdtype:
+                return index
+        return None
+
+    def add(self, rrset):
+        index = self._index(rrset.name, rrset.rdtype)
+        if index is None:
+            self.rows.append(rrset.copy())
+        else:
+            for rdata in rrset.rdatas:
+                self.rows[index].add(rdata)
+
+    def replace(self, rrset):
+        index = self._index(rrset.name, rrset.rdtype)
+        if index is None:
+            self.rows.append(rrset)
+        else:
+            self.rows[index] = rrset
+
+    def remove(self, name, rdtype):
+        index = self._index(name, rdtype)
+        return None if index is None else self.rows.pop(index)
+
+    def find(self, name, rdtype):
+        index = self._index(name, rdtype)
+        return None if index is None else self.rows[index]
+
+
+_owners = [
+    Name.from_text(text, origin=ORIGIN)
+    for text in ("@", "a", "b", "x.a", "y.x.a", "*.w", "deep.er.b")
+]
+_rdatas = {
+    RdataType.A: [A(address="192.0.2.1"), A(address="192.0.2.2")],
+    RdataType.NS: [NS(target=_owners[1]), NS(target=_owners[2])],
+    RdataType.TXT: [TXT(strings=(b"one",)), TXT(strings=(b"two",))],
+    RdataType.NSEC3: [
+        NSEC3(hash_algorithm=1, flags=0, iterations=0, salt=b"", next_hash=bytes([n]) * 20,
+              types=(1,))
+        for n in (1, 2)
+    ],
+}
+_rrset = st.builds(
+    lambda owner, rdtype, picks: RRset.of(
+        owner, rdtype, *[_rdatas[rdtype][pick] for pick in picks]
+    ),
+    st.sampled_from(_owners),
+    st.sampled_from(sorted(_rdatas)),
+    st.lists(st.integers(0, 1), min_size=1, max_size=2),
+)
+_op = st.one_of(
+    st.tuples(st.just("add"), _rrset),
+    st.tuples(st.just("replace"), _rrset),
+    st.tuples(st.just("remove"), _rrset),
+)
+
+
+def _content(rrset):
+    return None if rrset is None else (rrset.name, rrset.rdtype, rrset.ttl, list(rrset.rdatas))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=st.lists(_op, max_size=30))
+def test_zone_agrees_with_flat_list_model(ops):
+    zone, model = Zone(ORIGIN), FlatZone()
+    for verb, rrset in ops:
+        if verb == "remove":
+            removed = zone.remove(rrset.name, rrset.rdtype)
+            assert _content(removed) == _content(model.remove(rrset.name, rrset.rdtype))
+        else:
+            getattr(zone, verb)(rrset.copy())
+            getattr(model, verb)(rrset.copy())
+
+        assert len(zone) == len(model.rows)
+        assert zone.names() == {row.name for row in model.rows}
+        for owner in _owners:
+            # Same RRsets in the same order: types at one owner keep
+            # their first-insertion order in both designs.
+            assert [_content(r) for r in zone.rrsets_at(owner)] == [
+                _content(row) for row in model.rows if row.name == owner
+            ]
+            for rdtype in _rdatas:
+                assert _content(zone.find(owner, rdtype)) == _content(model.find(owner, rdtype))
+            for probe in (owner, owner.parent()):
+                assert zone.name_exists(probe) == any(
+                    row.name == probe or row.name.is_strict_subdomain_of(probe)
+                    for row in model.rows
+                )
+        # Owners enumerate in first-insertion order of the *owner*, so
+        # across owners only the multiset is promised.
+        flat_nsec3 = [
+            (row.name, rd) for row in model.rows if row.rdtype == RdataType.NSEC3
+            for rd in row.rdatas
+        ]
+        assert sorted(zone.nsec3_records(), key=repr) == sorted(flat_nsec3, key=repr)
+        assert sorted(map(_content, zone.all_rrsets()), key=repr) == sorted(
+            map(_content, model.rows), key=repr
+        )
+
+
+# -- denial selection against the linear walk ---------------------------------------
+
+
+def linear_denial_owners(zone: Zone, qname: Name) -> list[Name]:
+    """NSEC3 owners ``denial_rrsets`` must select, found the slow way:
+    collect, sort, decode and walk the whole chain per question."""
+    records = zone.nsec3_records()
+    iterations, salt = records[0][1].iterations, records[0][1].salt
+    chain = sorted(records, key=lambda pair: pair[0].labels[0].lower())
+    chosen: dict[Name, NSEC3] = {}
+
+    def pick_matching(target_hash):
+        label = base32hex_encode(target_hash).lower().encode()
+        for owner, rd in chain:
+            if owner.labels[0].lower() == label:
+                chosen[owner] = rd
+                return
+
+    def pick_covering(target_hash):
+        for owner, rd in chain:
+            try:
+                owner_hash = base32hex_decode(owner.labels[0].decode())
+            except (ValueError, UnicodeDecodeError):
+                continue
+            if hash_covers(owner_hash, rd.next_hash, target_hash):
+                chosen[owner] = rd
+                return
+        chosen.setdefault(*chain[0])
+
+    candidates = [qname]
+    while candidates[-1] != zone.origin:
+        candidates.append(candidates[-1].parent())
+    closest = next((c for c in candidates if zone.name_exists(c)), zone.origin)
+    pick_matching(nsec3_hash(closest, salt, iterations))
+    if closest != qname:
+        pick_covering(nsec3_hash(candidates[candidates.index(closest) - 1], salt, iterations))
+        pick_covering(nsec3_hash(closest.prepend(b"*"), salt, iterations))
+    return list(chosen)
+
+
+def _selected(zone: Zone, qname: Name) -> list[Name]:
+    return [r.name for r in zone.denial_rrsets(qname) if r.rdtype == RdataType.NSEC3]
+
+
+def _probes(zone: Zone) -> list[Name]:
+    origin = zone.origin
+    labels = ["nx", "0", "zzzz", "a.b.c", "*", "ns1", "www.nx"]
+    return [origin, *(Name.from_text(label, origin=origin) for label in labels)]
+
+
+def test_denial_selection_equals_linear_walk_on_every_testbed_zone(testbed):
+    closed, damaged = 0, 0
+    for zone in served_zones(testbed.fabric):
+        if not zone.nsec3_records():
+            continue
+        for qname in _probes(zone):
+            assert _selected(zone, qname) == linear_denial_owners(zone, qname), (
+                zone.origin, qname,
+            )
+        closed += zone._nsec3_chain.closed
+        damaged += not zone._nsec3_chain.closed
+    # bad-nsec3-hash and bad-nsec3-next are the damaged ones.
+    assert closed > 30 and damaged == 2
+
+
+def test_denial_selection_equals_linear_walk_on_the_wild_root(small_wild):
+    zone = small_wild.root_built.zone
+    probes = [Name.from_text(f"nx{n}-{n * 7919}.") for n in range(40)]
+    probes += [Name.from_text("a.nic.nosuchtld."), Name.from_text("com.")]
+    for qname in probes:
+        assert _selected(zone, qname) == linear_denial_owners(zone, qname), qname
+    assert zone._nsec3_chain.closed
+
+
+def test_denial_chain_follows_zone_edits():
+    builder = ZoneBuilder(ORIGIN, now=NOW, mutation=ZoneMutation(algorithm=13))
+    builder.add(RRset.of(ORIGIN, RdataType.NS, NS(target=_owners[1])))
+    builder.add(RRset.of(_owners[1], RdataType.A, A(address="192.0.2.1")))
+    zone = builder.build().zone
+    qname = Name.from_text("nx", origin=ORIGIN)
+    before = _selected(zone, qname)
+    assert before == linear_denial_owners(zone, qname)
+    victim = before[-1]
+    zone.remove(victim, RdataType.NSEC3)
+    assert victim not in _selected(zone, qname)
+    assert _selected(zone, qname) == linear_denial_owners(zone, qname)
+    assert not zone._nsec3_chain.closed
+
+
+# -- work grows with the zone, not with its square ----------------------------------
+
+
+def _name_comparisons_to_build(delegations: int, monkeypatch) -> int:
+    builder = ZoneBuilder(ORIGIN, now=NOW, mutation=ZoneMutation(algorithm=13))
+    builder.add(RRset.of(ORIGIN, RdataType.NS, NS(target=_owners[1])))
+    for index in range(delegations):
+        child = Name.from_text(f"d{index}", origin=ORIGIN)
+        host = Name.from_text("ns", origin=child)
+        builder.add(RRset.of(child, RdataType.NS, NS(target=host)))
+        builder.add(RRset.of(host, RdataType.A, A(address="192.0.2.1")))
+    calls = [0]
+    real = Name.__eq__
+
+    def counting(self, other):
+        calls[0] += 1
+        return real(self, other)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Name, "__eq__", counting)
+        built = builder.build()
+    assert len(built.zone.nsec3_records()) == 2 * delegations + 1
+    return calls[0]
+
+
+def test_building_a_signed_zone_compares_names_linearly(monkeypatch):
+    """A count, not a time: doubling the delegations must about double
+    the ``Name.__eq__`` calls of build + sign (a per-owner scan of the
+    zone made it 4x: 17.4 M comparisons for the 2 951-name wild root)."""
+    small = _name_comparisons_to_build(1000, monkeypatch)
+    large = _name_comparisons_to_build(2000, monkeypatch)
+    assert large / small < 2.5, (small, large)
+
+
+# -- content pins --------------------------------------------------------------------
+
+# Sorted-content digests (tests/zone_digest.py) taken from a cold process
+# at the commit before the owner-indexed store, lazy TLD apexes and the
+# RSA key memo.  A store, builder or signer change that moves one has
+# changed what is served, not just the order it is enumerated in.
+TESTBED_DIGEST = "56c51411ee8cf699f8d5570a32bcb11e48d30de13cdf2a4c19ea48d7acc5832a"
+WILD_ROOT_DIGEST = "b3876817f69a164bff37f81e4e6e5339d458922f551d0feb977dd5b1440690ae"
+WILD_TLD_APEXES_DIGEST = "c0985f4f85b337663ff25ca2b71175a08b30626f6919431bf8975dbf7e0c256c"
+
+
+def test_testbed_zone_content_is_pinned(testbed):
+    zones = served_zones(testbed.fabric)
+    assert len(zones) == 48
+    assert content_digest(zones) == TESTBED_DIGEST
+
+
+def test_wild_root_and_tld_apex_content_is_pinned(small_population):
+    wild = WildInternet(small_population)  # own universe: reading apex_zone builds it
+    assert content_digest([wild.root_built.zone]) == WILD_ROOT_DIGEST
+    apexes = [server.apex_zone for server in wild.tld_servers.values()]
+    assert len(apexes) == 1475
+    assert content_digest(apexes) == WILD_TLD_APEXES_DIGEST
+
+
+def test_second_testbed_in_a_process_reuses_keys_and_builds_the_same_bytes(testbed):
+    """``testbed`` paid for the RSA keys (or an earlier fixture did);
+    this build must find every one memoised and still produce the
+    cold-process content pinned above."""
+    before = rsa._seeded_keypair.cache_info()
+    again = build_testbed()
+    after = rsa._seeded_keypair.cache_info()
+    assert after.misses == before.misses and after.hits - before.hits >= 80
+    assert content_digest(served_zones(again.fabric)) == TESTBED_DIGEST
+
+
+def test_all_rrsets_groups_by_owner_in_insertion_order():
+    zone = Zone(ORIGIN)
+    a, b = _owners[1], _owners[2]
+    zone.add(RRset.of(a, RdataType.A, A(address="192.0.2.1")))
+    zone.add(RRset.of(b, RdataType.A, A(address="192.0.2.2")))
+    zone.add(RRset.of(a, RdataType.TXT, TXT(strings=(b"t",))))
+    assert [(r.name, r.rdtype) for r in zone.all_rrsets()] == [
+        (a, RdataType.A), (a, RdataType.TXT), (b, RdataType.A),
+    ]
+    zone.remove(a, RdataType.A)
+    zone.remove(a, RdataType.TXT)
+    zone.add(RRset.of(a, RdataType.A, A(address="192.0.2.1")))
+    assert [r.name for r in zone.all_rrsets()] == [b, a]
