@@ -24,7 +24,6 @@ from typing import Iterable
 
 from ..cluster import ClusterConfig, ShardHealthConfig, seeded_single_crash
 from ..resolver.iterative import EngineConfig
-from ..scan.figures import figure1_series, figure2_series, series_to_csv
 from ..scan.population import (
     NOMINAL_TOTAL_DOMAINS,
     Population,
@@ -456,119 +455,11 @@ def bench_failover(
     }
 
 
-def _render_cache_scan(
-    population: Population,
-    *,
-    workers: int,
-    use_lanes: bool,
-    jitter_seed: int,
-    cache_on: bool,
-) -> tuple[float, dict, str, dict | None]:
-    """One arm of the render-cache A/B: returns wall seconds, the
-    per-domain categorization, the Figure 1/2 series as CSV text, and
-    (for the cache-on arm) the rendered-wire cache counters.
-
-    Both arms ride the paved fabric (there is no other plain-UDP path)
-    and the same lane schedule; the on arm differs only in the
-    rendered-response wire caches on every authoritative tier.
-    """
-    wild = WildInternet(population, render_cache=cache_on)
-    scanner = WildScanner(wild, engine_config=EngineConfig(rng_seed=jitter_seed))
-    wall_start = time.perf_counter()  # repro: allow[wall-clock]
-    result = scanner.scan(workers=workers, use_lanes=use_lanes)
-    wall = time.perf_counter() - wall_start  # repro: allow[wall-clock]
-    gtld, cctld = figure1_series(result, population)
-    figures_csv = series_to_csv(gtld, cctld, figure2_series(result))
-    render = wild.render_cache_stats().snapshot() if cache_on else None
-    return wall, categorization_of(result), figures_csv, render
-
-
-def bench_render_cache(
-    target_domains: int,
-    seed: int = DEFAULT_SEED,
-    workers_list: Iterable[int] = (1, 8, 32),
-    jitter_seeds: Iterable[int] = (1, 20230524),
-) -> dict:
-    """Rendered-response wire cache A/B ladder (the tentpole gate).
-
-    For each retry-jitter seed and each worker rung, the same population
-    is scanned twice — cache off and cache on, nothing else differing —
-    and the two arms must agree byte-for-byte on every
-    per-domain categorization *and* on the Figure 1 / Figure 2 aggregate
-    series: both are hard gates.  The wall-clock ratio is recorded, not
-    gated: both arms are paved, and paving was most of what the
-    pre-paving A/B measured.
-    """
-    jitter_seeds = [int(s) for s in jitter_seeds]
-    workers_list = [int(w) for w in workers_list]
-    config = population_config_for(target_domains, seed)
-    population = generate_population(config)
-
-    rungs = []
-    reference = None
-    identical = True
-    figures_identical = True
-    for jitter_seed in jitter_seeds:
-        for workers in workers_list:
-            use_lanes = workers > 1
-            wall_off, cat_off, fig_off, _ = _render_cache_scan(
-                population,
-                workers=workers,
-                use_lanes=use_lanes,
-                jitter_seed=jitter_seed,
-                cache_on=False,
-            )
-            wall_on, cat_on, fig_on, render = _render_cache_scan(
-                population,
-                workers=workers,
-                use_lanes=use_lanes,
-                jitter_seed=jitter_seed,
-                cache_on=True,
-            )
-            if reference is None:
-                reference = cat_off
-            rung_identical = (
-                cat_on == cat_off and cat_off == reference
-            )
-            rung_figures = fig_on == fig_off
-            identical = identical and rung_identical
-            figures_identical = figures_identical and rung_figures
-            rungs.append(
-                {
-                    "jitter_seed": jitter_seed,
-                    "workers": workers,
-                    "mode": "lanes" if use_lanes else "sequential",
-                    "wall_off_s": round(wall_off, 3),
-                    "wall_on_s": round(wall_on, 3),
-                    "speedup": round(wall_off / max(wall_on, 1e-9), 2),
-                    "identical": rung_identical,
-                    "figures_identical": rung_figures,
-                    "render_cache": render,
-                }
-            )
-
-    comparisons = len(rungs)
-    identical = comparisons > 0 and identical
-    figures_identical = comparisons > 0 and figures_identical
-    return {
-        "target_domains": target_domains,
-        "population_scale": config.scale,
-        "actual_domains": len(population.domains),
-        "jitter_seeds": jitter_seeds,
-        "rungs": rungs,
-        "best_speedup": max((rung["speedup"] for rung in rungs), default=0.0),
-        "comparison_runs": comparisons,
-        "categorization_identical": identical,
-        "figures_identical": figures_identical,
-    }
-
-
 def bench_report(
     scale_specs: Iterable[tuple[int, Iterable[int]]],
     seed: int = DEFAULT_SEED,
     shard_counts: Iterable[int] | None = None,
     failover: bool = False,
-    render_cache: bool = False,
 ) -> dict:
     """Full multi-population report (the ``BENCH_scan.json`` payload).
 
@@ -580,9 +471,7 @@ def bench_report(
     in ``all_identical`` (and therefore the CLI exit code).
     ``failover`` adds the shard-failover drill section
     (:func:`bench_failover`), whose categorization identity joins the
-    gate the same way.  ``render_cache`` adds the rendered-response
-    wire-cache A/B ladder (:func:`bench_render_cache`); its
-    categorization *and* figure identity verdicts join ``all_identical``.
+    gate the same way.
     """
     specs = [(int(scale), [int(w) for w in workers]) for scale, workers in scale_specs]
     populations = [
@@ -609,13 +498,6 @@ def bench_report(
         )
         report["failover"] = failover_section
         verdicts.append(failover_section["categorization_identical"])
-    if render_cache:
-        render_section = bench_render_cache(
-            specs[0][0] if specs else 1000, seed=seed
-        )
-        report["render_cache"] = render_section
-        verdicts.append(render_section["categorization_identical"])
-        verdicts.append(render_section["figures_identical"])
     report["all_identical"] = bool(verdicts) and all(verdicts)
     return report
 

@@ -5,11 +5,9 @@ Two modes:
 * default — the scan benchmark.  Writes ``BENCH_scan.json`` (or
   ``--out``) and exits non-zero when any concurrent run's per-domain
   categorization diverges from the sequential baseline.  ``--shards``
-  adds the cluster scaling ladder, ``--failover`` the shard-failover
-  drill (a seeded victim crash mid-scan), and ``--render-cache`` the
-  rendered-response wire-cache A/B ladder (cache off vs on, byte-
-  identical records and Figure 1/2 aggregates), all under the same
-  identity gate;
+  adds the cluster scaling ladder and ``--failover`` the shard-failover
+  drill (a seeded victim crash mid-scan), both under the same identity
+  gate;
 * ``--serve`` — the serving benchmark.  Replays the five load scenarios
   (steady, flash crowd, stampede, outage+recovery, overload) through a
   resilient frontend once per retry-jitter seed, then the
@@ -173,17 +171,6 @@ def main(argv: list[str] | None = None) -> int:
             "baseline (gates the exit code)"
         ),
     )
-    parser.add_argument(
-        "--render-cache",
-        action="store_true",
-        help=(
-            "add the rendered-response wire-cache A/B ladder: each "
-            "worker rung scans cache-off vs cache-on at both "
-            "retry-jitter seeds and must agree byte-for-byte on every "
-            "per-domain categorization and the Figure 1/2 aggregates "
-            "(gates the exit code; wall-clock ratios are recorded only)"
-        ),
-    )
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument(
         "--out", default="BENCH_scan.json", help="report path (default: BENCH_scan.json)"
@@ -214,7 +201,6 @@ def main(argv: list[str] | None = None) -> int:
         seed=args.seed,
         shard_counts=shard_counts,
         failover=args.failover,
-        render_cache=args.render_cache,
     )
     write_report(report, args.out)
 
@@ -267,25 +253,6 @@ def main(argv: list[str] | None = None) -> int:
                     f"  [{'ok' if row['ok'] else 'FAIL'}] "
                     f"{row['check']}: {row['detail']}"
                 )
-        if "render_cache" in report:
-            section = report["render_cache"]
-            print(
-                f"render-cache A/B at {section['target_domains']} domains "
-                f"(seeds {section['jitter_seeds']}):"
-            )
-            for rung in section["rungs"]:
-                render = rung.get("render_cache") or {}
-                print(
-                    f"  seed {rung['jitter_seed']:>8} "
-                    f"{rung['workers']:>3} workers: "
-                    f"off {rung['wall_off_s']}s on {rung['wall_on_s']}s "
-                    f"({rung['speedup']}x), "
-                    f"identical={rung['identical']}, "
-                    f"figures={rung['figures_identical']}, "
-                    f"stores {render.get('stores', 0)}, "
-                    f"hits {render.get('hits', 0)}"
-                )
-            print(f"  best speedup {section['best_speedup']}x (recorded, not gated)")
         print(f"report written to {args.out}")
 
     failed = False
@@ -295,8 +262,6 @@ def main(argv: list[str] | None = None) -> int:
             sections.append(report["shard_scaling"])
         if "failover" in report:
             sections.append(report["failover"])
-        if "render_cache" in report:
-            sections.append(report["render_cache"])
         if any(s["comparison_runs"] < 1 for s in sections):
             print(
                 "FAIL: identity gate ran zero baseline comparisons "
@@ -305,8 +270,7 @@ def main(argv: list[str] | None = None) -> int:
             )
         else:
             print(
-                "FAIL: categorization (or, for --render-cache, a Figure 1/2 "
-                "series) diverges from the baseline run",
+                "FAIL: categorization diverges from the baseline run",
                 file=sys.stderr,
             )
         failed = True

@@ -58,6 +58,7 @@ from ..dns.message import Message
 from ..dns.name import Name
 from ..dns.types import RdataType
 from ..net.fabric import NetworkFabric
+from ..net.ttl_store import TtlStore
 from ..obs import NULL_OBS, Observability
 from ..resolver.cache import CacheConfig, CacheStats
 from ..resolver.iterative import EngineConfig
@@ -104,7 +105,7 @@ class L2Stats:
     stores: int = 0
     evictions: int = 0
     #: Entries dropped because their ``expires_at`` had passed (on
-    #: access or during eviction sweep) — never served stale.
+    #: access or when room was needed) — never served stale.
     expired: int = 0
     #: Entries discarded because their publishing shard cold-restarted.
     owner_flushed: int = 0
@@ -113,30 +114,33 @@ class L2Stats:
 class SharedL2Cache:
     """Cross-shard read-through tier for infrastructure fetch results.
 
-    Values are ``(FetchResult, expires_at, owner)`` triples on the
-    shared virtual clock — the payload is exactly what a shard's
-    private L1 infra cache holds, so a read-through hit is
-    indistinguishable (record-wise) from the fetch the shard would
-    otherwise have performed itself.  ``owner`` tags the publishing
-    shard so :meth:`flush_owner` can drop a cold-restarted shard's
-    publications.  An entry whose ``expires_at`` has passed is *never*
-    served, regardless of whether eviction has reached it yet; at
-    capacity, expired entries are purged before any live entry is
-    FIFO-evicted.  Mutated only with the lane token held, like every
-    other cross-lane structure.
+    A :class:`~repro.net.ttl_store.TtlStore` of ``FetchResult`` payloads
+    on the shared virtual clock — exactly what a shard's private L1
+    infra cache holds, so a read-through hit is indistinguishable
+    (record-wise) from the fetch the shard would otherwise have
+    performed itself.  Each publication is tagged with the publishing
+    shard so :meth:`flush_owner` can drop a cold-restarted shard's.
+    The store's rule applies: an entry whose ``expires_at`` has passed
+    is *never* served, and at capacity expired entries go before any
+    live one.
     """
 
     def __init__(self, clock, capacity: int = 8192, listener=None):
-        self._clock = clock
-        self._capacity = max(1, int(capacity))
-        self._entries: dict[tuple, tuple] = {}
-        self.stats = L2Stats()
+        self._store = TtlStore(clock, capacity)
+        self._stats = L2Stats()
         #: Optional ``callable(outcome: str)`` the cluster hooks to emit
         #: ``repro_cluster_l2_total`` off-path.
         self._listener = listener
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._store)
+
+    @property
+    def stats(self) -> L2Stats:
+        stats = self._stats
+        stats.expired = self._store.expired
+        stats.evictions = self._store.evicted
+        return stats
 
     def _note(self, outcome: str) -> None:
         if self._listener is not None:
@@ -144,45 +148,28 @@ class SharedL2Cache:
 
     def get(self, key: tuple):
         """``(result, expires_at)`` for a live entry, else None."""
-        entry = self._entries.get(key)
-        if entry is not None and entry[1] > self._clock.now():
-            self.stats.hits += 1
-            self._note("hit")
-            return entry[0], entry[1]
-        if entry is not None:
-            del self._entries[key]
-            self.stats.expired += 1
-        self.stats.misses += 1
-        self._note("miss")
-        return None
+        entry = self._store.fresh(key)
+        if entry is None:
+            self._stats.misses += 1
+            self._note("miss")
+            return None
+        self._stats.hits += 1
+        self._note("hit")
+        return entry[0], entry[1]
 
     def put(self, key: tuple, result, expires_at: float, owner=None) -> None:
-        if key not in self._entries and len(self._entries) >= self._capacity:
-            self._purge_expired()
-        if key not in self._entries and len(self._entries) >= self._capacity:
-            self._entries.pop(next(iter(self._entries)))
-            self.stats.evictions += 1
-        self._entries[key] = (result, expires_at, owner)
-        self.stats.stores += 1
+        self._store.put(key, result, expires_at, owner)
+        self._stats.stores += 1
         self._note("store")
-
-    def _purge_expired(self) -> None:
-        now = self._clock.now()
-        dead = [key for key, entry in self._entries.items() if entry[1] <= now]
-        for key in dead:
-            del self._entries[key]
-        self.stats.expired += len(dead)
 
     def flush_owner(self, owner) -> int:
         """Drop every entry ``owner`` published; how many were dropped."""
-        dead = [key for key, entry in self._entries.items() if entry[2] == owner]
-        for key in dead:
-            del self._entries[key]
-        self.stats.owner_flushed += len(dead)
-        return len(dead)
+        dropped = self._store.flush_owner(owner)
+        self._stats.owner_flushed += dropped
+        return dropped
 
     def flush(self) -> None:
-        self._entries.clear()
+        self._store.flush()
 
 
 class _ShardL2View:

@@ -1,16 +1,18 @@
-"""Rendered-response wire cache: zero-copy serving of encoded answers.
+"""Wire-level helpers for serving encoded responses without re-parsing.
 
 ZDNS-style measurement throughput comes from making the per-query byte
-path cheap.  This module caches *fully encoded* response wires keyed by
-the query's own bytes (which subsume qname, qtype, DO, CD, EDNS payload
-and header flags), so a cache hit serves a stored buffer with two
-in-place patches and zero ``Message`` work:
+path cheap.  Three pieces live here, all pure functions of bytes:
 
-* the two message-ID octets are rewritten from the incoming query, and
-* TTL fields that must decrement are re-computed from the *fractional*
-  virtual-clock expiry recorded at store time — exactly
-  ``max(1, int(expires_at - now))``, the same formula the rrset cache
-  uses, so a patched hit is byte-identical to the uncached answer.
+* :func:`wire_key` — a query's own bytes minus the message ID (which
+  subsume qname, qtype, DO, CD, EDNS payload and header flags) as the
+  key a rendered response is cached under
+  (:class:`repro.resolver.cache.RenderedWireCache`);
+* :func:`response_ttl_offsets` — where the TTL fields of an encoded
+  response sit, so a cached wire can be served with only its ID and
+  decrementing TTLs patched in place;
+* :func:`parse_equivalent` / :func:`paved_reply` — the proof that lets
+  the in-process fabric hand a server-built ``Message`` to the sender
+  in place of a re-parse.
 
 Everything here is parse-or-refuse: a wire the offset walker cannot
 account for byte-by-byte (truncated records, trailing junk, unknown
@@ -23,7 +25,6 @@ that u32 holds the extended RCODE and EDNS flags, not a TTL.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 HEADER_LENGTH = 12
 _OPT_TYPE = 41
@@ -168,151 +169,3 @@ def paved_reply(response, wire: bytes):
     the wire, plus the Message itself only when handing it to the
     sender in place of a re-parse is sound (:func:`parse_equivalent`)."""
     return wire, response if parse_equivalent(response, wire) else None
-
-
-@dataclass
-class RenderCacheStats:
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    expired: int = 0
-    evictions: int = 0
-    #: Wires the offset walker refused to map (never cached).
-    refusals: int = 0
-
-    def snapshot(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "expired": self.expired,
-            "evictions": self.evictions,
-            "refusals": self.refusals,
-        }
-
-    def add(self, other: "RenderCacheStats") -> None:
-        self.hits += other.hits
-        self.misses += other.misses
-        self.stores += other.stores
-        self.expired += other.expired
-        self.evictions += other.evictions
-        self.refusals += other.refusals
-
-
-class _Entry:
-    __slots__ = ("wire", "expires_at", "ttl_patches")
-
-    def __init__(self, wire, expires_at, ttl_patches):
-        self.wire = wire
-        self.expires_at = expires_at  # float | None (None = never)
-        self.ttl_patches = ttl_patches  # tuple[(offset, fractional expiry)]
-
-
-class RenderedWireCache:
-    """TTL-bounded cache of rendered response wires for one endpoint.
-
-    ``clock`` may be None for endpoints whose answers are time-constant
-    (a pure authoritative server without expiry); such a cache can only
-    hold entries stored with ``expires_at=None`` and no TTL patches.
-    """
-
-    def __init__(self, clock=None, max_entries: int = 8192):
-        self._clock = clock
-        self.max_entries = int(max_entries)
-        self._entries: dict = {}
-        self.stats = RenderCacheStats()
-
-    def _now(self) -> float:
-        return self._clock.now() if self._clock is not None else 0.0
-
-    # -- serving -------------------------------------------------------------
-
-    def serve(self, key, query_wire) -> bytes | None:
-        """The cached response for ``key`` patched for this query, or None.
-
-        The stored buffer is copied once; the message ID comes from the
-        incoming query and every decrementing TTL field is recomputed as
-        ``max(1, int(expires_at - now))`` against the virtual clock.
-        """
-        entry = self._entries.get(key)
-        if entry is None:
-            self.stats.misses += 1
-            return None
-        now = self._now()
-        if entry.expires_at is not None and now >= entry.expires_at:
-            del self._entries[key]
-            self.stats.expired += 1
-            self.stats.misses += 1
-            return None
-        out = bytearray(entry.wire)
-        out[0:2] = query_wire[0:2]
-        for offset, expires_at in entry.ttl_patches:
-            struct.pack_into(">I", out, offset, max(1, int(expires_at - now)))
-        self.stats.hits += 1
-        return bytes(out)
-
-    # -- storing -------------------------------------------------------------
-
-    def store(
-        self,
-        key,
-        wire: bytes,
-        *,
-        expires_at: float | None = None,
-        decrement_answers_until: float | None = None,
-        expire_after_min_ttl: bool = False,
-    ) -> bool:
-        """Cache ``wire`` under ``key``; returns False when refused.
-
-        ``decrement_answers_until`` marks the answer-section records
-        (the first ANCOUNT TTL fields) for per-hit decrement against
-        that fractional expiry; authority/additional TTLs are served
-        verbatim, which matches how the negative cache replays its
-        stored SOA.  ``expire_after_min_ttl`` derives the entry expiry
-        from the smallest TTL in the wire (the authoritative-server
-        invalidation rule).  Both need a clock.
-        """
-        try:
-            offsets = response_ttl_offsets(wire)
-        except RenderRefused:
-            self.stats.refusals += 1
-            return False
-        patches: tuple = ()
-        if decrement_answers_until is not None:
-            if self._clock is None:
-                self.stats.refusals += 1
-                return False
-            ancount = struct.unpack_from(">H", wire, 6)[0]
-            if ancount > len(offsets):
-                # An answer section we cannot fully map (e.g. an OPT
-                # miscounted into it) — refuse rather than mis-patch.
-                self.stats.refusals += 1
-                return False
-            patches = tuple(
-                (offset, decrement_answers_until) for offset in offsets[:ancount]
-            )
-        if expire_after_min_ttl and offsets:
-            if self._clock is None:
-                self.stats.refusals += 1
-                return False
-            min_ttl = min(
-                struct.unpack_from(">I", wire, offset)[0] for offset in offsets
-            )
-            ttl_expiry = self._now() + min_ttl
-            expires_at = ttl_expiry if expires_at is None else min(expires_at, ttl_expiry)
-        self._entries[key] = _Entry(bytes(wire), expires_at, patches)
-        self.stats.stores += 1
-        if len(self._entries) > self.max_entries:
-            # Drop the oldest-inserted tenth: cheap, deterministic.
-            for stale_key in list(self._entries)[: self.max_entries // 10 or 1]:
-                del self._entries[stale_key]
-                self.stats.evictions += 1
-        return True
-
-    # -- bookkeeping ---------------------------------------------------------
-
-    def flush(self) -> None:
-        self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)

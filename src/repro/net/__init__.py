@@ -24,6 +24,7 @@ from .fabric import (
     Unreachable,
 )
 from .lanes import LaneDeadlock, VirtualLanePool, run_in_lanes
+from .ttl_store import TtlStore, remaining_ttl
 from .udp import UdpServer, serve_and_query, udp_query
 
 __all__ = [
@@ -48,11 +49,13 @@ __all__ = [
     "TESTBED_GLUE",
     "Timeout",
     "TransportError",
+    "TtlStore",
     "UdpServer",
     "Unreachable",
     "VirtualLanePool",
     "classify",
     "is_globally_routable",
+    "remaining_ttl",
     "run_in_lanes",
     "serve_and_query",
     "udp_query",

@@ -147,9 +147,8 @@ class NetworkFabric:
         return sorted(self._endpoints)
 
     def registered_endpoints(self) -> list[Endpoint]:
-        """Every registered endpoint object, in address order — for
-        fleet-wide reconfiguration (e.g. attaching rendered-wire caches
-        to all authoritative servers on this fabric)."""
+        """Every registered endpoint object, in address order (the
+        order :meth:`endpoints` lists their addresses in)."""
         return [self._endpoints[key] for key in sorted(self._endpoints)]
 
     # -- delivery ----------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Resolver caching: RRsets, negative answers, and failed resolutions.
+"""Resolver caching: RRsets, negative answers, failed resolutions, wires.
 
-Three cooperating stores, all driven by the virtual clock:
+Three cooperating stores, each a :class:`~repro.net.ttl_store.TtlStore`
+(which owns the expiry rule) on the virtual clock:
 
 * an RRset cache (positive data, TTL-bounded) that also supports
   *serve-stale* (RFC 8767): expired entries are retained for a grace
@@ -9,16 +10,24 @@ Three cooperating stores, all driven by the virtual clock:
 * a negative cache for NXDOMAIN/NODATA (RFC 2308);
 * an error cache remembering recent SERVFAILs so repeated failures are
   answered locally — the Cached Error (13) category.
+
+:class:`RenderedWireCache` is the fourth: encoded responses for the
+datagram path, each living exactly as long as the answer-cache entry
+it was rendered from.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..dns.name import Name
+from ..dns.render import RenderRefused, response_ttl_offsets
 from ..dns.rrset import RRset
 from ..dns.types import RdataType
 from ..net.clock import Clock
+from ..net.ttl_store import TtlStore, remaining_ttl
 
 #: RFC 8767 section 4: stale data is served with a TTL of 30 seconds so
 #: downstream caches re-ask soon after the authority recovers.
@@ -33,26 +42,18 @@ class CacheStats:
     negative_hits: int = 0
     error_hits: int = 0
     insertions: int = 0
+    #: Positive entries dropped once past expiry (and any stale window),
+    #: plus unexpired entries of any kind dropped to stay bounded.
     evictions: int = 0
 
 
-@dataclass
-class _PositiveEntry:
-    rrset: RRset
-    stored_at: float
-    expires_at: float
-
-
-@dataclass
-class _NegativeEntry:
+class _NegativeEntry(NamedTuple):
     rcode: int
     authority: list[RRset]
     expires_at: float
-    stored_at: float = 0.0
 
 
-@dataclass
-class _ErrorEntry:
+class _ErrorEntry(NamedTuple):
     rcode: int
     expires_at: float
     detail: str = ""
@@ -88,65 +89,61 @@ class ResolverCache:
     def __init__(self, clock: Clock, config: CacheConfig | None = None):
         self._clock = clock
         self.config = config or CacheConfig()
-        self._positive: dict[tuple[Name, int], _PositiveEntry] = {}
-        self._negative: dict[tuple[Name, int], _NegativeEntry] = {}
-        self._errors: dict[tuple[Name, int], _ErrorEntry] = {}
-        self.stats = CacheStats()
+        capacity = self.config.max_entries
+        window = self.config.stale_window if self.config.serve_stale else 0.0
+        self._positive = TtlStore(clock, capacity, window)
+        self._negative = TtlStore(clock, capacity, window)
+        #: Mass failures (outages, chaos runs) would otherwise grow this
+        #: without limit — one entry per failed name, forever.
+        self._errors = TtlStore(clock, capacity)
+        self._stats = CacheStats()
+
+    @property
+    def stats(self) -> CacheStats:
+        stats = self._stats
+        stats.evictions = (
+            self._positive.expired
+            + self._positive.evicted
+            + self._negative.evicted
+            + self._errors.evicted
+        )
+        return stats
 
     # -- positive -----------------------------------------------------------------
 
     def put_rrset(self, rrset: RRset) -> None:
-        now = self._clock.now()
-        key = (rrset.name, int(rrset.rdtype))
-        self._positive[key] = _PositiveEntry(
-            rrset=rrset.copy(), stored_at=now, expires_at=now + rrset.ttl
+        self._positive.put(
+            (rrset.name, int(rrset.rdtype)), rrset.copy(), self._clock.now() + rrset.ttl
         )
-        self.stats.insertions += 1
-        self._evict_if_needed()
+        self._stats.insertions += 1
 
     def get_rrset(self, name: Name, rdtype: RdataType) -> RRset | None:
         """Fresh entry or None; updates the entry's remaining TTL."""
-        entry = self._positive.get((name, int(rdtype)))
+        entry = self._positive.fresh((name, int(rdtype)))
         if entry is None:
-            self.stats.misses += 1
+            self._stats.misses += 1
             return None
-        now = self._clock.now()
-        if now >= entry.expires_at:
-            if not self.config.serve_stale or now >= entry.expires_at + self.config.stale_window:
-                del self._positive[(name, int(rdtype))]
-                self.stats.evictions += 1
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        remaining = max(1, int(entry.expires_at - now))
-        return entry.rrset.copy(ttl=remaining)
+        self._stats.hits += 1
+        return entry[0].copy(ttl=remaining_ttl(entry[1], self._clock.now()))
 
     def positive_expiry(self, name: Name, rdtype: RdataType) -> float | None:
         """The fractional expiry of a fresh positive entry, or None.
 
-        Read-only (no stats, no eviction): the rendered-wire cache uses
-        it to record the exact ``expires_at`` a hit was served against,
-        so per-hit TTL patches reproduce ``get_rrset``'s
-        ``max(1, int(expires_at - now))`` byte-for-byte.
+        No stats: the rendered-wire cache uses it to record the exact
+        ``expires_at`` a hit was served against, so per-hit TTL patches
+        reproduce ``get_rrset``'s remaining TTL byte-for-byte.
         """
-        entry = self._positive.get((name, int(rdtype)))
-        if entry is None or self._clock.now() >= entry.expires_at:
-            return None
-        return entry.expires_at
+        entry = self._positive.fresh((name, int(rdtype)))
+        return entry[1] if entry is not None else None
 
     def get_stale_rrset(self, name: Name, rdtype: RdataType) -> RRset | None:
         """Expired-but-retained entry for serve-stale, or None."""
-        if not self.config.serve_stale:
-            return None
-        entry = self._positive.get((name, int(rdtype)))
+        entry = self._positive.stale((name, int(rdtype)))
         if entry is None:
             return None
-        now = self._clock.now()
-        if entry.expires_at <= now < entry.expires_at + self.config.stale_window:
-            self.stats.stale_hits += 1
-            # RFC 8767: serve stale data with a TTL of 30 seconds.
-            return entry.rrset.copy(ttl=STALE_TTL)
-        return None
+        self._stats.stale_hits += 1
+        # RFC 8767: serve stale data with a TTL of 30 seconds.
+        return entry[0].copy(ttl=STALE_TTL)
 
     # -- negative -------------------------------------------------------------------
 
@@ -165,80 +162,151 @@ class ResolverCache:
                     if minimum is not None:
                         ttl = min(ttl, float(minimum))
         ttl = min(ttl, self.config.negative_ttl_cap)
-        now = self._clock.now()
-        self._negative[(name, int(rdtype))] = _NegativeEntry(
-            rcode=rcode,
-            authority=[rrset.copy() for rrset in authority],
-            expires_at=now + ttl,
-            stored_at=now,
+        expires_at = self._clock.now() + ttl
+        self._negative.put(
+            (name, int(rdtype)),
+            _NegativeEntry(rcode, [rrset.copy() for rrset in authority], expires_at),
+            expires_at,
         )
-        self._evict_store(self._negative)
 
     def get_negative(self, name: Name, rdtype: RdataType) -> _NegativeEntry | None:
-        entry = self._negative.get((name, int(rdtype)))
+        entry = self._negative.fresh((name, int(rdtype)))
         if entry is None:
             return None
-        now = self._clock.now()
-        if now >= entry.expires_at:
-            if not self.config.serve_stale or now >= entry.expires_at + self.config.stale_window:
-                del self._negative[(name, int(rdtype))]
-            return None
-        self.stats.negative_hits += 1
-        return entry
+        self._stats.negative_hits += 1
+        return entry[0]
 
     def get_stale_negative(self, name: Name, rdtype: RdataType) -> _NegativeEntry | None:
         """Expired negative entry retained for serve-stale (RFC 8767 also
         applies to NXDOMAIN — the paper's Stale NXDOMAIN Answer (19))."""
-        if not self.config.serve_stale:
-            return None
-        entry = self._negative.get((name, int(rdtype)))
+        entry = self._negative.stale((name, int(rdtype)))
         if entry is None:
             return None
-        now = self._clock.now()
-        if entry.expires_at <= now < entry.expires_at + self.config.stale_window:
-            self.stats.stale_hits += 1
-            return entry
-        return None
+        self._stats.stale_hits += 1
+        return entry[0]
 
     # -- errors ------------------------------------------------------------------------
 
     def put_error(self, name: Name, rdtype: RdataType, rcode: int, detail: str = "") -> None:
-        self._errors[(name, int(rdtype))] = _ErrorEntry(
-            rcode=rcode, expires_at=self._clock.now() + self.config.error_ttl, detail=detail
+        expires_at = self._clock.now() + self.config.error_ttl
+        self._errors.put(
+            (name, int(rdtype)), _ErrorEntry(rcode, expires_at, detail), expires_at
         )
-        self._evict_store(self._errors)
 
     def get_error(self, name: Name, rdtype: RdataType) -> _ErrorEntry | None:
-        entry = self._errors.get((name, int(rdtype)))
+        entry = self._errors.fresh((name, int(rdtype)))
         if entry is None:
             return None
-        if self._clock.now() >= entry.expires_at:
-            del self._errors[(name, int(rdtype))]
-            return None
-        self.stats.error_hits += 1
-        return entry
+        self._stats.error_hits += 1
+        return entry[0]
 
     # -- bookkeeping -----------------------------------------------------------------------
 
     def flush(self) -> None:
-        self._positive.clear()
-        self._negative.clear()
-        self._errors.clear()
+        self._positive.flush()
+        self._negative.flush()
+        self._errors.flush()
 
     def __len__(self) -> int:
         return len(self._positive) + len(self._negative) + len(self._errors)
 
-    def _evict_if_needed(self) -> None:
-        self._evict_store(self._positive)
 
-    def _evict_store(self, store: dict) -> None:
-        """Bound any of the three stores.  Mass failures (outages, chaos
-        runs) would otherwise grow the negative/error stores without
-        limit — one entry per failed name, forever."""
-        if len(store) <= self.config.max_entries:
-            return
-        # Drop the entries closest to expiry (cheap approximation of LRU).
-        by_expiry = sorted(store.items(), key=lambda item: item[1].expires_at)
-        for key, _entry in by_expiry[: len(by_expiry) // 10 or 1]:
-            del store[key]
-            self.stats.evictions += 1
+#: Rendered wires one resolver keeps (each at most a datagram long).
+RENDER_CACHE_CAPACITY = 8192
+
+
+@dataclass
+class RenderCacheStats:
+    hits: int = 0
+    misses: int = 0
+    stores: int = 0
+    expired: int = 0
+    evictions: int = 0
+    #: Wires the offset walker refused to map (never cached).
+    refusals: int = 0
+
+
+class RenderedWireCache:
+    """Fully encoded responses, keyed by :func:`~repro.dns.render.wire_key`.
+
+    A hit serves the stored buffer with two in-place patches and zero
+    ``Message`` work: the two message-ID octets are rewritten from the
+    incoming query, and answer TTLs are re-computed from the
+    *fractional* expiry recorded at store time with the same
+    :func:`~repro.net.ttl_store.remaining_ttl` the rrset cache uses — so
+    a patched hit is byte-identical to the uncached answer.  Storing is
+    parse-or-refuse: a wire :func:`~repro.dns.render.response_ttl_offsets`
+    cannot account for byte-by-byte is never cached, because a wrong TTL
+    offset would corrupt the served response.
+    """
+
+    def __init__(self, clock: Clock):
+        self._clock = clock
+        #: key -> (wire, ((ttl offset, fractional expiry), ...))
+        self._store = TtlStore(clock, RENDER_CACHE_CAPACITY)
+        self._stats = RenderCacheStats()
+
+    @property
+    def stats(self) -> RenderCacheStats:
+        stats = self._stats
+        stats.expired = self._store.expired
+        stats.evictions = self._store.evicted
+        return stats
+
+    def serve(self, key, query_wire) -> bytes | None:
+        """The cached response for ``key`` patched for this query, or None."""
+        entry = self._store.fresh(key)
+        if entry is None:
+            self._stats.misses += 1
+            return None
+        wire, ttl_patches = entry[0]
+        now = self._clock.now()
+        out = bytearray(wire)
+        out[0:2] = query_wire[0:2]
+        for offset, expires_at in ttl_patches:
+            struct.pack_into(">I", out, offset, remaining_ttl(expires_at, now))
+        self._stats.hits += 1
+        return bytes(out)
+
+    def store(
+        self,
+        key,
+        wire: bytes,
+        *,
+        expires_at: float,
+        decrement_answers_until: float | None = None,
+    ) -> bool:
+        """Cache ``wire`` under ``key`` until ``expires_at``; returns
+        False when refused.
+
+        ``decrement_answers_until`` marks the answer-section records
+        (the first ANCOUNT TTL fields) for per-hit decrement against
+        that fractional expiry; authority/additional TTLs are served
+        verbatim, which matches how the negative cache replays its
+        stored SOA.
+        """
+        try:
+            offsets = response_ttl_offsets(wire)
+        except RenderRefused:
+            self._stats.refusals += 1
+            return False
+        patches: tuple = ()
+        if decrement_answers_until is not None:
+            ancount = struct.unpack_from(">H", wire, 6)[0]
+            if ancount > len(offsets):
+                # An answer section we cannot fully map (e.g. an OPT
+                # miscounted into it) — refuse rather than mis-patch.
+                self._stats.refusals += 1
+                return False
+            patches = tuple(
+                (offset, decrement_answers_until) for offset in offsets[:ancount]
+            )
+        self._store.put(key, (bytes(wire), patches), expires_at)
+        self._stats.stores += 1
+        return True
+
+    def flush(self) -> None:
+        self._store.flush()
+
+    def __len__(self) -> int:
+        return len(self._store)

@@ -28,9 +28,14 @@ from ..dns.rrset import RRset
 from ..dns.types import RdataType
 from ..dns.wire import WireReader, WireWriter
 from ..net.clock import Clock
+from ..net.ttl_store import TtlStore
 
 #: EDNS0 OPTION-CODE assigned to Report-Channel.
 REPORT_CHANNEL = 18
+
+#: Distinct recent failures one reporter remembers for deduplication;
+#: beyond it the oldest is forgotten (and would be reported again).
+DEDUP_CAPACITY = 8192
 
 _ER_LABEL = b"_er"
 
@@ -124,7 +129,9 @@ class ErrorReporter:
         self._clock = clock
         self._dedup_window = dedup_window
         self._rng = random.Random(rng_seed)
-        self._recent: dict[tuple[Name, int, int, Name], float] = {}
+        #: ``(qname, type, info-code, agent)`` of each failure reported
+        #: within the window; it expires when the window closes.
+        self._recent = TtlStore(clock, DEDUP_CAPACITY)
         self.stats = ReporterStats()
 
     def should_report(
@@ -132,12 +139,10 @@ class ErrorReporter:
     ) -> bool:
         """False when the same failure was reported within the window."""
         key = (qname, int(rdtype), int(info_code), agent)
-        now = self._clock.now()
-        last = self._recent.get(key)
-        if last is not None and now - last < self._dedup_window:
+        if self._recent.fresh(key) is not None:
             self.stats.suppressed_duplicates += 1
             return False
-        self._recent[key] = now
+        self._recent.put(key, None, self._clock.now() + self._dedup_window)
         return True
 
     def build_report_query(

@@ -17,6 +17,7 @@ from ..dns.dnssec_records import DS
 from ..dns.message import Message
 from ..dns.name import Name
 from ..dns.rcode import Rcode
+from ..dns.render import wire_key
 from ..dns.rrset import RRset
 from ..dns.types import RdataType
 from ..dnssec.trace import (
@@ -31,9 +32,9 @@ from ..dnssec.trace import (
 from ..dnssec.validator import FetchResult, Validator
 from ..net.clock import Clock
 from ..net.fabric import NetworkFabric
-from ..dns.render import RenderedWireCache, wire_key
+from ..net.ttl_store import TtlStore
 from ..obs import NULL_OBS, Observability, TraceEventKind
-from .cache import STALE_TTL, CacheConfig, ResolverCache
+from .cache import STALE_TTL, CacheConfig, RenderedWireCache, ResolverCache
 from .ede_policy import EdePolicy
 from .iterative import EngineConfig, IterativeEngine
 from .profiles import ResolverProfile
@@ -78,10 +79,9 @@ class ResolverStats:
     render_stores: int = 0
 
 
-@dataclass
-class _InfraEntry:
-    result: FetchResult
-    expires_at: float
+#: Infrastructure fetch results one resolver keeps (one per
+#: ``(zone, qname, type)`` fetched within the last ``_infra_ttl``).
+INFRA_CACHE_CAPACITY = 100_000
 
 
 class _Flight:
@@ -184,15 +184,20 @@ class RecursiveResolver:
         #: with only the ID rewritten and answer TTLs re-derived from
         #: the *same* fractional expiry ``get_rrset`` decrements against.
         #: Off (None) by default — the seed byte path.
-        self.render_cache = RenderedWireCache(clock=self.clock) if render_cache else None
+        self.render_cache = RenderedWireCache(self.clock) if render_cache else None
         #: Per-lane render plan: what kind of answer-cache hit produced
         #: the response being encoded, and the entry's fractional expiry.
         #: Only responses derived from a cache hit are wire-cacheable —
         #: every other path mutates state (stats, refresh queues) or
         #: depends on upstream work.
         self._render_tls = threading.local()
-        self._infra_cache: dict[tuple[Name, Name, int], _InfraEntry] = {}
+        #: ``(zone, qname, type)`` -> FetchResult.
+        self._infra_cache = TtlStore(self.clock, INFRA_CACHE_CAPACITY)
         self._infra_ttl = 300.0
+        #: Everything :meth:`flush_caches` must forget.
+        self._stores = [self.cache, self._infra_cache]
+        if self.render_cache is not None:
+            self._stores.append(self.render_cache)
         #: Optional cluster-shared L2 tier for infra fetch results (see
         #: :class:`repro.cluster.SharedL2Cache`): consulted read-through
         #: on an L1 miss, published to on every fresh fetch.  None when
@@ -784,11 +789,11 @@ class RecursiveResolver:
 
     def fetch_from_zone(self, zone: Name, qname: Name, rdtype: RdataType) -> FetchResult:
         key = (zone, qname, int(rdtype))
-        entry = self._infra_cache.get(key)
-        if entry is not None and entry.expires_at > self.clock.now():
+        entry = self._infra_cache.fresh(key)
+        if entry is not None:
             self.stats.infra_hits += 1
             self._note_infra_fetch(zone, qname, rdtype, "hit")
-            return entry.result
+            return entry[0]
         if self._l2 is not None:
             shared = self._l2.get(key)
             if shared is not None:
@@ -798,9 +803,7 @@ class RecursiveResolver:
                 # (zone content is deterministic), so this cannot change
                 # categorization — only the wire volume.
                 result, expires_at = shared
-                self._infra_cache[key] = _InfraEntry(
-                    result=result, expires_at=expires_at
-                )
+                self._infra_cache.put(key, result, expires_at)
                 self.stats.infra_hits += 1
                 self._note_infra_fetch(zone, qname, rdtype, "hit")
                 return result
@@ -823,9 +826,9 @@ class RecursiveResolver:
                         profile=self._obs_profile, level="infra"
                     ).inc()
                     self.obs.trace_event(TraceEventKind.COALESCED, level="infra")
-                entry = self._infra_cache.get(key)
-                if entry is not None and entry.expires_at > self.clock.now():
-                    return entry.result
+                entry = self._infra_cache.fresh(key)
+                if entry is not None:
+                    return entry[0]
                 # Owner unwound without caching; fall through and fetch.
         self.stats.infra_misses += 1
         self._note_infra_fetch(zone, qname, rdtype, "miss")
@@ -857,9 +860,7 @@ class RecursiveResolver:
                     authority=[r.copy() for r in response.authority],
                     events=events,
                 )
-            self._infra_cache[key] = _InfraEntry(
-                result=result, expires_at=now + self._infra_ttl
-            )
+            self._infra_cache.put(key, result, now + self._infra_ttl)
             if self._l2 is not None:
                 self._l2.put(key, result, now + self._infra_ttl)
             return result
@@ -883,8 +884,8 @@ class RecursiveResolver:
         )
 
     def flush_caches(self) -> None:
-        self.cache.flush()
-        self._infra_cache.clear()
+        for store in self._stores:
+            store.flush()
 
     # -- uniform inspection surface (shared with ResolverCluster) --------------------------------
 

@@ -426,12 +426,6 @@ class FrontendConfig:
     #: ``None`` — the default — disables breach accounting, so a
     #: legitimately slow resolution can never perturb routing.
     service_deadline: float | None = None
-    #: Serve repeat wire queries from the resolver's rendered-response
-    #: cache (requires a resolver built with ``render_cache=True``).  A
-    #: render hit is answered *before* shed policy runs — it still
-    #: charges the client's token bucket, but cannot be refused; the
-    #: flag is off by default so the seed shed behaviour is untouched.
-    render_cache: bool = False
 
 
 #: The closed vocabulary of shed reasons, as exposed on the
@@ -520,6 +514,11 @@ class ResilientFrontend:
         self.resolver = resolver
         self.config = config or FrontendConfig()
         self._clock = clock or resolver.clock
+        #: Repeat wire queries are served from the resolver's
+        #: rendered-response cache iff it was built with one.  A render
+        #: hit is answered *before* shed policy runs — it still charges
+        #: the client's token bucket, but cannot be refused.
+        self._renders = getattr(resolver, "render_cache", None) is not None
         self._buckets: dict[str, TokenBucket] = {}
         self._inflight = 0
         self._shed_count = 0
@@ -575,7 +574,7 @@ class ResilientFrontend:
     def handle_datagram(self, wire: bytes, source: str) -> bytes | None:
         self.stats.datagrams += 1
         self._m_datagrams.inc()
-        key = self.resolver.render_serve_key(wire) if self.config.render_cache else None
+        key = self.resolver.render_serve_key(wire) if self._renders else None
         if key is not None:
             served = self.resolver.render_serve(key, wire)
             if served is not None:

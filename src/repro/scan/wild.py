@@ -24,18 +24,13 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from ..dns.dnssec_records import DNSKEY, DS, NSEC3
+from ..dns.dnssec_records import DNSKEY, DS, NSEC3, RRSIG
 from ..dns.edns import Edns
 from ..dns.message import Message
 from ..dns.name import Name
 from ..dns.rcode import Rcode
 from ..dns.rdata import AAAA, A, CNAME, NS
-from ..dns.render import (
-    RenderCacheStats,
-    RenderedWireCache,
-    paved_reply,
-    wire_key,
-)
+from ..dns.render import paved_reply
 from ..dns.rrset import RRset
 from ..dns.types import RdataType
 from ..dnssec.algorithms import Algorithm
@@ -60,6 +55,10 @@ MISMATCH_HOST = "46.0.0.1"
 NOTAUTH_HOST = "46.0.0.2"
 STALE_HOST = "46.0.0.3"
 LOOP_HOST = "46.0.0.4"
+
+#: Built child zones a hosting server keeps before dropping the older
+#: half (a dropped zone is rebuilt, identically, on its next query).
+MAX_CACHED_ZONES = 512
 
 
 def _domain_seed(name: str) -> int:
@@ -170,14 +169,9 @@ class VirtualTldServer(PavedEndpoint):
         self.axfr_allowed = axfr_allowed
         self._policy = SigningPolicy.window(now)
         self._optout: tuple[RRset, RRset | None] | None = None
-        #: Rendered-response wire cache (attached by
-        #: :meth:`WildInternet.enable_render_cache`); None keeps the
-        #: seed byte path.
-        self.render_cache: RenderedWireCache | None = None
-        #: DS RRSIG memo (same switch): signing is a pure function of
-        #: the delegation and the signing policy, so the per-query
-        #: ``sign_rrset`` for a child's DS set can be computed once.
-        self._ds_sig_cache: dict | None = None
+        #: DS RRSIG memo: signing is a pure function of the delegation
+        #: and the signing policy, so a child's DS set is signed once.
+        self._ds_sig_cache: dict[Name, RRSIG] = {}
         self.queries = 0
         self.transfers = 0
 
@@ -196,21 +190,12 @@ class VirtualTldServer(PavedEndpoint):
         plus, when parse-equivalent, the response Message (see
         :meth:`repro.net.fabric.NetworkFabric.send`)."""
         self.queries += 1
-        key = wire_key(wire) if self.render_cache is not None else None
-        if key is not None:
-            served = self.render_cache.serve(key, wire)
-            if served is not None:
-                return served, None
         if query.question and query.question[0].rdtype == RdataType.AXFR:
             response = query.make_response(recursion_available=False)
             response.rcode = Rcode.REFUSED  # AXFR needs TCP
-            key = None  # never wire-cached
         else:
             response = self.handle_query(query)
-        encoded = response.to_wire()
-        if key is not None:
-            self.render_cache.store(key, encoded, expire_after_min_ttl=True)
-        return paved_reply(response, encoded)
+        return paved_reply(response, response.to_wire())
 
     def handle_stream(self, wire: bytes, source: str) -> bytes | None:
         try:
@@ -314,14 +299,11 @@ class VirtualTldServer(PavedEndpoint):
     # -- helpers ---------------------------------------------------------------------
 
     def _ds_signature(self, child: Name, ds_rrset: RRset) -> RRset:
-        """The RRSIG RRset covering a child's DS set, memoized when enabled."""
-        if self._ds_sig_cache is not None:
-            sig = self._ds_sig_cache.get(child)
-            if sig is None:
-                sig = sign_rrset(ds_rrset, self.zsk, self.origin, self._policy)
-                self._ds_sig_cache[child] = sig
-        else:
+        """The RRSIG RRset covering a child's DS set."""
+        sig = self._ds_sig_cache.get(child)
+        if sig is None:
             sig = sign_rrset(ds_rrset, self.zsk, self.origin, self._policy)
+            self._ds_sig_cache[child] = sig
         return RRset.of(child, RdataType.RRSIG, sig, ttl=300)
 
     def _child_zone_of(self, qname: Name) -> Name | None:
@@ -393,15 +375,9 @@ class VirtualTldServer(PavedEndpoint):
 class HostingServer(PavedEndpoint):
     """Hosts many child zones; materializes each lazily on first query."""
 
-    def __init__(self, wild: "WildInternet", max_cached_zones: int = 512):
+    def __init__(self, wild: "WildInternet"):
         self.wild = wild
         self.inner = AuthoritativeServer(name="hosting")
-        self.max_cached_zones = max_cached_zones
-        #: Rendered-response wire cache (see :mod:`repro.dns.render`),
-        #: attached by :meth:`WildInternet.enable_render_cache`.  Safe
-        #: even across zone eviction: a rebuilt zone is deterministic,
-        #: so the cached bytes match what a rebuild would serve.
-        self.render_cache: RenderedWireCache | None = None
         self._materialized: dict[Name, bool] = {}
         self.zones_built = 0
 
@@ -411,22 +387,13 @@ class HostingServer(PavedEndpoint):
         """Answer ``query`` (the parsed form of ``wire``): response wire
         plus, when parse-equivalent, the response Message (see
         :meth:`repro.net.fabric.NetworkFabric.send`)."""
-        key = wire_key(wire) if self.render_cache is not None else None
-        if key is not None:
-            served = self.render_cache.serve(key, wire)
-            if served is not None:
-                self.inner.stats.queries += 1
-                return served, None
         qname = query.question[0].name if query.question else None
         if qname is not None:
             self._ensure_zone(qname)
         response = self.inner.handle_query(query, source)
         if response is None:
             return None, None
-        encoded = response.to_wire()
-        if key is not None:
-            self.render_cache.store(key, encoded, expire_after_min_ttl=True)
-        return paved_reply(response, encoded)
+        return paved_reply(response, response.to_wire())
 
     def _ensure_zone(self, qname: Name) -> None:
         domain = self.wild.registered_domain_of(qname)
@@ -436,8 +403,8 @@ class HostingServer(PavedEndpoint):
         if apex in self._materialized:
             return
         built = self.wild.materialize_zone(domain)
-        if len(self._materialized) >= self.max_cached_zones:
-            for name in list(self._materialized)[: self.max_cached_zones // 2]:
+        if len(self._materialized) >= MAX_CACHED_ZONES:
+            for name in list(self._materialized)[: MAX_CACHED_ZONES // 2]:
                 del self._materialized[name]
                 self.inner._zones.pop(name, None)
         self.inner.add_zone(built.zone)
@@ -522,7 +489,6 @@ class WildInternet:
         self,
         population: Population,
         fabric: NetworkFabric | None = None,
-        render_cache: bool = False,
     ):
         self.population = population
         self.fabric = fabric or NetworkFabric()
@@ -548,11 +514,7 @@ class WildInternet:
             key_tag=12345, algorithm=WILD_ALGORITHM, digest_type=2,
             digest=hashlib.sha256(b"signed-lame").digest(),
         )
-        self.render_cache_enabled = False
-        self._render_caches: list[RenderedWireCache] = []
         self._deploy()
-        if render_cache:
-            self.enable_render_cache()
 
     # -- deployment -------------------------------------------------------------------
 
@@ -655,43 +617,6 @@ class WildInternet:
         self.loop_server = CnameLoopServer(self)
         self.fabric.register(STALE_HOST, self.stale_server)
         self.fabric.register(LOOP_HOST, self.loop_server)
-
-    # -- rendered-response cache ------------------------------------------------------
-
-    def enable_render_cache(self) -> None:
-        """Attach rendered-wire caches to every authoritative tier.
-
-        Safe because every wild-side answer is a pure function of the
-        query bytes: servers never read the clock while answering, the
-        stale/loop pathologies short-circuit *before* their cache hook,
-        and evicted hosting zones rebuild deterministically.  Also
-        memoizes the per-child DS signature on TLD servers and widens
-        the hosting zone cache — same switch, same determinism argument.
-        """
-        if self.render_cache_enabled:
-            return
-        self.render_cache_enabled = True
-        clock = self.fabric.clock
-
-        def attach(holder) -> None:
-            cache = RenderedWireCache(clock=clock)
-            holder.render_cache = cache
-            self._render_caches.append(cache)
-
-        attach(self.root_server)
-        for server in self.tld_servers.values():
-            attach(server)
-            server._ds_sig_cache = {}
-        for hosting in (*self.hosting_servers, self.stale_server, self.loop_server):
-            attach(hosting)
-            hosting.max_cached_zones = max(hosting.max_cached_zones, 4096)
-
-    def render_cache_stats(self) -> RenderCacheStats:
-        """Aggregate render-cache counters across every wild endpoint."""
-        total = RenderCacheStats()
-        for cache in self._render_caches:
-            total.add(cache.stats)
-        return total
 
     # -- domain machinery -----------------------------------------------------------------
 

@@ -16,7 +16,7 @@ from ..dns.edns import Edns
 from ..dns.message import Message
 from ..dns.name import Name
 from ..dns.rcode import Rcode
-from ..dns.render import RenderedWireCache, paved_reply, wire_key
+from ..dns.render import paved_reply
 from ..dns.rrset import RRset
 from ..dns.types import RdataType
 from ..zones.zone import LookupStatus, Zone
@@ -53,7 +53,6 @@ class AuthoritativeServer(PavedEndpoint):
         acl: Acl | None = None,
         report_agent: Name | None = None,
         allow_transfer: Acl | None = None,
-        render_cache: RenderedWireCache | None = None,
     ):
         self.name = name
         self.acl = acl or Acl.any()
@@ -63,13 +62,6 @@ class AuthoritativeServer(PavedEndpoint):
         #: Who may AXFR (RFC 5936). Registries default to nobody; the
         #: paper's .se/.nu/.ch/.li allow it.
         self.allow_transfer = allow_transfer or Acl.none()
-        #: Optional rendered-response wire cache (see
-        #: :mod:`repro.dns.render`): a repeat query is answered from the
-        #: stored wire with only the message ID patched — authoritative
-        #: answers carry the zone's static TTLs, so no decrement is
-        #: needed, and the entry expires after the smallest TTL it
-        #: contains.  None (the default) keeps the seed byte path.
-        self.render_cache = render_cache
         self._zones: dict[Name, Zone] = {}
         self.stats = ServerStats()
 
@@ -106,12 +98,6 @@ class AuthoritativeServer(PavedEndpoint):
         wire, plus the response Message whenever re-parsing that wire
         provably reproduces it (see
         :meth:`repro.net.fabric.NetworkFabric.send`)."""
-        key = self._render_key(wire, source)
-        if key is not None:
-            served = self.render_cache.serve(key, wire)
-            if served is not None:
-                self.stats.queries += 1
-                return served, None
         response = self.handle_query(query, source)
         if response is None:
             return None, None
@@ -119,19 +105,7 @@ class AuthoritativeServer(PavedEndpoint):
         # payload (512 octets without EDNS); otherwise truncate + TC.
         max_size = query.edns.payload if query.edns is not None else 512
         encoded = response.to_wire(max_size=max(512, max_size))
-        if key is not None:
-            self.render_cache.store(key, encoded, expire_after_min_ttl=True)
         return paved_reply(response, encoded)
-
-    def _render_key(self, wire: bytes, source: str):
-        if self.render_cache is None:
-            return None
-        raw_key = wire_key(wire)
-        if raw_key is None:
-            return None
-        # ACL outcome is the only response input outside the query
-        # bytes, so it rides in the key.
-        return (raw_key, self.acl.allows(source))
 
     def handle_stream(self, wire: bytes, source: str) -> bytes | None:
         """TCP semantics: same answer, no size limit, never truncated."""

@@ -131,48 +131,15 @@ def make_resolvers(
     }
 
 
-def enable_render_caches(testbed: Testbed) -> int:
-    """Attach a rendered-response wire cache to every authoritative
-    endpoint on the testbed fabric; returns how many were fitted.
-
-    Behaviour-quirk servers (REFUSED-for-everything, dropped OPT, …) are
-    standalone endpoint classes without a ``render_cache`` slot and keep
-    the plain byte path — only :class:`AuthoritativeServer` instances
-    (and subclasses) are cached.  Idempotent: already-fitted servers are
-    skipped.
-    """
-    from ..dns.render import RenderedWireCache
-    from ..server.authoritative import AuthoritativeServer
-
-    fitted = 0
-    for endpoint in testbed.fabric.registered_endpoints():
-        if (
-            isinstance(endpoint, AuthoritativeServer)
-            and endpoint.render_cache is None
-        ):
-            endpoint.render_cache = RenderedWireCache(clock=testbed.fabric.clock)
-            fitted += 1
-    return fitted
-
-
 def run_matrix(
     testbed: Testbed | None = None,
     profiles: tuple[ResolverProfile, ...] = ALL_PROFILES,
     obs: "Observability | None" = None,
     shards: int = 1,
     engine_config: "EngineConfig | None" = None,
-    render_cache: bool = False,
 ) -> MatrixResult:
-    """Query all 63 cases through all profiles; the paper's core experiment.
-
-    ``render_cache`` fits every authoritative server on the testbed
-    fabric with a rendered-response wire cache before driving the
-    matrix — the differential suite pins the resulting 63×7 matrix
-    byte-identical to the uncached one, and both to the byte path.
-    """
+    """Query all 63 cases through all profiles; the paper's core experiment."""
     testbed = testbed or build_testbed()
-    if render_cache:
-        enable_render_caches(testbed)
     resolvers = make_resolvers(
         testbed, profiles, obs=obs, shards=shards, engine_config=engine_config
     )

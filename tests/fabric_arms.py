@@ -120,7 +120,7 @@ def served_state(fabric: NetworkFabric) -> dict[str, str]:
             if endpoint._optout is not None:
                 put(f"{prefix} memo optout",
                     _rrset_rows(r for r in endpoint._optout if r is not None))
-            for child, sig in sorted((endpoint._ds_sig_cache or {}).items()):
+            for child, sig in sorted(endpoint._ds_sig_cache.items()):
                 put(f"{prefix} memo ds {child}", [sig.to_wire().hex()])
         for attr in ("_seen", "_materialized"):
             if hasattr(endpoint, attr):

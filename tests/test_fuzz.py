@@ -12,7 +12,6 @@ from repro.dns.rdata import A, CNAME, Rdata
 from repro.dns.render import (
     HEADER_LENGTH,
     RenderRefused,
-    RenderedWireCache,
     response_ttl_offsets,
     wire_key,
 )
@@ -20,6 +19,7 @@ from repro.dns.rrset import RRset
 from repro.dns.types import RdataType
 from repro.dns.wire import WireReader
 from repro.net.clock import SimulatedClock
+from repro.resolver.cache import RenderedWireCache
 from repro.resolver.error_reporting import ReportChannelOption, decode_report_qname
 from repro.scan.extratext import parse_network_error
 from repro.server.behaviors import make_simple_authority

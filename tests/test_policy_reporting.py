@@ -9,6 +9,7 @@ from repro.dns.rdata import A, NS
 from repro.dns.rrset import RRset
 from repro.dns.types import RdataType
 from repro.net.clock import SimulatedClock
+from repro.resolver import error_reporting
 from repro.resolver.error_reporting import (
     REPORT_CHANNEL,
     ErrorReporter,
@@ -187,6 +188,22 @@ class TestReporterDedup:
         assert reporter.stats.suppressed_duplicates == 1
         clock.advance(101)
         assert reporter.should_report(qname, RdataType.A, 7, agent)
+
+    def test_dedup_memory_is_bounded(self, monkeypatch):
+        """One entry per distinct failure used to live for the life of
+        the process; now it goes when its window closes or room is needed."""
+        monkeypatch.setattr(error_reporting, "DEDUP_CAPACITY", 16)
+        clock = SimulatedClock(start=0)
+        reporter = ErrorReporter(clock, dedup_window=100)
+        agent = Name.from_text("agent.example.")
+        for batch in range(3):
+            for i in range(16):
+                qname = Name.from_text(f"f{batch}-{i}.test.")
+                assert reporter.should_report(qname, RdataType.A, 22, agent)
+                assert len(reporter._recent) <= 16
+            clock.advance(101)
+        assert reporter._recent.expired > 0
+        assert reporter.stats.suppressed_duplicates == 0
 
     def test_distinct_failures_not_deduped(self):
         reporter = ErrorReporter(SimulatedClock(start=0))

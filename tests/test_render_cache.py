@@ -13,13 +13,14 @@ exactly-once stats accounting for render hits through a
 
 from __future__ import annotations
 
+import random
 import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bench import population_config_for
-from repro.cluster import ClusterConfig, ResolverCluster
+from repro.cluster import ClusterConfig, ResolverCluster, ShardChaosPolicy
 from repro.dns.edns import Edns
 from repro.dns.message import Message
 from repro.dns.name import Name
@@ -27,17 +28,20 @@ from repro.dns.rcode import Rcode
 from repro.dns.rdata import A, SOA
 from repro.dns.render import (
     HEADER_LENGTH,
-    RenderedWireCache,
     parse_equivalent,
     response_ttl_offsets,
     wire_key,
 )
 from repro.dns.rrset import RRset
 from repro.dns.types import RdataType
+from repro.load import ZipfMix, build_clients
 from repro.net.chaos import ChaosPolicy
 from repro.net.clock import SimulatedClock
+from repro.resolver.cache import RenderedWireCache, default_cache_config
 from repro.resolver.profiles import CLOUDFLARE
-from repro.scan.population import generate_population
+from repro.resolver.recursive import RecursiveResolver
+from repro.resolver.resilience import ResilientFrontend
+from repro.scan.population import Profile, generate_population
 from repro.scan.wild import MISMATCH_HOST, WildInternet
 
 
@@ -193,8 +197,8 @@ class TestExpiry:
         query, response = make_response(answer_ttls=(ttl,))
         key = wire_key(query.to_wire())
         start = clock.now()
-        assert cache.store(key, response.to_wire(), expire_after_min_ttl=True)
         expires_at = start + float(ttl)
+        assert cache.store(key, response.to_wire(), expires_at=expires_at)
 
         for advance in advances:
             clock.advance(advance)
@@ -276,7 +280,6 @@ class TestPavedFabric:
 
     def test_paved_send_matches_plain_send(self, universe):
         wild, population = universe
-        wild.enable_render_cache()
         server_ip = wild.root_hints[0]
         query = Message.make_query(".", RdataType.NS, msg_id=77)
         wire = query.to_wire()
@@ -418,6 +421,137 @@ class TestClusterRenderExactlyOnce:
         assert responses[2][2:] == responses[1][2:]
         assert Message.from_wire(responses[2]).id == 13
         assert Message.from_wire(responses[1]).id == 12
+
+
+class TestFlushForgetsRenderedWires:
+    """Regression: ``flush_caches`` used to clear the answer and infra
+    caches but leave the rendered wires, so a "cold" resolver kept
+    answering repeat datagrams from bytes with no upstream work."""
+
+    @staticmethod
+    def _warm(endpoint, qname) -> bytes:
+        """Cold resolution, the answer-cache hit that stores the wire,
+        then one render hit; returns the repeat datagram."""
+        for msg_id in (21, 22, 23):
+            wire = Message.make_query(qname, RdataType.A, msg_id=msg_id).to_wire()
+            assert endpoint.handle_datagram(wire, "203.0.113.5") is not None
+        return Message.make_query(qname, RdataType.A, msg_id=24).to_wire()
+
+    def test_resolver_flush_goes_back_upstream(self):
+        population = generate_population(population_config_for(40))
+        wild = WildInternet(population)
+        resolver = RecursiveResolver(
+            fabric=wild.fabric,
+            profile=CLOUDFLARE,
+            root_hints=wild.root_hints,
+            trust_anchors=wild.trust_anchors,
+            render_cache=True,
+        )
+        wire = self._warm(resolver, population.domains[0].name)
+        assert resolver.stats.render_hits == 1 and len(resolver.render_cache) == 1
+        sent = wild.fabric.stats.datagrams_sent
+
+        resolver.flush_caches()
+        assert len(resolver.render_cache) == 0
+        assert resolver.handle_datagram(wire, "203.0.113.5") is not None
+        assert resolver.stats.render_hits == 1
+        assert wild.fabric.stats.datagrams_sent > sent
+
+    def test_cold_shard_restart_goes_back_upstream(self):
+        population = generate_population(population_config_for(40))
+        wild = WildInternet(population)
+        cluster = ResolverCluster(
+            fabric=wild.fabric,
+            profile=CLOUDFLARE,
+            root_hints=wild.root_hints,
+            trust_anchors=wild.trust_anchors,
+            config=ClusterConfig(shards=2, render_cache=True),
+        )
+        qname = population.domains[0].name
+        wire = self._warm(cluster, qname)
+        assert cluster.stats.render_hits == 1
+        sent = wild.fabric.stats.datagrams_sent
+
+        policy = ShardChaosPolicy()
+        policy.restart(
+            cluster.shard_index_for(qname), at=wild.fabric.clock.now(), cold_cache=True
+        )
+        cluster.install_shard_chaos(policy)
+        assert cluster.handle_datagram(wire, "203.0.113.5") is not None
+        assert policy.stats.restarts_applied == 1
+        assert cluster.stats.render_hits == 1
+        assert wild.fabric.stats.datagrams_sent > sent
+
+
+class TestReplayDifferential:
+    """What promoting the resolver's render cache to the only datagram
+    path will stand on: the same seeded client trace through two fresh
+    frontends, render cache on vs off, gets byte-identical replies for
+    the same upstream traffic — on a Zipf-hot mix (nearly all render
+    hits) and on a uniform mix whose 400 s clock jumps expire every TTL
+    (nearly none)."""
+
+    PASSES, QUERIES, SEED = 3, 3000, 20230524
+
+    @pytest.fixture(scope="class")
+    def population(self):
+        return generate_population(population_config_for(500, self.SEED))
+
+    def _trace(self, population, hot: bool) -> list[tuple[bytes, str, float]]:
+        """(query wire, client address, clock advance) per query."""
+        rng = random.Random(self.SEED)
+        clients = build_clients(64, self.SEED)
+        if hot:
+            ranked = [
+                d.name + "." for d in population.tranco_domains()
+                if d.profile in (Profile.VALID_UNSIGNED, Profile.VALID_SIGNED)
+            ][:40]
+            mix = ZipfMix(ranked, s=1.1, hot=tuple(ranked[:16]), hot_weight=0.5)
+            names = [mix.sample(rng) for _ in range(self.QUERIES)]
+            gaps = [0.03] * self.QUERIES
+        else:
+            every = [d.name + "." for d in population.domains]
+            names = (every * -(-self.QUERIES // len(every)))[: self.QUERIES]
+            rng.shuffle(names)
+            gaps = [400.0 if i % 200 == 0 else 0.005 for i in range(self.QUERIES)]
+        return [
+            (
+                Message.make_query(qname, RdataType.A, rng=rng).to_wire(),
+                clients[rng.randrange(len(clients))].address,
+                gap,
+            )
+            for qname, gap in zip(names, gaps)
+        ]
+
+    def _replay(self, population, trace, render_cache: bool):
+        wild = WildInternet(population)
+        resolver = RecursiveResolver(
+            fabric=wild.fabric,
+            profile=CLOUDFLARE,
+            root_hints=wild.root_hints,
+            trust_anchors=wild.trust_anchors,
+            cache_config=default_cache_config(),
+            render_cache=render_cache,
+        )
+        frontend = ResilientFrontend(resolver)
+        replies = []
+        for _ in range(self.PASSES):
+            for wire, source, gap in trace:
+                wild.fabric.clock.advance(gap)
+                replies.append(frontend.handle_datagram(wire, source))
+        return replies, wild.fabric.stats.datagrams_sent, frontend.stats
+
+    @pytest.mark.parametrize("hot", [True, False], ids=["zipf-hot", "uniform-churn"])
+    def test_replies_and_upstream_traffic_identical(self, population, hot):
+        trace = self._trace(population, hot)
+        off, off_sent, off_stats = self._replay(population, trace, render_cache=False)
+        on, on_sent, on_stats = self._replay(population, trace, render_cache=True)
+        differing = sum(1 for a, b in zip(on, off) if a != b)
+        assert len(on) == len(off) == self.PASSES * self.QUERIES
+        assert differing == 0
+        assert on_sent == off_sent
+        assert on_stats.render_hits > 0 and off_stats.render_hits == 0
+        assert on_stats.answered == off_stats.answered == len(on)
 
 
 def test_offsets_patch_exactly_the_ttl_fields():

@@ -428,6 +428,83 @@ class TestResilientFrontend:
         assert len(frontend._buckets) <= 4
 
 
+class TestFrontendRenderPath:
+    """The frontend serves repeat wire queries from the resolver's
+    rendered-response cache iff the resolver was built with one — ahead
+    of shed policy, so a render hit is charged but never refused."""
+
+    CLIENT = "198.51.100.1"
+
+    @pytest.fixture()
+    def resolver(self):
+        """A resolver holding one rendered wire for WWW (cold resolution,
+        then the answer-cache hit that stores it)."""
+        resolver = RecursiveResolver(
+            fabric=_build_world(), profile=CLOUDFLARE, root_hints=[ROOT_IP],
+            validate=False, render_cache=True,
+        )
+        for _ in range(2):
+            resolver.handle_datagram(_query_wire(str(WWW)), self.CLIENT)
+        assert resolver.stats.render_stores == 1 and resolver.stats.render_hits == 0
+        return resolver
+
+    def test_hit_is_charged_but_cannot_be_shed(self, resolver):
+        frontend = ResilientFrontend(
+            resolver, FrontendConfig(client_rate=0.0, client_burst=1.0, max_inflight=0)
+        )
+        query = Message.make_query(WWW, RdataType.A)
+        for _ in range(3):  # the 2nd and 3rd find the bucket empty
+            reply = Message.from_wire(frontend.handle_datagram(query.to_wire(), self.CLIENT))
+            assert reply.rcode == Rcode.NOERROR and reply.id == query.id and reply.answer
+        assert frontend._bucket(self.CLIENT).tokens == 0.0
+        stats = frontend.stats
+        assert (stats.datagrams, stats.answered, stats.render_hits) == (3, 3, 3)
+        assert resolver.stats.render_hits == 3
+        assert stats.bucket_sheds == stats.inflight_sheds == stats.served_cached == 0
+        assert stats.shed_refused == stats.shed_truncated == 0
+        assert stats.shed_by_reason == {}
+        # The charge is real: the same client's next *miss* is rate limited.
+        frontend.config.max_inflight = 64
+        shed = Message.from_wire(
+            frontend.handle_datagram(_query_wire("other.drill.test."), self.CLIENT)
+        )
+        assert shed.rcode == Rcode.REFUSED and stats.bucket_sheds == 1
+
+    def test_hit_still_drains_inline_refreshes(self, resolver, monkeypatch):
+        drained = []
+        monkeypatch.setattr(resolver, "run_refreshes", lambda: drained.append(1) or 0)
+        wire = _query_wire(str(WWW))
+        ResilientFrontend(resolver).handle_datagram(wire, self.CLIENT)
+        assert drained == [1]
+        quiet = ResilientFrontend(resolver, FrontendConfig(inline_refreshes=False))
+        quiet.handle_datagram(wire, self.CLIENT)
+        assert drained == [1] and quiet.stats.render_hits == 1
+
+    def test_refresh_error_never_turns_served_bytes_into_servfail(
+        self, resolver, monkeypatch
+    ):
+        def explode():
+            raise RuntimeError("refresh blew up")
+
+        wire = _query_wire(str(WWW))
+        want = ResilientFrontend(resolver).handle_datagram(wire, self.CLIENT)
+        monkeypatch.setattr(resolver, "run_refreshes", explode)
+        frontend = ResilientFrontend(resolver)
+        assert frontend.handle_datagram(wire, self.CLIENT) == want
+        assert Message.from_wire(want).rcode == Rcode.NOERROR
+        assert (frontend.stats.handler_errors, frontend.stats.answered) == (1, 1)
+
+    def test_resolver_without_a_render_cache_never_takes_the_path(self):
+        resolver = RecursiveResolver(
+            fabric=_build_world(), profile=CLOUDFLARE, root_hints=[ROOT_IP],
+            validate=False,
+        )
+        frontend = ResilientFrontend(resolver)
+        for _ in range(3):
+            frontend.handle_datagram(_query_wire(str(WWW)), self.CLIENT)
+        assert frontend.stats.answered == 3 and frontend.stats.render_hits == 0
+
+
 class TestHeaderSynthesis:
     def test_short_datagram_gets_minimal_formerr(self):
         wire = synthesize_header_response(b"\x01\x02", Rcode.FORMERR)

@@ -12,6 +12,7 @@ from repro.dnssec.trace import ResolutionEvent
 from repro.net.fabric import NetworkFabric
 from repro.resolver.iterative import EngineConfig, IterativeEngine
 from repro.resolver.profiles import BIND, CLOUDFLARE, UNBOUND
+from repro.resolver import recursive
 from repro.resolver.recursive import RecursiveResolver
 from repro.resolver.stub import StubResolver
 from repro.server.authoritative import AuthoritativeServer
@@ -238,6 +239,36 @@ class TestRecursiveResolver:
         record = answer.to_record()
         assert record["rcode"] == "SERVFAIL"
         assert any(e["info_code"] == 22 for e in record["ede"])
+
+
+class TestInfraCacheBounded:
+    """The infra cache used to keep one entry per ``(zone, qname, type)``
+    ever fetched and never dropped an expired one."""
+
+    CAPACITY = 16
+
+    def test_distinct_fetches_past_their_ttl_stay_within_capacity(
+        self, mini_fabric, monkeypatch
+    ):
+        monkeypatch.setattr(recursive, "INFRA_CACHE_CAPACITY", self.CAPACITY)
+        resolver = RecursiveResolver(
+            fabric=mini_fabric, profile=CLOUDFLARE, root_hints=[ROOT_IP],
+            validate=False,
+        )
+        resolver.resolve(DOMAIN, RdataType.A)  # learn example.test.'s servers
+        for batch in range(3):
+            for i in range(self.CAPACITY):
+                qname = Name.from_text(f"h{batch}-{i}.example.test.")
+                assert resolver.fetch_from_zone(DOMAIN, qname, RdataType.A).ok
+                assert len(resolver._infra_cache) <= self.CAPACITY
+            mini_fabric.clock.advance(301.0)  # past the 300 s infra TTL
+        assert resolver.stats.infra_misses == 3 * self.CAPACITY
+        assert resolver._infra_cache.expired > 0
+        # Bounding it costs no hit: an entry still inside its TTL is served.
+        last = Name.from_text("again.example.test.")
+        resolver.fetch_from_zone(DOMAIN, last, RdataType.A)
+        resolver.fetch_from_zone(DOMAIN, last, RdataType.A)
+        assert resolver.stats.infra_hits == 1
 
 
 class TestValidationIntegration:

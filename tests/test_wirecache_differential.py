@@ -7,12 +7,11 @@ whenever ``parse_equivalent`` proves a re-parse would be the identity.
 ``src/`` has no switch for that, so the byte-path arm is produced by a
 *test-only* fabric that never forwards ``message=``
 (:class:`tests.fabric_arms.PlainFabric`).  The claim gated here is that
-the two arms — and the paved arm with the optional rendered-response
-wire caches on every authoritative tier — agree on *everything
-observable*: every per-domain scan record, the Figure 1/2 aggregates,
-fabric datagram/byte counters, and all 63×7 matrix cells, at 1/8/32
-workers, through 1 and 2 resolver shards and under both retry-jitter
-seeds.  Every run has the runtime determinism sanitizer armed.  The
+the two arms agree on *everything observable*: every per-domain scan
+record, the Figure 1/2 aggregates and fabric datagram/byte counters at
+1/8/32 workers under both retry-jitter seeds, and all 63×7 matrix cells
+through 1 and 2 resolver shards.  Every run has the runtime determinism
+sanitizer armed.  The
 gate is non-vacuous both ways: the paved arm must show hand-backs, the
 plain arm none, and the directed fallback worlds must show
 ``parse_equivalent`` refusals.
@@ -26,7 +25,6 @@ import pytest
 
 from repro.analysis.sanitizer import determinism_sanitizer
 from repro.bench import categorization_of, population_config_for
-from repro.cluster import ClusterConfig
 from repro.dns.name import Name
 from repro.dns.rdata import A, NS, TXT
 from repro.dns.rrset import RRset
@@ -108,20 +106,6 @@ def scan_paved(population, *, workers: int, jitter_seed: int):
     return wild, result
 
 
-def scan_cached(population, *, shards: int, jitter_seed: int, workers: int = 8):
-    """Fresh paved universe with the wire caches on; sanitizer armed."""
-    wild = WildInternet(population, fabric=CountingFabric(), render_cache=True)
-    kwargs = {}
-    if shards > 1:
-        kwargs["cluster_config"] = ClusterConfig(shards=shards, render_cache=True)
-    scanner = WildScanner(
-        wild, engine_config=EngineConfig(rng_seed=jitter_seed), **kwargs
-    )
-    with determinism_sanitizer():
-        result = scanner.scan(workers=workers, use_lanes=True)
-    return scanner, wild, result
-
-
 class TestScanDifferential:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     @pytest.mark.parametrize("jitter_seed", JITTER_SEEDS)
@@ -135,42 +119,21 @@ class TestScanDifferential:
         assert figures_csv(result, population) == figures_csv(baseline, population)
         assert wild.fabric.handbacks > 0
 
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    @pytest.mark.parametrize("jitter_seed", JITTER_SEEDS)
-    def test_records_identical_cache_on_vs_off(
-        self, population, baseline, shards, jitter_seed
-    ):
-        _scanner, _wild, result = scan_cached(
-            population, shards=shards, jitter_seed=jitter_seed
-        )
-        assert categorization_of(result) == categorization_of(baseline)
-
-    def test_aggregates_identical(self, population, baseline):
+    def test_aggregates_identical(self, population, baseline, paved_arm):
         """Figure 1/2 series and the EDE group histogram, not just the
         raw records."""
-        _scanner, _wild, result = scan_cached(population, shards=1, jitter_seed=1)
+        result = paved_arm.result
         assert result.by_code() == baseline.by_code()
         assert figures_csv(result, population) == figures_csv(baseline, population)
 
-    def test_cache_actually_engaged(self, population, plain_arm, paved_arm):
-        """The identities above are not vacuous: the cached arm really
-        stored rendered wires, the paved arms really took Messages
-        back, and the plain arm never did."""
-        _scanner, wild, _result = scan_cached(population, shards=1, jitter_seed=1)
-        stats = wild.render_cache_stats()
-        assert stats.stores > 0
-        # Parse-or-refuse never silently corrupts: refused wires are
-        # counted, not cached.
-        assert stats.refusals >= 0
-        assert wild.fabric.handbacks > 0
+    def test_fabric_counters_identical(self, plain_arm, paved_arm):
+        """Datagrams, bytes, timeouts: the "network" saw the same
+        traffic whichever form crossed it, and took as long over it —
+        and not vacuously: only the paved arm ever took a Message back."""
+        assert paved_arm.wild.fabric.stats == plain_arm.wild.fabric.stats
         assert paved_arm.wild.fabric.handbacks > 0
         assert plain_arm.wild.fabric.handbacks == 0
         assert plain_arm.wild.fabric.offered == 0
-
-    def test_fabric_counters_identical(self, plain_arm, paved_arm):
-        """Datagrams, bytes, timeouts: the "network" saw the same
-        traffic whichever form crossed it, and took as long over it."""
-        assert paved_arm.wild.fabric.stats == plain_arm.wild.fabric.stats
         assert paved_arm.result.duration_virtual == plain_arm.result.duration_virtual
 
 
@@ -202,7 +165,7 @@ class TestHandOffOwnership:
 
 class TestMatrixDifferential:
     @pytest.fixture(scope="class")
-    def cached_testbed(self):
+    def paved_testbed(self):
         return build_testbed(fabric=CountingFabric())
 
     @pytest.fixture(scope="class")
@@ -211,28 +174,29 @@ class TestMatrixDifferential:
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_table4_matrix_identical(
-        self, matrix, cached_testbed, plain_testbed, shards
+        self, matrix, paved_testbed, plain_testbed, shards
     ):
-        """All 63×7 cells byte-identical: byte path, paved, paved with
-        the wire caches on — and the zones served are left untouched."""
-        before = served_state(cached_testbed.fabric)
+        """All 63×7 cells byte-identical, byte path vs paved (at this
+        shard count, and the session's 1-shard golden ``matrix``) — and
+        the zones served are left untouched."""
+        before = served_state(paved_testbed.fabric)
         with determinism_sanitizer():
-            cached = run_matrix(cached_testbed, shards=shards, render_cache=True)
+            paved = run_matrix(paved_testbed, shards=shards)
             plain = run_matrix(plain_testbed, shards=shards)
-        assert cached.agreement_with_paper() == 1.0
-        assert set(cached.cells) == set(matrix.cells) == set(plain.cells)
+        assert paved.agreement_with_paper() == 1.0
+        assert set(paved.cells) == set(matrix.cells) == set(plain.cells)
         for key, cell in plain.cells.items():
             want = (cell.rcode, cell.ede_codes, cell.extra_texts)
-            for arm, result in (("paved", matrix), ("paved+cache", cached)):
+            for arm, result in (("golden", matrix), ("paved", paved)):
                 got = result.cells[key]
                 assert (got.rcode, got.ede_codes, got.extra_texts) == want, (
                     f"cell {key} diverged from the byte path on the {arm} arm "
                     f"({shards} shard(s))"
                 )
-        assert cached_testbed.fabric.handbacks > 0
+        assert paved_testbed.fabric.handbacks > 0
         assert plain_testbed.fabric.handbacks == 0
-        assert cached_testbed.fabric.mutated_handbacks() == 0
-        assert served_state(cached_testbed.fabric) == before
+        assert paved_testbed.fabric.mutated_handbacks() == 0
+        assert served_state(paved_testbed.fabric) == before
         assert before == served_state(plain_testbed.fabric)
 
 
