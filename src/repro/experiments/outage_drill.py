@@ -53,7 +53,7 @@ from ..resolver.resilience import (
     ResilientFrontend,
 )
 from ..server.authoritative import AuthoritativeServer
-from ..zones.builder import ZoneBuilder
+from ..zones.builder import ZoneBuilder, address_rrset
 from ..zones.mutations import ZoneMutation
 from .report import ExperimentReport
 
@@ -98,43 +98,29 @@ EXPECTED = {
 }
 
 
-def _host(fabric, origin_text: str, ip: str, extra=()):
-    """One unsigned zone on one authoritative server at ``ip``."""
-    origin = Name.from_text(origin_text)
-    builder = ZoneBuilder(
-        origin,
-        now=int(fabric.clock.now()),
-        mutation=ZoneMutation(algorithm=13, signed=False),
-    )
-    ns = Name.from_text("ns1", origin=origin)
-    builder.add(RRset.of(origin, RdataType.NS, NS(target=ns)))
-    builder.add(RRset.of(ns, RdataType.A, A(address=ip)))
-    builder.ensure_soa()
-    for rrset in extra:
-        builder.add(rrset)
-    server = AuthoritativeServer(f"ns1.{origin_text}")
-    server.add_zone(builder.build().zone)
-    fabric.register(ip, server)
-
-
 def _build_world() -> NetworkFabric:
     """root -> test. -> drill.test. (one server each, unsigned)."""
     fabric = NetworkFabric(clock=SimulatedClock())
-    _host(fabric, "drill.test.", DOM_IP, extra=[
-        RRset.of(Name.from_text(WWW), RdataType.A, A(address="192.0.2.80")),
-    ])
-    _host(fabric, "test.", TLD_IP, extra=[
-        RRset.of(Name.from_text("drill.test."), RdataType.NS,
-                 NS(target=Name.from_text("ns1.drill.test."))),
-        RRset.of(Name.from_text("ns1.drill.test."), RdataType.A,
-                 A(address=DOM_IP)),
-    ])
-    _host(fabric, ".", ROOT_IP, extra=[
-        RRset.of(Name.from_text("test."), RdataType.NS,
-                 NS(target=Name.from_text("ns1.test."))),
-        RRset.of(Name.from_text("ns1.test."), RdataType.A,
-                 A(address=TLD_IP)),
-    ])
+    below = None  # (builder, nameservers) of the zone hosted last
+    for origin_text, ip in (("drill.test.", DOM_IP), ("test.", TLD_IP), (".", ROOT_IP)):
+        origin = Name.from_text(origin_text)
+        ns1 = Name.from_text("ns1", origin=origin)
+        builder = ZoneBuilder(
+            origin,
+            now=int(fabric.clock.now()),
+            mutation=ZoneMutation(algorithm=13, signed=False),
+        )
+        builder.add(RRset.of(origin, RdataType.NS, NS(target=ns1)))
+        builder.add(address_rrset(ns1, ip))
+        builder.ensure_soa()
+        if below is None:
+            builder.add(RRset.of(Name.from_text(WWW), RdataType.A, A(address="192.0.2.80")))
+        else:
+            builder.delegate(*below)
+        server = AuthoritativeServer(f"ns1.{origin_text}")
+        server.add_zone(builder.build().zone)
+        fabric.register(ip, server)
+        below = (builder, [(ns1, ip)])
     return fabric
 
 

@@ -9,10 +9,11 @@ Three server tiers keep a 300k-domain universe tractable:
   reads it, plus referral/DS answers synthesized straight from the
   population table, so a 100k-delegation TLD costs a few kilobytes
   instead of gigabytes;
-* **hosting servers** that materialize a child zone lazily on the first
-  query for it, plus a handful of special endpoints (REFUSED/SERVFAIL/
-  timeout pools, mismatched-question, NOTAUTH, stale-flipping and
-  CNAME-loop hosts).
+* **hosting servers** — ordinary authoritative servers whose zones come
+  from the universe's one lazy store, each child zone built on the
+  first query for it — plus a handful of special endpoints (REFUSED/
+  SERVFAIL/timeout pools, mismatched-question, NOTAUTH, stale-flipping
+  and CNAME-loop hosts).
 
 Everything the resolver observes — referrals, DS records and their
 signatures, opt-out denials, DNSKEY RRsets, pathologies — is exactly
@@ -21,26 +22,25 @@ what the corresponding real-world configuration would produce.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
-from dataclasses import dataclass
 
-from ..dns.dnssec_records import DNSKEY, DS, NSEC3, RRSIG
+from ..dns.dnssec_records import DS, NSEC3, RRSIG
 from ..dns.edns import Edns
 from ..dns.message import Message
 from ..dns.name import Name
 from ..dns.rcode import Rcode
-from ..dns.rdata import AAAA, A, CNAME, NS
+from ..dns.rdata import A, CNAME, NS
 from ..dns.render import paved_reply
 from ..dns.rrset import RRset
 from ..dns.types import RdataType
 from ..dnssec.algorithms import Algorithm
 from ..dnssec.ds import make_ds
-from ..dnssec.keys import KSK_FLAGS, ZSK_FLAGS, KeyPair
 from ..dnssec.nsec3 import base32hex_encode, nsec3_hash
 from ..dnssec.signer import SigningPolicy, sign_rrset
 from ..net.fabric import NetworkFabric
 from ..server.authoritative import AuthoritativeServer, PavedEndpoint
-from ..zones.builder import BuiltZone, ZoneBuilder
+from ..zones.builder import BuiltZone, Delegation, ZoneBuilder, address_rrset
 from ..zones.mutations import SigScope, Window, ZoneMutation
 from ..zones.zone import Zone
 from .population import Population, Profile, WildDomain
@@ -56,9 +56,9 @@ NOTAUTH_HOST = "46.0.0.2"
 STALE_HOST = "46.0.0.3"
 LOOP_HOST = "46.0.0.4"
 
-#: Built child zones a hosting server keeps before dropping the older
-#: half (a dropped zone is rebuilt, identically, on its next query).
-MAX_CACHED_ZONES = 512
+#: Built child zones a universe keeps before dropping the older half (a
+#: dropped zone is rebuilt, identically, on its next query).
+MAX_CACHED_ZONES = 4096
 
 
 def _domain_seed(name: str) -> int:
@@ -119,19 +119,6 @@ def domain_mutation(domain: WildDomain) -> ZoneMutation:
     # transport- or parent-side.
     base.signed = False
     return base
-
-
-@dataclass
-class DomainDelegation:
-    """What the TLD publishes for one child."""
-
-    ns_names: list[Name]
-    glue: list[tuple[Name, A | AAAA]]  # (owner, address record)
-    ds_rdatas: list[DS]
-
-
-def _glue(owner: Name, address: str) -> tuple[Name, A | AAAA]:
-    return owner, (AAAA if ":" in address else A)(address=address)
 
 
 # ---------------------------------------------------------------------------
@@ -223,24 +210,21 @@ class VirtualTldServer(PavedEndpoint):
         for domain in self.wild.population.domains:
             if domain.tld != self.tld:
                 continue
-            child = Name.from_text(domain.name + ".")
             delegation = self.wild.delegation_for(domain)
-            response.answer.append(
-                RRset(
-                    name=child, rdtype=RdataType.NS, ttl=300,
-                    rdatas=[NS(target=name) for name in delegation.ns_names],
-                )
-            )
-            for ds in delegation.ds_rdatas:
-                response.answer.append(RRset.of(child, RdataType.DS, ds, ttl=300))
+            response.answer.append(delegation.ns.copy())
+            if delegation.ds is not None:
+                response.answer.append(delegation.ds.copy())
         response.answer.append(soa.copy())
         return response
 
     def handle_query(self, query: Message) -> Message:
+        response = query.make_response(recursion_available=False)
+        if not query.question:
+            response.rcode = Rcode.FORMERR
+            return response
         question = query.question[0]
         qname, rdtype = question.name, question.rdtype
         dnssec_ok = query.edns is not None and query.edns.dnssec_ok
-        response = query.make_response(recursion_available=False)
         if query.edns is not None and response.edns is None:
             response.edns = Edns(dnssec_ok=dnssec_ok)
 
@@ -248,13 +232,7 @@ class VirtualTldServer(PavedEndpoint):
             return self._apex_answer(response, qname, rdtype, dnssec_ok)
 
         child = self._child_zone_of(qname)
-        if child is None:
-            response.aa = True
-            response.rcode = Rcode.NXDOMAIN
-            self._add_negative(response, dnssec_ok)
-            return response
-
-        domain = self.wild.domain_by_name.get(str(child)[:-1])
+        domain = None if child is None else self.wild.domain_by_name.get(str(child)[:-1])
         if domain is None:
             response.aa = True
             response.rcode = Rcode.NXDOMAIN
@@ -264,47 +242,36 @@ class VirtualTldServer(PavedEndpoint):
         delegation = self.wild.delegation_for(domain)
         if qname == child and rdtype == RdataType.DS:
             response.aa = True
-            if delegation.ds_rdatas:
-                ds_rrset = RRset(
-                    name=child, rdtype=RdataType.DS, ttl=300,
-                    rdatas=list(delegation.ds_rdatas),
-                )
-                response.answer.append(ds_rrset)
-                if dnssec_ok:
-                    response.answer.append(self._ds_signature(child, ds_rrset))
-            else:
+            if not self._add_ds(response.answer, delegation, dnssec_ok):
                 self._add_negative(response, dnssec_ok)
             return response
 
         # Referral to the child.
-        ns_rrset = RRset(
-            name=child, rdtype=RdataType.NS, ttl=300,
-            rdatas=[NS(target=name) for name in delegation.ns_names],
-        )
-        response.authority.append(ns_rrset)
-        if delegation.ds_rdatas:
-            ds_rrset = RRset(
-                name=child, rdtype=RdataType.DS, ttl=300,
-                rdatas=list(delegation.ds_rdatas),
-            )
-            response.authority.append(ds_rrset)
-            if dnssec_ok:
-                response.authority.append(self._ds_signature(child, ds_rrset))
-        elif dnssec_ok:
+        response.authority.append(delegation.ns.copy())
+        if not self._add_ds(response.authority, delegation, dnssec_ok) and dnssec_ok:
             self._add_optout_denial(response)
-        for owner, address in delegation.glue:
-            response.additional.append(RRset.of(owner, address.rdtype, address, ttl=300))
+        response.additional.extend(glue.copy() for glue in delegation.glue)
         return response
 
     # -- helpers ---------------------------------------------------------------------
 
-    def _ds_signature(self, child: Name, ds_rrset: RRset) -> RRset:
-        """The RRSIG RRset covering a child's DS set."""
-        sig = self._ds_sig_cache.get(child)
-        if sig is None:
-            sig = sign_rrset(ds_rrset, self.zsk, self.origin, self._policy)
-            self._ds_sig_cache[child] = sig
-        return RRset.of(child, RdataType.RRSIG, sig, ttl=300)
+    def _add_ds(
+        self, section: list[RRset], delegation: Delegation, dnssec_ok: bool
+    ) -> bool:
+        """Append the child's DS set, and its RRSIG for a DO query, to
+        ``section``; False when the delegation is insecure."""
+        ds_rrset = delegation.ds
+        if ds_rrset is None:
+            return False
+        section.append(ds_rrset.copy())
+        if dnssec_ok:
+            child = ds_rrset.name
+            sig = self._ds_sig_cache.get(child)
+            if sig is None:
+                sig = sign_rrset(ds_rrset, self.zsk, self.origin, self._policy)
+                self._ds_sig_cache[child] = sig
+            section.append(RRset.of(child, RdataType.RRSIG, sig, ttl=300))
+        return True
 
     def _child_zone_of(self, qname: Name) -> Name | None:
         """The registered-domain cut for ``qname`` (one label below TLD)."""
@@ -372,44 +339,18 @@ class VirtualTldServer(PavedEndpoint):
 # ---------------------------------------------------------------------------
 
 
-class HostingServer(PavedEndpoint):
-    """Hosts many child zones; materializes each lazily on first query."""
+class HostingServer(AuthoritativeServer):
+    """An authoritative server for every child zone of the universe:
+    ``find_zone`` reads the one lazy store (:meth:`WildInternet.zone_for`),
+    which builds a zone on the first query for it."""
 
     def __init__(self, wild: "WildInternet"):
+        super().__init__(name="hosting")
         self.wild = wild
-        self.inner = AuthoritativeServer(name="hosting")
-        self._materialized: dict[Name, bool] = {}
-        self.zones_built = 0
 
-    def handle_paved(
-        self, wire: bytes, source: str, query: Message
-    ) -> tuple[bytes | None, Message | None]:
-        """Answer ``query`` (the parsed form of ``wire``): response wire
-        plus, when parse-equivalent, the response Message (see
-        :meth:`repro.net.fabric.NetworkFabric.send`)."""
-        qname = query.question[0].name if query.question else None
-        if qname is not None:
-            self._ensure_zone(qname)
-        response = self.inner.handle_query(query, source)
-        if response is None:
-            return None, None
-        return paved_reply(response, response.to_wire())
-
-    def _ensure_zone(self, qname: Name) -> None:
+    def find_zone(self, qname: Name) -> Zone | None:
         domain = self.wild.registered_domain_of(qname)
-        if domain is None:
-            return
-        apex = Name.from_text(domain.name + ".")
-        if apex in self._materialized:
-            return
-        built = self.wild.materialize_zone(domain)
-        if len(self._materialized) >= MAX_CACHED_ZONES:
-            for name in list(self._materialized)[: MAX_CACHED_ZONES // 2]:
-                del self._materialized[name]
-                self.inner._zones.pop(name, None)
-        self.inner.add_zone(built.zone)
-        self._materialized[apex] = True
-        self.zones_built += 1
+        return None if domain is None else self.wild.zone_for(domain)
 
 
 class StaleFlippingServer(HostingServer):
@@ -424,48 +365,28 @@ class StaleFlippingServer(HostingServer):
         super().__init__(wild)
         self._seen: set[Name] = set()
 
-    def handle_paved(
-        self, wire: bytes, source: str, query: Message
-    ) -> tuple[bytes | None, Message | None]:
-        refused = self._flip(query)
-        if refused is None:
-            return super().handle_paved(wire, source, query)
-        return paved_reply(refused, refused.to_wire())
-
-    def _flip(self, query: Message) -> Message | None:
-        """REFUSED response after the first query per zone, else None."""
+    def handle_query(self, query: Message, source: str = "192.0.2.0") -> Message | None:
         qname = query.question[0].name if query.question else None
-        domain = self.wild.registered_domain_of(qname) if qname else None
+        domain = self.wild.registered_domain_of(qname)
         if domain is None:
-            return None
+            return super().handle_query(query, source)
         apex = Name.from_text(domain.name + ".")
         if apex in self._seen:
             response = query.make_response(recursion_available=False)
             response.rcode = Rcode.REFUSED
             return response
         self._seen.add(apex)
-        return None
+        return super().handle_query(query, source)
 
 
 class CnameLoopServer(HostingServer):
     """Answers every A query with a CNAME bouncing inside the domain."""
 
-    def handle_paved(
-        self, wire: bytes, source: str, query: Message
-    ) -> tuple[bytes | None, Message | None]:
-        looped = self._loop(query)
-        if looped is None:
-            return super().handle_paved(wire, source, query)
-        return paved_reply(looped, looped.to_wire())
-
-    def _loop(self, query: Message) -> Message | None:
-        """CNAME bounce for in-domain A queries, None to defer."""
-        if not query.question:
-            return None
-        qname = query.question[0].name
+    def handle_query(self, query: Message, source: str = "192.0.2.0") -> Message | None:
+        qname = query.question[0].name if query.question else None
         domain = self.wild.registered_domain_of(qname)
         if domain is None or query.question[0].rdtype != RdataType.A:
-            return None
+            return super().handle_query(query, source)
         apex = Name.from_text(domain.name + ".")
         hop = qname.labels[0] if qname != apex else b""
         target = apex.prepend(b"loop-b" if hop == b"loop-a" else b"loop-a")
@@ -496,9 +417,9 @@ class WildInternet:
         self.domain_by_name: dict[str, WildDomain] = {
             d.name: d for d in population.domains
         }
-        self._delegations: dict[str, DomainDelegation] = {}
-        self._zone_cache: dict[str, BuiltZone] = {}
-        self._key_cache: dict[str, tuple[KeyPair, KeyPair]] = {}
+        self._delegations: dict[str, Delegation] = {}
+        #: The one store of built child zones (see :meth:`zone_for`).
+        self._zones: dict[str, Zone] = {}
         #: qname -> registered domain memo; every authoritative answer on
         #: the fabric performs this lookup, so it is the wild side's
         #: hottest path.  Pure function of the population => safe to
@@ -520,7 +441,6 @@ class WildInternet:
 
     def _deploy(self) -> None:
         population = self.population
-        policy = SigningPolicy.window(self.now)
 
         # TLD apex zones + virtual servers.
         root_builder = ZoneBuilder(
@@ -557,7 +477,7 @@ class WildInternet:
             )
             ns_name = Name.from_text("a.nic", origin=origin)
             builder.add(RRset.of(origin, RdataType.NS, NS(target=ns_name), ttl=300))
-            builder.add(RRset.of(ns_name, RdataType.A, A(address=address), ttl=300))
+            builder.add(address_rrset(ns_name, address))
             server = VirtualTldServer(
                 wild=self,
                 tld_name=tld.name,
@@ -570,11 +490,7 @@ class WildInternet:
             self.tld_addresses[tld.name] = address
             self.fabric.register(address, server)
 
-            # Delegation in the root.
-            root_builder.add(RRset.of(origin, RdataType.NS, NS(target=ns_name), ttl=300))
-            root_builder.add(RRset.of(ns_name, RdataType.A, A(address=address), ttl=300))
-            for ds in builder.ds_rdatas():
-                root_builder.add(RRset.of(origin, RdataType.DS, ds, ttl=300))
+            root_builder.delegate(builder, [(ns_name, address)])
 
         self.root_built = root_builder.build()
         root_server = AuthoritativeServer(name="root")
@@ -608,7 +524,7 @@ class WildInternet:
         # Special hosts.
         self.fabric.register(
             MISMATCH_HOST,
-            BehaviorServer(inner=_HostingAdapter(self), behavior=Behavior.MISMATCHED_QUESTION),
+            BehaviorServer(inner=HostingServer(self), behavior=Behavior.MISMATCHED_QUESTION),
         )
         self.fabric.register(
             NOTAUTH_HOST, BehaviorServer(inner=dummy, behavior=Behavior.NOTAUTH)
@@ -639,21 +555,6 @@ class WildInternet:
         self._rdomain_cache[qname] = domain
         return domain
 
-    def domain_keys(self, domain: WildDomain) -> tuple[KeyPair, KeyPair]:
-        cached = self._key_cache.get(domain.name)
-        if cached is not None:
-            return cached
-        seed = _domain_seed(domain.name)
-        mutation = domain_mutation(domain)
-        ksk = KeyPair.generate(
-            mutation.algorithm, KSK_FLAGS, bits=mutation.key_bits, seed=seed * 2 + 1
-        )
-        zsk = KeyPair.generate(
-            mutation.algorithm, ZSK_FLAGS, bits=mutation.key_bits, seed=seed * 2 + 2
-        )
-        self._key_cache[domain.name] = (ksk, zsk)
-        return ksk, zsk
-
     def server_address_for(self, domain: WildDomain) -> str:
         profile = domain.profile
         if profile is Profile.MISMATCHED:
@@ -673,7 +574,23 @@ class WildInternet:
             return self.population.broken_ns[domain.ns_index].address
         return hosting_address(domain.hosting_index)
 
-    def delegation_for(self, domain: WildDomain) -> DomainDelegation:
+    def builder_for(self, domain: WildDomain) -> ZoneBuilder:
+        """``domain``'s zone builder, neither loaded nor built: the one
+        source of its keys and DS (:meth:`delegation_for`) and, loaded
+        and built by :meth:`zone_for`, of its zone.  A pure function of
+        the population and the universe's start time, so every call
+        derives the same keys and builds the same bytes."""
+        return ZoneBuilder(
+            Name.from_text(domain.name + "."),
+            now=self.now,
+            mutation=domain_mutation(domain),
+            key_seed=_domain_seed(domain.name),
+        )
+
+    def delegation_for(self, domain: WildDomain) -> Delegation:
+        """What ``domain``'s TLD publishes for it.  The nameservers are
+        where a profile's transport- and parent-side damage lives; the
+        DS follows from the domain's builder."""
         cached = self._delegations.get(domain.name)
         if cached is not None:
             return cached
@@ -681,115 +598,54 @@ class WildInternet:
         ns1 = Name.from_text("ns1", origin=apex)
         profile = domain.profile
 
-        glue: list[tuple[Name, A | AAAA]] = []
-        ns_names = [ns1]
         if profile is Profile.LAME_UNREACHABLE:
             # Round-robin over the testbed's special-purpose addresses.
             from ..net.addresses import TESTBED_GLUE
 
             specials = sorted(TESTBED_GLUE.values())
-            glue.append(_glue(ns1, specials[_domain_seed(domain.name) % len(specials)]))
+            servers = [(ns1, specials[_domain_seed(domain.name) % len(specials)])]
         elif profile is Profile.PARTIAL_REFUSED:
-            ns2 = Name.from_text("ns2", origin=apex)
-            ns_names = [ns1, ns2]
-            broken = self.population.broken_ns[domain.ns_index].address
-            glue.append(_glue(ns1, broken))
-            glue.append(_glue(ns2, hosting_address(domain.hosting_index)))
+            servers = [
+                (ns1, self.population.broken_ns[domain.ns_index].address),
+                (Name.from_text("ns2", origin=apex), hosting_address(domain.hosting_index)),
+            ]
         else:
-            glue.append(_glue(ns1, self.server_address_for(domain)))
+            servers = [(ns1, self.server_address_for(domain))]
 
-        ds_rdatas: list[DS] = []
+        delegation = self.builder_for(domain).delegation(servers)
         if profile is Profile.SIGNED_LAME:
-            ds_rdatas = [self._fake_ds]
-        elif domain.signed or profile in (
-            Profile.DNSKEY_MISSING,
-            Profile.BOGUS,
-            Profile.UNSUPPORTED_ALGO,
-            Profile.SIG_EXPIRED,
-            Profile.SIG_NOT_YET,
-            Profile.DS_DIGEST,
-        ):
-            mutation = domain_mutation(domain)
-            ksk, _zsk = self.domain_keys(domain)
-            digest_type = (
-                mutation.ds_digest_type_override
-                if mutation.ds_digest_type_override is not None
-                else 2
+            # The TLD still lists a DS for keys its (unsigned, lame)
+            # child does not have.
+            delegation = dataclasses.replace(
+                delegation, ds=RRset.of(apex, RdataType.DS, self._fake_ds, ttl=300)
             )
-            dnskey = ksk.dnskey()
-            if digest_type in (1, 2, 3, 4):
-                ds = make_ds(apex, dnskey, digest_type)
-            else:
-                ds = DS(
-                    key_tag=dnskey.key_tag(),
-                    algorithm=dnskey.algorithm,
-                    digest_type=digest_type,
-                    digest=make_ds(apex, dnskey, 2).digest,
-                )
-            if mutation.ds_tag_offset:
-                ds = DS(
-                    key_tag=(ds.key_tag + mutation.ds_tag_offset) & 0xFFFF,
-                    algorithm=ds.algorithm,
-                    digest_type=ds.digest_type,
-                    digest=ds.digest,
-                )
-            ds_rdatas = [ds]
-
-        delegation = DomainDelegation(ns_names=ns_names, glue=glue, ds_rdatas=ds_rdatas)
         self._delegations[domain.name] = delegation
         return delegation
 
-    def materialize_zone(self, domain: WildDomain) -> BuiltZone:
-        cached = self._zone_cache.get(domain.name)
-        if cached is not None:
-            return cached
-        apex = Name.from_text(domain.name + ".")
-        mutation = domain_mutation(domain)
-        builder = ZoneBuilder(
-            apex,
-            now=self.now,
-            mutation=mutation,
-            key_seed=_domain_seed(domain.name),
-            shared_keys=self.domain_keys(domain) if mutation.signed else None,
-        )
+    def zone_for(self, domain: WildDomain) -> Zone:
+        """``domain``'s built zone — the one store every hosting endpoint
+        reads.  Built on the first read; past ``MAX_CACHED_ZONES`` the
+        older half is dropped and rebuilt on demand."""
+        zone = self._zones.get(domain.name)
+        if zone is not None:
+            return zone
+        if len(self._zones) >= MAX_CACHED_ZONES:
+            for name in list(self._zones)[: MAX_CACHED_ZONES // 2]:
+                del self._zones[name]
+        builder = self.builder_for(domain)
         delegation = self.delegation_for(domain)
-        builder.add(
-            RRset.of(
-                apex, RdataType.NS,
-                *[NS(target=name) for name in delegation.ns_names], ttl=300,
-            )
-        )
+        # The child lists the NS set its parent publishes for it.
+        builder.add(delegation.ns)
         seed = _domain_seed(domain.name)
         builder.add(
             RRset.of(
-                apex, RdataType.A,
+                builder.origin, RdataType.A,
                 A(address=f"93.{(seed >> 16) & 0xFF}.{(seed >> 8) & 0xFF}.{seed & 0xFF or 1}"),
                 ttl=300,
             )
         )
-        for owner, address in delegation.glue:
-            if address.rdtype == RdataType.A:
-                builder.add(RRset.of(owner, RdataType.A, address, ttl=300))
-        builder.ensure_soa()
-        built = builder.build()
-        if len(self._zone_cache) > 4096:
-            self._zone_cache.clear()
-        self._zone_cache[domain.name] = built
-        return built
-
-
-class _HostingAdapter(AuthoritativeServer):
-    """AuthoritativeServer facade that lazily materializes wild zones."""
-
-    def __init__(self, wild: WildInternet):
-        super().__init__(name="adapter")
-        self._wild = wild
-
-    def handle_query(self, query: Message, source: str = "192.0.2.0") -> Message | None:
-        qname = query.question[0].name if query.question else None
-        domain = self._wild.registered_domain_of(qname) if qname else None
-        if domain is not None:
-            apex = Name.from_text(domain.name + ".")
-            if apex not in self._zones:
-                self.add_zone(self._wild.materialize_zone(domain).zone)
-        return super().handle_query(query, source)
+        for glue in delegation.glue:
+            if glue.rdtype == RdataType.A:
+                builder.add(glue)
+        zone = self._zones[domain.name] = builder.build().zone
+        return zone

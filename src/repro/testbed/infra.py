@@ -11,20 +11,19 @@ attached to the same fabric afterwards (see :mod:`repro.testbed.runner`).
 from __future__ import annotations
 
 import dataclasses
-import ipaddress
 from dataclasses import dataclass, field
 
 from ..dns.dnssec_records import DS
 from ..dns.name import Name
-from ..dns.rdata import A, AAAA, NS
+from ..dns.rdata import A, NS
 from ..dns.rrset import RRset
 from ..dns.types import RdataType
 from ..dnssec.ds import make_ds
 from ..net.fabric import NetworkFabric
 from ..server.acl import Acl
 from ..server.authoritative import AuthoritativeServer
-from ..zones.builder import BuiltZone, ZoneBuilder
-from ..zones.mutations import ZoneMutation
+from ..zones.builder import BuiltZone, ZoneBuilder, address_rrset
+from ..zones.mutations import VALID, ZoneMutation
 from .replicas import (
     COM_REPLICA_POOL,
     PARENT_REPLICA_POOL,
@@ -35,9 +34,10 @@ from .replicas import (
 )
 from .subdomains import ALL_CASES, TestbedCase
 
-ROOT_SERVER = "198.41.0.4"
-COM_SERVER = "192.5.6.30"
-PARENT_SERVER = "185.199.0.53"
+#: The flat build's one address per tier: the head of each replica pool.
+ROOT_SERVER = ROOT_REPLICA_POOL[0]
+COM_SERVER = COM_REPLICA_POOL[0]
+PARENT_SERVER = PARENT_REPLICA_POOL[0]
 
 PARENT_NAME = Name.from_text("extended-dns-errors.com.")
 COM_NAME = Name.from_text("com.")
@@ -80,28 +80,28 @@ class Testbed:
     replicas: dict[str, ReplicaSet] = field(default_factory=dict)
 
 
-def _apex_records(builder: ZoneBuilder, ns_addresses: str | list[str]) -> None:
-    """Apex NS/A set; one ``ns{i}`` host per replica address."""
-    if isinstance(ns_addresses, str):
-        ns_addresses = [ns_addresses]
-    origin = builder.origin
-    ns_names = [
-        Name.from_text(f"ns{i}", origin=origin)
-        for i in range(1, len(ns_addresses) + 1)
+def _ns_hosts(origin: Name, addresses) -> list[tuple[Name, str]]:
+    """``(nameserver name, address)`` per address: ``ns1``, ``ns2``, …"""
+    return [
+        (Name.from_text(f"ns{index}", origin=origin), address)
+        for index, address in enumerate(addresses, start=1)
     ]
-    for ns_name in ns_names:
+
+
+def _apex_records(builder: ZoneBuilder, hosts: list[tuple[Name, str]]) -> None:
+    """Apex NS/A set plus the address of every nameserver host."""
+    origin = builder.origin
+    for ns_name, _address in hosts:
         builder.add(RRset.of(origin, RdataType.NS, NS(target=ns_name), ttl=300))
     builder.add(RRset.of(origin, RdataType.A, A(address="93.184.216.34"), ttl=300))
-    for ns_name, address in zip(ns_names, ns_addresses):
-        builder.add(RRset.of(ns_name, RdataType.A, A(address=address), ttl=300))
+    for ns_name, address in hosts:
+        builder.add(address_rrset(ns_name, address))
     builder.ensure_soa()
 
 
-def _glue_rrset(name: Name, address: str) -> RRset:
-    parsed = ipaddress.ip_address(address)
-    if parsed.version == 6:
-        return RRset.of(name, RdataType.AAAA, AAAA(address=address), ttl=300)
-    return RRset.of(name, RdataType.A, A(address=address), ttl=300)
+def _register_bare(fabric: NetworkFabric, tier: str, addresses, server) -> None:
+    """The flat build's exposure: one address, no replica wrapper."""
+    fabric.register(addresses[0], server)
 
 
 def build_testbed(
@@ -123,137 +123,86 @@ def build_testbed(
     fabric = fabric or NetworkFabric()
     now = int(fabric.clock.now()) if now is None else now
 
-    if topology is None:
-        root_addrs = [ROOT_SERVER]
-        com_addrs = [COM_SERVER]
-        parent_addrs = [PARENT_SERVER]
-    else:
-        root_addrs = list(ROOT_REPLICA_POOL[: topology.root])
-        com_addrs = list(COM_REPLICA_POOL[: topology.tld])
-        parent_addrs = list(PARENT_REPLICA_POOL[: topology.sld])
+    def new_builder(
+        origin: Name, key_seed: int, mutation: ZoneMutation = VALID
+    ) -> ZoneBuilder:
+        return ZoneBuilder(
+            origin,
+            now=now,
+            mutation=dataclasses.replace(mutation, key_bits=key_bits),
+            key_seed=key_seed,
+        )
+
+    # Flat and replicated builds part here and only in data: how many
+    # pool addresses answer for a tier, how its server goes on the
+    # fabric, and the name the root knows com's server by (the flat
+    # build's historical single "ns.com." host, kept verbatim so the
+    # unreplicated zones stay byte-identical).
+    (n_parent, n_com, n_root), expose, known_above_as = (
+        ((1, 1, 1), _register_bare, {COM_NAME: [(Name.from_text("ns.com."), COM_SERVER)]})
+        if topology is None
+        else ((topology.sld, topology.tld, topology.root), register_replicas, {})
+    )
+    #: Leaf first — each tier delegates to the one built before it.
+    tiers = (
+        ("parent", PARENT_NAME, 3, "ns1.extended-dns-errors.com",
+         PARENT_REPLICA_POOL[:n_parent]),
+        ("com", COM_NAME, 2, "ns.com", COM_REPLICA_POOL[:n_com]),
+        ("root", ROOT_NAME, 1, "a.root-servers.net", ROOT_REPLICA_POOL[:n_root]),
+    )
 
     deployed: dict[str, DeployedCase] = {}
-    child_delegations: list[tuple[Name, str, list[DS], TestbedCase]] = []
+    #: What the next tier up must delegate: (zone builder, its hosts).
+    below: list[tuple[ZoneBuilder, list[tuple[Name, str]]]] = []
 
     for index, case in enumerate(cases):
         zone_name = Name.from_text(case.label, origin=PARENT_NAME)
         address = child_server_address(index)
         mutation = case.mutation
+        child = new_builder(zone_name, 1000 + index, mutation)
         built: BuiltZone | None = None
-
+        # Bad-glue cases delegate into a special-purpose prefix, so no
+        # server exists to host the (unsigned) child zone at all.
         if mutation.glue_override is None:
-            builder = ZoneBuilder(
-                zone_name,
-                now=now,
-                mutation=dataclasses.replace(mutation, key_bits=key_bits),
-                key_seed=1000 + index,
-            )
-            _apex_records(builder, address)
-            built = builder.build()
+            _apex_records(child, _ns_hosts(zone_name, [address]))
+            built = child.build()
             server = AuthoritativeServer(
                 name=f"ns1.{zone_name}", acl=Acl.from_keyword(mutation.acl)
             )
             server.add_zone(built.zone)
             fabric.register(address, server)
-            ds_rdatas = built.ds_rdatas
-            glue_address = address
-        else:
-            # Bad-glue cases: the delegation points into a special-purpose
-            # prefix, so no server exists to host the child zone at all.
-            ds_rdatas = []
-            glue_address = mutation.glue_override
-
-        child_delegations.append((zone_name, glue_address, ds_rdatas, case))
+        below.append(
+            (child, _ns_hosts(zone_name, [mutation.glue_override or address]))
+        )
         deployed[case.label] = DeployedCase(
             case=case, zone_name=zone_name, server_address=address, built=built
         )
 
+    zones: dict[str, BuiltZone] = {}
     replicas: dict[str, ReplicaSet] = {}
+    for tier, origin, key_seed, server_name, addresses in tiers:
+        builder = new_builder(origin, key_seed)
+        hosts = _ns_hosts(origin, addresses)
+        _apex_records(builder, hosts)
+        for child, child_hosts in below:
+            builder.delegate(child, child_hosts)
+        zones[tier] = builder.build()
+        server = AuthoritativeServer(name=server_name)
+        server.add_zone(zones[tier].zone)
+        replica_set = expose(fabric, tier, addresses, server)
+        if replica_set is not None:
+            replicas[tier] = replica_set
+        below = [(builder, known_above_as.get(origin, hosts))]
 
-    # -- parent zone -----------------------------------------------------------
-    parent_builder = ZoneBuilder(
-        PARENT_NAME, now=now, mutation=ZoneMutation(key_bits=key_bits), key_seed=3
-    )
-    _apex_records(parent_builder, parent_addrs)
-    for zone_name, glue_address, ds_rdatas, _case in child_delegations:
-        ns_name = Name.from_text("ns1", origin=zone_name)
-        parent_builder.add(
-            RRset.of(zone_name, RdataType.NS, NS(target=ns_name), ttl=300)
-        )
-        parent_builder.add(_glue_rrset(ns_name, glue_address))
-        for ds in ds_rdatas:
-            parent_builder.add(RRset.of(zone_name, RdataType.DS, ds, ttl=300))
-    parent_built = parent_builder.build()
-    parent_server = AuthoritativeServer(name="ns1.extended-dns-errors.com")
-    parent_server.add_zone(parent_built.zone)
-    if topology is None:
-        fabric.register(PARENT_SERVER, parent_server)
-    else:
-        replicas["parent"] = register_replicas(
-            fabric, "parent", parent_addrs, parent_server
-        )
-
-    # -- com --------------------------------------------------------------------
-    com_builder = ZoneBuilder(
-        COM_NAME, now=now, mutation=ZoneMutation(key_bits=key_bits), key_seed=2
-    )
-    _apex_records(com_builder, com_addrs)
-    for index, address in enumerate(parent_addrs, start=1):
-        ns_name = Name.from_text(f"ns{index}", origin=PARENT_NAME)
-        com_builder.add(
-            RRset.of(PARENT_NAME, RdataType.NS, NS(target=ns_name), ttl=300)
-        )
-        com_builder.add(_glue_rrset(ns_name, address))
-    for ds in parent_built.ds_rdatas:
-        com_builder.add(RRset.of(PARENT_NAME, RdataType.DS, ds, ttl=300))
-    com_built = com_builder.build()
-    com_server = AuthoritativeServer(name="ns.com")
-    com_server.add_zone(com_built.zone)
-    if topology is None:
-        fabric.register(COM_SERVER, com_server)
-    else:
-        replicas["com"] = register_replicas(fabric, "com", com_addrs, com_server)
-
-    # -- root ---------------------------------------------------------------------
-    root_builder = ZoneBuilder(
-        ROOT_NAME, now=now, mutation=ZoneMutation(key_bits=key_bits), key_seed=1
-    )
-    _apex_records(root_builder, root_addrs)
-    if topology is None:
-        # The flat build's historical delegation: a single "ns.com" host
-        # (kept verbatim so the unreplicated zone stays byte-identical).
-        com_ns = Name.from_text("ns.com.")
-        root_builder.add(
-            RRset.of(COM_NAME, RdataType.NS, NS(target=com_ns), ttl=300)
-        )
-        root_builder.add(_glue_rrset(com_ns, COM_SERVER))
-    else:
-        for index, address in enumerate(com_addrs, start=1):
-            com_ns = Name.from_text(f"ns{index}", origin=COM_NAME)
-            root_builder.add(
-                RRset.of(COM_NAME, RdataType.NS, NS(target=com_ns), ttl=300)
-            )
-            root_builder.add(_glue_rrset(com_ns, address))
-    for ds in com_built.ds_rdatas:
-        root_builder.add(RRset.of(COM_NAME, RdataType.DS, ds, ttl=300))
-    root_built = root_builder.build()
-    root_server = AuthoritativeServer(name="a.root-servers.net")
-    root_server.add_zone(root_built.zone)
-    if topology is None:
-        fabric.register(ROOT_SERVER, root_server)
-    else:
-        replicas["root"] = register_replicas(fabric, "root", root_addrs, root_server)
-
-    assert root_built.ksk is not None
-    trust_anchor = make_ds(ROOT_NAME, root_built.ksk.dnskey(), 2)
-
+    root_ksk = zones["root"].ksk
+    assert root_ksk is not None
     return Testbed(
         fabric=fabric,
-        root_hints=list(root_addrs),
-        trust_anchors=[trust_anchor],
+        root_hints=list(ROOT_REPLICA_POOL[:n_root]),
+        trust_anchors=[make_ds(ROOT_NAME, root_ksk.dnskey(), 2)],
         cases=deployed,
-        parent_built=parent_built,
-        root_built=root_built,
-        com_built=com_built,
+        parent_built=zones["parent"],
+        root_built=zones["root"],
+        com_built=zones["com"],
         replicas=replicas,
     )

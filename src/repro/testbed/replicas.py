@@ -112,6 +112,12 @@ class ReplicaEndpoint:
         self.queries += 1
         return self.server.handle_datagram(wire, source)
 
+    def handle_stream(self, wire: bytes, source: str) -> bytes | None:
+        """The TCP retry after TC=1 (RFC 7766) must reach the server's
+        untruncated path, not fall back to the datagram one."""
+        self.queries += 1
+        return self.server.handle_stream(wire, source)
+
 
 @dataclass
 class ReplicaSet:

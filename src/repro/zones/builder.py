@@ -13,11 +13,12 @@ signature drop/corrupt mutations run after signing.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from ..dns.dnssec_records import DNSKEY, DS, NSEC3, NSEC3PARAM, RRSIG
 from ..dns.name import Name
-from ..dns.rdata import SOA, Rdata
+from ..dns.rdata import AAAA, NS, SOA, A, Rdata
 from ..dns.rrset import RRset
 from ..dns.types import RdataType
 from ..dnssec.ds import make_ds
@@ -40,6 +41,34 @@ class BuiltZone:
     ksk: KeyPair | None = None
     zsk: KeyPair | None = None
     mutation: ZoneMutation = field(default_factory=ZoneMutation)
+
+
+@dataclass(frozen=True)
+class Delegation:
+    """What a parent publishes for one child zone.
+
+    Derived from the child's builder (:meth:`ZoneBuilder.delegation`),
+    never typed out beside it: a parent zone takes it whole
+    (:meth:`ZoneBuilder.delegate`), a server that synthesizes referrals
+    places the same three fields.
+    """
+
+    ns: RRset
+    #: One A or AAAA RRset per nameserver that has an address.
+    glue: tuple[RRset, ...]
+    #: None for an insecure delegation.
+    ds: RRset | None
+
+    def rrsets(self) -> list[RRset]:
+        """Everything published, in the order a parent zone lists it."""
+        return [self.ns, *self.glue, *([self.ds] if self.ds is not None else [])]
+
+
+def address_rrset(owner: Name, address: str) -> RRset:
+    """``owner``'s A or AAAA RRset for ``address``, by its family."""
+    if ":" in address:
+        return RRset.of(owner, RdataType.AAAA, AAAA(address=address), ttl=300)
+    return RRset.of(owner, RdataType.A, A(address=address), ttl=300)
 
 
 def _window_policy(window: Window, now: int) -> SigningPolicy:
@@ -97,6 +126,14 @@ class ZoneBuilder:
                 minimum=300,
             )
             self.zone.add(RRset.of(self.origin, RdataType.SOA, soa, ttl=300))
+
+    def delegate(
+        self, child: "ZoneBuilder", servers: Sequence[tuple[Name, str | None]]
+    ) -> "ZoneBuilder":
+        """Publish ``child``'s delegation (see :meth:`delegation`) here."""
+        for rrset in child.delegation(servers).rrsets():
+            self.zone.add(rrset)
+        return self
 
     # -- main entry point ---------------------------------------------------------
 
@@ -401,7 +438,26 @@ class ZoneBuilder:
             return covered == int(RdataType.NSEC3)
         return False
 
-    # -- DS --------------------------------------------------------------------------------------
+    # -- what the parent publishes ----------------------------------------------------------
+
+    def delegation(self, servers: Sequence[tuple[Name, str | None]]) -> Delegation:
+        """This zone's delegation when ``servers`` — (nameserver name,
+        its address or None for a name published without glue) — serve
+        it: the NS set, one address RRset per address, and the DS set of
+        :meth:`ds_rdatas`.  Like it, callable before :meth:`build`."""
+        ds = self.ds_rdatas()
+        return Delegation(
+            ns=RRset.of(
+                self.origin, RdataType.NS,
+                *[NS(target=name) for name, _address in servers], ttl=300,
+            ),
+            glue=tuple(
+                address_rrset(name, address)
+                for name, address in servers
+                if address is not None
+            ),
+            ds=RRset.of(self.origin, RdataType.DS, *ds, ttl=300) if ds else None,
+        )
 
     def ds_rdatas(self) -> list[DS]:
         """What the parent should publish.  A function of the keys and

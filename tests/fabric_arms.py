@@ -95,9 +95,11 @@ def _rrset_rows(rrsets) -> list[str]:
 def served_state(fabric: NetworkFabric) -> dict[str, str]:
     """Digest of everything the registered servers serve *from*, minus
     counters: one entry per (endpoint, zone) over names, TTLs and
-    rdatas, plus the wild tiers' answer memos and their query-driven
-    ``set`` entries (zones materialized, zones flipped).  Two arms that
-    saw the same queries and only ever read this state leave it equal."""
+    rdatas, plus the wild universe's one lazy zone store (which child
+    zones were built is query-driven state too), its delegation and
+    answer memos, and the query-driven ``set`` of flipped zones.  Two
+    arms that saw the same queries and only ever read this state leave
+    it equal."""
     state: dict[str, str] = {}
 
     def put(key: str, rows: list[str]) -> None:
@@ -122,7 +124,13 @@ def served_state(fabric: NetworkFabric) -> dict[str, str]:
                     _rrset_rows(r for r in endpoint._optout if r is not None))
             for child, sig in sorted(endpoint._ds_sig_cache.items()):
                 put(f"{prefix} memo ds {child}", [sig.to_wire().hex()])
-        for attr in ("_seen", "_materialized"):
-            if hasattr(endpoint, attr):
-                put(f"{prefix} set {attr}", sorted(map(str, getattr(endpoint, attr))))
+        if hasattr(endpoint, "_seen"):
+            put(f"{prefix} set _seen", sorted(map(str, endpoint._seen)))
+        wild = getattr(endpoint, "wild", None)
+        if wild is not None and "wild set built" not in state:
+            put("wild set built", sorted(wild._zones))
+            for zone in wild._zones.values():
+                put(f"wild zone {zone.origin}", _rrset_rows(zone.all_rrsets()))
+            for name, delegation in wild._delegations.items():
+                put(f"wild memo delegation {name}", _rrset_rows(delegation.rrsets()))
     return state

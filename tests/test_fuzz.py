@@ -1,5 +1,6 @@
 """Robustness fuzzing: hostile inputs must raise DnsError, never crash."""
 
+import random
 import struct
 
 import pytest
@@ -22,7 +23,11 @@ from repro.net.clock import SimulatedClock
 from repro.resolver.cache import RenderedWireCache
 from repro.resolver.error_reporting import ReportChannelOption, decode_report_qname
 from repro.scan.extratext import parse_network_error
+from repro.scan.wild import WildInternet
 from repro.server.behaviors import make_simple_authority
+from repro.testbed.infra import build_testbed
+from repro.testbed.replicas import ReplicaTopology
+from repro.testbed.subdomains import ALL_CASES
 
 
 @given(st.binary(max_size=512))
@@ -391,3 +396,65 @@ class TestMessageRoundTripInvariant:
         once = Message.from_wire(message.to_wire()).to_wire()
         twice = Message.from_wire(once).to_wire()
         assert once == twice
+
+
+# -- parse-or-refuse, every endpoint --------------------------------------------------
+
+
+def _wild_world(small_population):
+    wild = WildInternet(small_population)  # own universe: the sweep builds zones
+    return wild.fabric, small_population.domains[0].fqdn
+
+
+def _flat_world(_population):
+    testbed = build_testbed()
+    return testbed.fabric, str(testbed.cases["valid"].query_name)
+
+
+def _replicated_world(_population):
+    testbed = build_testbed(cases=ALL_CASES[:8], topology=ReplicaTopology())
+    return testbed.fabric, str(testbed.cases["valid"].query_name)
+
+
+def _hostile_wires(qname: str) -> list[bytes]:
+    query = Message.make_query(qname, RdataType.A, want_dnssec=True, msg_id=77)
+    valid = query.to_wire()
+    rng = random.Random(18)
+    mutated = []
+    for _ in range(30):
+        wire = bytearray(valid)
+        for _ in range(3):
+            wire[rng.randrange(len(wire))] = rng.randrange(256)
+        mutated.append(bytes(wire))
+    return [
+        Message(id=7).to_wire(),  # header only: QDCOUNT 0
+        b"\x07",
+        bytes([0xAB] * 16),
+        valid[:-3],
+        query.make_response().to_wire(),  # a response sent as a query
+        Message.make_query(".", RdataType.NS, msg_id=78).to_wire(),
+        Message.make_query(".", RdataType.AXFR, msg_id=79).to_wire(),
+        *mutated,
+    ]
+
+
+@pytest.mark.parametrize("world", [_wild_world, _flat_world, _replicated_world])
+def test_every_registered_endpoint_parses_or_refuses(world, small_population):
+    """The never-raise contract, at every door of every world: whatever
+    arrives, by datagram or by stream, an endpoint answers with bytes
+    that parse or stays silent — it does not raise into ``fabric.send``."""
+    fabric, qname = world(small_population)
+    wires = _hostile_wires(qname)
+    calls = 0
+    for endpoint in fabric.registered_endpoints():
+        for handler in (
+            endpoint.handle_datagram, getattr(endpoint, "handle_stream", None)
+        ):
+            if handler is None:
+                continue
+            for wire in wires:
+                reply = handler(wire, "198.51.100.7")
+                calls += 1
+                if reply is not None:
+                    Message.from_wire(reply)
+    assert calls >= len(wires) * len(fabric.registered_endpoints())

@@ -15,10 +15,11 @@ import pytest
 
 from repro.dns.types import RdataType
 from repro.net.chaos import ChaosPolicy, Outage
+from repro.resolver.iterative import EngineConfig, IterativeEngine
 from repro.resolver.profiles import CLOUDFLARE
 from repro.resolver.recursive import RecursiveResolver
 from repro.resolver.resilience import BreakerConfig, ResilienceConfig
-from repro.testbed.infra import build_testbed
+from repro.testbed.infra import PARENT_NAME, build_testbed
 from repro.testbed.replicas import (
     LATENCY_CLASSES,
     ReplicaTopology,
@@ -83,6 +84,31 @@ class TestTopologyShape:
         assert sweep(make_resolver(flat, breaker=False), flat) == sweep(
             make_resolver(replicated, breaker=False), replicated
         )
+
+
+class TestTruncationRetry:
+    def test_tcp_retry_reaches_the_untruncated_path(self):
+        """RFC 7766: the parent's DNSKEY answer does not fit 512 octets,
+        so the engine retries over TCP — and a replica must forward
+        that to the server's stream path, not truncate it again."""
+        testbed = build_testbed(
+            cases=CASES, topology=ReplicaTopology(root=3, tld=2, sld=2)
+        )
+        parent = testbed.replicas["parent"]
+        asked, idle = parent.addresses
+        engine = IterativeEngine(
+            testbed.fabric, testbed.root_hints, EngineConfig(payload=512)
+        )
+        response = engine.query_server(asked, PARENT_NAME, RdataType.DNSKEY, [])
+        assert engine.stats.tcp_fallbacks == 1
+        assert response is not None and not response.tc
+        assert [r.rdtype for r in response.answer] == [RdataType.DNSKEY, RdataType.RRSIG]
+        assert list(response.answer[0]) == list(
+            testbed.parent_built.zone.find(PARENT_NAME, RdataType.DNSKEY)
+        )
+        # One UDP datagram and its one TCP retry, both counted where they landed.
+        assert parent.query_counts() == {asked: 2, idle: 0}
+        assert testbed.fabric.stats.tcp_queries == 1
 
 
 class TestBlackholedRootReplica:

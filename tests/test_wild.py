@@ -8,6 +8,7 @@ from repro.dns.rcode import Rcode
 from repro.dns.rdata import A, NS
 from repro.dns.rrset import RRset
 from repro.dns.types import RdataType
+from repro.scan import wild as wild_module
 from repro.scan.population import Profile
 from repro.scan.wild import (
     WILD_ALGORITHM,
@@ -91,24 +92,28 @@ class TestWildDeployment:
         assert small_wild.registered_domain_of(Name.from_text("unknown.zz.")) is None
 
     def test_domain_keys_deterministic(self, small_wild, small_population):
+        """Every builder of a domain derives the same keys — the DS the
+        TLD publishes and the DNSKEY a rebuilt zone serves agree."""
         domain = first_domain(small_population, Profile.VALID_SIGNED)
-        ksk1, _ = small_wild.domain_keys(domain)
-        ksk2, _ = small_wild.domain_keys(domain)
-        assert ksk1 is ksk2  # cached
+        first = small_wild.builder_for(domain)
+        again = small_wild.builder_for(domain)
+        assert first is not again
+        assert [k.dnskey() for k in first.keys()] == [k.dnskey() for k in again.keys()]
+        assert small_wild.delegation_for(domain).ds.rdatas == first.ds_rdatas()
 
     def test_delegation_signed_has_ds(self, small_wild, small_population):
         domain = first_domain(small_population, Profile.VALID_SIGNED)
         delegation = small_wild.delegation_for(domain)
-        assert delegation.ds_rdatas
+        assert delegation.ds is not None and delegation.ds.rdatas
 
     def test_delegation_unsigned_has_no_ds(self, small_wild, small_population):
         domain = first_domain(small_population, Profile.VALID_UNSIGNED)
-        assert small_wild.delegation_for(domain).ds_rdatas == []
+        assert small_wild.delegation_for(domain).ds is None
 
     def test_partial_refused_has_two_ns(self, small_wild, small_population):
         domain = first_domain(small_population, Profile.PARTIAL_REFUSED)
         delegation = small_wild.delegation_for(domain)
-        assert len(delegation.ns_names) == 2
+        assert len(delegation.ns) == 2
         assert len(delegation.glue) == 2
 
     def test_unreachable_glue_is_special(self, small_wild, small_population):
@@ -116,7 +121,7 @@ class TestWildDeployment:
 
         domain = first_domain(small_population, Profile.LAME_UNREACHABLE)
         delegation = small_wild.delegation_for(domain)
-        assert classify(delegation.glue[0][1].address).special
+        assert classify(delegation.glue[0].rdatas[0].address).special
 
 
 class TestVirtualTldServer:
@@ -170,25 +175,85 @@ class TestVirtualTldServer:
         assert response.rcode == Rcode.NXDOMAIN
 
 
+    def test_question_less_query_gets_formerr(self, small_wild):
+        """A bare header (QDCOUNT 0) is answered FORMERR by datagram, by
+        stream and through the fabric, like every other host does."""
+        server = next(iter(small_wild.tld_servers.values()))
+        address = small_wild.tld_addresses[server.tld]
+        wire = Message(id=7).to_wire()
+        assert len(wire) == 12
+        for raw in (
+            server.handle_datagram(wire, "198.51.100.1"),
+            server.handle_stream(wire, "198.51.100.1"),
+            small_wild.fabric.send(address, wire),
+            small_wild.fabric.send(address, wire, transport="tcp"),
+        ):
+            response = Message.from_wire(raw)
+            assert response.rcode == Rcode.FORMERR
+            assert response.id == 7 and response.qr
+
+
 class TestHostingLaziness:
-    def test_zone_built_on_first_query(self, small_wild, small_population):
+    @pytest.fixture()
+    def wild(self, small_population):
+        return WildInternet(small_population)
+
+    def test_zone_built_on_first_query(self, wild, small_population, monkeypatch):
+        built = []
+        real_build = ZoneBuilder.build
+        monkeypatch.setattr(
+            ZoneBuilder, "build",
+            lambda self: built.append(self.origin) or real_build(self),
+        )
         domain = first_domain(small_population, Profile.VALID_UNSIGNED)
-        server = small_wild.hosting_servers[domain.hosting_index]
+        apex = Name.from_text(domain.fqdn)
+        server = wild.hosting_servers[domain.hosting_index]
+        wild.delegation_for(domain)  # the DS needs keys, not the zone
+        assert built == []
         query = Message.make_query(domain.fqdn, RdataType.A, want_dnssec=True)
         raw = server.handle_datagram(query.to_wire(), "198.51.100.1")
         response = Message.from_wire(raw)
         assert response.rcode == Rcode.NOERROR
-        built_after_first = server.zones_built
-        assert Name.from_text(domain.fqdn) in server._materialized
+        assert built == [apex]
         # repeated queries do not rebuild
         server.handle_datagram(query.to_wire(), "198.51.100.1")
-        assert server.zones_built == built_after_first
+        assert built == [apex]
 
-    def test_zone_cache_reused_across_servers(self, small_wild, small_population):
+    def test_zone_cache_reused_across_servers(self, wild, small_population):
+        """One store: every hosting endpoint reads the same built zone."""
         domain = first_domain(small_population, Profile.VALID_SIGNED)
-        built_a = small_wild.materialize_zone(domain)
-        built_b = small_wild.materialize_zone(domain)
-        assert built_a is built_b
+        zone = wild.zone_for(domain)
+        assert wild.zone_for(domain) is zone
+        qname = Name.from_text(domain.fqdn)
+        assert {id(server.find_zone(qname)) for server in wild.hosting_servers} == {id(zone)}
+        assert wild.stale_server.find_zone(qname.prepend(b"www")) is zone
+
+    def test_evicted_zone_rebuilds_identically(self, wild, small_population, monkeypatch):
+        """Fill the store past its one capacity: the older half goes, and
+        an evicted domain's next query rebuilds the same zone and gets
+        the same bytes."""
+        capacity = 8
+        monkeypatch.setattr(wild_module, "MAX_CACHED_ZONES", capacity)
+        signed = first_domain(small_population, Profile.VALID_SIGNED)
+        server = wild.hosting_servers[signed.hosting_index]
+        query = Message.make_query(signed.fqdn, RdataType.DNSKEY, want_dnssec=True)
+        query.id = 4242
+        before_wire = server.handle_datagram(query.to_wire(), "198.51.100.1")
+        before_zone = wild.zone_for(signed)
+        before_rows = zone_rows(before_zone)
+
+        others = [d for d in small_population.domains if d is not signed][:capacity]
+        for domain in others:
+            wild.zone_for(domain)
+        assert len(wild._zones) <= capacity
+        assert signed.name not in wild._zones  # the oldest went first
+        assert others[-1].name in wild._zones
+
+        after_wire = server.handle_datagram(query.to_wire(), "198.51.100.1")
+        after_zone = wild.zone_for(signed)
+        assert after_zone is not before_zone
+        assert zone_rows(after_zone) == before_rows
+        assert after_wire == before_wire
 
 
 class TestLazyTldApex:

@@ -172,3 +172,51 @@ class TestDenialSelection:
             for _, rd in records
         )
         assert owners == next_labels  # a permutation: the chain is a cycle
+
+
+class TestDelegation:
+    """A delegation is derived from the child's builder, never typed."""
+
+    CHILD = name("sub")
+
+    def _child(self, **mutation) -> ZoneBuilder:
+        return ZoneBuilder(
+            self.CHILD, now=1_684_108_800, key_seed=5,
+            mutation=ZoneMutation(algorithm=13, **mutation),
+        )
+
+    def test_ns_glue_by_family_and_ds(self):
+        child = self._child()
+        ns1, ns2, ns3 = (name(f"ns{i}.sub") for i in (1, 2, 3))
+        delegation = child.delegation(
+            [(ns1, "192.0.2.53"), (ns2, "2001:db8::53"), (ns3, None)]
+        )
+        assert delegation.ns == RRset.of(
+            self.CHILD, RdataType.NS, NS(target=ns1), NS(target=ns2), NS(target=ns3)
+        )
+        assert [(g.name, g.rdtype, g.rdatas[0].address) for g in delegation.glue] == [
+            (ns1, RdataType.A, "192.0.2.53"),
+            (ns2, RdataType.AAAA, "2001:db8::53"),
+        ]
+        # Callable before build(), and equal to what build() reports.
+        assert delegation.ds.rdatas == child.build().ds_rdatas
+
+    def test_unsigned_child_is_an_insecure_delegation(self):
+        delegation = self._child(signed=False).delegation([(name("ns1.sub"), "192.0.2.53")])
+        assert delegation.ds is None
+        assert [r.rdtype for r in delegation.rrsets()] == [RdataType.NS, RdataType.A]
+
+    def test_ds_mutations_reach_the_parent(self):
+        honest = self._child().delegation([]).ds.rdatas[0]
+        shifted = self._child(ds_tag_offset=1).delegation([]).ds.rdatas[0]
+        assert shifted.key_tag == (honest.key_tag + 1) & 0xFFFF
+
+    def test_delegate_publishes_it_in_the_parent(self):
+        child = self._child()
+        servers = [(name("ns1.sub"), "192.0.2.53")]
+        parent = ZoneBuilder(ORIGIN, now=1_684_108_800, mutation=ZoneMutation(algorithm=13))
+        parent.add(RRset.of(ORIGIN, RdataType.NS, NS(target=name("ns1"))))
+        zone = parent.delegate(child, servers).build().zone
+        for rrset in child.delegation(servers).rrsets():
+            assert zone.find(rrset.name, rrset.rdtype) == rrset
+        assert zone.lookup(name("www.sub"), RdataType.A).status is LookupStatus.DELEGATION

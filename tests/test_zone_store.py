@@ -9,13 +9,16 @@ from repro.dns.rdata import A, NS, TXT
 from repro.dns.rrset import RRset
 from repro.dns.types import RdataType
 from repro.dnssec import rsa
+from repro.bench import population_config_for
 from repro.dnssec.nsec3 import base32hex_decode, base32hex_encode, hash_covers, nsec3_hash
+from repro.scan.population import generate_population
 from repro.scan.wild import WildInternet
 from repro.testbed.infra import build_testbed
+from repro.testbed.replicas import ReplicaTopology
 from repro.zones.builder import ZoneBuilder
 from repro.zones.mutations import ZoneMutation
 from repro.zones.zone import Zone
-from tests.zone_digest import content_digest, served_zones
+from tests.zone_digest import content_digest, delegation_digest, served_zones
 
 ORIGIN = Name.from_text("store.test.")
 NOW = 1_684_108_800
@@ -278,6 +281,47 @@ def test_wild_root_and_tld_apex_content_is_pinned(small_population):
     apexes = [server.apex_zone for server in wild.tld_servers.values()]
     assert len(apexes) == 1475
     assert content_digest(apexes) == WILD_TLD_APEXES_DIGEST
+
+
+# Taken at the commit before delegations became a value derived by
+# ``ZoneBuilder.delegation`` and child zones moved to the universe's one
+# lazy store: what a TLD publishes for a child, and the child zone a
+# hosting server builds, for every domain of two populations.  The
+# delegation rows are NS names, glue owner/family/address and DS rdatas
+# (``tests/zone_digest.delegation_digest``).
+REPLICATED_TIERS_DIGEST = "a30640226e218d8a0a3d21317a1178cf8f0bfdaa5dad39f7aed4d4b5ad571b99"
+LEDGER_CHILD_ZONES_DIGEST = "80d09be1e98c44b8d7df6cdec55f20f8dc446ab7ab5f069a22199523ee70d198"
+LEDGER_DELEGATIONS_DIGEST = "766840d0b9a09177e45a040e024fcdb9985307669f46cec169d5bd8aeafc0137"
+SMALL_CHILD_ZONES_DIGEST = "d23d562561d38e35efa8b269bb0cc393091a6c9c3c4f5c582ea638802a449f6f"
+SMALL_DELEGATIONS_DIGEST = "270906ce7cef665fba8e8b97a3765b4af3509f630cf6a0e763d15a63f9973d5d"
+
+
+def _child_zones_and_delegations(population) -> tuple[int, str, str]:
+    wild = WildInternet(population)
+    zones = [wild.zone_for(domain) for domain in population.domains]
+    return len(zones), content_digest(zones), delegation_digest(wild)
+
+
+def test_ledger_population_child_zones_and_delegations_are_pinned():
+    """The 500 domains ``perf/`` scans and serves (default seed)."""
+    population = generate_population(population_config_for(500, 20230524))
+    assert _child_zones_and_delegations(population) == (
+        500, LEDGER_CHILD_ZONES_DIGEST, LEDGER_DELEGATIONS_DIGEST,
+    )
+
+
+def test_small_population_child_zones_and_delegations_are_pinned(small_population):
+    assert _child_zones_and_delegations(small_population) == (
+        1515, SMALL_CHILD_ZONES_DIGEST, SMALL_DELEGATIONS_DIGEST,
+    )
+
+
+def test_replicated_tier_zone_content_is_pinned():
+    """Root, ``com`` and the parent under the default replica topology:
+    one ``ns{i}``/glue pair per replica, delegated tier to tier."""
+    testbed = build_testbed(topology=ReplicaTopology())
+    tiers = [testbed.root_built.zone, testbed.com_built.zone, testbed.parent_built.zone]
+    assert content_digest(tiers) == REPLICATED_TIERS_DIGEST
 
 
 def test_second_testbed_in_a_process_reuses_keys_and_builds_the_same_bytes(testbed):

@@ -36,6 +36,27 @@ def content_digest(zones: Iterable[Zone]) -> str:
     return digest.hexdigest()
 
 
+def delegation_digest(wild) -> str:
+    """Every delegation a universe's TLDs synthesize, in population
+    order: NS names, glue owner/family/address, DS rdatas."""
+    rows = []
+    for domain in wild.population.domains:
+        delegation = wild.delegation_for(domain)
+        rows.append(" | ".join([
+            domain.name,
+            " ".join(str(rdata.target) for rdata in delegation.ns.rdatas),
+            " ".join(
+                f"{glue.name} {int(glue.rdtype)} {rdata.address}"
+                for glue in delegation.glue for rdata in glue.rdatas
+            ),
+            " ".join(
+                rdata.to_wire().hex()
+                for rdata in (delegation.ds.rdatas if delegation.ds is not None else [])
+            ),
+        ]))
+    return hashlib.sha256("\n".join(rows).encode()).hexdigest()
+
+
 def served_zones(fabric: NetworkFabric) -> list[Zone]:
     """Every zone an ``AuthoritativeServer`` on ``fabric`` serves."""
     zones: dict[int, Zone] = {}
