@@ -28,6 +28,7 @@ from .message import Message, Question
 from .name import Name
 from .rcode import Rcode
 from .rdata import A, AAAA, CAA, CNAME, MX, NS, PTR, SOA, SRV, TXT, GenericRdata, Rdata
+from .render import LazyWire
 from .dnssec_records import (
     DNSKEY,
     DNSKEY_PROTOCOL,
@@ -66,6 +67,7 @@ __all__ = [
     "ExtendedError",
     "FormError",
     "GenericRdata",
+    "LazyWire",
     "MX",
     "Message",
     "NS",

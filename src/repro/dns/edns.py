@@ -112,13 +112,19 @@ class Edns:
 
     # -- wire ------------------------------------------------------------------
 
-    def write(self, writer: WireWriter) -> None:
-        """Append the OPT RR for this EDNS state to ``writer``."""
+    def write(self, writer: WireWriter, extended_rcode_bits: int | None = None) -> None:
+        """Append the OPT RR for this EDNS state to ``writer``.
+
+        A message passes the upper bits of *its* RCODE; they are encoded,
+        not stored — ``extended_rcode_bits`` holds what a parse found.
+        """
+        if extended_rcode_bits is None:
+            extended_rcode_bits = self.extended_rcode_bits
         writer.write_u8(0)  # root owner name
         writer.write_u16(41)  # TYPE = OPT
         writer.write_u16(self.payload)  # CLASS = payload size
         ttl = (
-            ((self.extended_rcode_bits & 0xFF) << 24)
+            ((extended_rcode_bits & 0xFF) << 24)
             | ((self.version & 0xFF) << 16)
             | (0x8000 if self.dnssec_ok else 0)
         )
@@ -132,6 +138,12 @@ class Edns:
             writer.write_u16(len(data))
             writer.write_bytes(data)
         writer.patch_u16(rdlen_at, writer.offset - start)
+
+    def wire_size(self) -> int:
+        """Octets :meth:`write` appends: the fixed OPT fields (root
+        owner, TYPE, CLASS, TTL, RDLENGTH) plus each option's header
+        and data."""
+        return 11 + sum(4 + len(opt.to_wire_data()) for opt in self.options)
 
     @classmethod
     def from_opt_fields(cls, klass: int, ttl: int, rdata: bytes) -> "Edns":

@@ -157,7 +157,9 @@ class Message:
     # -- wire ---------------------------------------------------------------------
 
     def to_wire(self, max_size: int = 0) -> bytes:
-        """Encode; if ``max_size`` > 0 and exceeded, truncate and set TC."""
+        """Encode; if ``max_size`` > 0 and exceeded, encode
+        :meth:`truncated` instead.  Writes to nothing the Message holds:
+        wires are rendered late and more than once."""
         writer = WireWriter()
         flags = 0
         if self.qr:
@@ -199,28 +201,33 @@ class Message:
         arcount = sum(rrset.write(writer) for rrset in self.additional)
 
         if self.edns is not None:
-            edns = self.edns
-            edns.extended_rcode_bits = rcode_mod.extended_bits(self.rcode)
-            edns.write(writer)
+            self.edns.write(writer, rcode_mod.extended_bits(self.rcode))
             arcount += 1
         writer.patch_u16(arcount_at, arcount)
 
         wire = writer.getvalue()
         if max_size and len(wire) > max_size:
-            truncated = Message(
-                id=self.id,
-                qr=self.qr,
-                opcode=self.opcode,
-                aa=self.aa,
-                tc=True,
-                rd=self.rd,
-                ra=self.ra,
-                rcode=self.rcode,
-                question=list(self.question),
-                edns=self.edns,
-            )
-            return truncated.to_wire()
+            return self.truncated().to_wire()
         return wire
+
+    def truncated(self) -> "Message":
+        """The TC=1 form sent when this message exceeds the size limit:
+        header, question and OPT, no records.  AD is cleared (nothing
+        left to vouch for); CD is the query's bit echoed (RFC 4035
+        section 3.2.2) and survives."""
+        return Message(
+            id=self.id,
+            qr=self.qr,
+            opcode=self.opcode,
+            aa=self.aa,
+            tc=True,
+            rd=self.rd,
+            ra=self.ra,
+            cd=self.cd,
+            rcode=self.rcode,
+            question=list(self.question),
+            edns=self.edns,
+        )
 
     @classmethod
     def from_wire(cls, wire: bytes | bytearray | memoryview) -> "Message":

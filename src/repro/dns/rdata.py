@@ -15,7 +15,7 @@ from typing import Callable, ClassVar
 from .exceptions import FormError, UnknownRdataType
 from .name import Name
 from .types import RdataType
-from .wire import WireReader, WireWriter
+from .wire import ShapeRecorder, WireReader, WireWriter
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,22 @@ class Rdata:
         writer = WireWriter(enable_compression=False)
         self.write(writer, canonical=canonical)
         return writer.getvalue()
+
+    def wire_shape(self):
+        """What :meth:`write` puts in a message, minus the bytes (see
+        :class:`~repro.dns.wire.ShapeRecorder`).  Pure function of this
+        immutable rdata, so it is recorded once and kept on the
+        instance."""
+        try:
+            # Plain attribute access: reading ``__dict__`` would make
+            # CPython materialise one (64 B) for every served rdata.
+            return self._wire_shape
+        except AttributeError:
+            recorder = ShapeRecorder()
+            self.write(recorder)
+            shape = recorder.shape()
+            object.__setattr__(self, "_wire_shape", shape)
+            return shape
 
     @classmethod
     def parse(cls, rdtype: RdataType, reader: WireReader, rdlength: int) -> "Rdata":

@@ -1,7 +1,7 @@
 """Wire-level helpers for serving encoded responses without re-parsing.
 
 ZDNS-style measurement throughput comes from making the per-query byte
-path cheap.  Three pieces live here, all pure functions of bytes:
+path cheap.  Four pieces live here:
 
 * :func:`wire_key` — a query's own bytes minus the message ID (which
   subsume qname, qtype, DO, CD, EDNS payload and header flags) as the
@@ -12,7 +12,9 @@ path cheap.  Three pieces live here, all pure functions of bytes:
   decrementing TTLs patched in place;
 * :func:`parse_equivalent` / :func:`paved_reply` — the proof that lets
   the in-process fabric hand a server-built ``Message`` to the sender
-  in place of a re-parse.
+  in place of a re-parse;
+* :class:`LazyWire` / :func:`wire_length` — the datagram whose bytes
+  exist only once somebody reads them.
 
 Everything here is parse-or-refuse: a wire the offset walker cannot
 account for byte-by-byte (truncated records, trailing junk, unknown
@@ -25,6 +27,9 @@ that u32 holds the extended RCODE and EDNS flags, not a TTL.
 from __future__ import annotations
 
 import struct
+
+from .rcode import extended_bits
+from .wire import name_wire_size
 
 HEADER_LENGTH = 12
 _OPT_TYPE = 41
@@ -105,49 +110,117 @@ def wire_key(query_wire) -> bytes | None:
     return bytes(query_wire[2:])
 
 
-_FLAG_TC = 0x0200
+def wire_length(message) -> int | None:
+    """Exactly ``len(message.to_wire())``, without building the buffer —
+    or None when that cannot be vouched for, and the caller renders.
+
+    One pass over the question and owner names with the compression
+    table :meth:`~repro.dns.wire.WireWriter.write_name` keeps; what an
+    rdata contributes (its size, the names it registers as compression
+    targets) comes from :meth:`~repro.dns.rdata.Rdata.wire_shape`, which
+    learned it from the rdata's own ``write``, so no per-type length
+    rule sits beside the encoder.  Refused: a relative name, and an
+    rdata whose size depends on the message around it.
+    """
+    suffixes: set[tuple[bytes, ...]] = set()
+    pos = HEADER_LENGTH
+    try:
+        for question in message.question:
+            pos += name_wire_size(question.name, pos, suffixes) + 4
+        for section in (message.answer, message.authority, message.additional):
+            for rrset in section:
+                owner = rrset.name
+                for rdata in rrset.rdatas:
+                    # owner, then TYPE CLASS TTL RDLENGTH
+                    pos += name_wire_size(owner, pos, suffixes) + 10
+                    shape = rdata.wire_shape()
+                    if shape is None:
+                        return None
+                    if type(shape) is not int:
+                        for at in range(1, len(shape), 2):
+                            name_wire_size(
+                                shape[at + 1], pos + shape[at], suffixes, compress=False
+                            )
+                        shape = shape[0]
+                    pos += shape
+    except ValueError:
+        return None
+    if message.edns is not None:
+        pos += message.edns.wire_size()
+    return pos
 
 
-def parse_equivalent(response, wire) -> bool:
-    """True when ``Message.from_wire(wire)`` provably reproduces ``response``.
+class LazyWire:
+    """What crosses the in-process fabric in place of an encoded message.
+
+    ``len()`` is the exact wire length (:func:`wire_length`; rendered
+    only if the sizer refuses) — all that latency, loss, truncation and
+    ``fabric.stats`` ever ask of a datagram.  ``bytes()`` renders, once,
+    through :meth:`Message.to_wire`, which stays the only render
+    function.  The Message is read-only to whoever made the wire: a
+    late render must produce what an eager one would have.
+
+    Not comparable with ``bytes``: ``wire == b"..."`` would quietly be
+    False for equal content, so it raises; compare ``bytes(wire)``.
+    """
+
+    __slots__ = ("message", "_length", "_wire")
+
+    def __init__(self, message) -> None:
+        self.message = message
+        self._length: int | None = None
+        self._wire: bytes | None = None
+
+    def __len__(self) -> int:
+        if self._length is None:
+            length = wire_length(self.message)
+            self._length = len(bytes(self)) if length is None else length
+        return self._length
+
+    def __bytes__(self) -> bytes:
+        if self._wire is None:
+            self._wire = self.message.to_wire()
+        return self._wire
+
+    def __eq__(self, other):
+        if isinstance(other, (bytes, bytearray, memoryview)):
+            raise TypeError("compare bytes(wire), not the LazyWire, with bytes")
+        return NotImplemented
+
+    __hash__ = object.__hash__
+
+
+def parse_equivalent(response) -> bool:
+    """True when ``Message.from_wire(response.to_wire())`` provably
+    reproduces ``response``.
 
     The fabric's paved path hands a server-built response ``Message``
-    back to the resolver alongside its encoding so the resolver can
-    skip the re-parse.  That is only sound when the parse
-    is an identity, which this proves from cheap invariants alone:
+    back to the resolver in place of its encoding so the resolver can
+    skip the re-parse.  That is only sound when the parse is an
+    identity, which this proves from cheap invariants of the Message
+    alone:
 
-    * no truncation happened during encode (the wire's TC bit matches),
     * the RCODE fits the 4-bit header field or an OPT carries the
-      extended bits,
+      extended bits — and that ``Edns`` already holds the bits a parse
+      would store in it (encoding writes them to the wire, not to the
+      object),
     * no EDNS options are present (option objects are not proven to
       round-trip by type),
     * no two RRsets of a section share ``(name, type, class)`` — the
       parser folds such rows into one RRset with the minimum TTL,
     * every RRset carries at least one rdata (empty ones vanish on the
-      wire), and the header counts add up exactly.
+      wire).
 
     Anything unprovable returns False and the caller falls back to
     parsing the wire, so refusals cost correctness nothing.
     """
-    if len(wire) < HEADER_LENGTH:
+    edns = response.edns
+    if edns is None:
+        if response.rcode > 0xF:
+            return False
+    elif edns.options or edns.extended_rcode_bits != extended_bits(response.rcode):
         return False
-    flags = int.from_bytes(wire[2:4], "big")
-    if bool(flags & _FLAG_TC) != bool(response.tc):
-        return False
-    if response.rcode > 0xF and response.edns is None:
-        return False
-    if response.edns is not None and response.edns.options:
-        return False
-    qdcount, ancount, nscount, arcount = struct.unpack_from(">HHHH", wire, 4)
-    if qdcount != len(response.question):
-        return False
-    sections = (
-        (ancount, response.answer, False),
-        (nscount, response.authority, False),
-        (arcount, response.additional, True),
-    )
-    for count, section, holds_opt in sections:
-        total = 0
+    for section in (response.answer, response.authority, response.additional):
         seen = set()
         for rrset in section:
             if not rrset.rdatas:
@@ -156,16 +229,16 @@ def parse_equivalent(response, wire) -> bool:
             if skey in seen:
                 return False
             seen.add(skey)
-            total += len(rrset.rdatas)
-        if holds_opt and response.edns is not None:
-            total += 1
-        if count != total:
-            return False
     return True
 
 
-def paved_reply(response, wire: bytes):
-    """What ``handle_paved`` returns for a freshly encoded ``response``:
-    the wire, plus the Message itself only when handing it to the
-    sender in place of a re-parse is sound (:func:`parse_equivalent`)."""
-    return wire, response if parse_equivalent(response, wire) else None
+def paved_reply(response, max_size: int = 0):
+    """What ``handle_paved`` returns for ``response``: its wire, unrendered,
+    plus the Message itself only when handing it to the sender in place
+    of a re-parse is sound (:func:`parse_equivalent`).  Past ``max_size``
+    (> 0) the wire is the rendered :meth:`Message.truncated` form and
+    nothing is handed back — the sender is about to retry over TCP."""
+    wire = LazyWire(response)
+    if max_size and len(wire) > max_size:
+        return response.truncated().to_wire(), None
+    return wire, response if parse_equivalent(response) else None

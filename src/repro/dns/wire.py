@@ -96,6 +96,66 @@ class WireWriter:
         self.write_u8(0)
 
 
+def name_wire_size(
+    name: Name, offset: int, suffixes: set[tuple[bytes, ...]], compress: bool = True
+) -> int:
+    """Octets :meth:`WireWriter.write_name` appends for ``name`` at ``offset``.
+
+    ``suffixes`` is the writer's compression table reduced to its keys
+    (a pointer is two octets wherever it points) and is updated exactly
+    as ``write_name`` updates its own: every suffix that starts at or
+    below the 0x3FFF pointer limit is registered, compressed or not.
+    """
+    folded = name.folded_labels
+    if compress and folded in suffixes:
+        return 2  # the common case: an owner name seen before
+    labels = name.labels
+    if not labels or labels[-1]:
+        raise ValueError("can only encode absolute names")
+    size = 0
+    for index in range(len(labels) - 1):
+        suffix = folded[index:]
+        if compress and suffix in suffixes:
+            return size + 2
+        if offset + size <= _MAX_POINTER_TARGET:
+            suffixes.add(suffix)
+        size += 1 + len(labels[index])
+    return size + 1
+
+
+class ShapeRecorder(WireWriter):
+    """Learns an rdata's wire shape from the rdata's own ``write()``.
+
+    The shape is what a sizing pass needs in place of the bytes: the
+    rdata's length and the names it wrote, because an uncompressed name
+    still registers its suffixes as compression targets for every later
+    owner name.  An rdata with no names has the plain ``int`` length as
+    its shape; one with names has ``(length, offset, name, ...)``, each
+    offset counted from the start of the rdata (flat, because one is
+    kept per served rdata).  ``None`` means the length is not the
+    rdata's own to state: it asked for a compressible name, whose size
+    depends on the message around it.
+    """
+
+    def __init__(self) -> None:
+        super().__init__(enable_compression=False)
+        self._names: list[int | Name] = []
+        self._context_free = True
+
+    def write_name(self, name: Name, compress: bool | None = None) -> None:
+        if compress is not False:
+            self._context_free = False
+        self._names += (self.offset, name)
+        super().write_name(name, compress=False)
+
+    def shape(self) -> int | tuple | None:
+        if not self._context_free:
+            return None
+        if not self._names:
+            return self.offset
+        return (self.offset, *self._names)
+
+
 class WireReader:
     """Sequential reader over a DNS wire buffer with pointer chasing."""
 

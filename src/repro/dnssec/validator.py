@@ -50,6 +50,10 @@ class FetchResult:
     authority: list[RRset] = field(default_factory=list)
     ok: bool = True  # transport succeeded and a response was obtained
     events: list[EventRecord] = field(default_factory=list)
+    #: The last successful link validation proved from these records
+    #: (see :class:`Verdict`); it lives exactly as long as this object
+    #: does, i.e. as long as the cache entry that holds it.
+    verdict: "Verdict | None" = field(default=None, compare=False, repr=False)
 
     def rrset(self, qname: Name, rdtype: RdataType) -> RRset | None:
         for rrset in self.answer:
@@ -65,6 +69,34 @@ class FetchResult:
                     if isinstance(rdata, RRSIG) and int(rdata.type_covered) == int(rdtype):
                         sigs.append(rdata)
         return sigs
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """A *successful* chain-link validation, with all it depends on.
+
+    Two links are remembered: a DNSKEY RRset anchored by a DS set
+    (``value`` is the key ring) and a DS RRset signed by the parent's
+    key ring (``value`` is the DS list).  The records are the
+    :class:`FetchResult` the verdict hangs on; the rest of what the
+    proof read is here, and a validation that differs in any of it
+    recomputes.  Failures, insecure outcomes and downgrades are never
+    remembered: their traces are what the EDE policies read.
+    """
+
+    #: ``ValidatorConfig.snapshot()`` of the validator that proved it.
+    config: tuple
+    #: The trusted input: the DS set by value, or the parent's key ring
+    #: (compared by identity — a re-validated parent is a new ring).
+    trusted: object
+    #: Closed interval of ``now`` over which the proof provably holds:
+    #: the intersection of the validity windows of the candidate
+    #: signatures that were in-window when it was reached.
+    not_before: int
+    not_after: int
+    value: list
+    #: The one warning a success can carry, replayed on every recall.
+    standby_ksk_unsigned: bool = False
 
 
 class RecordSource(Protocol):
@@ -89,6 +121,13 @@ class ValidatorConfig:
     nsec3_iteration_limit: int = 150
     #: DS rdatas anchoring the root zone.
     trust_anchors: list[DS] = field(default_factory=list)
+
+    def snapshot(self) -> tuple:
+        """Every field's current value: what a :class:`Verdict` records
+        of the config it was reached under, so a field assigned later
+        is seen.  (``trust_anchors`` is held, not copied: the anchors
+        enter a proof by value, as the root's ``Verdict.trusted``.)"""
+        return tuple(vars(self).values())
 
     def algorithm_supported(self, number: int) -> bool:
         info = algorithm_info(number)
@@ -185,6 +224,9 @@ class Validator:
         now: int,
     ) -> "list[DS] | ValidationTrace":
         result = self.source.fetch_from_zone(parent, child, RdataType.DS)
+        verdict = self._recall(result, now)
+        if verdict is not None and verdict.trusted is parent_keys:
+            return verdict.value
         if not result.ok:
             return ValidationTrace.bogus(
                 FailureReason.DS_UNFETCHABLE, Role.TRANSPORT, zone=child
@@ -212,7 +254,9 @@ class Validator:
         )
         if trace is not None:
             return trace
-        return [rd for rd in ds_rrset.rdatas if isinstance(rd, DS)]
+        ds_rdatas = [rd for rd in ds_rrset.rdatas if isinstance(rd, DS)]
+        self._remember(result, parent_keys, sigs, now, ds_rdatas)
+        return ds_rdatas
 
     def _check_ds_support(
         self, zone: Name, ds_rdatas: list[DS]
@@ -266,6 +310,12 @@ class Validator:
         warnings: list[FailureReason] | None = None,
     ) -> "list[_KeyringEntry] | ValidationTrace":
         result = self.source.fetch_from_zone(zone, zone, RdataType.DNSKEY)
+        anchors = tuple(ds_rdatas)
+        verdict = self._recall(result, now)
+        if verdict is not None and verdict.trusted == anchors:
+            if verdict.standby_ksk_unsigned and warnings is not None:
+                warnings.append(FailureReason.STANDBY_KSK_UNSIGNED)
+            return verdict.value
         if not result.ok or (
             result.rcode != Rcode.NOERROR and result.rrset(zone, RdataType.DNSKEY) is None
         ):
@@ -343,26 +393,34 @@ class Validator:
             return ValidationTrace.bogus(
                 reason, Role.DNSKEY, zone=zone, expired_at=timing[1]
             )
+        # RFC 4035 section 5.3.1: a signature outside its validity window
+        # proves nothing, however genuine — here as in
+        # ``_verify_rrset_signatures``.
         for sig in anchored:
+            if not self._sig_window_ok(sig, now):
+                continue
             for entry in matched:
                 if entry.tag == sig.key_tag and entry.dnskey.algorithm == sig.algorithm:
                     data = signed_data(dnskey_rrset, sig)
                     if verify_signature(entry.dnskey, data, sig.signature):
-                        if warnings is not None:
-                            covered_tags = {s.key_tag for s in sigs}
-                            if any(
-                                entry.dnskey.is_sep and entry.tag not in covered_tags
-                                for entry in zone_keys
-                            ):
-                                # A stand-by SEP key with no covering RRSIG:
-                                # harmless, but flagged by Cloudflare (4.2/3).
-                                warnings.append(FailureReason.STANDBY_KSK_UNSIGNED)
+                        covered_tags = {s.key_tag for s in sigs}
+                        # A stand-by SEP key with no covering RRSIG:
+                        # harmless, but flagged by Cloudflare (4.2/3).
+                        standby = any(
+                            entry.dnskey.is_sep and entry.tag not in covered_tags
+                            for entry in zone_keys
+                        )
+                        if standby and warnings is not None:
+                            warnings.append(FailureReason.STANDBY_KSK_UNSIGNED)
                         # Only keys with the Zone Key bit may sign zone data.
+                        self._remember(result, anchors, anchored, now, zone_keys, standby)
                         return zone_keys
         # The anchored signature exists but is cryptographically wrong. If
         # some *other* zone key still validates the RRset, only the SEP path
         # is broken (the bad-rrsig-ksk case); otherwise everything is bogus.
         for sig in sigs:
+            if not self._sig_window_ok(sig, now):
+                continue
             for entry in zone_keys:
                 if entry.tag == sig.key_tag and entry.dnskey.algorithm == sig.algorithm:
                     data = signed_data(dnskey_rrset, sig)
@@ -645,6 +703,39 @@ class Validator:
                 FailureReason.NSEC_MISSING, Role.DENIAL, zone=zone
             )
         return ValidationTrace.secure()
+
+    # -- remembered verdicts --------------------------------------------------------------------
+
+    def _recall(self, result: FetchResult, now: int) -> Verdict | None:
+        """The verdict remembered on ``result`` if this validator, at
+        ``now``, would reach it again; the caller checks ``trusted``."""
+        verdict = result.verdict
+        if (
+            verdict is not None
+            and verdict.not_before <= now <= verdict.not_after
+            and verdict.config == self.config.snapshot()
+        ):
+            return verdict
+        return None
+
+    def _remember(
+        self,
+        result: FetchResult,
+        trusted: object,
+        candidates: list[RRSIG],
+        now: int,
+        value: list,
+        standby_ksk_unsigned: bool = False,
+    ) -> None:
+        live = [sig for sig in candidates if self._sig_window_ok(sig, now)]
+        result.verdict = Verdict(
+            config=self.config.snapshot(),
+            trusted=trusted,
+            not_before=max(sig.inception for sig in live),
+            not_after=min(sig.expiration for sig in live),
+            value=value,
+            standby_ksk_unsigned=standby_ksk_unsigned,
+        )
 
     # -- helpers -----------------------------------------------------------------------------------
 

@@ -16,11 +16,14 @@ from __future__ import annotations
 import random
 import threading
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import TYPE_CHECKING, Callable, Protocol
 
 from .addresses import is_globally_routable
 from .chaos import ChaosAction, ChaosPolicy, synthesize_refused
 from .clock import Clock, SimulatedClock
+
+if TYPE_CHECKING:
+    from ..dns.render import LazyWire
 
 DNS_PORT = 53
 
@@ -156,13 +159,13 @@ class NetworkFabric:
     def send(
         self,
         destination: str,
-        wire: bytes,
+        wire: bytes | LazyWire,
         source: str = "192.0.2.0",
         port: int = DNS_PORT,
         timeout: float = 2.0,
         transport: str = "udp",
         message: object | None = None,
-    ) -> bytes:
+    ) -> bytes | LazyWire:
         """Round-trip one datagram; raises Unreachable/Timeout on failure.
 
         ``transport="tcp"`` routes to the endpoint's ``handle_stream``
@@ -175,15 +178,20 @@ class NetworkFabric:
         path hands it to ``handle_paved(wire, source, message)`` (no
         wire decode server-side) and the endpoint may hand back its
         response Message alongside the wire; the caller collects it via
-        :meth:`take_paved` and skips its own re-parse.  The wire, every
-        latency/loss/stats decision, and the bytes on the "network" are
-        identical either way — only redundant codec work is elided.
-        The byte path (``handle_datagram`` in, parse out) remains
-        exactly where an observable property demands it: a chaos policy
-        is installed (chaos mutates wires), the transport is TCP, the
-        endpoint has no ``handle_paved``, or ``parse_equivalent``
-        refuses the response.  Ownership: a Message that crosses the
-        fabric is read-only to the side that received it.
+        :meth:`take_paved` and skips its own re-parse.  On that path
+        nobody reads a datagram's bytes, only its length, so either
+        wire may be a :class:`~repro.dns.render.LazyWire`: every
+        latency/loss/stats decision takes ``len()`` and the bytes on
+        the "network" are what ``bytes()`` would render.  ``bytes()``
+        is forced — and the byte path (``handle_datagram`` in, parse
+        out) taken — exactly where an observable property demands it:
+        a chaos policy is installed (chaos mutates and synthesizes
+        wires), the transport is TCP, the endpoint has no
+        ``handle_paved``, or the sender passed no ``message``.  A paved
+        send returns the endpoint's wire as it came, rendered or not.
+        Ownership: a Message that crosses the fabric is read-only to
+        the side that received it, and a ``LazyWire``'s Message to the
+        side that made it.
 
         Successful or not, the virtual clock advances: by the link latency
         on success, by ``timeout`` when the query goes unanswered.
@@ -226,7 +234,7 @@ class NetworkFabric:
                 raise Timeout(f"{destination}:{port}")
             if decision.action is ChaosAction.REFUSE:
                 self.clock.advance(link.latency)
-                refused = synthesize_refused(wire)
+                refused = synthesize_refused(bytes(wire))
                 self.stats.datagrams_delivered += 1
                 self.stats.bytes_received += len(refused)
                 return refused
@@ -242,21 +250,21 @@ class NetworkFabric:
         if link.jitter:
             self.clock.advance(self._rng.random() * link.jitter)
 
-        def deliver() -> bytes | None:
+        def deliver() -> bytes | LazyWire | None:
             if transport == "tcp":
                 # TCP costs an extra round trip for the handshake.
                 self.clock.advance(link.latency)
                 handler = getattr(endpoint, "handle_stream", None)
                 if handler is not None:
-                    return handler(wire, source)
-                return endpoint.handle_datagram(wire, source)
+                    return handler(bytes(wire), source)
+                return endpoint.handle_datagram(bytes(wire), source)
             if message is not None and self.chaos is None:
                 paved = getattr(endpoint, "handle_paved", None)
                 if paved is not None:
                     response, parsed = paved(wire, source, message)
                     self._paved_tls.response = parsed
                     return response
-            return endpoint.handle_datagram(wire, source)
+            return endpoint.handle_datagram(bytes(wire), source)
 
         response = deliver()
         if decision is not None and decision.duplicate:
@@ -266,7 +274,7 @@ class NetworkFabric:
             if duplicate_response is not None:
                 response = duplicate_response
         if response is not None and self.chaos is not None:
-            response = self.chaos.on_response(destination, response)
+            response = self.chaos.on_response(destination, bytes(response))
         if response is None:
             self.stats.timeouts += 1
             self.clock.advance(timeout)
@@ -280,8 +288,9 @@ class NetworkFabric:
 
         None whenever the last :meth:`send` on this thread took the
         byte path (chaos installed, TCP, endpoint without
-        ``handle_paved``, or equivalence unproven) — the caller must
-        then parse the returned wire as usual.
+        ``handle_paved``) or the endpoint could not prove its Message
+        parse-equivalent — the caller must then parse ``bytes()`` of
+        the returned wire as usual.
         """
         parsed = getattr(self._paved_tls, "response", None)
         if parsed is not None:

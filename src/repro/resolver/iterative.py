@@ -20,6 +20,7 @@ from ..dns.message import Message
 from ..dns.name import Name
 from ..dns.rcode import Rcode
 from ..dns.rdata import A, CNAME, NS
+from ..dns.render import LazyWire
 from ..dns.rrset import RRset
 from ..dns.types import RdataType
 from ..dnssec.trace import EventRecord, ResolutionEvent
@@ -246,14 +247,14 @@ class IterativeEngine:
 
     def _parse_response(
         self,
-        raw: bytes,
+        raw: bytes | LazyWire,
         server: str,
         qname: Name,
         rdtype: RdataType,
         events: list[EventRecord],
     ) -> Message | None:
         try:
-            return Message.from_wire(raw)
+            return Message.from_wire(bytes(raw))
         except Exception:
             self._note(events,
                 EventRecord(
@@ -401,7 +402,8 @@ class IterativeEngine:
                 payload=self.config.payload,
                 msg_id=msg_id,
             )
-            wire = query.to_wire()
+            # Sized now, rendered only if something on the way reads bytes.
+            wire = LazyWire(query)
             self.stats.queries += 1
             started = self.fabric.clock.now()
             if self.obs.enabled:
@@ -448,7 +450,7 @@ class IterativeEngine:
             rtt = self.fabric.clock.now() - started
             self.server_stats.note_rtt(server, rtt)
             # In-process fabric: the server's own response Message comes
-            # back when re-parsing ``raw`` would provably reproduce it.
+            # back when parsing ``raw`` would provably reproduce it.
             response = self.fabric.take_paved()
             if response is None:
                 response = self._parse_response(raw, server, qname, rdtype, events)

@@ -31,7 +31,7 @@ from ..dns.message import Message
 from ..dns.name import Name
 from ..dns.rcode import Rcode
 from ..dns.rdata import A, CNAME, NS
-from ..dns.render import paved_reply
+from ..dns.render import LazyWire, paved_reply
 from ..dns.rrset import RRset
 from ..dns.types import RdataType
 from ..dnssec.algorithms import Algorithm
@@ -171,8 +171,8 @@ class VirtualTldServer(PavedEndpoint):
     # -- fabric endpoint ---------------------------------------------------------
 
     def handle_paved(
-        self, wire: bytes, source: str, query: Message
-    ) -> tuple[bytes | None, Message | None]:
+        self, wire: bytes | LazyWire, source: str, query: Message
+    ) -> tuple[bytes | LazyWire | None, Message | None]:
         """Answer ``query`` (the parsed form of ``wire``): response wire
         plus, when parse-equivalent, the response Message (see
         :meth:`repro.net.fabric.NetworkFabric.send`)."""
@@ -182,7 +182,7 @@ class VirtualTldServer(PavedEndpoint):
             response.rcode = Rcode.REFUSED  # AXFR needs TCP
         else:
             response = self.handle_query(query)
-        return paved_reply(response, response.to_wire())
+        return paved_reply(response)
 
     def handle_stream(self, wire: bytes, source: str) -> bytes | None:
         try:

@@ -16,7 +16,7 @@ from ..dns.edns import Edns
 from ..dns.message import Message
 from ..dns.name import Name
 from ..dns.rcode import Rcode
-from ..dns.render import paved_reply
+from ..dns.render import LazyWire, paved_reply
 from ..dns.rrset import RRset
 from ..dns.types import RdataType
 from ..zones.zone import LookupStatus, Zone
@@ -36,12 +36,13 @@ class PavedEndpoint:
     ``handle_paved(wire, source, query)``."""
 
     def handle_datagram(self, wire: bytes, source: str) -> bytes | None:
-        """Byte path: decode (or FORMERR), then the one answer body."""
+        """Byte path: decode (or FORMERR), the one answer body, render."""
         try:
             query = Message.from_wire(wire)
         except Exception:
             return Message(rcode=Rcode.FORMERR, qr=True).to_wire()
-        return self.handle_paved(wire, source, query)[0]
+        response = self.handle_paved(wire, source, query)[0]
+        return None if response is None else bytes(response)
 
 
 class AuthoritativeServer(PavedEndpoint):
@@ -92,10 +93,10 @@ class AuthoritativeServer(PavedEndpoint):
     # -- fabric endpoint protocol ------------------------------------------------
 
     def handle_paved(
-        self, wire: bytes, source: str, query: Message
-    ) -> tuple[bytes | None, Message | None]:
+        self, wire: bytes | LazyWire, source: str, query: Message
+    ) -> tuple[bytes | LazyWire | None, Message | None]:
         """Answer ``query`` (the parsed form of ``wire``): the response
-        wire, plus the response Message whenever re-parsing that wire
+        wire, plus the response Message whenever parsing that wire
         provably reproduces it (see
         :meth:`repro.net.fabric.NetworkFabric.send`)."""
         response = self.handle_query(query, source)
@@ -104,8 +105,7 @@ class AuthoritativeServer(PavedEndpoint):
         # RFC 6891: the response must fit the client's advertised UDP
         # payload (512 octets without EDNS); otherwise truncate + TC.
         max_size = query.edns.payload if query.edns is not None else 512
-        encoded = response.to_wire(max_size=max(512, max_size))
-        return paved_reply(response, encoded)
+        return paved_reply(response, max(512, max_size))
 
     def handle_stream(self, wire: bytes, source: str) -> bytes | None:
         """TCP semantics: same answer, no size limit, never truncated."""

@@ -19,9 +19,10 @@ from ..dns.message import Message
 from ..dns.name import Name
 from ..dns.rcode import Rcode
 from ..dns.rdata import A
+from ..dns.render import LazyWire, paved_reply
 from ..dns.rrset import RRset
 from ..dns.types import RdataType
-from .authoritative import AuthoritativeServer
+from .authoritative import AuthoritativeServer, PavedEndpoint
 
 
 class Behavior(Enum):
@@ -38,20 +39,26 @@ class Behavior(Enum):
 
 
 @dataclass
-class BehaviorServer:
+class BehaviorServer(PavedEndpoint):
     """Fabric endpoint wrapping an inner server with a pathology."""
 
     inner: AuthoritativeServer
     behavior: Behavior = Behavior.NORMAL
 
     def handle_datagram(self, wire: bytes, source: str) -> bytes | None:
+        # A server that never answers does not answer FORMERR either.
         if self.behavior is Behavior.TIMEOUT:
             return None
-        try:
-            query = Message.from_wire(wire)
-        except Exception:
-            return Message(rcode=Rcode.FORMERR, qr=True).to_wire()
+        return super().handle_datagram(wire, source)
 
+    def handle_paved(
+        self, wire: bytes | LazyWire, source: str, query: Message
+    ) -> tuple[bytes | LazyWire | None, Message | None]:
+        """Answer ``query`` (the parsed form of ``wire``) as the
+        pathology dictates; never truncated (see
+        :meth:`repro.net.fabric.NetworkFabric.send`)."""
+        if self.behavior is Behavior.TIMEOUT:
+            return None, None
         if self.behavior is Behavior.REFUSED:
             return self._rcode_response(query, Rcode.REFUSED)
         if self.behavior is Behavior.SERVFAIL:
@@ -63,7 +70,7 @@ class BehaviorServer:
 
         response = self.inner.handle_query(query, source)
         if response is None:
-            return None
+            return None, None
         if self.behavior is Behavior.NO_EDNS:
             response.edns = None
         elif self.behavior is Behavior.MISMATCHED_QUESTION and response.question:
@@ -75,15 +82,15 @@ class BehaviorServer:
                     rdclass=original.rdclass,
                 )
             ]
-        return response.to_wire()
+        return paved_reply(response)
 
     @staticmethod
-    def _rcode_response(query: Message, rcode: Rcode) -> bytes:
+    def _rcode_response(query: Message, rcode: Rcode) -> tuple[LazyWire, Message | None]:
         response = query.make_response(recursion_available=False)
         response.rcode = rcode
         if query.edns is not None and response.edns is None:
             response.edns = Edns()
-        return response.to_wire()
+        return paved_reply(response)
 
 
 def make_simple_authority(

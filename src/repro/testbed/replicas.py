@@ -112,6 +112,12 @@ class ReplicaEndpoint:
         self.queries += 1
         return self.server.handle_datagram(wire, source)
 
+    def handle_paved(self, wire, source: str, query):
+        """Same attribution on the paved path (see
+        :meth:`repro.net.fabric.NetworkFabric.send`)."""
+        self.queries += 1
+        return self.server.handle_paved(wire, source, query)
+
     def handle_stream(self, wire: bytes, source: str) -> bytes | None:
         """The TCP retry after TC=1 (RFC 7766) must reach the server's
         untruncated path, not fall back to the datagram one."""

@@ -16,6 +16,8 @@ from collections import Counter
 
 from repro.dns import render
 from repro.net.fabric import NetworkFabric
+from repro.scan import wild as scan_wild
+from repro.server import authoritative, behaviors
 
 
 class CountingFabric(NetworkFabric):
@@ -25,8 +27,9 @@ class CountingFabric(NetworkFabric):
         super().__init__(*args, **kwargs)
         #: Sends that carried the caller's parsed query.
         self.offered = 0
-        #: (response Message the caller took instead of re-parsing, the
-        #: wire it stood in for), every one.
+        #: (response Message the caller took instead of parsing, the
+        #: wire it stood in for, rendered when the send returned), every
+        #: one.
         self.handed_back: list[tuple[object, bytes]] = []
         self._last_wire = b""
 
@@ -34,14 +37,19 @@ class CountingFabric(NetworkFabric):
         message = kwargs.get("message")
         if message is not None:
             self.offered += 1
+        # Rendered before the endpoint can touch the query it is made of.
+        sent = bytes(wire)
         try:
             response = super().send(destination, wire, **kwargs)
         finally:
             # The endpoint received the engine's own query object; it
             # must still encode to exactly the bytes that were "sent".
             if message is not None:
-                assert message.to_wire() == wire, "endpoint mutated the query"
-        self._last_wire = response
+                assert message.to_wire() == sent, "endpoint mutated the query"
+        # Rendered now, while the response is as the endpoint left it —
+        # and it must be as long as the fabric just counted it to be.
+        self._last_wire = bytes(response)
+        assert len(self._last_wire) == len(response), "sized != rendered"
         return response
 
     def take_paved(self):
@@ -69,18 +77,20 @@ class PlainFabric(CountingFabric):
         return super().send(destination, wire, **kwargs)
 
 
-def count_equivalence_verdicts(monkeypatch) -> Counter:
-    """Count ``parse_equivalent`` verdicts (True = hand-back allowed,
-    False = refusal → byte path) for the rest of the test."""
+def count_handback_verdicts(monkeypatch) -> Counter:
+    """Count ``paved_reply`` outcomes (True = Message handed back,
+    False = refusal → the sender parses the wire) for the rest of the
+    test, in every module that answers through it."""
     verdicts: Counter = Counter()
-    real = render.parse_equivalent
+    real = render.paved_reply
 
-    def counting(response, wire):
-        verdict = real(response, wire)
-        verdicts[verdict] += 1
-        return verdict
+    def counting(response, max_size=0):
+        wire, parsed = real(response, max_size)
+        verdicts[parsed is not None] += 1
+        return wire, parsed
 
-    monkeypatch.setattr(render, "parse_equivalent", counting)
+    for module in (authoritative, behaviors, scan_wild):
+        monkeypatch.setattr(module, "paved_reply", counting)
     return verdicts
 
 

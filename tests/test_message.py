@@ -196,6 +196,34 @@ class TestEdeOnMessages:
         assert rt(message).ede_codes == (6, 22)
 
 
+class TestEncodeIsPure:
+    """A render writes to nothing the Message holds: wires are rendered
+    late, maybe twice, and the truncated form shares its ``Edns``."""
+
+    @pytest.mark.parametrize("rcode", [Rcode.BADVERS, Rcode.NOERROR])
+    def test_to_wire_leaves_message_and_edns_as_they_were(self, rcode):
+        def build() -> Message:
+            message = Message(id=1, qr=True, rcode=rcode, edns=Edns(dnssec_ok=True))
+            message.question.append(Question(Name.from_text("pure.test."), RdataType.A))
+            return message
+
+        message, before = build(), build()
+        edns = message.edns
+        first = message.to_wire()
+        assert message == before and message.edns is edns and edns == before.edns
+        assert message.to_wire() == first == before.to_wire()
+        assert message.to_wire(max_size=12) == before.truncated().to_wire()
+        assert message == before
+
+    def test_extended_bits_come_from_the_rcode_not_the_edns(self):
+        # A parsed BADVERS whose rcode is then rewritten must not carry
+        # the stale high bits out again.
+        parsed = rt(Message(id=1, qr=True, rcode=Rcode.BADVERS, edns=Edns()))
+        assert parsed.edns.extended_rcode_bits == 1
+        parsed.rcode = Rcode.SERVFAIL
+        assert rt(parsed).rcode == Rcode.SERVFAIL
+
+
 class TestTruncation:
     def test_max_size_truncates(self):
         message = Message(id=1, qr=True)

@@ -28,7 +28,9 @@ from repro.dns.rcode import Rcode
 from repro.dns.rdata import A, SOA
 from repro.dns.render import (
     HEADER_LENGTH,
+    LazyWire,
     parse_equivalent,
+    paved_reply,
     response_ttl_offsets,
     wire_key,
 )
@@ -43,6 +45,7 @@ from repro.resolver.recursive import RecursiveResolver
 from repro.resolver.resilience import ResilientFrontend
 from repro.scan.population import Profile, generate_population
 from repro.scan.wild import MISMATCH_HOST, WildInternet
+from repro.testbed.replicas import register_replicas
 
 
 def make_response(
@@ -222,15 +225,18 @@ class TestExpiry:
 
 
 class TestParseEquivalent:
+    """A pure predicate of the Message: True only when parsing its own
+    encoding gives it back."""
+
     def test_simple_response_is_equivalent_and_reparses(self):
         _query, response = make_response(answer_ttls=(300,), authority_ttl=60)
         wire = response.to_wire()
-        assert parse_equivalent(response, wire)
+        assert parse_equivalent(response)
         assert Message.from_wire(wire).to_wire() == wire
 
     def test_truncated_encode_refused(self):
-        # Force truncation: the tiny budget drops the sections and sets
-        # TC on the wire while ``response.tc`` stays False.
+        # Past the limit the reply is the rendered TC=1 form and the
+        # sender gets no Message: it is about to retry over TCP.
         query = Message.make_query("big.test.", RdataType.A, msg_id=5)
         big = query.make_response()
         for index in range(40):
@@ -238,35 +244,89 @@ class TestParseEquivalent:
             big.answer.append(
                 RRset.of(name, RdataType.A, A(address=f"192.0.2.{index + 1}"))
             )
-        truncated = big.to_wire(max_size=512)
-        assert len(truncated) <= 512
-        assert not parse_equivalent(big, truncated)
-        assert parse_equivalent(big, big.to_wire())
+        wire, parsed = paved_reply(big, 512)
+        assert parsed is None
+        assert wire == big.to_wire(max_size=512) and len(wire) <= 512
+        assert Message.from_wire(wire).tc and not big.tc
+        wire, parsed = paved_reply(big, 4096)
+        assert parsed is big and bytes(wire) == big.to_wire()
 
     def test_edns_options_refused(self):
         _query, response = make_response()
         response.add_ede(22, "not proven to round-trip")
-        assert not parse_equivalent(response, response.to_wire())
+        assert not parse_equivalent(response)
 
     def test_duplicate_rrset_key_refused(self):
         """The parser folds same-(name,type,class) rows with min-TTL, so
         a response carrying the duplicate is not parse-stable."""
         _query, response = make_response(answer_ttls=(300,))
         response.answer.append(response.answer[0].copy(ttl=5))
-        assert not parse_equivalent(response, response.to_wire())
+        assert not parse_equivalent(response)
 
     def test_extended_rcode_without_opt_refused(self):
         query = Message.make_query("x.test.", RdataType.A, msg_id=3, use_edns=False)
         response = query.make_response()
         response.rcode = Rcode.BADVERS  # 16: needs OPT extended bits
-        assert not parse_equivalent(response, response.to_wire())
+        assert not parse_equivalent(response)
+        # Encoding puts the bits on the wire, not into the Edns; a parse
+        # would store them there, so this Message is not what comes back.
         response.edns = Edns()
-        assert parse_equivalent(response, response.to_wire())
+        assert not parse_equivalent(response)
+        response.edns = Edns(extended_rcode_bits=1)
+        assert parse_equivalent(response)
+        reparsed = Message.from_wire(response.to_wire())
+        assert reparsed.rcode == Rcode.BADVERS and reparsed.edns == response.edns
 
     def test_empty_rrset_refused(self):
         _query, response = make_response(answer_ttls=(300,))
         response.answer.append(RRset(Name.from_text("ghost.test."), RdataType.A))
-        assert not parse_equivalent(response, response.to_wire())
+        assert not parse_equivalent(response)
+
+
+class TestLazyWire:
+    def test_len_does_not_render_and_bytes_renders_once(self, monkeypatch):
+        _query, response = make_response(answer_ttls=(300, 60), authority_ttl=60)
+        want = response.to_wire()
+        calls = []
+        real = Message.to_wire
+        monkeypatch.setattr(
+            Message, "to_wire", lambda self, max_size=0: calls.append(1) or real(self, max_size)
+        )
+        wire = LazyWire(response)
+        assert len(wire) == len(want) and not calls
+        assert bytes(wire) == want and bytes(wire) is bytes(wire)
+        assert len(calls) == 1
+
+    def test_len_renders_when_the_sizer_refuses(self):
+        relative = Message(question=[])
+        relative.answer.append(
+            RRset.of(Name.from_text("relative"), RdataType.A, A(address="192.0.2.1"))
+        )
+        with pytest.raises(ValueError):  # exactly what to_wire() raises
+            len(LazyWire(relative))
+
+    def test_comparing_with_bytes_raises(self):
+        _query, response = make_response()
+        wire = LazyWire(response)
+        for other in (response.to_wire(), bytearray(b"x"), memoryview(b"x")):
+            with pytest.raises(TypeError):
+                wire == other
+            with pytest.raises(TypeError):
+                other != wire
+        assert wire == wire and wire != LazyWire(response)
+        assert wire is not None and wire != None  # noqa: E711
+
+
+class BytesOnlyEndpoint:
+    """An endpoint that predates the paved path: ``handle_datagram`` only."""
+
+    def __init__(self, server):
+        self.server = server
+        self.received: list[object] = []
+
+    def handle_datagram(self, wire, source):
+        self.received.append(wire)
+        return self.server.handle_datagram(wire, source)
 
 
 class TestPavedFabric:
@@ -285,15 +345,18 @@ class TestPavedFabric:
         wire = query.to_wire()
 
         plain = wild.fabric.send(server_ip, wire, source="198.51.100.9")
+        before = wild.fabric.stats.bytes_received
         paved = wild.fabric.send(
-            server_ip, wire, source="198.51.100.9", message=query
+            server_ip, LazyWire(query), source="198.51.100.9", message=query
         )
-        assert paved == plain
+        assert isinstance(plain, bytes) and isinstance(paved, LazyWire)
+        assert bytes(paved) == plain
+        assert wild.fabric.stats.bytes_received - before == len(plain)
 
         parsed = wild.fabric.take_paved()
         if parsed is not None:
             # The handed-back Message re-encodes to the exact wire.
-            assert parsed.to_wire() == paved
+            assert parsed.to_wire() == bytes(paved)
         # The slot is one-shot: a second take returns nothing.
         assert wild.fabric.take_paved() is None
 
@@ -305,12 +368,13 @@ class TestPavedFabric:
         assert wild.fabric.take_paved() is None
 
     def _offer(self, wild, destination, query, **kwargs):
-        """Paved-capable send; returns (wire back, Message handed back)."""
+        """Paved-capable send as the engine makes it; returns (bytes
+        back, Message handed back)."""
         raw = wild.fabric.send(
-            destination, query.to_wire(), source="198.51.100.9",
+            destination, LazyWire(query), source="198.51.100.9",
             message=query, **kwargs,
         )
-        return raw, wild.fabric.take_paved()
+        return bytes(raw), wild.fabric.take_paved()
 
     def test_hand_back_is_the_parse_of_the_wire(self, universe):
         wild, _population = universe
@@ -340,14 +404,30 @@ class TestPavedFabric:
 
     def test_endpoint_without_handle_paved_gets_bytes(self, universe):
         wild, _population = universe
-        endpoint = dict(
-            zip(wild.fabric.endpoints(), wild.fabric.registered_endpoints())
-        )[(MISMATCH_HOST, 53)]
-        assert not hasattr(endpoint, "handle_paved")
-        query = Message.make_query("x.example.", RdataType.A, msg_id=82)
-        raw, parsed = self._offer(wild, MISMATCH_HOST, query)
+        endpoint = BytesOnlyEndpoint(wild.root_server)
+        wild.fabric.register("192.0.9.77", endpoint)
+        query = Message.make_query(".", RdataType.NS, msg_id=82)
+        raw, parsed = self._offer(wild, "192.0.9.77", query)
         assert parsed is None
+        assert endpoint.received == [query.to_wire()]
+        assert isinstance(endpoint.received[0], bytes)
         assert Message.from_wire(raw).id == 82
+
+    def test_behaviour_and_replica_endpoints_are_paved(self, universe):
+        """The wrappers hand the parsed query through and the Message
+        back: a behaviour profile or a replicated tier costs no codec."""
+        wild, _population = universe
+        query = Message.make_query("x.example.", RdataType.A, msg_id=84)
+        raw, parsed = self._offer(wild, MISMATCH_HOST, query)
+        assert parsed is not None and parsed.to_wire() == raw
+        assert str(parsed.question[0].name) == "wrong.invalid."
+        replicas = register_replicas(
+            wild.fabric, "root", ["192.0.9.78"], wild.root_server
+        )
+        query = Message.make_query(".", RdataType.NS, msg_id=85)
+        raw, parsed = self._offer(wild, "192.0.9.78", query)
+        assert parsed is not None and parsed.to_wire() == raw
+        assert replicas.query_counts() == {"192.0.9.78": 1}
 
     def test_equivalence_refusal_gets_bytes(self, universe):
         wild, _population = universe

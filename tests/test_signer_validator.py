@@ -353,6 +353,65 @@ class TestValidatorSignatureFailures:
         assert trace.reason is FailureReason.DNSKEY_SIG_INVALID
 
 
+def set_dnskey_sigs(child, *sigs):
+    """Make ``sigs`` the only RRSIGs over the child's DNSKEY RRset."""
+    apex_sigs = child.zone.find(ZONE, RdataType.RRSIG)
+    others = [rd for rd in apex_sigs.rdatas if rd.type_covered != RdataType.DNSKEY]
+    child.zone.replace(
+        RRset.of(ZONE, RdataType.RRSIG, *sigs, *others, ttl=apex_sigs.ttl)
+    )
+
+
+class TestSignatureWindowGatesTheDnskeyProof:
+    """RFC 4035 section 5.3.1: a signature outside its validity window
+    proves nothing.  ``_validate_dnskey`` used to ask only that *some*
+    anchored RRSIG be in-window and then accept *any* that verified."""
+
+    EXPIRED = SigningPolicy(inception=NOW - 30 * 86400, expiration=NOW - 86400)
+
+    def world(self):
+        import dataclasses
+
+        source, config, child = build_world()
+        dnskeys = child.zone.find(ZONE, RdataType.DNSKEY)
+        live = sign_rrset(dnskeys, child.ksk, ZONE, SigningPolicy.window(NOW))
+        forged = dataclasses.replace(live, signature=bytes(len(live.signature)))
+        expired = sign_rrset(dnskeys, child.ksk, ZONE, self.EXPIRED)
+        assert verify_signature(
+            child.ksk.dnskey(), signed_data(dnskeys, expired), expired.signature
+        )
+        return source, config, child, dnskeys, forged, expired
+
+    def test_expired_genuine_sig_beside_forged_live_one_is_bogus(self):
+        source, config, child, _dnskeys, forged, expired = self.world()
+        set_dnskey_sigs(child, forged, expired)
+        trace = validate_answer(source, config)
+        assert trace.state is ValidationState.BOGUS
+        assert trace.reason is FailureReason.DNSKEY_SIG_INVALID
+
+    def test_live_zsk_sig_narrows_it_to_the_sep_path(self):
+        source, config, child, dnskeys, forged, expired = self.world()
+        by_zsk = sign_rrset(dnskeys, child.zsk, ZONE, SigningPolicy.window(NOW))
+        set_dnskey_sigs(child, forged, expired, by_zsk)
+        trace = validate_answer(source, config)
+        assert trace.reason is FailureReason.KSK_SIG_INVALID
+
+    def test_classifier_ignores_expired_sigs_too(self):
+        """An expired ZSK signature is not the "other zone key that
+        still validates the RRset"."""
+        source, config, child, dnskeys, forged, _expired = self.world()
+        set_dnskey_sigs(child, forged, sign_rrset(dnskeys, child.zsk, ZONE, self.EXPIRED))
+        trace = validate_answer(source, config)
+        assert trace.reason is FailureReason.DNSKEY_SIG_INVALID
+
+    def test_all_expired_still_reads_expired(self):
+        source, config, child, _dnskeys, _forged, expired = self.world()
+        set_dnskey_sigs(child, expired)
+        trace = validate_answer(source, config)
+        assert trace.reason is FailureReason.DNSKEY_SIG_EXPIRED
+        assert trace.expired_at == expired.expiration
+
+
 class TestStandbyKskWarning:
     def test_standby_key_warns_but_validates(self):
         source, config, _ = build_world(ZoneMutation(algorithm=13, add_standby_ksk=True))

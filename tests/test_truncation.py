@@ -69,6 +69,50 @@ class TestServerSideTruncation:
         assert not response.tc and response.answer
 
 
+class TestTruncatedForm:
+    """``Message.truncated()`` is the one statement of the TC=1 form."""
+
+    def big_response(self, **query_kwargs) -> Message:
+        query = Message.make_query(BIG, RdataType.TXT, msg_id=9, **query_kwargs)
+        query.cd = True
+        response = query.make_response(recursion_available=False)
+        response.aa = response.ad = True
+        response.answer.append(RRset.of(
+            BIG, RdataType.TXT,
+            *[TXT(strings=(bytes([65 + i]) * 200,)) for i in range(6)],
+        ))
+        return response
+
+    def test_cd_is_echoed_and_ad_cleared(self):
+        """RFC 4035 section 3.2.2: CD is copied from the query into the
+        response — the truncated one included.  AD vouches for records
+        that are no longer there."""
+        response = self.big_response(want_dnssec=True)
+        parsed = Message.from_wire(response.to_wire(max_size=512))
+        assert parsed.tc and parsed.cd and not parsed.ad
+        assert parsed.aa and parsed.id == 9 and parsed.question == response.question
+        assert parsed.edns is not None and parsed.edns.dnssec_ok
+        assert not parsed.section_rrsets()
+
+    def test_to_wire_and_paved_reply_share_the_form(self):
+        from repro.dns.render import paved_reply
+
+        response = self.big_response()
+        wire, parsed = paved_reply(response, 512)
+        assert parsed is None
+        assert wire == response.to_wire(max_size=512) == response.truncated().to_wire()
+        # Neither path marks the message it truncated.
+        assert not response.tc and response.answer
+
+    def test_server_echoes_cd_when_truncating(self, big_server):
+        query = Message.make_query(BIG, RdataType.TXT, use_edns=False)
+        query.cd = True
+        response = Message.from_wire(
+            big_server.handle_datagram(query.to_wire(), "1.2.3.4")
+        )
+        assert response.tc and response.cd
+
+
 class TestEngineTcpFallback:
     def test_engine_retries_over_tcp(self, fabric, big_server):
         engine = IterativeEngine(

@@ -3,7 +3,8 @@ fabric must be byte-invisible.
 
 Every plain-UDP send from the engine is paved: the server gets the
 parsed query, the engine gets the server's response ``Message`` back
-whenever ``parse_equivalent`` proves a re-parse would be the identity.
+whenever ``parse_equivalent`` proves a parse would be the identity — and
+neither wire is rendered unless something reads its bytes.
 ``src/`` has no switch for that, so the byte-path arm is produced by a
 *test-only* fabric that never forwards ``message=``
 (:class:`tests.fabric_arms.PlainFabric`).  The claim gated here is that
@@ -14,7 +15,9 @@ through 1 and 2 resolver shards.  Every run has the runtime determinism
 sanitizer armed.  The
 gate is non-vacuous both ways: the paved arm must show hand-backs, the
 plain arm none, and the directed fallback worlds must show
-``parse_equivalent`` refusals.
+``paved_reply`` refusals.  :class:`tests.fabric_arms.CountingFabric`
+renders every wire it carries and holds it to the length the fabric
+counted.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from repro.zones.mutations import ZoneMutation
 from .fabric_arms import (
     CountingFabric,
     PlainFabric,
-    count_equivalence_verdicts,
+    count_handback_verdicts,
     served_state,
 )
 
@@ -241,7 +244,7 @@ class TestFallbacksTakeTheBytePath:
     outcome is what the never-paving arm gets."""
 
     def test_truncation_refuses_then_tcp_is_bytes(self, monkeypatch):
-        verdicts = count_equivalence_verdicts(monkeypatch)
+        verdicts = count_handback_verdicts(monkeypatch)
         paved = fallback_world(CountingFabric())
         _engine, got = resolve_on(paved, RdataType.TXT, payload=512)
         assert verdicts[False] == 1  # the TC=1 UDP response
@@ -253,7 +256,7 @@ class TestFallbacksTakeTheBytePath:
         assert paved.stats == plain.stats
 
     def test_edns_option_refuses(self, monkeypatch):
-        verdicts = count_equivalence_verdicts(monkeypatch)
+        verdicts = count_handback_verdicts(monkeypatch)
         agent = Name.from_text("agent.test.")
         paved = fallback_world(CountingFabric(), report_agent=agent)
         engine, got = resolve_on(paved, RdataType.NS, payload=1232)
