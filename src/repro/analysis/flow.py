@@ -1,9 +1,9 @@
 """Interprocedural flow rules: statically enforce the serving contracts.
 
 The stack's headline guarantees are dynamic facts — byte-identical
-scans at any worker count, jitter-seed isolation in BENCH_serve.json, a
-frontend that never raises — proven today by differential benchmark
-runs that execute long after a violating line lands.  This module
+scans at any worker count, jitter-seed isolation of the load
+scenarios, a frontend that never raises — proven today by differential
+tests that execute long after a violating line lands.  This module
 proves the *structural* halves of those guarantees at selfcheck time,
 on a whole-program call graph of ``src/repro``:
 
@@ -47,7 +47,7 @@ annotations, parameter/return annotations (including quoted
 ``TYPE_CHECKING``-only names), and re-exported names followed across
 ``__init__`` modules.  Dynamic dispatch the builder cannot see
 (``getattr``, callables passed as values) is out of scope — the
-runtime sanitizer and the differential benchmarks remain the net
+runtime sanitizer and the differential tests remain the net
 under it.
 
 Intentional exceptions live in a committed baseline

@@ -117,6 +117,23 @@ class Message:
             response.edns = Edns(dnssec_ok=self.edns.dnssec_ok)
         return response
 
+    def badvers_response(self, recursion_available: bool = True) -> "Message | None":
+        """The reply RFC 6891 section 6.1.3 owes this query when its OPT
+        names an EDNS version above 0, the highest implemented here —
+        else None, and the endpoint answers as usual.
+
+        RCODE BADVERS, an OPT of version 0, the question echoed, no
+        records.  The OPT already holds the extended bits a parse would
+        store there, so the paved fabric hands the reply back unparsed
+        (:func:`repro.dns.render.parse_equivalent`).
+        """
+        if self.edns is None or self.edns.version == 0:
+            return None
+        response = self.make_response(recursion_available)
+        response.rcode = rcode_mod.Rcode.BADVERS
+        response.edns.extended_rcode_bits = rcode_mod.extended_bits(response.rcode)
+        return response
+
     # -- EDE helpers -----------------------------------------------------------
 
     @property

@@ -1,8 +1,7 @@
 """One harness per paper artifact (tables, figures, headline statistics).
 
 Every function returns an :class:`ExperimentReport` with paper-vs-
-measured checks; the benchmark suite and ``python -m repro.experiments``
-both drive these.
+measured checks; ``python -m repro.experiments`` drives these.
 """
 
 from __future__ import annotations

@@ -19,9 +19,7 @@ from .harness import (
     experiment_table2_3,
     experiment_table4,
 )
-from .outage_drill import experiment_outage_drill
 from .report import ExperimentReport
-from .serve_load import experiment_serve_load
 
 
 @dataclass(frozen=True)
@@ -45,18 +43,6 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         ExperimentSpec("sec42_ns", "Nameserver concentration (Section 4.2)", "scan", experiment_section42_ns),
         ExperimentSpec("fig1", "Per-TLD CDF (Figure 1)", "scan", experiment_figure1),
         ExperimentSpec("fig2", "Tranco CDF (Figure 2)", "scan", experiment_figure2),
-        ExperimentSpec(
-            "outage_drill",
-            "Graceful-degradation outage drill (resilience layer)",
-            "",
-            experiment_outage_drill,
-        ),
-        ExperimentSpec(
-            "serve_load",
-            "Sustained-load serving drill (resilience layer)",
-            "",
-            experiment_serve_load,
-        ),
     )
 }
 

@@ -9,7 +9,7 @@ from typing import Sequence
 def render_table(
     headers: Sequence[str], rows: Sequence[Sequence[object]], title: str = ""
 ) -> str:
-    """Fixed-width text table (the benches print these)."""
+    """Fixed-width text table (the experiment reports print these)."""
     columns = [[str(h)] for h in headers]
     for row in rows:
         for index, cell in enumerate(row):

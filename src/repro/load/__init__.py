@@ -18,7 +18,10 @@ The pieces:
   Poisson) arrival processes, seeded and replayable;
 * :mod:`repro.load.scenarios` — the five phased scenarios: steady
   state, flash crowd, cache stampede, upstream outage + recovery
-  (driven by the chaos fabric), and overload beyond the shed threshold;
+  (driven by the chaos fabric), and overload beyond the shed threshold,
+  plus the ``shard-outage`` cluster recovery drill — and
+  ``contract_rows``, the one statement of the degradation contract
+  each of them must meet;
 * :mod:`repro.load.engine` — the replay engine: schedules every query
   event up front, then drives them through the frontend on the
   deterministic virtual-time lane pool, so coalescing, breaker
@@ -27,31 +30,20 @@ The pieces:
 * :mod:`repro.load.report` — per-phase reports (latency percentiles,
   answered/stale/refused/shed fractions, EDE mix, breaker transitions)
   sourced from the ``repro.obs`` metrics registry, plus the text
-  renderer shared by ``python -m repro.bench --serve`` and
-  ``python -m repro.tools.serve --drill``;
-* :mod:`repro.load.bench` — the two-jitter-seed benchmark runner that
-  writes ``BENCH_serve.json`` and enforces the degradation contract,
-  plus the ``failover`` section replaying the ``shard-outage`` cluster
-  recovery drill under the same identity gate.
+  renderer behind ``python -m repro.tools.serve --drill``, the one
+  door that replays a scenario and gives a verdict.
 
 Everything is deterministic: the *schedule* seed fixes the population,
 clients, arrival times, query mix and message IDs; the *jitter* seed
 feeds only the engine's retry-jitter RNG and the chaos policy.  Phase
 reports must be byte-identical across jitter seeds — the serving-side
-analogue of the scan bench's categorization-identical gate.
+analogue of the scan's categorization-identical gate, held for every
+scenario by ``tests/test_load.py``.
 """
 
 from __future__ import annotations
 
 from .arrivals import OnOffProcess, client_arrivals
-from .bench import (
-    DEFAULT_JITTER_SEEDS,
-    FAILOVER_SCENARIO,
-    SERVE_SCHEMA,
-    failover_bench_report,
-    serve_bench_report,
-    write_serve_report,
-)
 from .engine import LoadConfig, LoadEngine
 from .population import (
     DEFAULT_CLIENT_CLASSES,
@@ -61,13 +53,16 @@ from .population import (
     build_clients,
 )
 from .report import percentile, render_phase_table
-from .scenarios import SCENARIO_ORDER, SCENARIOS, PhaseSpec, ScenarioSpec
+from .scenarios import (
+    SCENARIO_ORDER,
+    SCENARIOS,
+    PhaseSpec,
+    ScenarioSpec,
+    contract_rows,
+)
 
 __all__ = [
     "DEFAULT_CLIENT_CLASSES",
-    "DEFAULT_JITTER_SEEDS",
-    "FAILOVER_SCENARIO",
-    "SERVE_SCHEMA",
     "SCENARIOS",
     "SCENARIO_ORDER",
     "Client",
@@ -80,9 +75,7 @@ __all__ = [
     "ZipfMix",
     "build_clients",
     "client_arrivals",
-    "failover_bench_report",
+    "contract_rows",
     "percentile",
     "render_phase_table",
-    "serve_bench_report",
-    "write_serve_report",
 ]

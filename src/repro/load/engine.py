@@ -15,12 +15,12 @@ Two seeds, two roles:
   processes, Zipf draws, client message IDs.  Fixed per suite.
 * ``jitter_seed`` — the engine's retry-jitter RNG
   (:class:`~repro.resolver.iterative.EngineConfig` ``rng_seed``) and
-  the chaos policy's RNG.  The benchmark runs the suite under two
-  jitter seeds and requires byte-identical phase reports: the resolver
-  budget (1.5 s) sits below the per-upstream timeout (2 s), so a first
-  timeout always exhausts the budget and jittered backoff never gets to
-  sleep — upstream randomness must not leak into client-visible
-  behaviour, and the gate proves it.
+  the chaos policy's RNG.  ``tests/test_load.py`` runs every scenario
+  under two jitter seeds and requires byte-identical phase reports:
+  the resolver budget (1.5 s) sits below the per-upstream timeout
+  (2 s), so a first timeout always exhausts the budget and jittered
+  backoff never gets to sleep — upstream randomness must not leak into
+  client-visible behaviour, and the gate proves it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from ..bench import DEFAULT_SEED, population_config_for
 from ..cluster import ResolverCluster, ShardChaosPolicy
 from ..dns.message import Message
 from ..dns.name import Name
@@ -47,14 +46,19 @@ from ..resolver.resilience import (
     ResilienceConfig,
     ResilientFrontend,
 )
-from ..scan.population import Population, Profile, generate_population
+from ..scan.population import (
+    DEFAULT_SEED,
+    Population,
+    Profile,
+    generate_population,
+    population_config_for,
+)
 from ..scan.wild import WildInternet
 from .arrivals import client_arrivals
 from .population import Client, ZipfMix, build_clients
 from .report import build_phase_report, counter_delta, counter_values
 from .scenarios import (
     SCENARIO_INDEX,
-    SCENARIO_ORDER,
     SCENARIOS,
     PhaseSpec,
     ScenarioSpec,
@@ -68,12 +72,12 @@ _HOT_ELIGIBLE = (Profile.VALID_UNSIGNED, Profile.VALID_SIGNED)
 
 @dataclass
 class LoadConfig:
-    """Everything one benchmark suite run needs."""
+    """Everything one scenario replay needs."""
 
     #: Synthetic population size (maps to the 1:k sampling scale).
     target_domains: int = 2000
     population_seed: int = DEFAULT_SEED
-    #: Fixes the whole client workload; never varied by the bench.
+    #: Fixes the whole client workload; the determinism gate never varies it.
     schedule_seed: int = 20230515
     #: Retry-jitter + chaos seed; the determinism gate varies this.
     jitter_seed: int = 1
@@ -470,16 +474,3 @@ class LoadEngine:
                 )
             )
         return {"scenario": name, "title": spec.title, "phases": rows}
-
-    def run_suite(
-        self, names: tuple[str, ...] = SCENARIO_ORDER
-    ) -> dict:
-        scenarios = [self.run_scenario(name) for name in names]
-        return {
-            "scenarios": scenarios,
-            "queries_total": sum(
-                row["queries"]
-                for scenario in scenarios
-                for row in scenario["phases"]
-            ),
-        }

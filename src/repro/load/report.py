@@ -11,8 +11,8 @@ A phase report has two data sources, deliberately kept separate:
   instead of growing ad-hoc counters.
 
 Everything emitted is a pure function of the schedule seed, so the
-two-jitter-seed determinism gate can require byte-identical phase
-reports (see :mod:`repro.load.bench`).
+two-jitter-seed determinism gate (``tests/test_load.py``) can require
+byte-identical phase reports.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ def build_phase_report(
 
 
 def render_phase_table(scenarios: list[dict]) -> str:
-    """The human view shared by ``bench --serve`` and ``serve --drill``."""
+    """The human view ``serve --drill`` prints."""
     header = (
         f"{'phase':<10} {'queries':>8} {'p50':>8} {'p99':>8} {'p999':>8} "
         f"{'answered':>9} {'stale':>7} {'shed':>7} {'ede mix'}"

@@ -1,9 +1,11 @@
-"""The five load scenarios, as declarative phase schedules.
+"""The load scenarios, as declarative phase schedules, and their contract.
 
 Every scenario is self-contained: it runs on a fresh world and opens
 with an unreported ``warm`` phase that sweeps the hot set (one positive
 and one NXDOMAIN name per hot domain) into the resolver cache before
-the reported phases begin.  Reported phases:
+the reported phases begin.  What each scenario must *guarantee* is
+stated once, as code, in :func:`contract_rows`; the list below says
+what each one *does*.  Reported phases:
 
 ``steady``
     Baseline Zipf traffic at a comfortable offered load; the cache
@@ -20,28 +22,26 @@ the reported phases begin.  Reported phases:
 ``outage`` / ``recovery``
     The chaos fabric takes the hot set's hosting servers down for the
     whole outage phase (entries are already TTL-expired, i.e.
-    stale-eligible).  The degradation contract is measured here: ≥90%
-    of hot-name queries answered (fresh or stale with EDE 3/19), no
-    answered query past its client's deadline, breakers open.  The
-    window then lapses; during ``recovery`` half-open probes re-close
-    every breaker.
+    stale-eligible), so hot names are answered stale with EDE 3/19 and
+    breakers open.  The window then lapses; during ``recovery``
+    half-open probes re-close every breaker.
 ``overload``
     Offered load far beyond the shed threshold: per-client rates a
     multiple of the token-bucket refill, with a tail-heavy mix so
-    cache-miss work also presses the in-flight cap.  Sheds must be
+    cache-miss work also presses the in-flight cap.  Sheds are
     REFUSED + Prohibited (18) while cache/stale hits keep flowing.
 
-One extra scenario lives outside the five-scenario suite:
+One extra scenario lives outside the five-scenario suite order:
 
 ``shard-outage``
-    The cluster recovery drill (``serve --drill shard-outage`` and the
-    benchmark's ``failover`` section): a seeded victim shard crashes
-    mid-run, the health monitor ejects it from the hash ring, its key
-    range fails over to ring successors, and a cold restart plus one
-    half-open probe rejoins it — with ≥99% of in-window queries still
-    answered, zero datagrams reaching the ejected shard, and routing
-    restored to the pre-fault map.  Needs ``shards >= 2``, which is why
-    it is not part of the default (single-resolver) suite order.
+    The cluster recovery drill: a seeded victim shard crashes mid-run,
+    the health monitor ejects it from the hash ring, its key range
+    fails over to ring successors, and a cold restart plus one
+    half-open probe rejoins it.  Needs ``shards >= 2``, which is why it
+    is not part of the default (single-resolver) suite order.
+
+``python -m repro.tools.serve --drill SCENARIO`` replays any of the six
+and prints the phase table followed by the contract rows.
 
 Phase durations interlock with three constants elsewhere: the wild
 zones' 300 s record TTL (expiry jumps are 400 s), the 86 400 s
@@ -219,10 +219,8 @@ SCENARIOS: dict[str, ScenarioSpec] = {
     )
 }
 
-#: Canonical suite order (also the order in ``BENCH_serve.json``).
-#: The ``shard-outage`` drill is not part of the five-scenario suite —
-#: it needs a sharded world — and rides in the benchmark's separate
-#: ``failover`` section instead.
+#: Canonical suite order.  The ``shard-outage`` drill is not part of
+#: the five-scenario suite — it needs a sharded world.
 SCENARIO_ORDER: tuple[str, ...] = (
     "steady",
     "flash",
@@ -243,3 +241,102 @@ SCENARIO_INDEX: dict[str, int] = {
         )
     },
 }
+
+
+def contract_rows(phases: list[dict]) -> list[dict]:
+    """The degradation contract of one scenario run, one row per guarantee.
+
+    A pure function of the scenario's reported phase rows
+    (``LoadEngine.run_scenario(name)["phases"]``): each guarantee is
+    checked when the phase it speaks about is present, so the same
+    function serves all six scenarios.  Every row is
+    ``{"check", "ok", "detail"}``; the drill door exits non-zero when
+    any ``ok`` is false and the tier-1 suite asserts through the same
+    rows.
+    """
+    by_name = {phase["phase"]: phase for phase in phases}
+    rows: list[dict] = []
+
+    def check(name: str, ok: bool, detail: str) -> None:
+        rows.append({"check": name, "ok": bool(ok), "detail": detail})
+
+    outage = by_name.get("outage")
+    if outage is not None:
+        fraction = outage["cached_answered_fraction"]
+        check(
+            "outage-cached-answered",
+            fraction >= 0.9,
+            f"hot-name queries answered during outage: {fraction:.1%} (floor 90%)",
+        )
+        opened = outage["breaker_transitions"].get("open", 0)
+        check(
+            "outage-breakers-opened",
+            opened > 0,
+            f"breakers opened during the outage ({opened} transitions)",
+        )
+    recovery = by_name.get("recovery")
+    if recovery is not None:
+        check(
+            "recovery-breakers-closed",
+            recovery["breakers_closed"],
+            "every breaker CLOSED by the end of the recovery phase",
+        )
+    overload = by_name.get("overload")
+    if overload is not None:
+        check(
+            "overload-sheds",
+            overload["fractions"]["shed"] > 0.0
+            and overload["shed_reasons"].get("rrl", 0) > 0,
+            f"overload sheds load via RRL ({overload['shed_reasons']})",
+        )
+    crash = by_name.get("shard-crash")
+    rejoin = by_name.get("shard-recovery")
+    if crash is not None and rejoin is not None:
+        check(
+            "failover-answered",
+            crash["answered_fraction"] >= 0.99
+            and rejoin["answered_fraction"] >= 0.99,
+            "in-window queries answered: "
+            f"{crash['answered_fraction']:.1%} during the crash, "
+            f"{rejoin['answered_fraction']:.1%} during recovery (floor 99%)",
+        )
+        check(
+            "failover-ejection",
+            crash["ejections"] >= 1
+            and crash["victim_state"] == "ejected"
+            and crash["failover_routed"] > 0,
+            f"victim shard {crash['victim']} {crash['victim_state']} after "
+            f"{crash['ejections']} ejection(s); "
+            f"{crash['failover_routed']} queries rerouted to successors",
+        )
+        check(
+            "failover-blackhole",
+            crash["victim_datagrams_in_phase"] == 0
+            and crash["datagrams_while_ejected"] == 0
+            and rejoin["datagrams_while_ejected"] == 0,
+            "datagrams reaching the ejected shard: "
+            f"{crash['victim_datagrams_in_phase']} in the crash phase, "
+            f"{rejoin['datagrams_while_ejected']} while ejected overall "
+            "(must be exactly 0)",
+        )
+        check(
+            "failover-rejoin",
+            rejoin["victim_state"] == "healthy"
+            and rejoin["probe_successes"] >= 1,
+            f"victim {rejoin['victim_state']} after "
+            f"{rejoin['probe_successes']} successful half-open probe(s) "
+            f"({rejoin['probe_failures']} failed)",
+        )
+        check(
+            "failover-routing-restored",
+            rejoin["routing_restored"],
+            "post-recovery routing equals the pre-fault map: "
+            f"{rejoin['routing_restored']}",
+        )
+    violations = sum(phase["deadline_violations"] for phase in phases)
+    check(
+        "no-deadline-violations",
+        violations == 0,
+        f"answered queries past their client deadline: {violations}",
+    )
+    return rows

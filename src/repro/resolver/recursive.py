@@ -288,6 +288,9 @@ class RecursiveResolver:
 
     def _handle_query(self, query: Message, source: str = "") -> Message:
         self.stats.queries += 1
+        badvers = query.badvers_response()
+        if badvers is not None:
+            return badvers
         question = query.question[0]
         qname, rdtype = question.name, question.rdtype
         if self.local_policy is not None:

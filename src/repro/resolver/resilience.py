@@ -626,6 +626,13 @@ class ResilientFrontend:
         return response
 
     def _serve(self, query: Message, source: str) -> Message:
+        # Ahead of shed policy: neither a shed nor the cache-only path
+        # may answer an EDNS version nobody here implements.
+        badvers = query.badvers_response()
+        if badvers is not None:
+            self.stats.answered += 1
+            self._m_responses.labels(outcome="answered").inc()
+            return badvers
         shedding = False
         if self._inflight >= self.config.max_inflight:
             self.stats.inflight_sheds += 1

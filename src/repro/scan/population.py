@@ -105,13 +105,16 @@ NOMINAL_TRANCO = 1_000_000
 NOMINAL_TRANCO_EDE = 22_100
 NOMINAL_TRANCO_EDE_NOERROR = 12_200
 
+#: The population seed every committed gate, pin and ledger run uses.
+DEFAULT_SEED = 20230524
+
 
 @dataclass
 class PopulationConfig:
     """Knobs for the synthetic universe."""
 
     scale: int = 1000
-    seed: int = 20230524
+    seed: int = DEFAULT_SEED
     #: Fraction of otherwise-valid domains that are DNSSEC-signed.
     valid_signed_fraction: float = 0.04
     #: Categories at or below this nominal count are kept unscaled.
@@ -130,6 +133,12 @@ class PopulationConfig:
     @property
     def total_domains(self) -> int:
         return self.scaled(NOMINAL_TOTAL_DOMAINS)
+
+
+def population_config_for(target_domains: int, seed: int = DEFAULT_SEED) -> PopulationConfig:
+    """Map a target domain count onto the population's 1:k scale."""
+    scale = max(1, NOMINAL_TOTAL_DOMAINS // max(1, int(target_domains)))
+    return PopulationConfig(scale=scale, seed=seed)
 
 
 @dataclass(slots=True)

@@ -116,6 +116,19 @@ class ScanResult:
         return dict(sorted(counts.items(), key=lambda kv: -kv[1]))
 
 
+def categorization_of(result: ScanResult) -> dict:
+    """Order-independent per-domain scan outcome, JSON-serializable."""
+    return {
+        record.name: [
+            int(record.rcode),
+            list(record.ede_codes),
+            list(record.extra_texts),
+            record.error,
+        ]
+        for record in result.records
+    }
+
+
 class WildScanner:
     """Drives the Internet-wide measurement."""
 

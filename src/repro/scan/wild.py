@@ -218,6 +218,9 @@ class VirtualTldServer(PavedEndpoint):
         return response
 
     def handle_query(self, query: Message) -> Message:
+        badvers = query.badvers_response(recursion_available=False)
+        if badvers is not None:
+            return badvers
         response = query.make_response(recursion_available=False)
         if not query.question:
             response.rcode = Rcode.FORMERR

@@ -146,6 +146,9 @@ class AuthoritativeServer(PavedEndpoint):
 
     def handle_query(self, query: Message, source: str = "192.0.2.0") -> Message | None:
         self.stats.queries += 1
+        badvers = query.badvers_response(recursion_available=False)
+        if badvers is not None:
+            return badvers
         if not query.question:
             response = query.make_response(recursion_available=False)
             response.rcode = Rcode.FORMERR

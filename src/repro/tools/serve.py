@@ -27,9 +27,11 @@ shutdown (and ``--duration`` bounds the run, for smoke tests);
 ``--drill SCENARIO`` skips the sockets entirely and replays one named
 load scenario (steady, flash, stampede, outage, overload, or the
 cluster recovery drill ``shard-outage``) through the in-process
-resilience layer on the virtual clock, printing the same phase report
-the serving benchmark emits — a one-command way to watch the
-degradation behaviour without standing up the UDP testbed.
+resilience layer on the virtual clock.  It prints the phase report,
+then one row per guarantee of the degradation contract
+(:func:`repro.load.contract_rows`), and exits 1 when a row is false —
+a one-command verdict on the degradation behaviour without standing up
+the UDP testbed.
 """
 
 from __future__ import annotations
@@ -139,8 +141,14 @@ async def serve(args: argparse.Namespace) -> None:
 
 
 def drill(args: argparse.Namespace) -> int:
-    """Replay one load scenario in-process and print its phase report."""
-    from ..load import LoadConfig, LoadEngine, SCENARIOS, render_phase_table
+    """Replay one load scenario in-process; exit status is its contract."""
+    from ..load import (
+        SCENARIOS,
+        LoadConfig,
+        LoadEngine,
+        contract_rows,
+        render_phase_table,
+    )
 
     if args.drill not in SCENARIOS:
         print(
@@ -159,7 +167,10 @@ def drill(args: argparse.Namespace) -> int:
     print(f"replaying scenario {args.drill!r}...", flush=True)
     result = engine.run_scenario(args.drill)
     print(render_phase_table([result]))
-    return 0
+    rows = contract_rows(result["phases"])
+    for row in rows:
+        print(f"  [{'ok' if row['ok'] else 'FAIL'}] {row['check']}: {row['detail']}")
+    return 0 if all(row["ok"] for row in rows) else 1
 
 
 def main(argv: list[str] | None = None) -> int:

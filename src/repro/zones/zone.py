@@ -185,7 +185,11 @@ class Zone:
     # -- RRSIG / denial helpers for the server ------------------------------------------
 
     def rrsigs_for(self, name: Name, covered: RdataType) -> RRset | None:
-        """The RRSIG RRset at ``name`` filtered to signatures over ``covered``."""
+        """The RRSIG RRset at ``name`` filtered to signatures over ``covered``.
+
+        It carries the TTL of the RRset it covers (RFC 4034 section 3),
+        not that of the mixed RRSIG store at the owner.
+        """
         rrsig_set = self.find(name, RdataType.RRSIG)
         if rrsig_set is None:
             return None
@@ -196,10 +200,11 @@ class Zone:
         ]
         if not filtered:
             return None
+        covered_set = self.find(name, covered)
         return RRset(
             name=name,
             rdtype=RdataType.RRSIG,
-            ttl=rrsig_set.ttl,
+            ttl=covered_set.ttl if covered_set is not None else rrsig_set.ttl,
             rdatas=list(filtered),
         )
 

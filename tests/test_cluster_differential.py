@@ -17,13 +17,12 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.sanitizer import determinism_sanitizer
-from repro.bench import categorization_of, population_config_for
 from repro.obs import NULL_OBS, Observability
 from repro.obs.registry import METRICS
 from repro.resolver.iterative import EngineConfig
 from repro.scan.figures import figure1_series, figure2_series
-from repro.scan.population import generate_population
-from repro.scan.scanner import WildScanner
+from repro.scan.population import generate_population, population_config_for
+from repro.scan.scanner import WildScanner, categorization_of
 from repro.scan.wild import WildInternet
 from repro.testbed.runner import run_matrix
 

@@ -7,13 +7,17 @@ half-open probe, rejoin restores the exact pre-fault routing).  The
 whole sequence runs on the virtual clock from a seeded fault schedule,
 so it replays byte-identically — and with no faults installed the
 dispatch path must degenerate to the PR 8 router.
+
+The drill runs twice: walked sequentially through ``cluster.resolve``,
+and with the scan driving it *through the lane pool* under two
+retry-jitter seeds, where the crash must not move a single per-domain
+categorization off the fault-free sequential baseline.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bench import population_config_for
 from repro.cluster import (
     ClusterConfig,
     ResolverCluster,
@@ -21,12 +25,15 @@ from repro.cluster import (
     ShardHealthConfig,
     ShardHealthState,
     SharedL2Cache,
+    seeded_single_crash,
 )
 from repro.cluster.cluster import _ShardL2View
 from repro.net.clock import SimulatedClock
 from repro.obs import Observability
+from repro.resolver.iterative import EngineConfig
 from repro.resolver.profiles import CLOUDFLARE
-from repro.scan.population import generate_population
+from repro.scan.population import generate_population, population_config_for
+from repro.scan.scanner import WildScanner, categorization_of
 from repro.scan.wild import WildInternet
 
 SHARDS = 4
@@ -182,6 +189,94 @@ class TestCrashDrill:
             for s in families["repro_cluster_probe_total"]["series"]
         }
         assert probe_series.get((("outcome", "ok"),)) == 1
+
+
+#: The retry-jitter seeds the scan-side drill sweeps.
+JITTER_SEEDS = (1, 20230524)
+
+
+def faulted_scan(population, jitter_seed):
+    """One 8-lane cluster scan with a seeded victim crash mid-scan.
+
+    The fault window is tuned to the scan's virtual timeline: crash at
+    0.3 s, cold restart at 0.9 s, 0.25 s cooldown, so the whole
+    crash-eject-restart-probe-rejoin sequence completes inside the
+    single-phase sweep (~5 virtual seconds at 200 domains), *before*
+    the two-phase stale/cached-error tail — a rejoin that lands
+    mid-``stale_prime`` would reroute a prime to a ring successor and
+    change a stale domain's categorization.
+
+    Returns ``(categorization, facts)``.
+    """
+    wild = WildInternet(population)
+    scanner = WildScanner(
+        wild,
+        cluster_config=ClusterConfig(
+            shards=SHARDS,
+            health=ShardHealthConfig(failure_threshold=3, cooldown=0.25),
+        ),
+        engine_config=EngineConfig(rng_seed=jitter_seed),
+    )
+    cluster = scanner.resolver
+    probe_names = [domain.name for domain in population.domains[:256]]
+    pre_routing = cluster.routing_snapshot(probe_names)
+    plan = seeded_single_crash(
+        population.config.seed,
+        SHARDS,
+        clock=wild.fabric.clock,
+        crash_after=0.3,
+        restart_after=0.9,
+    )
+    cluster.install_shard_chaos(plan.policy)
+    result = scanner.scan(workers=8, use_lanes=True)
+    facts = {
+        "victim": plan.victim,
+        "ejections": cluster.health.stats.ejections,
+        "recoveries": cluster.health.stats.recoveries,
+        "probe_successes": cluster.health.stats.probe_successes,
+        "probe_failures": cluster.health.stats.probe_failures,
+        "victim_state": cluster.health.state_of(plan.victim).value,
+        "datagrams_while_ejected": cluster.datagrams_while_ejected(plan.victim),
+        "failover_routed": cluster.cluster_stats.failover_total,
+        "routing_restored": cluster.routing_snapshot(probe_names) == pre_routing,
+        "l2_owner_flushed": cluster.l2.stats.owner_flushed,
+    }
+    return categorization_of(result), facts
+
+
+class TestScanSideDrill:
+    @pytest.fixture(scope="class")
+    def scan_population(self):
+        return generate_population(population_config_for(200))
+
+    @pytest.fixture(scope="class")
+    def baseline(self, scan_population, sanitizer_if_requested):
+        """Fault-free, single resolver, plain sequential loop."""
+        scanner = WildScanner(WildInternet(scan_population))
+        with sanitizer_if_requested():
+            return categorization_of(scanner.scan(workers=1, use_lanes=False))
+
+    @pytest.fixture(scope="class")
+    def runs(self, scan_population, sanitizer_if_requested):
+        with sanitizer_if_requested():
+            return [faulted_scan(scan_population, seed) for seed in JITTER_SEEDS]
+
+    def test_categorization_identical_to_fault_free_baseline(self, baseline, runs):
+        # Zero comparisons must not pass: both seeds ran, on real records.
+        assert len(runs) >= 2 and len(baseline) >= 200
+        for categorization, _facts in runs:
+            assert categorization == baseline
+
+    def test_victim_ejected_blackholed_rejoined_routing_restored(self, runs):
+        _categorization, facts = runs[0]
+        assert facts["ejections"] >= 1 and facts["failover_routed"] > 0
+        assert facts["datagrams_while_ejected"] == 0
+        assert facts["victim_state"] == "healthy"
+        assert facts["probe_successes"] >= 1 and facts["recoveries"] >= 1
+        assert facts["routing_restored"] is True
+
+    def test_both_jitter_seeds_agree_on_every_fact(self, runs):
+        assert all(run == runs[0] for run in runs[1:])
 
 
 class TestParseFallback:

@@ -68,17 +68,8 @@ class TestStaticExperiments:
     def test_registry_lists_every_paper_artifact(self):
         assert set(EXPERIMENTS) == {
             "table1", "table2_3", "table4", "sec32", "sec33", "sec41",
-            "sec42", "sec42_ns", "fig1", "fig2", "outage_drill",
-            "serve_load",
+            "sec42", "sec42_ns", "fig1", "fig2",
         }
-
-    def test_outage_drill_all_ok_across_seeds(self):
-        # The drill runs every phase under two seeds itself and fails on
-        # any counter drift or seed-dependence.
-        from repro.experiments.outage_drill import experiment_outage_drill
-
-        report = experiment_outage_drill()
-        assert report.all_ok, report.render()
 
     def test_paper_category_counts_table(self):
         # These are the exact Section 4.2 numbers.

@@ -19,11 +19,10 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bench import population_config_for
 from repro.net import lanes as lanes_module
 from repro.net.clock import SimulatedClock
 from repro.net.lanes import LaneDeadlock, VirtualLanePool
-from repro.scan.population import generate_population
+from repro.scan.population import generate_population, population_config_for
 from repro.scan.scanner import WildScanner
 from repro.scan.wild import WildInternet
 

@@ -2,13 +2,15 @@
 
 Unit coverage for the seeded building blocks (client population, Zipf
 mix, on/off arrivals, phase reports) plus the load-bearing end-to-end
-property: one scenario replayed under two retry-jitter seeds produces
+property: every scenario replayed under two retry-jitter seeds produces
 byte-identical phase reports — upstream randomness must never leak into
-client-visible behaviour.
+client-visible behaviour — and meets its degradation contract, through
+the same ``contract_rows`` the ``serve --drill`` door prints.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import random
 
@@ -23,6 +25,7 @@ from repro.load import (
     ZipfMix,
     build_clients,
     client_arrivals,
+    contract_rows,
     percentile,
     render_phase_table,
 )
@@ -31,6 +34,8 @@ from repro.resolver.resilience import SHED_REASONS, FrontendStats
 
 #: Smallest world that still has a viable hot set and every phase kind.
 TINY = dict(target_domains=200, scale=0.1, workers=2)
+#: The retry-jitter seeds the determinism gate compares.
+JITTER_SEEDS = (1, 20230524)
 
 
 class TestClients:
@@ -168,6 +173,36 @@ class TestScenarioCatalog:
         assert SCENARIO_INDEX["shard-outage"] == len(SCENARIO_ORDER)
 
 
+@pytest.fixture(scope="module")
+def replay(sanitizer_if_requested):
+    """``replay(name)``: one scenario at ``TINY`` scale, once per jitter
+    seed, over one shared population."""
+    population = LoadEngine(LoadConfig(**TINY)).population
+
+    def run(name: str) -> list[dict]:
+        with sanitizer_if_requested():
+            return [
+                LoadEngine(
+                    LoadConfig(**TINY, jitter_seed=seed), population=population
+                ).run_scenario(name)
+                for seed in JITTER_SEEDS
+            ]
+
+    return run
+
+
+def assert_deterministic_and_in_contract(runs: list[dict]) -> None:
+    """The determinism gate — phase reports byte-identical across jitter
+    seeds — and the degradation contract, through the door's own rows."""
+    # A gate that compared nothing is a failing gate.
+    assert len(runs) >= 2
+    assert sum(phase["queries"] for phase in runs[0]["phases"]) > 0
+    reference = json.dumps(runs[0], sort_keys=True)
+    assert all(json.dumps(run, sort_keys=True) == reference for run in runs[1:])
+    rows = contract_rows(runs[0]["phases"])
+    assert rows and all(row["ok"] for row in rows), rows
+
+
 class TestEngineEndToEnd:
     @pytest.fixture(scope="class")
     def engine(self):
@@ -184,27 +219,16 @@ class TestEngineEndToEnd:
             (e.at, e.client.address, e.wire) for e in events_b
         ]
 
-    def test_outage_scenario_identical_across_jitter_seeds(self, engine):
-        """The tentpole determinism gate, at unit-test scale, on the
-        scenario most exposed to retry jitter (timeouts + chaos RNG)."""
-        other = LoadEngine(
-            LoadConfig(**TINY, jitter_seed=20230524),
-            population=engine.population,
-        )
-        run_a = engine.run_scenario("outage")
-        run_b = other.run_scenario("outage")
-        assert json.dumps(run_a, sort_keys=True) == json.dumps(
-            run_b, sort_keys=True
-        )
-        outage = next(r for r in run_a["phases"] if r["phase"] == "outage")
-        recovery = next(r for r in run_a["phases"] if r["phase"] == "recovery")
-        # The degradation contract at this scale, too.
-        assert outage["cached_answered_fraction"] >= 0.9
-        assert outage["deadline_violations"] == 0
-        assert sum(
-            int(v) for k, v in outage["breaker_transitions"].items() if k == "open"
-        ) > 0
-        assert recovery["breakers_closed"] is True
+    def test_outage_scenario_identical_across_jitter_seeds(self, replay):
+        """The scenario most exposed to retry jitter (timeouts + chaos RNG)."""
+        assert_deterministic_and_in_contract(replay("outage"))
+
+    @pytest.mark.parametrize(
+        "name", sorted(set(SCENARIOS) - {"outage", "shard-outage"})
+    )
+    def test_every_other_scenario_identical_across_jitter_seeds(self, replay, name):
+        """Whatever ``SCENARIOS`` holds beside the two named tests."""
+        assert_deterministic_and_in_contract(replay(name))
 
     def test_drill_cli_smoke(self, capsys):
         from repro.tools.serve import main
@@ -226,55 +250,42 @@ class TestEngineEndToEnd:
 
 
 class TestShardOutageDrill:
-    """The failover drill through the load engine and its benchmark
-    gate, at unit-test scale."""
+    """The failover drill through the load engine, its contract rows,
+    and the drill door's verdict."""
 
-    def test_shard_outage_scenario_identical_across_jitter_seeds(self):
-        engine = LoadEngine(LoadConfig(**TINY))
-        other = LoadEngine(
-            LoadConfig(**TINY, jitter_seed=20230524),
-            population=engine.population,
-        )
-        run_a = engine.run_scenario("shard-outage")
-        run_b = other.run_scenario("shard-outage")
-        assert json.dumps(run_a, sort_keys=True) == json.dumps(
-            run_b, sort_keys=True
-        )
-        crash = next(
-            r for r in run_a["phases"] if r["phase"] == "shard-crash"
-        )
-        recovery = next(
-            r for r in run_a["phases"] if r["phase"] == "shard-recovery"
-        )
-        # The failover contract at this scale, too.
-        assert crash["victim_state"] == "ejected"
-        assert crash["ejections"] == 1
-        assert crash["answered_fraction"] >= 0.99
-        assert crash["victim_datagrams_in_phase"] == 0
-        assert crash["datagrams_while_ejected"] == 0
-        assert recovery["victim_state"] == "healthy"
-        assert recovery["probe_successes"] >= 1
-        assert recovery["datagrams_while_ejected"] == 0
-        assert recovery["routing_restored"] is True
+    @pytest.fixture(scope="class")
+    def shard_outage_runs(self, replay):
+        return replay("shard-outage")
 
-    def test_failover_bench_report_gates(self):
-        from repro.load import failover_bench_report
+    @pytest.fixture()
+    def shard_outage(self, shard_outage_runs):
+        return shard_outage_runs[0]
 
-        report = failover_bench_report(
-            scale=0.1, workers=2, target_domains=200
-        )
-        assert report["scenario"] == "shard-outage"
-        assert report["deterministic"] is True
-        assert report["mismatched_seeds"] == []
-        assert report["contract_ok"] is True
-        checks = {row["check"] for row in report["contract"]}
-        assert checks == {
-            "failover-answered",
-            "failover-ejection",
-            "failover-blackhole",
-            "failover-rejoin",
-            "failover-routing-restored",
+    def test_shard_outage_scenario_identical_across_jitter_seeds(self, shard_outage_runs):
+        assert_deterministic_and_in_contract(shard_outage_runs)
+
+    def test_doctored_report_fails_its_row_and_the_door(
+        self, shard_outage, monkeypatch, capsys
+    ):
+        from repro.tools.serve import main
+
+        doctored = copy.deepcopy(shard_outage)
+        crash, recovery = doctored["phases"][-2:]
+        crash["answered_fraction"] = 0.98  # below the 99% floor
+        recovery["datagrams_while_ejected"] = 1
+        verdict = {row["check"]: row["ok"] for row in contract_rows(doctored["phases"])}
+        assert verdict == {
+            "failover-answered": False,
+            "failover-ejection": True,
+            "failover-blackhole": False,
+            "failover-rejoin": True,
+            "failover-routing-restored": True,
+            "no-deadline-violations": True,
         }
+        monkeypatch.setattr(LoadEngine, "run_scenario", lambda self, name: doctored)
+        assert main(["--drill", "shard-outage", "--drill-domains", "200"]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] failover-answered" in out and "[FAIL] failover-blackhole" in out
 
     def test_drill_cli_runs_shard_outage(self, capsys):
         from repro.tools.serve import main
@@ -288,3 +299,4 @@ class TestShardOutageDrill:
         out = capsys.readouterr().out
         assert code == 0
         assert "shard-crash" in out and "shard-recovery" in out
+        assert "[ok] failover-routing-restored" in out

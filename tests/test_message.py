@@ -195,6 +195,22 @@ class TestEdeOnMessages:
         message.add_ede(EdeCode.NO_REACHABLE_AUTHORITY)
         assert rt(message).ede_codes == (6, 22)
 
+    def test_three_ede_options_cost_under_200_octets(self):
+        """Carrying extended errors is cheap: a one-answer response is
+        under 120 octets, and three options with Cloudflare-sized
+        EXTRA-TEXT add well under 200."""
+        query = Message.make_query("www.extended-dns-errors.com.", want_dnssec=True)
+        message = query.make_response()
+        message.answer.append(
+            RRset.of(message.question[0].name, RdataType.A, A(address="93.184.216.34"))
+        )
+        bare = len(message.to_wire())
+        message.add_ede(22)
+        message.add_ede(23, "185.199.0.53:53 rcode=REFUSED for www.extended-dns-errors.com. A")
+        message.add_ede(22, "failed to verify an insecure referral proof")
+        assert bare < 120
+        assert 0 < len(message.to_wire()) - bare < 200
+
 
 class TestEncodeIsPure:
     """A render writes to nothing the Message holds: wires are rendered

@@ -20,10 +20,9 @@ import json
 
 import pytest
 
-from repro.bench import population_config_for
 from repro.obs import CollectingSink, Observability
 from repro.scan.analysis import tld_ratios, tranco_overlap
-from repro.scan.population import generate_population
+from repro.scan.population import generate_population, population_config_for
 from repro.scan.scanner import WildScanner
 from repro.scan.wild import WildInternet
 from repro.testbed.runner import run_matrix

@@ -19,7 +19,6 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bench import population_config_for
 from repro.cluster import ClusterConfig, ResolverCluster, ShardChaosPolicy
 from repro.dns.edns import Edns
 from repro.dns.message import Message
@@ -43,7 +42,7 @@ from repro.resolver.cache import RenderedWireCache, default_cache_config
 from repro.resolver.profiles import CLOUDFLARE
 from repro.resolver.recursive import RecursiveResolver
 from repro.resolver.resilience import ResilientFrontend
-from repro.scan.population import Profile, generate_population
+from repro.scan.population import Profile, generate_population, population_config_for
 from repro.scan.wild import MISMATCH_HOST, WildInternet
 from repro.testbed.replicas import register_replicas
 

@@ -121,8 +121,9 @@ class TestFigures:
         ratios = tld_ratios(small_scan, small_population)
         assert ratios.gtld_ratios and ratios.cctld_ratios
         assert all(0.0 <= r <= 1.0 for r in ratios.gtld_ratios)
-        # fully-broken TLDs show up as ratio 1.0
+        # fully-broken TLDs show up as ratio 1.0, and zero-EDE TLDs exist
         assert ratios.full_count(cc=False) >= 1
+        assert ratios.zero_fraction(cc=False) > 0.0
 
     def test_tranco_overlap(self, small_scan):
         overlap = tranco_overlap(small_scan)

@@ -6,19 +6,24 @@ output.  These tests drive the same seeded ~1000-domain population
 through the sequential loop and through lane pools of 1, 8 and 32
 workers and require byte-identical per-domain EDE categorization plus
 identical Figure 1/2 group counts.
-"""
 
-import json
+The same four scans are the repository's virtual-time ladder, pinned
+here exactly: a *model of concurrency* (simulated makespans on the
+virtual clock), not a speed — wall-clock throughput lives in ``perf/``.
+"""
 
 import pytest
 
-from repro.bench import population_config_for
 from repro.scan.analysis import pipeline_accuracy, tld_ratios, tranco_overlap
-from repro.scan.population import generate_population
-from repro.scan.scanner import WildScanner
+from repro.scan.population import generate_population, population_config_for
+from repro.scan.scanner import WildScanner, categorization_of
 from repro.scan.wild import WildInternet
 
-WORKER_COUNTS = (1, 8, 32)
+#: lanes -> (speed-up over the sequential scan's active virtual seconds,
+#: datagrams sent) at 1 000 domains, seed 20230524; the sequential scan
+#: itself reads 17.9 domains per virtual second over 4 708 datagrams.
+LADDER = {1: (1.0, 4708), 8: (5.84, 4711), 32: (9.89, 4718)}
+WORKER_COUNTS = tuple(LADDER)
 
 
 @pytest.fixture(scope="module")
@@ -27,34 +32,21 @@ def thousand_population():
 
 
 @pytest.fixture(scope="module")
-def sequential(thousand_population):
+def sequential(thousand_population, sanitizer_if_requested):
     scanner = WildScanner(WildInternet(thousand_population))
-    return scanner.scan(workers=1, use_lanes=False)
+    with sanitizer_if_requested():
+        return scanner.scan(workers=1, use_lanes=False)
 
 
 @pytest.fixture(scope="module", params=WORKER_COUNTS, ids=lambda n: f"{n}w")
-def concurrent(request, thousand_population):
+def concurrent(request, thousand_population, sanitizer_if_requested):
     scanner = WildScanner(WildInternet(thousand_population))
-    return scanner.scan(workers=request.param, use_lanes=True)
-
-
-def _categorization_bytes(result) -> bytes:
-    """Canonical per-domain serialization, independent of record order."""
-    rows = sorted(
-        (
-            record.name,
-            int(record.rcode),
-            list(record.ede_codes),
-            list(record.extra_texts),
-            record.error,
-        )
-        for record in result.records
-    )
-    return json.dumps(rows, sort_keys=True).encode()
+    with sanitizer_if_requested():
+        return scanner.scan(workers=request.param, use_lanes=True)
 
 
 def test_concurrent_categorization_byte_identical(sequential, concurrent):
-    assert _categorization_bytes(concurrent) == _categorization_bytes(sequential)
+    assert categorization_of(concurrent) == categorization_of(sequential)
 
 
 def test_concurrent_figure1_group_counts(
@@ -105,3 +97,11 @@ def test_concurrent_makespan_beats_sequential(sequential, concurrent):
     if concurrent.workers >= 8:
         assert concurrent.active_virtual < sequential.active_virtual / 2
         assert concurrent.coalesced > 0
+
+
+def test_virtual_time_ladder_is_exact(sequential, concurrent):
+    speedup, datagrams = LADDER[concurrent.workers]
+    assert round(sequential.active_virtual / concurrent.active_virtual, 2) == speedup
+    assert concurrent.queries_sent == datagrams
+    assert sequential.queries_sent == 4708
+    assert round(len(sequential.records) / sequential.active_virtual, 1) == 17.9

@@ -6,7 +6,7 @@ from repro.dns.message import Message
 from repro.dns.name import Name
 from repro.dns.rcode import Rcode
 from repro.dns.rdata import A, NS
-from repro.dns.rrset import RRset
+from repro.dns.rrset import RRset, find_rrset
 from repro.dns.types import RdataType
 from repro.server.acl import Acl
 from repro.server.authoritative import AuthoritativeServer
@@ -29,6 +29,9 @@ def server() -> AuthoritativeServer:
     builder.add(RRset.of(ORIGIN, RdataType.NS, NS(target=name("ns1"))))
     builder.add(RRset.of(name("ns1"), RdataType.A, A(address="192.0.9.53")))
     builder.add(RRset.of(ORIGIN, RdataType.A, A(address="192.0.9.80")))
+    # TTLs other than the builder's 300 s default, one behind a wildcard
+    builder.add(RRset.of(name("www"), RdataType.A, A(address="192.0.9.81"), ttl=3600))
+    builder.add(RRset.of(name("*.wild"), RdataType.A, A(address="192.0.9.82"), ttl=7200))
     # signed delegation
     builder.add(RRset.of(name("signedsub"), RdataType.NS, NS(target=name("ns1.signedsub"))))
     builder.add(RRset.of(name("ns1.signedsub"), RdataType.A, A(address="192.0.9.54")))
@@ -66,6 +69,33 @@ class TestAnswers:
     def test_no_rrsigs_without_do(self, server):
         response = ask(server, "example.com.", dnssec=False)
         assert not any(r.rdtype == RdataType.RRSIG for r in response.answer)
+
+    @pytest.mark.parametrize(
+        "qname, answer_ttl",
+        [
+            ("www.example.com.", 3600),
+            ("anything.wild.example.com.", 7200),  # wildcard-synthesised owner
+            ("nx.example.com.", None),  # SOA + NSEC3 denial
+            ("x.signedsub.example.com.", None),  # referral: DS
+        ],
+    )
+    def test_rrsig_ttl_matches_the_rrset_it_covers(self, server, qname, answer_ttl):
+        """RFC 4034 section 3: "The TTL value of an RRSIG RR MUST match
+        the TTL value of the RRset it covers." """
+        response = ask(server, qname)
+        if answer_ttl is not None:
+            assert response.answer[0].ttl == answer_ttl
+        checked = 0
+        for section in (response.answer, response.authority):
+            for sigs in section:
+                if sigs.rdtype != RdataType.RRSIG:
+                    continue
+                (covered,) = {rd.type_covered for rd in sigs.rdatas}
+                target = find_rrset(section, sigs.name, covered)
+                assert target is not None
+                assert sigs.ttl == target.ttl == sigs.rdatas[0].original_ttl
+                checked += 1
+        assert checked
 
     def test_dnskey_answer(self, server):
         response = ask(server, "example.com.", RdataType.DNSKEY)

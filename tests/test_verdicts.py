@@ -18,7 +18,6 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.bench import categorization_of, population_config_for
 from repro.cluster import ClusterConfig, ResolverCluster, ShardChaosPolicy
 from repro.cluster.cluster import SharedL2Cache, _ShardL2View
 from repro.dns.name import Name
@@ -35,8 +34,8 @@ from repro.dnssec.validator import FetchResult, Validator
 from repro.net.fabric import NetworkFabric
 from repro.resolver.profiles import BIND, CLOUDFLARE
 from repro.resolver.recursive import RecursiveResolver
-from repro.scan.population import Profile, generate_population
-from repro.scan.scanner import WildScanner
+from repro.scan.population import Profile, generate_population, population_config_for
+from repro.scan.scanner import WildScanner, categorization_of
 from repro.scan.wild import WildInternet
 from repro.server.authoritative import AuthoritativeServer
 from repro.testbed.runner import run_matrix

@@ -18,7 +18,6 @@ from typing import ClassVar
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.bench import categorization_of, population_config_for
 from repro.dns.dnssec_records import DNSKEY, DS, NSEC, NSEC3, RRSIG
 from repro.dns.ede import ExtendedError
 from repro.dns.edns import Edns, EdnsOption
@@ -30,8 +29,8 @@ from repro.dns.rrset import RRset
 from repro.dns.types import RdataType
 from repro.dns.wire import WireWriter
 from repro.net.fabric import NetworkFabric
-from repro.scan.population import generate_population
-from repro.scan.scanner import WildScanner
+from repro.scan.population import generate_population, population_config_for
+from repro.scan.scanner import WildScanner, categorization_of
 from repro.scan.wild import WildInternet
 from repro.testbed.runner import run_matrix
 

@@ -27,7 +27,6 @@ from typing import NamedTuple
 import pytest
 
 from repro.analysis.sanitizer import determinism_sanitizer
-from repro.bench import categorization_of, population_config_for
 from repro.dns.name import Name
 from repro.dns.rdata import A, NS, TXT
 from repro.dns.rrset import RRset
@@ -35,8 +34,8 @@ from repro.dns.types import RdataType
 from repro.net.chaos import ChaosPolicy
 from repro.resolver.iterative import EngineConfig, IterativeEngine
 from repro.scan.figures import figure1_series, figure2_series, series_to_csv
-from repro.scan.population import generate_population
-from repro.scan.scanner import ScanResult, WildScanner
+from repro.scan.population import generate_population, population_config_for
+from repro.scan.scanner import ScanResult, WildScanner, categorization_of
 from repro.scan.wild import WildInternet
 from repro.server.authoritative import AuthoritativeServer
 from repro.testbed.infra import build_testbed

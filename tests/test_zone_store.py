@@ -9,9 +9,8 @@ from repro.dns.rdata import A, NS, TXT
 from repro.dns.rrset import RRset
 from repro.dns.types import RdataType
 from repro.dnssec import rsa
-from repro.bench import population_config_for
 from repro.dnssec.nsec3 import base32hex_decode, base32hex_encode, hash_covers, nsec3_hash
-from repro.scan.population import generate_population
+from repro.scan.population import generate_population, population_config_for
 from repro.scan.wild import WildInternet
 from repro.testbed.infra import build_testbed
 from repro.testbed.replicas import ReplicaTopology
