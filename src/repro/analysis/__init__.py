@@ -14,9 +14,10 @@ the invariants that guarantee rests on:
   and a reachable policy branch, every enum member reference must exist.
 * **Flow rules** (:mod:`.flow`) — interprocedural analysis over a
   whole-program call graph: no real-blocking call or unbounded wait
-  reachable from ``ResilientFrontend.handle_datagram``, no
+  reachable from an endpoint door (``Endpoint.handle_datagram``,
+  ``handle_paved``, ``handle_stream`` and their overrides), no
   jitter-domain value flowing into schedule-domain or client-visible
-  state, no ``raise`` escaping the frontend's handlers.  Intentional
+  state, no ``raise`` escaping a door's handlers.  Intentional
   exceptions live in a committed baseline (``flow_baseline.json``).
 * **Runtime sanitizer** (:mod:`.sanitizer`) — an opt-in guard that
   patches the same entry points to *raise* inside fabric runs, so the

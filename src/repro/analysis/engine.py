@@ -210,13 +210,13 @@ RULE_CATALOG: dict[str, tuple[str, str]] = {
         "table", "resilience-layer EDE codes unassigned or unreachable"
     ),
     "answer-path-blocking": (
-        "flow", "real-blocking or unbounded wait reachable from the frontend"
+        "flow", "real-blocking or unbounded wait reachable from an endpoint door"
     ),
     "seed-domain-taint": (
         "flow", "jitter-domain value flowing into schedule/client-visible state"
     ),
     "never-raise": (
-        "flow", "raise reachable from handle_datagram outside its handlers"
+        "flow", "raise reachable from an endpoint door outside its handlers"
     ),
     RULE_UNUSED_SUPPRESSION: (
         "meta", "# repro: allow[...] marker that suppresses nothing"

@@ -2,13 +2,14 @@
 
 The stack's headline guarantees are dynamic facts — byte-identical
 scans at any worker count, jitter-seed isolation of the load
-scenarios, a frontend that never raises — proven today by differential
+scenarios, endpoints that never raise — proven today by differential
 tests that execute long after a violating line lands.  This module
 proves the *structural* halves of those guarantees at selfcheck time,
 on a whole-program call graph of ``src/repro``:
 
 ``answer-path-blocking``
-    Starting from ``ResilientFrontend.handle_datagram``, no reachable
+    Starting from every endpoint door — ``Endpoint.handle_datagram``,
+    ``handle_paved`` and ``handle_stream`` and each override — no reachable
     code may call a real-blocking primitive (``time.sleep``, socket
     recv/send, ``threading`` joins/waits) — the answer path waits only
     on the virtual clock — and every reachable ``lane_wait`` /
@@ -33,7 +34,7 @@ on a whole-program call graph of ``src/repro``:
     but the resulting config object is not itself tainted.
 
 ``never-raise``
-    Every explicit ``raise`` reachable from ``handle_datagram`` along a
+    Every explicit ``raise`` reachable from an endpoint door along a
     call path not covered by a broad ``except`` (``Exception``,
     ``BaseException``, bare, or a handler naming the raised class) is
     flagged, making the docstring contract machine-checked.
@@ -78,10 +79,11 @@ FLOW_RULES = (
     RULE_NEVER_RAISE,
 )
 
-#: The frontend contract entry point: any class of this name defining
-#: this method anchors the answer-path and never-raise traversals.
-ENTRY_CLASS = "ResilientFrontend"
-ENTRY_METHOD = "handle_datagram"
+#: The door contract's entry points: these methods of any class of this
+#: name, and every subclass override of them, anchor the answer-path and
+#: never-raise traversals.
+ENTRY_CLASS = "Endpoint"
+ENTRY_METHODS = ("handle_datagram", "handle_paved", "handle_stream")
 
 #: Modules (dotted-suffix match) whose internals are the sanctioned
 #: deterministic scheduler: traversal stops at their door, and the
@@ -670,16 +672,14 @@ def _is_boundary(module: str) -> bool:
 
 
 def find_entries(program: Program) -> list[FunctionInfo]:
-    return sorted(
-        (
-            fn
-            for fn in program.functions.values()
-            if fn.cls is not None
-            and fn.cls.rsplit(".", 1)[-1] == ENTRY_CLASS
-            and fn.name == ENTRY_METHOD
-        ),
-        key=lambda fn: fn.qualname,
-    )
+    entries = {
+        qualname
+        for cls in program.classes.values()
+        if cls.name == ENTRY_CLASS
+        for method in ENTRY_METHODS
+        for qualname in program.dispatch(cls.qualname, method)
+    }
+    return [program.functions[q] for q in sorted(entries)]
 
 
 def _reachable(
@@ -777,7 +777,7 @@ def check_answer_path(program: Program) -> Iterator[Finding]:
                         rule=RULE_ANSWER_PATH_BLOCKING,
                         message=(
                             f"real-blocking call `{dotted}` is reachable from"
-                            f" {ENTRY_CLASS}.{ENTRY_METHOD} (via {chain});"
+                            f" an endpoint door (via {chain});"
                             " the answer path may only wait on the virtual"
                             " clock"
                         ),
@@ -790,7 +790,7 @@ def check_answer_path(program: Program) -> Iterator[Finding]:
                     rule=RULE_ANSWER_PATH_BLOCKING,
                     message=(
                         f"`{site.name}` without a wake_at bound is reachable"
-                        f" from {ENTRY_CLASS}.{ENTRY_METHOD} (via {chain});"
+                        f" from an endpoint door (via {chain});"
                         " a parked lane could outlive its client's deadline —"
                         " pass wake_at= from the DeadlineBudget"
                     ),
@@ -837,10 +837,9 @@ def check_never_raise(program: Program) -> Iterator[Finding]:
             yield Finding(
                 rule=RULE_NEVER_RAISE,
                 message=(
-                    f"`raise {label}` can escape"
-                    f" {ENTRY_CLASS}.{ENTRY_METHOD} (via {chain}); the"
-                    " frontend contract is that handle_datagram never"
-                    " raises — catch it inside the frontend or record a"
+                    f"`raise {label}` can escape an endpoint door"
+                    f" (via {chain}); the door contract is that no door"
+                    " ever raises — catch it inside the door or record a"
                     " baselined justification"
                 ),
                 path=fn.path,

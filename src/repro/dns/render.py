@@ -1,7 +1,7 @@
 """Wire-level helpers for serving encoded responses without re-parsing.
 
 ZDNS-style measurement throughput comes from making the per-query byte
-path cheap.  Four pieces live here:
+path cheap.  Five pieces live here:
 
 * :func:`wire_key` — a query's own bytes minus the message ID (which
   subsume qname, qtype, DO, CD, EDNS payload and header flags) as the
@@ -14,7 +14,9 @@ path cheap.  Four pieces live here:
   the in-process fabric hand a server-built ``Message`` to the sender
   in place of a re-parse;
 * :class:`LazyWire` / :func:`wire_length` — the datagram whose bytes
-  exist only once somebody reads them.
+  exist only once somebody reads them;
+* :func:`header_reply` — the reply built from a query's bytes without
+  parsing them, for when parsing failed or is not the point.
 
 Everything here is parse-or-refuse: a wire the offset walker cannot
 account for byte-by-byte (truncated records, trailing junk, unknown
@@ -28,11 +30,13 @@ from __future__ import annotations
 
 import struct
 
-from .rcode import extended_bits
+from .rcode import Rcode, extended_bits
+from .types import Opcode
 from .wire import name_wire_size
 
 HEADER_LENGTH = 12
 _OPT_TYPE = 41
+_OPCODES = frozenset(int(opcode) for opcode in Opcode)
 
 
 class RenderRefused(ValueError):
@@ -230,6 +234,33 @@ def parse_equivalent(response) -> bool:
                 return False
             seen.add(skey)
     return True
+
+
+def header_reply(wire: bytes, rcode: int) -> bytes:
+    """The reply to ``wire`` made from its bytes alone: the query's ID,
+    QR set, RCODE ``rcode``.
+
+    FORMERR says nothing past the header could be read, so that reply
+    is the header alone — ID, opcode (QUERY when it is none this stack
+    knows, so the reply parses), RD and CD — with every count zero.
+    Any other RCODE is a verdict on a query that did decode: the whole
+    query rides along, question and OPT included, so the reply passes
+    the sender's ID, question and EDNS checks.  A datagram shorter than
+    a header gets a bare one with ID 0.
+    """
+    rcode &= 0x0F
+    if len(wire) < HEADER_LENGTH:
+        return struct.pack(">HHHHHH", 0, 0x8000 | rcode, 0, 0, 0, 0)
+    if rcode != Rcode.FORMERR:
+        reply = bytearray(wire)
+        reply[2] |= 0x80  # QR
+        reply[3] = reply[3] & 0xF0 | rcode
+        return bytes(reply)
+    opcode = wire[2] & 0x78
+    if opcode >> 3 not in _OPCODES:
+        opcode = 0
+    flags = bytes((0x80 | opcode | wire[2] & 0x01, wire[3] & 0x10 | rcode))
+    return bytes(wire[:2]) + flags + bytes(8)
 
 
 def paved_reply(response, max_size: int = 0):

@@ -9,13 +9,12 @@ from .chaos import (
     Impairment,
     LinkFlap,
     Outage,
-    synthesize_refused,
     target_matches,
 )
 from .clock import Clock, SimulatedClock
+from .endpoint import Endpoint
 from .fabric import (
     DNS_PORT,
-    Endpoint,
     FabricStats,
     LinkProperties,
     NetworkFabric,
@@ -39,7 +38,6 @@ __all__ = [
     "LaneDeadlock",
     "LinkFlap",
     "Outage",
-    "synthesize_refused",
     "target_matches",
     "Endpoint",
     "FabricStats",

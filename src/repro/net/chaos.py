@@ -125,22 +125,6 @@ class ChaosStats:
     extra_latency_total: float = 0.0
 
 
-def synthesize_refused(query_wire: bytes) -> bytes:
-    """A REFUSED response wire built from the query without parsing it.
-
-    Flips the QR bit and sets RCODE=5 in the 12-octet header; the
-    question (and any OPT record) ride along unchanged, so the reply
-    passes the resolver's ID/question/EDNS checks and surfaces as a
-    clean ``SERVER_REFUSED`` observation.
-    """
-    if len(query_wire) < 12:
-        return query_wire
-    wire = bytearray(query_wire)
-    wire[2] |= 0x80  # QR
-    wire[3] = (wire[3] & 0xF0) | 0x05  # RCODE = REFUSED
-    return bytes(wire)
-
-
 class ChaosPolicy:
     """One deterministic fault schedule, installable on a fabric."""
 

@@ -16,14 +16,14 @@ from __future__ import annotations
 import random
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Protocol
+from typing import Callable
 
+from ..dns.rcode import Rcode
+from ..dns.render import LazyWire, header_reply
 from .addresses import is_globally_routable
-from .chaos import ChaosAction, ChaosPolicy, synthesize_refused
+from .chaos import ChaosAction, ChaosPolicy
 from .clock import Clock, SimulatedClock
-
-if TYPE_CHECKING:
-    from ..dns.render import LazyWire
+from .endpoint import Endpoint
 
 DNS_PORT = 53
 
@@ -38,19 +38,6 @@ class Unreachable(TransportError):
 
 class Timeout(TransportError):
     """The peer never answered within the query timeout."""
-
-
-class Endpoint(Protocol):
-    """Anything that can answer a DNS datagram.
-
-    Endpoints may additionally implement ``handle_stream(wire, source)``
-    for TCP semantics (no size limit, no truncation); the fabric falls
-    back to ``handle_datagram`` when they don't.
-    """
-
-    def handle_datagram(self, wire: bytes, source: str) -> bytes | None:
-        """Return a response datagram, or None to drop the query."""
-        ...
 
 
 @dataclass
@@ -168,10 +155,12 @@ class NetworkFabric:
     ) -> bytes | LazyWire:
         """Round-trip one datagram; raises Unreachable/Timeout on failure.
 
-        ``transport="tcp"`` routes to the endpoint's ``handle_stream``
-        when it has one (for truncation retries); delivery semantics are
-        otherwise identical — this fabric does not model TCP setup cost
-        beyond one extra round-trip of latency.
+        Every :class:`~repro.net.endpoint.Endpoint` has three doors;
+        ``transport="tcp"`` takes its ``handle_stream`` (for truncation
+        retries and AXFR).  Delivery semantics are otherwise identical —
+        this fabric does not model TCP setup cost beyond one extra
+        round-trip of latency.  A bare object with only
+        ``handle_datagram`` (a test double) gets every query there.
 
         ``message`` is the caller's already-parsed form of ``wire``.
         Both ends of this fabric live in one process, so the *paved*
@@ -186,8 +175,8 @@ class NetworkFabric:
         is forced — and the byte path (``handle_datagram`` in, parse
         out) taken — exactly where an observable property demands it:
         a chaos policy is installed (chaos mutates and synthesizes
-        wires), the transport is TCP, the endpoint has no
-        ``handle_paved``, or the sender passed no ``message``.  A paved
+        wires), the transport is TCP, the endpoint is a bare
+        ``handle_datagram``, or the sender passed no ``message``.  A paved
         send returns the endpoint's wire as it came, rendered or not.
         Ownership: a Message that crosses the fabric is read-only to
         the side that received it, and a ``LazyWire``'s Message to the
@@ -234,7 +223,7 @@ class NetworkFabric:
                 raise Timeout(f"{destination}:{port}")
             if decision.action is ChaosAction.REFUSE:
                 self.clock.advance(link.latency)
-                refused = synthesize_refused(bytes(wire))
+                refused = header_reply(bytes(wire), Rcode.REFUSED)
                 self.stats.datagrams_delivered += 1
                 self.stats.bytes_received += len(refused)
                 return refused
@@ -287,8 +276,8 @@ class NetworkFabric:
         """Return and clear this thread's paved response Message.
 
         None whenever the last :meth:`send` on this thread took the
-        byte path (chaos installed, TCP, endpoint without
-        ``handle_paved``) or the endpoint could not prove its Message
+        byte path (chaos installed, TCP, a bare ``handle_datagram``
+        endpoint) or the endpoint could not prove its Message
         parse-equivalent — the caller must then parse ``bytes()`` of
         the returned wire as usual.
         """

@@ -1,9 +1,10 @@
 """Real UDP transport (asyncio) for fabric endpoints.
 
 The simulated fabric is the primary substrate, but every endpoint in
-this library speaks plain ``handle_datagram(wire, source) -> wire``, so
-any of them — an authoritative server, a whole recursive resolver, the
-reporting agent — can also be bound to an actual UDP socket.  This is
+this library is an :class:`~repro.net.endpoint.Endpoint` whose
+``handle_datagram(wire, source) -> wire`` never raises, so any of them
+— an authoritative server, a whole recursive resolver, the reporting
+agent — can also be bound to an actual UDP socket.  This is
 what the integration tests use to prove the wire format interoperates
 with a genuine network stack, and what a user would use to point ``dig``
 at the testbed.
@@ -14,36 +15,7 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass
 
-from ..dns.ede import EdeCode
-from ..dns.message import Message
-from ..dns.rcode import Rcode
-from .fabric import Endpoint
-
-
-def _header_error(data: bytes, rcode: int) -> bytes:
-    """Echo the (unparseable) query header with QR set and ``rcode``,
-    so the client can at least correlate the failure by message ID.
-    Datagrams shorter than a DNS header get a minimal synthesized one."""
-    if len(data) < 12:
-        return Message(rcode=Rcode(rcode), qr=True).to_wire()
-    mutated = bytearray(data)
-    mutated[2] |= 0x80  # QR
-    mutated[3] = (mutated[3] & 0xF0) | (rcode & 0x0F)
-    return bytes(mutated)
-
-
-def _failure_wire(data: bytes) -> bytes:
-    """What to answer when the endpoint itself raised: SERVFAIL (with an
-    EDE when the query had EDNS) for a parseable query, FORMERR else."""
-    try:
-        query = Message.from_wire(data)
-    except Exception:
-        return _header_error(data, Rcode.FORMERR)
-    response = query.make_response()
-    response.rcode = Rcode.SERVFAIL
-    if query.edns is not None:
-        response.add_ede(int(EdeCode.OTHER), "internal error")
-    return response.to_wire()
+from .endpoint import Endpoint
 
 
 class _EndpointProtocol(asyncio.DatagramProtocol):
@@ -55,12 +27,7 @@ class _EndpointProtocol(asyncio.DatagramProtocol):
         self._transport = transport
 
     def datagram_received(self, data: bytes, addr) -> None:
-        # A raising endpoint must never lose the datagram (the client
-        # would burn its full timeout): degrade to FORMERR/SERVFAIL.
-        try:
-            response = self._endpoint.handle_datagram(data, addr[0])
-        except Exception:
-            response = _failure_wire(data)
+        response = self._endpoint.handle_datagram(data, addr[0])
         if response is not None and self._transport is not None:
             self._transport.sendto(response, addr)
 

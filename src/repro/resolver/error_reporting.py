@@ -28,6 +28,7 @@ from ..dns.rrset import RRset
 from ..dns.types import RdataType
 from ..dns.wire import WireReader, WireWriter
 from ..net.clock import Clock
+from ..net.endpoint import Endpoint
 from ..net.ttl_store import TtlStore
 
 #: EDNS0 OPTION-CODE assigned to Report-Channel.
@@ -166,7 +167,7 @@ class ReportRecord:
     reporter: str = ""
 
 
-class ReportingAgent:
+class ReportingAgent(Endpoint):
     """Authoritative endpoint for an agent domain; collects ``_er`` reports."""
 
     def __init__(self, agent_domain: Name | str, clock: Clock):
@@ -177,20 +178,9 @@ class ReportingAgent:
         self.reports: list[ReportRecord] = []
         self.malformed = 0
 
-    def handle_datagram(self, wire: bytes, source: str) -> bytes | None:
-        try:
-            query = Message.from_wire(wire)
-        except Exception:
-            return Message(rcode=Rcode.FORMERR, qr=True).to_wire()
-        response = self.handle_query(query, source)
-        return response.to_wire()
-
     def handle_query(self, query: Message, source: str = "") -> Message:
         response = query.make_response(recursion_available=False)
         response.aa = True
-        if not query.question:
-            response.rcode = Rcode.FORMERR
-            return response
         question = query.question[0]
         decoded = decode_report_qname(question.name, self.agent_domain)
         if decoded is None:

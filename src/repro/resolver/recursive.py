@@ -31,6 +31,7 @@ from ..dnssec.trace import (
 )
 from ..dnssec.validator import FetchResult, Validator
 from ..net.clock import Clock
+from ..net.endpoint import Endpoint
 from ..net.fabric import NetworkFabric
 from ..net.ttl_store import TtlStore
 from ..obs import NULL_OBS, Observability, TraceEventKind
@@ -99,8 +100,10 @@ class _Flight:
         self.outcome = None
 
 
-class RecursiveResolver:
+class RecursiveResolver(Endpoint):
     """A validating, caching recursive resolver with one vendor's EDE policy."""
+
+    recursion_available = True
 
     def __init__(
         self,
@@ -288,9 +291,6 @@ class RecursiveResolver:
 
     def _handle_query(self, query: Message, source: str = "") -> Message:
         self.stats.queries += 1
-        badvers = query.badvers_response()
-        if badvers is not None:
-            return badvers
         question = query.question[0]
         qname, rdtype = question.name, question.rdtype
         if self.local_policy is not None:
@@ -351,24 +351,26 @@ class RecursiveResolver:
                 self.stats.with_ede += 1
         return response
 
-    # -- fabric endpoint protocol (so a resolver can itself be hosted) ----------------
+    # -- the datagram door's render-cache prelude -------------------------------------
 
     def handle_datagram(self, wire: bytes, source: str) -> bytes | None:
+        """Endpoint's datagram door, behind the rendered-wire cache: a
+        repeat query the cache covers is served from stored bytes."""
         key = self.render_serve_key(wire)
-        if key is not None:
-            served = self.render_serve(key, wire)
-            if served is not None:
-                return served
-        try:
-            query = Message.from_wire(wire)
-        except Exception:
-            response = Message(rcode=Rcode.FORMERR, qr=True)
-            return response.to_wire()
+        if key is None:
+            return super().handle_datagram(wire, source)
+        served = self.render_serve(key, wire)
+        if served is not None:
+            return served
         self.render_reset()
-        encoded = self.handle_query(query, source).to_wire()
-        if key is not None:
-            self.render_store(key, encoded)
+        encoded = super().handle_datagram(wire, source)
+        self.render_store(key, encoded)
         return encoded
+
+    def on_door_reply(self, rcode: int) -> None:
+        """A reply the door made — a body that raised included — is no
+        render of a cache hit: forget the plan the body may have left."""
+        self.render_reset()
 
     # -- rendered-wire cache hooks (shared with the resilient frontend) ---------------
 
@@ -736,8 +738,6 @@ class RecursiveResolver:
         """Best effort answer without any upstream work: fresh, negative,
         or cached-error hit, else a stale answer — or None.  This is the
         always-served path the overload-shedding frontend relies on."""
-        if not query.question:
-            return None
         question = query.question[0]
         qname, rdtype = question.name, question.rdtype
         outcome = self._outcome_from_cache(qname, rdtype)

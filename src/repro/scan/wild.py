@@ -26,20 +26,19 @@ import dataclasses
 import hashlib
 
 from ..dns.dnssec_records import DS, NSEC3, RRSIG
-from ..dns.edns import Edns
 from ..dns.message import Message
 from ..dns.name import Name
 from ..dns.rcode import Rcode
 from ..dns.rdata import A, CNAME, NS
-from ..dns.render import LazyWire, paved_reply
 from ..dns.rrset import RRset
 from ..dns.types import RdataType
 from ..dnssec.algorithms import Algorithm
 from ..dnssec.ds import make_ds
 from ..dnssec.nsec3 import base32hex_encode, nsec3_hash
 from ..dnssec.signer import SigningPolicy, sign_rrset
+from ..net.endpoint import Endpoint
 from ..net.fabric import NetworkFabric
-from ..server.authoritative import AuthoritativeServer, PavedEndpoint
+from ..server.authoritative import AuthoritativeServer
 from ..zones.builder import BuiltZone, Delegation, ZoneBuilder, address_rrset
 from ..zones.mutations import SigScope, Window, ZoneMutation
 from ..zones.zone import Zone
@@ -126,7 +125,7 @@ def domain_mutation(domain: WildDomain) -> ZoneMutation:
 # ---------------------------------------------------------------------------
 
 
-class VirtualTldServer(PavedEndpoint):
+class VirtualTldServer(Endpoint):
     """Serves one TLD: real signed apex, synthesized delegations.
 
     ``apex`` is the apex zone's builder, loaded but not yet built: the
@@ -168,38 +167,14 @@ class VirtualTldServer(PavedEndpoint):
             self._apex_zone = self._apex.build().zone
         return self._apex_zone
 
-    # -- fabric endpoint ---------------------------------------------------------
+    # -- answer bodies (the doors are Endpoint's) -------------------------------
 
-    def handle_paved(
-        self, wire: bytes | LazyWire, source: str, query: Message
-    ) -> tuple[bytes | LazyWire | None, Message | None]:
-        """Answer ``query`` (the parsed form of ``wire``): response wire
-        plus, when parse-equivalent, the response Message (see
-        :meth:`repro.net.fabric.NetworkFabric.send`)."""
-        self.queries += 1
-        if query.question and query.question[0].rdtype == RdataType.AXFR:
-            response = query.make_response(recursion_available=False)
-            response.rcode = Rcode.REFUSED  # AXFR needs TCP
-        else:
-            response = self.handle_query(query)
-        return paved_reply(response)
-
-    def handle_stream(self, wire: bytes, source: str) -> bytes | None:
-        try:
-            query = Message.from_wire(wire)
-        except Exception:
-            return Message(rcode=Rcode.FORMERR, qr=True).to_wire()
-        if query.question and query.question[0].rdtype == RdataType.AXFR:
-            return self.handle_axfr(query).to_wire()
-        return self.handle_query(query).to_wire()
-
-    def handle_axfr(self, query: Message) -> Message:
+    def handle_axfr(self, query: Message, source: str = "192.0.2.0") -> Message:
         """Serve the full TLD zone, synthesized from the population."""
-        response = query.make_response(recursion_available=False)
         if not self.axfr_allowed or query.question[0].name != self.origin:
-            response.rcode = Rcode.REFUSED
-            return response
+            return self._reply(query, Rcode.REFUSED)
         self.transfers += 1
+        response = query.make_response(recursion_available=False)
         response.aa = True
         soa = self.apex_zone.find(self.origin, RdataType.SOA)
         response.answer.append(soa.copy())
@@ -217,19 +192,12 @@ class VirtualTldServer(PavedEndpoint):
         response.answer.append(soa.copy())
         return response
 
-    def handle_query(self, query: Message) -> Message:
-        badvers = query.badvers_response(recursion_available=False)
-        if badvers is not None:
-            return badvers
+    def handle_query(self, query: Message, source: str = "192.0.2.0") -> Message:
+        self.queries += 1
         response = query.make_response(recursion_available=False)
-        if not query.question:
-            response.rcode = Rcode.FORMERR
-            return response
         question = query.question[0]
         qname, rdtype = question.name, question.rdtype
         dnssec_ok = query.edns is not None and query.edns.dnssec_ok
-        if query.edns is not None and response.edns is None:
-            response.edns = Edns(dnssec_ok=dnssec_ok)
 
         if qname == self.origin:
             return self._apex_answer(response, qname, rdtype, dnssec_ok)
@@ -369,15 +337,12 @@ class StaleFlippingServer(HostingServer):
         self._seen: set[Name] = set()
 
     def handle_query(self, query: Message, source: str = "192.0.2.0") -> Message | None:
-        qname = query.question[0].name if query.question else None
-        domain = self.wild.registered_domain_of(qname)
+        domain = self.wild.registered_domain_of(query.question[0].name)
         if domain is None:
             return super().handle_query(query, source)
         apex = Name.from_text(domain.name + ".")
         if apex in self._seen:
-            response = query.make_response(recursion_available=False)
-            response.rcode = Rcode.REFUSED
-            return response
+            return self._reply(query, Rcode.REFUSED)
         self._seen.add(apex)
         return super().handle_query(query, source)
 
@@ -386,7 +351,7 @@ class CnameLoopServer(HostingServer):
     """Answers every A query with a CNAME bouncing inside the domain."""
 
     def handle_query(self, query: Message, source: str = "192.0.2.0") -> Message | None:
-        qname = query.question[0].name if query.question else None
+        qname = query.question[0].name
         domain = self.wild.registered_domain_of(qname)
         if domain is None or query.question[0].rdtype != RdataType.A:
             return super().handle_query(query, source)
@@ -539,9 +504,7 @@ class WildInternet:
 
     # -- domain machinery -----------------------------------------------------------------
 
-    def registered_domain_of(self, qname: Name | None) -> WildDomain | None:
-        if qname is None:
-            return None
+    def registered_domain_of(self, qname: Name) -> WildDomain | None:
         try:
             return self._rdomain_cache[qname]
         except KeyError:

@@ -2,7 +2,7 @@
 
 from .acl import Acl
 from .authoritative import AuthoritativeServer, ServerStats
-from .behaviors import Behavior, BehaviorServer, make_simple_authority
+from .behaviors import Behavior, BehaviorServer
 
 __all__ = [
     "Acl",
@@ -10,5 +10,4 @@ __all__ = [
     "Behavior",
     "BehaviorServer",
     "ServerStats",
-    "make_simple_authority",
 ]

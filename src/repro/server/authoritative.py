@@ -12,13 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..dns.edns import Edns
 from ..dns.message import Message
 from ..dns.name import Name
 from ..dns.rcode import Rcode
-from ..dns.render import LazyWire, paved_reply
 from ..dns.rrset import RRset
 from ..dns.types import RdataType
+from ..net.endpoint import Endpoint
 from ..zones.zone import LookupStatus, Zone
 from .acl import Acl
 
@@ -31,21 +30,7 @@ class ServerStats:
     referrals: int = 0
 
 
-class PavedEndpoint:
-    """Datagram entry point for endpoints whose one answer body is
-    ``handle_paved(wire, source, query)``."""
-
-    def handle_datagram(self, wire: bytes, source: str) -> bytes | None:
-        """Byte path: decode (or FORMERR), the one answer body, render."""
-        try:
-            query = Message.from_wire(wire)
-        except Exception:
-            return Message(rcode=Rcode.FORMERR, qr=True).to_wire()
-        response = self.handle_paved(wire, source, query)[0]
-        return None if response is None else bytes(response)
-
-
-class AuthoritativeServer(PavedEndpoint):
+class AuthoritativeServer(Endpoint):
     """An authoritative DNS server endpoint for the fabric."""
 
     def __init__(
@@ -90,52 +75,22 @@ class AuthoritativeServer(PavedEndpoint):
                 return zone
         return None
 
-    # -- fabric endpoint protocol ------------------------------------------------
-
-    def handle_paved(
-        self, wire: bytes | LazyWire, source: str, query: Message
-    ) -> tuple[bytes | LazyWire | None, Message | None]:
-        """Answer ``query`` (the parsed form of ``wire``): the response
-        wire, plus the response Message whenever parsing that wire
-        provably reproduces it (see
-        :meth:`repro.net.fabric.NetworkFabric.send`)."""
-        response = self.handle_query(query, source)
-        if response is None:
-            return None, None
-        # RFC 6891: the response must fit the client's advertised UDP
-        # payload (512 octets without EDNS); otherwise truncate + TC.
-        max_size = query.edns.payload if query.edns is not None else 512
-        return paved_reply(response, max(512, max_size))
-
-    def handle_stream(self, wire: bytes, source: str) -> bytes | None:
-        """TCP semantics: same answer, no size limit, never truncated."""
-        try:
-            query = Message.from_wire(wire)
-        except Exception:
-            return Message(rcode=Rcode.FORMERR, qr=True).to_wire()
-        if query.question and query.question[0].rdtype == RdataType.AXFR:
-            return self.handle_axfr(query, source).to_wire()
-        response = self.handle_query(query, source)
-        return response.to_wire() if response is not None else None
+    # -- answer bodies (the doors are Endpoint's) ---------------------------------
 
     def handle_axfr(self, query: Message, source: str = "192.0.2.0") -> Message:
         """Full zone transfer (RFC 5936): SOA, everything, SOA again."""
         self.stats.queries += 1
-        question = query.question[0]
-        response = query.make_response(recursion_available=False)
         if not self.allow_transfer.allows(source):
             self.stats.refused += 1
-            response.rcode = Rcode.REFUSED
-            return response
-        zone = self._zones.get(question.name)
+            return self._reply(query, Rcode.REFUSED)
+        zone = self._zones.get(query.question[0].name)
         if zone is None:
-            response.rcode = Rcode.NOTAUTH
-            return response
-        response.aa = True
+            return self._reply(query, Rcode.NOTAUTH)
         soa = zone.find(zone.origin, RdataType.SOA)
         if soa is None:
-            response.rcode = Rcode.SERVFAIL
-            return response
+            return self._reply(query, Rcode.SERVFAIL)
+        response = query.make_response(recursion_available=False)
+        response.aa = True
         response.answer.append(soa.copy())
         for rrset in zone.all_rrsets():
             if rrset.rdtype == RdataType.SOA:
@@ -146,40 +101,21 @@ class AuthoritativeServer(PavedEndpoint):
 
     def handle_query(self, query: Message, source: str = "192.0.2.0") -> Message | None:
         self.stats.queries += 1
-        badvers = query.badvers_response(recursion_available=False)
-        if badvers is not None:
-            return badvers
-        if not query.question:
-            response = query.make_response(recursion_available=False)
-            response.rcode = Rcode.FORMERR
-            return response
-
         if not self.acl.allows(source):
             self.stats.refused += 1
-            response = query.make_response(recursion_available=False)
-            response.rcode = Rcode.REFUSED
-            return response
+            return self._reply(query, Rcode.REFUSED)
 
         question = query.question[0]
         qname, rdtype = question.name, question.rdtype
-        if rdtype == RdataType.AXFR:
-            # Zone transfers require TCP (RFC 5936 section 4.2).
-            response = query.make_response(recursion_available=False)
-            response.rcode = Rcode.REFUSED
-            return response
         dnssec_ok = query.edns is not None and query.edns.dnssec_ok
 
         zone = self.find_zone(qname)
         if zone is None:
             self.stats.refused += 1
-            response = query.make_response(recursion_available=False)
-            response.rcode = Rcode.REFUSED
-            return response
+            return self._reply(query, Rcode.REFUSED)
 
         response = query.make_response(recursion_available=False)
         response.aa = True
-        if query.edns is not None and response.edns is None:
-            response.edns = Edns(dnssec_ok=dnssec_ok)
         if query.edns is not None and self.report_agent is not None:
             from ..resolver.error_reporting import ReportChannelOption
 

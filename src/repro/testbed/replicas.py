@@ -16,7 +16,7 @@ fully deterministic while still giving the SRTT book a real gradient
 to learn (metro replicas win, intercontinental ones lose).
 
 Each address is wrapped in a :class:`ReplicaEndpoint` that counts the
-datagrams it handled, so tests can assert *exact* per-replica query
+queries it answered, so tests can assert *exact* per-replica query
 distribution — e.g. that a blackholed replica received zero queries
 while its siblings absorbed the load
 (``tests/test_replicas.py``).
@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..dns.message import Message
+from ..net.endpoint import Endpoint
 from ..net.fabric import LinkProperties, NetworkFabric
 
 #: Name -> one-way link latency in virtual seconds.  The spread matches
@@ -93,13 +95,14 @@ def latency_class_for(index: int) -> str:
     return CLASS_ROTATION[index % len(CLASS_ROTATION)]
 
 
-class ReplicaEndpoint:
+class ReplicaEndpoint(Endpoint):
     """One public address of a replicated authority, with a query counter.
 
     All replicas of a tier share the underlying
     :class:`~repro.server.authoritative.AuthoritativeServer` (same zone,
-    same keys — anycast replicas serve identical data); the wrapper only
-    attributes traffic to the address that received it.
+    same keys — anycast replicas serve identical data).  The replica's
+    own doors answer with the server's bodies, which it attributes to
+    the address that received the query.
     """
 
     def __init__(self, server, address: str, latency_class: str):
@@ -108,21 +111,13 @@ class ReplicaEndpoint:
         self.latency_class = latency_class
         self.queries = 0
 
-    def handle_datagram(self, wire: bytes, source: str) -> bytes | None:
+    def handle_query(self, query: Message, source: str) -> Message | None:
         self.queries += 1
-        return self.server.handle_datagram(wire, source)
+        return self.server.handle_query(query, source)
 
-    def handle_paved(self, wire, source: str, query):
-        """Same attribution on the paved path (see
-        :meth:`repro.net.fabric.NetworkFabric.send`)."""
+    def handle_axfr(self, query: Message, source: str) -> Message | None:
         self.queries += 1
-        return self.server.handle_paved(wire, source, query)
-
-    def handle_stream(self, wire: bytes, source: str) -> bytes | None:
-        """The TCP retry after TC=1 (RFC 7766) must reach the server's
-        untruncated path, not fall back to the datagram one."""
-        self.queries += 1
-        return self.server.handle_stream(wire, source)
+        return self.server.handle_axfr(query, source)
 
 
 @dataclass
@@ -134,7 +129,7 @@ class ReplicaSet:
     endpoints: dict[str, ReplicaEndpoint] = field(default_factory=dict)
 
     def query_counts(self) -> dict[str, int]:
-        """Exact datagram count per replica address."""
+        """Exact count of answered queries per replica address."""
         return {
             address: self.endpoints[address].queries
             for address in self.addresses

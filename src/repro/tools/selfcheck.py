@@ -6,8 +6,8 @@ annotated boundary), the protocol-invariant rules (every EDE INFO-CODE
 resolves in the RFC 8914 registry, every Table 4 case maps to a testbed
 subdomain and a reachable policy branch, the rdata registry is closed),
 the interprocedural flow rules (no real-blocking call or unbounded wait
-reachable from the frontend, jitter seeds never shape schedule-domain
-state, no raise escapes handle_datagram), and unused-suppression /
+reachable from an endpoint door, jitter seeds never shape schedule-domain
+state, no raise escapes a door), and unused-suppression /
 stale-baseline detection.
 
 Flow rules need the whole-program call graph, so they run only on the

@@ -1,4 +1,4 @@
-"""A frontend whose answer path blocks — but only via another module."""
+"""An endpoint door whose answer path blocks — but only via another module."""
 
 from .helpers import slow_retry
 
@@ -11,7 +11,7 @@ def wait_virtual(predicate, wake_at=None):
     return predicate()
 
 
-class ResilientFrontend:
+class Endpoint:
     def handle_datagram(self, wire: bytes, source: str) -> bytes:
         try:
             slow_retry(0.25)

@@ -1,4 +1,4 @@
-"""A frontend that forgets to wrap its parse step."""
+"""An endpoint door that forgets to wrap its parse step."""
 
 
 class ParseError(Exception):
@@ -27,7 +27,7 @@ def mismatch() -> None:
     raise KeyError("wrong class")  # line 27: handler name differs, MUST flag
 
 
-class ResilientFrontend:
+class Endpoint:
     def handle_datagram(self, wire: bytes, source: str) -> bytes:
         payload = decode(wire)
         try:

@@ -15,9 +15,8 @@ import hashlib
 from collections import Counter
 
 from repro.dns import render
+from repro.net import endpoint
 from repro.net.fabric import NetworkFabric
-from repro.scan import wild as scan_wild
-from repro.server import authoritative, behaviors
 
 
 class CountingFabric(NetworkFabric):
@@ -80,7 +79,7 @@ class PlainFabric(CountingFabric):
 def count_handback_verdicts(monkeypatch) -> Counter:
     """Count ``paved_reply`` outcomes (True = Message handed back,
     False = refusal → the sender parses the wire) for the rest of the
-    test, in every module that answers through it."""
+    test, at the one door that answers through it."""
     verdicts: Counter = Counter()
     real = render.paved_reply
 
@@ -89,8 +88,7 @@ def count_handback_verdicts(monkeypatch) -> Counter:
         verdicts[parsed is not None] += 1
         return wire, parsed
 
-    for module in (authoritative, behaviors, scan_wild):
-        monkeypatch.setattr(module, "paved_reply", counting)
+    monkeypatch.setattr(endpoint, "paved_reply", counting)
     return verdicts
 
 

@@ -9,8 +9,9 @@ from repro.dns.types import RdataType
 from repro.resolver.transfer import TransferError, axfr, axfr_domains
 from repro.scan.sources import InputListBuilder
 from repro.server.acl import Acl
-from repro.server.behaviors import make_simple_authority
 from repro.testbed.infra import PARENT_SERVER
+
+from .authorities import make_simple_authority
 
 
 class TestAxfrServer:

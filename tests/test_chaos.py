@@ -16,6 +16,7 @@ import pytest
 from repro.dns.message import Message
 from repro.dns.name import Name
 from repro.dns.rcode import Rcode
+from repro.dns.render import header_reply
 from repro.dns.types import RdataType
 from repro.dnssec.trace import ResolutionEvent
 from repro.net.chaos import (
@@ -23,7 +24,6 @@ from repro.net.chaos import (
     Impairment,
     LinkFlap,
     Outage,
-    synthesize_refused,
     target_matches,
 )
 from repro.net.fabric import Timeout
@@ -178,9 +178,11 @@ class TestChaosPrimitives:
         assert not flap.up(9.9)
         assert flap.up(10.1)
 
-    def test_synthesize_refused_preserves_id_and_question(self):
+    def test_rate_limit_refusal_preserves_id_and_question(self):
+        """The rate limiter's REFUSED is the query echoed, so it passes
+        the resolver's ID, question and EDNS checks."""
         query = Message.make_query(QNAME, RdataType.A, want_dnssec=True, msg_id=4242)
-        response = Message.from_wire(synthesize_refused(query.to_wire()))
+        response = Message.from_wire(header_reply(query.to_wire(), Rcode.REFUSED))
         assert response.qr
         assert response.rcode == Rcode.REFUSED
         assert response.id == 4242

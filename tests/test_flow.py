@@ -4,7 +4,7 @@ Each package under ``tests/data/flow_fixtures`` plants one deliberate
 contract violation; these tests assert the rule fires on the exact
 file/line — including the blocking call hidden behind one level of
 indirection, which only the call graph (not a per-file AST pass) can
-connect to the frontend.
+connect to an endpoint door.
 """
 
 import json
@@ -67,7 +67,7 @@ def test_unbounded_wait_flagged_bounded_wait_not():
 
 
 def test_no_entry_point_means_no_answer_path_findings():
-    # taint_pkg defines no ResilientFrontend: nothing is reachable.
+    # taint_pkg defines no Endpoint: nothing is reachable.
     findings = flow_findings(
         FIXTURES / "taint_pkg", [RULE_ANSWER_PATH_BLOCKING, RULE_NEVER_RAISE]
     )

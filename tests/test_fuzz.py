@@ -19,15 +19,25 @@ from repro.dns.render import (
 from repro.dns.rrset import RRset
 from repro.dns.types import RdataType
 from repro.dns.wire import WireReader
+from repro.cluster import ResolverCluster
 from repro.net.clock import SimulatedClock
 from repro.resolver.cache import RenderedWireCache
-from repro.resolver.error_reporting import ReportChannelOption, decode_report_qname
+from repro.resolver.error_reporting import (
+    ReportChannelOption,
+    ReportingAgent,
+    decode_report_qname,
+)
+from repro.resolver.forwarder import ForwardingResolver
+from repro.resolver.profiles import CLOUDFLARE
+from repro.resolver.recursive import RecursiveResolver
+from repro.resolver.resilience import ResilientFrontend
 from repro.scan.extratext import parse_network_error
 from repro.scan.wild import WildInternet
-from repro.server.behaviors import make_simple_authority
 from repro.testbed.infra import build_testbed
 from repro.testbed.replicas import ReplicaTopology
 from repro.testbed.subdomains import ALL_CASES
+
+from .authorities import make_simple_authority
 
 
 @given(st.binary(max_size=512))
@@ -416,6 +426,29 @@ def _replicated_world(_population):
     return testbed.fabric, str(testbed.cases["valid"].query_name)
 
 
+def _resolver_world(_population):
+    """Every resolver-side endpoint, registered beside the authorities
+    of a small testbed it resolves through."""
+    testbed = build_testbed(cases=ALL_CASES[:8])
+    fabric = testbed.fabric
+
+    def resolver(kind=RecursiveResolver, **kwargs):
+        return kind(
+            fabric=fabric, profile=CLOUDFLARE, root_hints=testbed.root_hints,
+            trust_anchors=testbed.trust_anchors, **kwargs,
+        )
+
+    for address, endpoint in (
+        ("192.0.9.150", resolver()),
+        ("192.0.9.151", ResilientFrontend(resolver())),
+        ("192.0.9.152", ForwardingResolver(fabric, upstreams=["192.0.9.150"])),
+        ("192.0.9.153", ReportingAgent("agent.fuzz.test.", fabric.clock)),
+        ("192.0.9.154", resolver(ResolverCluster, shards=2)),
+    ):
+        fabric.register(address, endpoint)
+    return fabric, str(testbed.cases["valid"].query_name)
+
+
 def _hostile_wires(qname: str) -> list[bytes]:
     query = Message.make_query(qname, RdataType.A, want_dnssec=True, msg_id=77)
     valid = query.to_wire()
@@ -438,23 +471,38 @@ def _hostile_wires(qname: str) -> list[bytes]:
     ]
 
 
-@pytest.mark.parametrize("world", [_wild_world, _flat_world, _replicated_world])
+@pytest.mark.parametrize(
+    "world", [_wild_world, _flat_world, _replicated_world, _resolver_world]
+)
 def test_every_registered_endpoint_parses_or_refuses(world, small_population):
     """The never-raise contract, at every door of every world: whatever
-    arrives, by datagram or by stream, an endpoint answers with bytes
-    that parse or stays silent — it does not raise into ``fabric.send``."""
+    arrives, by datagram, paved send or stream, an endpoint answers with
+    bytes that parse or stays silent — it does not raise into
+    ``fabric.send`` — and a reply to anything with a whole header
+    carries that header's ID with QR set."""
     fabric, qname = world(small_population)
     wires = _hostile_wires(qname)
     calls = 0
     for endpoint in fabric.registered_endpoints():
-        for handler in (
-            endpoint.handle_datagram, getattr(endpoint, "handle_stream", None)
-        ):
-            if handler is None:
-                continue
-            for wire in wires:
-                reply = handler(wire, "198.51.100.7")
+        for wire in wires:
+            replies = [
+                endpoint.handle_datagram(wire, "198.51.100.7"),
+                endpoint.handle_stream(wire, "198.51.100.7"),
+            ]
+            try:
+                query = Message.from_wire(wire)
+            except DnsError:
+                pass
+            else:
+                paved, handed_back = endpoint.handle_paved(wire, "198.51.100.7", query)
+                replies.append(None if paved is None else bytes(paved))
+                if handed_back is not None:
+                    assert Message.from_wire(replies[-1]) == handed_back
+            for reply in replies:
                 calls += 1
-                if reply is not None:
-                    Message.from_wire(reply)
-    assert calls >= len(wires) * len(fabric.registered_endpoints())
+                if reply is None:
+                    continue
+                parsed = Message.from_wire(reply)
+                if len(wire) >= HEADER_LENGTH:
+                    assert parsed.id == int.from_bytes(wire[:2], "big") and parsed.qr
+    assert calls >= 2 * len(wires) * len(fabric.registered_endpoints())

@@ -10,10 +10,12 @@ from repro.dns.rrset import RRset, find_rrset
 from repro.dns.types import RdataType
 from repro.server.acl import Acl
 from repro.server.authoritative import AuthoritativeServer
-from repro.server.behaviors import Behavior, BehaviorServer, make_simple_authority
+from repro.server.behaviors import Behavior, BehaviorServer
 from repro.zones.builder import ZoneBuilder
 from repro.zones.mutations import ZoneMutation
 from repro.dnssec.ds import make_ds
+
+from .authorities import make_simple_authority
 
 NOW = 1_684_108_800
 ORIGIN = Name.from_text("example.com.")

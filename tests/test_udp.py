@@ -8,8 +8,10 @@ from repro.dns.message import Message
 from repro.dns.name import Name
 from repro.dns.rcode import Rcode
 from repro.dns.types import RdataType
+from repro.net.endpoint import Endpoint
 from repro.net.udp import UdpServer, serve_and_query, udp_query
-from repro.server.behaviors import make_simple_authority
+
+from .authorities import make_simple_authority
 
 
 class TestUdpAuthoritative:
@@ -74,22 +76,24 @@ class TestUdpAuthoritative:
 
 
 class TestUdpFailurePaths:
-    """A raising endpoint must never swallow the datagram (the client
-    would burn its full timeout waiting): the protocol layer degrades to
-    FORMERR/SERVFAIL on its own — the PR-4 hardening of
-    ``_EndpointProtocol.datagram_received``."""
+    """A raising answer body must never swallow the datagram (the client
+    would burn its full timeout waiting): the endpoint's own door
+    degrades to FORMERR/SERVFAIL, so the socket layer has nothing to
+    catch."""
 
-    class Exploding:
-        def handle_datagram(self, wire, source):
+    class Exploding(Endpoint):
+        def handle_query(self, query, source):
             raise RuntimeError("boom")
 
-    def test_raising_endpoint_answers_servfail_with_ede(self):
+    def test_raising_body_answers_header_echoed_servfail(self):
         query = Message.make_query("kaboom.test.", RdataType.A)
         (raw,) = serve_and_query(self.Exploding(), [query.to_wire()])
         response = Message.from_wire(raw)
-        assert response.id == query.id
+        assert response.id == query.id and response.qr
         assert response.rcode == Rcode.SERVFAIL
-        assert 0 in response.ede_codes  # Other Error: internal failure
+        # The query rides along: question and OPT echoed.
+        assert response.question == query.question
+        assert response.edns is not None
 
     def test_raising_endpoint_on_garbage_answers_formerr(self):
         garbage = bytes([0xAB] * 16)
