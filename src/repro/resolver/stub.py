@@ -82,20 +82,17 @@ class StubResolver:
             qname = Name.from_text(qname)
         rdtype = RdataType.make(rdtype)
         answer = StubAnswer(qname=str(qname), rdtype=str(rdtype))
-        query = Message.make_query(
+        wire = Message.make_query(
             qname, rdtype, want_dnssec=want_dnssec, rng=self._rng
-        )
+        ).to_wire()
         try:
-            raw = self.fabric.send(
-                self.server_address,
-                query.to_wire(),
-                source=self.source_ip,
-                timeout=self.timeout,
-            )
+            response = self._exchange(wire, "udp")
+            if response.tc:
+                # Truncated: ask again over TCP (RFC 7766), never truncated.
+                response = self._exchange(wire, "tcp")
         except TransportError as exc:
             answer.transport_error = type(exc).__name__.lower()
             return answer
-        response = Message.from_wire(raw)
         answer.rcode = response.rcode
         answer.ad = response.ad
         answer.ede = list(response.extended_errors)
@@ -106,3 +103,10 @@ class StubResolver:
                     if address is not None:
                         answer.addresses.append(address)
         return answer
+
+    def _exchange(self, wire: bytes, transport: str) -> Message:
+        raw = self.fabric.send(
+            self.server_address, wire, source=self.source_ip,
+            timeout=self.timeout, transport=transport,
+        )
+        return Message.from_wire(raw)

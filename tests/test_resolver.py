@@ -5,11 +5,12 @@ import pytest
 from repro.dns.message import Message
 from repro.dns.name import Name
 from repro.dns.rcode import Rcode
-from repro.dns.rdata import A, CNAME, NS
+from repro.dns.rdata import AAAA, A, CNAME, NS
 from repro.dns.rrset import RRset
 from repro.dns.types import RdataType
 from repro.dnssec.trace import ResolutionEvent
 from repro.net.fabric import NetworkFabric
+from repro.resolver.forwarder import ForwardingResolver
 from repro.resolver.iterative import EngineConfig, IterativeEngine
 from repro.resolver.profiles import BIND, CLOUDFLARE, UNBOUND
 from repro.resolver import recursive
@@ -25,6 +26,10 @@ DOM_IP = "192.0.9.3"
 
 TEST = Name.from_text("test.")
 DOMAIN = Name.from_text("example.test.")
+#: 60 AAAA records: about 1.7 kB, past the 1232 octets every client here
+#: asks with.
+BIG = Name.from_text("big.example.test.")
+BIG_AAAA = [AAAA(address=f"2001:db8::{i:x}") for i in range(1, 61)]
 
 
 def _zone(origin: Name, ns_ip: str, extra=None, signed=False) -> tuple:
@@ -54,6 +59,7 @@ def mini_fabric():
                 Name.from_text("www.example.test."), RdataType.CNAME,
                 CNAME(target=DOMAIN),
             ),
+            RRset.of(BIG, RdataType.AAAA, *BIG_AAAA, ttl=120),
         ],
     )
     dom_server = AuthoritativeServer("ns1.example.test")
@@ -228,6 +234,20 @@ class TestRecursiveResolver:
         answer = stub.query(DOMAIN, RdataType.A)
         assert answer.ok
         assert answer.addresses == ["203.0.113.80"]
+
+    def test_answer_past_every_datagram_reaches_the_stub_whole(
+        self, resolver, mini_fabric
+    ):
+        """Every hop's datagram reply comes back TC=1 — authority to
+        resolver, resolver to forwarder, forwarder to stub — and every
+        asker retries over TCP."""
+        mini_fabric.register("192.0.9.53", resolver)
+        mini_fabric.register(
+            "192.0.9.54", ForwardingResolver(fabric=mini_fabric, upstreams=["192.0.9.53"])
+        )
+        answer = StubResolver(mini_fabric, "192.0.9.54").query(BIG, RdataType.AAAA)
+        assert answer.ok
+        assert sorted(answer.addresses) == sorted(rdata.address for rdata in BIG_AAAA)
 
     def test_stub_records_ede(self, resolver, mini_fabric):
         mini_fabric.unregister(DOM_IP)
