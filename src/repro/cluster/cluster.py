@@ -617,11 +617,10 @@ class ResolverCluster(Endpoint):
 
     def handle_paved(
         self, wire: bytes | LazyWire, source: str, query: Message
-    ) -> tuple[bytes | LazyWire | None, Message | None]:
-        routed = self._route(
+    ) -> bytes | LazyWire | None:
+        return self._route(
             wire, query, lambda door: door.handle_paved(wire, source, query)
         )
-        return (None, None) if routed is None else routed
 
     def handle_stream(self, wire: bytes, source: str) -> bytes | None:
         return self._route(wire, None, lambda door: door.handle_stream(wire, source))

@@ -117,6 +117,12 @@ class Message:
             response.edns = Edns(dnssec_ok=self.edns.dnssec_ok)
         return response
 
+    def is_reply_to(self, query: "Message") -> bool:
+        """Whether a sender may accept this message as the reply to
+        ``query``: same ID, same question (RFC 5452 section 9.1).  Any
+        other datagram is somebody else's reply, and no reply at all."""
+        return self.id == query.id and self.question == query.question
+
     def badvers_response(self, recursion_available: bool = True) -> "Message | None":
         """The reply RFC 6891 section 6.1.3 owes this query when its OPT
         names an EDNS version above 0, the highest implemented here —

@@ -10,9 +10,9 @@ path cheap.  Five pieces live here:
 * :func:`response_ttl_offsets` — where the TTL fields of an encoded
   response sit, so a cached wire can be served with only its ID and
   decrementing TTLs patched in place;
-* :func:`parse_equivalent` / :func:`paved_reply` — the proof that lets
-  the in-process fabric hand a server-built ``Message`` to the sender
-  in place of a re-parse;
+* :func:`parse_equivalent` / :func:`paved_reply` / :func:`read_reply` —
+  the proof that lets the in-process fabric hand a server-built
+  ``Message`` to the sender in place of a re-parse;
 * :class:`LazyWire` / :func:`wire_length` — the datagram whose bytes
   exist only once somebody reads them;
 * :func:`header_reply` — the reply built from a query's bytes without
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import struct
 
+from .message import Message
 from .rcode import Rcode, extended_bits
 from .types import Opcode
 from .wire import name_wire_size
@@ -161,7 +162,7 @@ class LazyWire:
     only if the sizer refuses) — all that latency, loss, truncation and
     ``fabric.stats`` ever ask of a datagram.  ``bytes()`` renders, once,
     through :meth:`Message.to_wire`, which stays the only render
-    function.  The Message is read-only to whoever made the wire: a
+    function.  The Message is read-only to both sides of the fabric: a
     late render must produce what an eager one would have.
 
     Not comparable with ``bytes``: ``wire == b"..."`` would quietly be
@@ -236,6 +237,19 @@ def parse_equivalent(response) -> bool:
     return True
 
 
+def read_reply(wire) -> Message:
+    """The Message a reply wire stands for — how every sender on the
+    fabric reads what came back.
+
+    A paved reply is a :class:`LazyWire` whose Message the sender takes
+    as is when :func:`parse_equivalent` proves a parse would give it
+    back; it stays read-only to both sides.  Anything else is parsed,
+    raising what :meth:`Message.from_wire` raises."""
+    if type(wire) is LazyWire and parse_equivalent(wire.message):
+        return wire.message
+    return Message.from_wire(bytes(wire))
+
+
 def header_reply(wire: bytes, rcode: int) -> bytes:
     """The reply to ``wire`` made from its bytes alone: the query's ID,
     QR set, RCODE ``rcode``.
@@ -264,12 +278,12 @@ def header_reply(wire: bytes, rcode: int) -> bytes:
 
 
 def paved_reply(response, max_size: int = 0):
-    """What ``handle_paved`` returns for ``response``: its wire, unrendered,
-    plus the Message itself only when handing it to the sender in place
-    of a re-parse is sound (:func:`parse_equivalent`).  Past ``max_size``
-    (> 0) the wire is the rendered :meth:`Message.truncated` form and
-    nothing is handed back — the sender is about to retry over TCP."""
+    """What ``handle_paved`` returns for ``response``: a :class:`LazyWire`
+    of it, unrendered, whose Message the sender reads through
+    :func:`read_reply`.  Past ``max_size`` (> 0) it is the rendered
+    :meth:`Message.truncated` form, which the sender parses before it
+    retries over TCP."""
     wire = LazyWire(response)
     if max_size and len(wire) > max_size:
-        return response.truncated().to_wire(), None
-    return wire, response if parse_equivalent(response) else None
+        return response.truncated().to_wire()
+    return wire

@@ -2,12 +2,12 @@
 
 A query reaches an endpoint three ways — a datagram (bytes in, bytes
 out), a *paved* send on the in-process fabric (the sender's parsed
-query in; the reply wire and, when provably parse-equivalent, the
-reply Message out — see :meth:`~repro.net.fabric.NetworkFabric.send`)
-and a stream (TCP: bytes in, bytes out).  An endpoint writes only its
-answer body, ``handle_query`` — plus ``handle_axfr`` where it serves
-zone transfers — and the three doors apply six rules, in this order,
-once for everybody:
+query in, a :class:`~repro.dns.render.LazyWire` of the reply out — see
+:meth:`~repro.net.fabric.NetworkFabric.send`) and a stream (TCP: bytes
+in, bytes out).  An endpoint writes only its answer body,
+``handle_query`` — plus ``handle_axfr`` where it serves zone
+transfers — and the three doors apply six rules, in this order, once
+for everybody:
 
 1. a wire that does not decode gets FORMERR echoing its header
    (:func:`~repro.dns.render.header_reply`);
@@ -80,17 +80,15 @@ class Endpoint:
 
     def handle_paved(
         self, wire: bytes | LazyWire, source: str, query: Message
-    ) -> tuple[bytes | LazyWire | None, Message | None]:
+    ) -> bytes | LazyWire | None:
         """The datagram door for a ``query`` the sender already parsed
-        from ``wire``: the reply wire, plus the reply Message whenever
-        parsing that wire provably reproduces it."""
+        from ``wire``: the reply wire, a :class:`LazyWire` of the reply
+        whenever it fits (:func:`~repro.dns.render.paved_reply`)."""
         try:
             response = self._answer(query, source, stream=False)
-            if response is None:
-                return None, None
-            return paved_reply(response, _reply_limit(query))
+            return None if response is None else paved_reply(response, _reply_limit(query))
         except Exception:
-            return self._header_reply(bytes(wire), Rcode.SERVFAIL), None
+            return self._header_reply(bytes(wire), Rcode.SERVFAIL)
 
     def handle_stream(self, wire: bytes, source: str) -> bytes | None:
         """TCP: the same rules and body, never truncated, AXFR served."""

@@ -14,7 +14,6 @@ into the EDE codes of the paper's groups 6-7 and the wild scan's
 from __future__ import annotations
 
 import random
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -88,10 +87,6 @@ class NetworkFabric:
         self._route_filter: Callable[[str], bool] | None = None
         self.stats = FabricStats()
         self.chaos: ChaosPolicy | None = None
-        # Per-thread slot for the paved path (see :meth:`send`): holds
-        # the endpoint-built response Message when the last send on
-        # this thread proved it parse-equivalent to the wire.
-        self._paved_tls = threading.local()
         if chaos is not None:
             self.install_chaos(chaos)
 
@@ -153,41 +148,22 @@ class NetworkFabric:
         transport: str = "udp",
         message: object | None = None,
     ) -> bytes | LazyWire:
-        """Round-trip one datagram; raises Unreachable/Timeout on failure.
+        """Round-trip one datagram and return the endpoint's reply wire;
+        raises Unreachable/Timeout on failure.  The virtual clock
+        advances either way: by the link latency, by ``timeout`` when
+        unanswered, and one more latency for TCP's handshake.
 
-        Every :class:`~repro.net.endpoint.Endpoint` has three doors;
-        ``transport="tcp"`` takes its ``handle_stream`` (for truncation
-        retries and AXFR).  Delivery semantics are otherwise identical —
-        this fabric does not model TCP setup cost beyond one extra
-        round-trip of latency.  A bare object with only
-        ``handle_datagram`` (a test double) gets every query there.
-
-        ``message`` is the caller's already-parsed form of ``wire``.
-        Both ends of this fabric live in one process, so the *paved*
-        path hands it to ``handle_paved(wire, source, message)`` (no
-        wire decode server-side) and the endpoint may hand back its
-        response Message alongside the wire; the caller collects it via
-        :meth:`take_paved` and skips its own re-parse.  On that path
-        nobody reads a datagram's bytes, only its length, so either
-        wire may be a :class:`~repro.dns.render.LazyWire`: every
-        latency/loss/stats decision takes ``len()`` and the bytes on
-        the "network" are what ``bytes()`` would render.  ``bytes()``
-        is forced — and the byte path (``handle_datagram`` in, parse
-        out) taken — exactly where an observable property demands it:
-        a chaos policy is installed (chaos mutates and synthesizes
-        wires), the transport is TCP, the endpoint is a bare
-        ``handle_datagram``, or the sender passed no ``message``.  A paved
-        send returns the endpoint's wire as it came, rendered or not.
-        Ownership: a Message that crosses the fabric is read-only to
-        the side that received it, and a ``LazyWire``'s Message to the
-        side that made it.
-
-        Successful or not, the virtual clock advances: by the link latency
-        on success, by ``timeout`` when the query goes unanswered.
+        ``transport="tcp"`` takes the endpoint's ``handle_stream``.  A UDP
+        send that carries ``message``, the sender's parsed ``wire``, is
+        *paved* unless a chaos policy is installed: ``handle_paved``
+        gets the Message, and its reply may be a
+        :class:`~repro.dns.render.LazyWire` — read it with
+        :func:`~repro.dns.render.read_reply`.  Every other send takes
+        ``handle_datagram`` with ``bytes(wire)``.  Every count and delay
+        takes ``len()``, so a paved send changes no observable.  A
+        Message that crosses, alone or inside a ``LazyWire``, is
+        read-only to both sides.
         """
-
-        if message is not None:
-            self._paved_tls.response = None
         self.stats.datagrams_sent += 1
         if transport == "tcp":
             self.stats.tcp_queries += 1
@@ -243,16 +219,9 @@ class NetworkFabric:
             if transport == "tcp":
                 # TCP costs an extra round trip for the handshake.
                 self.clock.advance(link.latency)
-                handler = getattr(endpoint, "handle_stream", None)
-                if handler is not None:
-                    return handler(bytes(wire), source)
-                return endpoint.handle_datagram(bytes(wire), source)
+                return endpoint.handle_stream(bytes(wire), source)
             if message is not None and self.chaos is None:
-                paved = getattr(endpoint, "handle_paved", None)
-                if paved is not None:
-                    response, parsed = paved(wire, source, message)
-                    self._paved_tls.response = parsed
-                    return response
+                return endpoint.handle_paved(wire, source, message)
             return endpoint.handle_datagram(bytes(wire), source)
 
         response = deliver()
@@ -271,17 +240,3 @@ class NetworkFabric:
         self.stats.datagrams_delivered += 1
         self.stats.bytes_received += len(response)
         return response
-
-    def take_paved(self) -> object | None:
-        """Return and clear this thread's paved response Message.
-
-        None whenever the last :meth:`send` on this thread took the
-        byte path (chaos installed, TCP, a bare ``handle_datagram``
-        endpoint) or the endpoint could not prove its Message
-        parse-equivalent — the caller must then parse ``bytes()`` of
-        the returned wire as usual.
-        """
-        parsed = getattr(self._paved_tls, "response", None)
-        if parsed is not None:
-            self._paved_tls.response = None
-        return parsed

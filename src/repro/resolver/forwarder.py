@@ -5,7 +5,8 @@ EDE options, and warns that a forwarder relaying upstream errors can
 confuse clients unless it marks its own contributions.  This forwarder:
 
 * relays recursive queries to one or more upstream resolvers over the
-  fabric (failover in order; a truncated reply is asked again over TCP);
+  fabric (failover in order; a truncated reply is asked again over TCP;
+  a reply that does not parse or answers another query is none);
 * **forwards** upstream EDE options verbatim;
 * optionally annotates them (``annotate_forwarded``) by prefixing the
   EXTRA-TEXT with the upstream address — the disambiguation the RFC
@@ -24,9 +25,11 @@ import random
 from dataclasses import dataclass
 
 from ..dns.ede import EdeCode
+from ..dns.exceptions import DnsError
 from ..dns.message import Message
 from ..dns.name import Name
 from ..dns.rcode import Rcode
+from ..dns.render import LazyWire, read_reply
 from ..dns.types import RdataType
 from ..net.endpoint import Endpoint
 from ..net.fabric import NetworkFabric, TransportError
@@ -130,7 +133,7 @@ class ForwardingResolver(Endpoint):
                 want_dnssec=query.edns.dnssec_ok if query.edns else False,
                 recursion_desired=True,
                 rng=self._rng,
-            ).to_wire()
+            )
             response = self._exchange(upstream, relay, "udp")
             if response is not None and response.tc:
                 # The answer outgrew the datagram: ask the same upstream
@@ -144,20 +147,21 @@ class ForwardingResolver(Endpoint):
         self.stats.upstream_exhausted += 1
         return None
 
-    def _exchange(self, upstream: str, wire: bytes, transport: str) -> Message | None:
-        """The upstream's parsed reply to ``wire``, or None when it never
-        came or does not parse."""
+    def _exchange(self, upstream: str, relay: Message, transport: str) -> Message | None:
+        """The upstream's reply to ``relay``, or None when none came:
+        lost, unparseable, or the reply to another query."""
         try:
             raw = self.fabric.send(
-                upstream, wire, source=self.source_ip, timeout=self.timeout,
-                transport=transport,
+                upstream, LazyWire(relay), source=self.source_ip,
+                timeout=self.timeout, transport=transport, message=relay,
             )
         except TransportError:
             return None
         try:
-            return Message.from_wire(raw)
-        except Exception:
+            response = read_reply(raw)
+        except DnsError:
             return None
+        return response if response.is_reply_to(relay) else None
 
     def _relay(self, query: Message, upstream_result: tuple[str, Message]) -> Message:
         upstream, upstream_response = upstream_result

@@ -20,7 +20,7 @@ from ..dns.message import Message
 from ..dns.name import Name
 from ..dns.rcode import Rcode
 from ..dns.rdata import A, CNAME, NS
-from ..dns.render import LazyWire
+from ..dns.render import LazyWire, read_reply
 from ..dns.rrset import RRset
 from ..dns.types import RdataType
 from ..dnssec.trace import EventRecord, ResolutionEvent
@@ -254,7 +254,7 @@ class IterativeEngine:
         events: list[EventRecord],
     ) -> Message | None:
         try:
-            return Message.from_wire(bytes(raw))
+            return read_reply(raw)
         except Exception:
             self._note(events,
                 EventRecord(
@@ -449,11 +449,7 @@ class IterativeEngine:
                 return None
             rtt = self.fabric.clock.now() - started
             self.server_stats.note_rtt(server, rtt)
-            # In-process fabric: the server's own response Message comes
-            # back when parsing ``raw`` would provably reproduce it.
-            response = self.fabric.take_paved()
-            if response is None:
-                response = self._parse_response(raw, server, qname, rdtype, events)
+            response = self._parse_response(raw, server, qname, rdtype, events)
             if response is None:
                 self.server_stats.note_lame(server)
                 return None

@@ -12,9 +12,11 @@ import random
 from dataclasses import dataclass, field
 
 from ..dns.ede import ExtendedError
+from ..dns.exceptions import DnsError
 from ..dns.message import Message
 from ..dns.name import Name
 from ..dns.rcode import Rcode
+from ..dns.render import LazyWire, read_reply
 from ..dns.types import RdataType
 from ..net.fabric import NetworkFabric, TransportError
 
@@ -29,7 +31,7 @@ class StubAnswer:
     addresses: list[str] = field(default_factory=list)
     ede: list[ExtendedError] = field(default_factory=list)
     ad: bool = False
-    transport_error: str = ""
+    transport_error: str = ""  # "timeout", "unreachable" or "badreply"
 
     @property
     def ede_codes(self) -> tuple[int, ...]:
@@ -82,16 +84,17 @@ class StubResolver:
             qname = Name.from_text(qname)
         rdtype = RdataType.make(rdtype)
         answer = StubAnswer(qname=str(qname), rdtype=str(rdtype))
-        wire = Message.make_query(
-            qname, rdtype, want_dnssec=want_dnssec, rng=self._rng
-        ).to_wire()
+        query = Message.make_query(qname, rdtype, want_dnssec=want_dnssec, rng=self._rng)
         try:
-            response = self._exchange(wire, "udp")
-            if response.tc:
+            response = self._exchange(query, "udp")
+            if response is not None and response.tc:
                 # Truncated: ask again over TCP (RFC 7766), never truncated.
-                response = self._exchange(wire, "tcp")
+                response = self._exchange(query, "tcp")
         except TransportError as exc:
             answer.transport_error = type(exc).__name__.lower()
+            return answer
+        if response is None:
+            answer.transport_error = "badreply"
             return answer
         answer.rcode = response.rcode
         answer.ad = response.ad
@@ -104,9 +107,15 @@ class StubResolver:
                         answer.addresses.append(address)
         return answer
 
-    def _exchange(self, wire: bytes, transport: str) -> Message:
+    def _exchange(self, query: Message, transport: str) -> Message | None:
+        """The resolver's reply to ``query``, or None when what came back
+        does not parse or is the reply to another query."""
         raw = self.fabric.send(
-            self.server_address, wire, source=self.source_ip,
-            timeout=self.timeout, transport=transport,
+            self.server_address, LazyWire(query), source=self.source_ip,
+            timeout=self.timeout, transport=transport, message=query,
         )
-        return Message.from_wire(raw)
+        try:
+            response = read_reply(raw)
+        except DnsError:
+            return None
+        return response if response.is_reply_to(query) else None

@@ -52,9 +52,9 @@ class BehaviorServer(Endpoint):
 
     def handle_paved(
         self, wire: bytes | LazyWire, source: str, query: Message
-    ) -> tuple[bytes | LazyWire | None, Message | None]:
+    ) -> bytes | LazyWire | None:
         if self.behavior is Behavior.TIMEOUT:
-            return None, None
+            return None
         return super().handle_paved(wire, source, query)
 
     def handle_stream(self, wire: bytes, source: str) -> bytes | None:

@@ -14,9 +14,17 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 
-from repro.dns import render
+from repro.dns.render import LazyWire, parse_equivalent
 from repro.net import endpoint
 from repro.net.fabric import NetworkFabric
+
+
+def handed_back(wire):
+    """The Message :func:`repro.dns.render.read_reply` takes from
+    ``wire`` in place of a parse, or None when it parses the bytes."""
+    if isinstance(wire, LazyWire) and parse_equivalent(wire.message):
+        return wire.message
+    return None
 
 
 class CountingFabric(NetworkFabric):
@@ -30,7 +38,6 @@ class CountingFabric(NetworkFabric):
         #: wire it stood in for, rendered when the send returned), every
         #: one.
         self.handed_back: list[tuple[object, bytes]] = []
-        self._last_wire = b""
 
     def send(self, destination, wire, **kwargs):
         message = kwargs.get("message")
@@ -47,15 +54,12 @@ class CountingFabric(NetworkFabric):
                 assert message.to_wire() == sent, "endpoint mutated the query"
         # Rendered now, while the response is as the endpoint left it —
         # and it must be as long as the fabric just counted it to be.
-        self._last_wire = bytes(response)
-        assert len(self._last_wire) == len(response), "sized != rendered"
-        return response
-
-    def take_paved(self):
-        parsed = super().take_paved()
+        rendered = bytes(response)
+        assert len(rendered) == len(response), "sized != rendered"
+        parsed = handed_back(response)
         if parsed is not None:
-            self.handed_back.append((parsed, self._last_wire))
-        return parsed
+            self.handed_back.append((parsed, rendered))
+        return response
 
     @property
     def handbacks(self) -> int:
@@ -81,12 +85,12 @@ def count_handback_verdicts(monkeypatch) -> Counter:
     False = refusal → the sender parses the wire) for the rest of the
     test, at the one door that answers through it."""
     verdicts: Counter = Counter()
-    real = render.paved_reply
+    real = endpoint.paved_reply
 
     def counting(response, max_size=0):
-        wire, parsed = real(response, max_size)
-        verdicts[parsed is not None] += 1
-        return wire, parsed
+        wire = real(response, max_size)
+        verdicts[handed_back(wire) is not None] += 1
+        return wire
 
     monkeypatch.setattr(endpoint, "paved_reply", counting)
     return verdicts

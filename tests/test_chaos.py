@@ -16,7 +16,9 @@ import pytest
 from repro.dns.message import Message
 from repro.dns.name import Name
 from repro.dns.rcode import Rcode
+from repro.dns.rdata import TXT
 from repro.dns.render import header_reply
+from repro.dns.rrset import RRset
 from repro.dns.types import RdataType
 from repro.dnssec.trace import ResolutionEvent
 from repro.net.chaos import (
@@ -26,6 +28,7 @@ from repro.net.chaos import (
     Outage,
     target_matches,
 )
+from repro.net.endpoint import Endpoint
 from repro.net.fabric import Timeout
 from repro.resolver.cache import CacheConfig, ResolverCache
 from repro.resolver.iterative import EngineConfig, IterativeEngine
@@ -90,64 +93,64 @@ def run_chaos_scan(seed: int):
     )
 
 
-class _Responder:
+class _Responder(Endpoint):
     """Minimal well-behaved authoritative endpoint."""
 
     def __init__(self):
         self.calls = 0
 
-    def handle_datagram(self, wire: bytes, source: str) -> bytes | None:
+    def handle_query(self, query: Message, source: str) -> Message:
         self.calls += 1
-        return Message.from_wire(wire).make_response().to_wire()
+        return query.make_response()
 
 
-class _Silent:
-    """Accepts every datagram, answers none (pure timeout source)."""
+class _Silent(Endpoint):
+    """Accepts every query, answers none (pure timeout source)."""
 
-    def handle_datagram(self, wire: bytes, source: str) -> bytes | None:
+    def handle_query(self, query: Message, source: str) -> None:
         return None
 
 
-class _WrongIdServer:
+class _WrongIdServer(Endpoint):
     """Answers with a response whose ID never matches the query."""
 
     def __init__(self):
         self.query_ids: list[int] = []
 
-    def handle_datagram(self, wire: bytes, source: str) -> bytes:
-        query = Message.from_wire(wire)
+    def handle_query(self, query: Message, source: str) -> Message:
         self.query_ids.append(query.id)
         response = query.make_response()
         response.id = (query.id + 1) & 0xFFFF
-        return response.to_wire()
+        return response
 
 
-class _TruncatingBadTcp:
+class _Truncating(Endpoint):
+    """Answers more than a datagram holds: the door sends UDP its TC=1
+    form and TCP the whole reply."""
+
+    def handle_query(self, query: Message, source: str) -> Message:
+        response = query.make_response()
+        response.answer.append(RRset.of(
+            query.question[0].name, RdataType.TXT,
+            *[TXT(strings=(bytes([97 + i]) * 200,)) for i in range(10)],
+        ))
+        return response
+
+
+class _TruncatingBadTcp(_Truncating):
     """Truncates over UDP, then spoofs a wrong-ID answer over TCP."""
 
-    def handle_datagram(self, wire: bytes, source: str) -> bytes:
-        response = Message.from_wire(wire).make_response()
-        response.tc = True
-        return response.to_wire()
-
     def handle_stream(self, wire: bytes, source: str) -> bytes:
-        response = Message.from_wire(wire).make_response()
-        response.id = (response.id ^ 0x1234) & 0xFFFF
-        return response.to_wire()
+        reply = bytearray(super().handle_stream(wire, source))
+        reply[0] ^= 0x12
+        return bytes(reply)
 
 
-class _TruncatingRefusedTcp:
+class _TruncatingRefusedTcp(_Truncating):
     """Truncates over UDP, answers REFUSED (valid ID) over TCP."""
 
-    def handle_datagram(self, wire: bytes, source: str) -> bytes:
-        response = Message.from_wire(wire).make_response()
-        response.tc = True
-        return response.to_wire()
-
     def handle_stream(self, wire: bytes, source: str) -> bytes:
-        response = Message.from_wire(wire).make_response()
-        response.rcode = Rcode.REFUSED
-        return response.to_wire()
+        return header_reply(wire, Rcode.REFUSED)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,16 @@
 import pytest
 
 from repro.dns.rcode import Rcode
+from repro.dns.rdata import A
+from repro.dns.rrset import RRset
 from repro.dns.types import RdataType
+from repro.net.chaos import ChaosPolicy
+from repro.net.endpoint import Endpoint
 from repro.resolver.forwarder import ForwardingResolver
 from repro.resolver.policy import LocalPolicy, PolicyAction
 from repro.resolver.profiles import CLOUDFLARE
 from repro.resolver.recursive import RecursiveResolver
+from repro.resolver.stub import StubResolver
 
 UPSTREAM_IP = "192.0.9.100"
 BACKUP_IP = "192.0.9.101"
@@ -119,8 +124,6 @@ class TestForwarding:
     def test_chain_stub_to_forwarder_to_recursive(self, testbed, forwarder):
         """Full three-tier chain over the fabric: stub -> forwarder ->
         recursive -> authoritative, EDE intact end to end."""
-        from repro.resolver.stub import StubResolver
-
         try:
             testbed.fabric.register("192.0.9.110", forwarder)
         except Exception:
@@ -129,3 +132,57 @@ class TestForwarding:
         answer = stub.query(testbed.cases["ds-bad-tag"].query_name, RdataType.A)
         assert answer.rcode == Rcode.SERVFAIL
         assert answer.ede_codes == (9,)
+
+
+# -- RFC 5452 section 9.1: a reply that answers another query is no reply --------
+
+ADDRESSES = {"one.test.": "192.0.2.1", "two.test.": "192.0.2.2"}
+PRIMARY, BACKUP, RESOLVER = "192.0.9.120", "192.0.9.121", "192.0.9.122"
+
+
+class _Addresser(Endpoint):
+    """A resolver that answers each name in ``ADDRESSES`` with its address."""
+
+    recursion_available = True
+
+    def handle_query(self, query, source):
+        response = query.make_response()
+        name = query.question[0].name
+        response.answer.append(
+            RRset.of(name, RdataType.A, A(address=ADDRESSES[str(name)]))
+        )
+        return response
+
+
+class _Garbling(ChaosPolicy):
+    """Cuts every reply short of a DNS header."""
+
+    def on_response(self, address, wire):
+        return wire[:5]
+
+
+class TestRepliesMustAnswerTheQuery:
+    def test_forwarder_fails_over_past_another_querys_reply(self, fabric):
+        """Reordering hands the forwarder the reply held for its previous
+        query; relaying it would answer ``two.test.`` with ``one.test.``'s
+        address.  It is no reply, so the backup is asked."""
+        fabric.register(PRIMARY, _Addresser())
+        fabric.register(BACKUP, _Addresser())
+        fabric.install_chaos(ChaosPolicy.uniform(target=PRIMARY, reorder_rate=1.0))
+        forwarder = ForwardingResolver(fabric=fabric, upstreams=[PRIMARY, BACKUP])
+        for qname, address in ADDRESSES.items():
+            (rrset,) = forwarder.resolve(qname, RdataType.A).answer
+            assert str(rrset.name) == qname and rrset.rdatas[0].address == address
+        assert fabric.chaos.stats.reordered == 1
+        assert forwarder.stats.upstream_failovers == 1
+
+    def test_stub_reports_a_bad_reply_instead_of_using_or_raising_on_it(self, fabric):
+        fabric.register(RESOLVER, _Addresser())
+        stub = StubResolver(fabric, RESOLVER)
+        fabric.install_chaos(ChaosPolicy.uniform(reorder_rate=1.0))
+        assert stub.query("one.test.").addresses == [ADDRESSES["one.test."]]
+        stale = stub.query("two.test.")  # one.test.'s reply comes back
+        assert (stale.transport_error, stale.rcode, stale.addresses) == ("badreply", None, [])
+        fabric.install_chaos(_Garbling())
+        garbled = stub.query("one.test.")
+        assert (garbled.transport_error, garbled.rcode) == ("badreply", None)

@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.dns.message import Message
+from repro.dns.render import LazyWire, read_reply
+from repro.dns.types import RdataType
 from repro.net.addresses import TESTBED_GLUE, classify, is_globally_routable
 from repro.net.clock import SimulatedClock
+from repro.net.endpoint import Endpoint
 from repro.net.fabric import (
     LinkProperties,
     NetworkFabric,
@@ -79,14 +83,19 @@ class TestAddressClassification:
         assert len(TESTBED_GLUE) == 18  # 10 AAAA cases + 8 A cases
 
 
-class _Echo:
-    def __init__(self, reply: bytes | None = b"pong"):
-        self.reply = reply
-        self.received: list[tuple[bytes, str]] = []
+PING = Message.make_query("ping.test.", RdataType.A, msg_id=7)
 
-    def handle_datagram(self, wire: bytes, source: str) -> bytes | None:
-        self.received.append((wire, source))
-        return self.reply
+
+class _Echo(Endpoint):
+    """Answers every query with its bare response, or stays silent."""
+
+    def __init__(self, silent: bool = False):
+        self.silent = silent
+        self.received: list[tuple[Message, str]] = []
+
+    def handle_query(self, query: Message, source: str) -> Message | None:
+        self.received.append((query, source))
+        return None if self.silent else query.make_response()
 
 
 class TestFabric:
@@ -94,8 +103,20 @@ class TestFabric:
         fabric = NetworkFabric()
         echo = _Echo()
         fabric.register("192.0.9.1", echo)
-        assert fabric.send("192.0.9.1", b"ping", source="1.2.3.4") == b"pong"
-        assert echo.received == [(b"ping", "1.2.3.4")]
+        reply = fabric.send("192.0.9.1", PING.to_wire(), source="1.2.3.4")
+        assert reply == PING.make_response().to_wire()
+        assert echo.received == [(PING, "1.2.3.4")]
+
+    def test_paved_round_trip(self):
+        """A send carrying its Message hands the endpoint that very
+        Message, and the reply's Message comes back unparsed."""
+        fabric = NetworkFabric()
+        echo = _Echo()
+        fabric.register("192.0.9.1", echo)
+        reply = fabric.send("192.0.9.1", LazyWire(PING), message=PING)
+        assert echo.received[0][0] is PING
+        assert read_reply(reply) is reply.message
+        assert bytes(reply) == PING.make_response().to_wire()
 
     def test_special_destination_unreachable(self):
         fabric = NetworkFabric()
@@ -120,7 +141,7 @@ class TestFabric:
         fabric = NetworkFabric()
         fabric.register("192.0.9.1", _Echo(), link=LinkProperties(latency=0.25))
         before = fabric.clock.now()
-        fabric.send("192.0.9.1", b"x")
+        fabric.send("192.0.9.1", PING.to_wire())
         assert fabric.clock.now() == pytest.approx(before + 0.25)
 
     def test_down_link_times_out(self):
@@ -128,19 +149,19 @@ class TestFabric:
         fabric.register("192.0.9.1", _Echo())
         fabric.link("192.0.9.1").down = True
         with pytest.raises(Timeout):
-            fabric.send("192.0.9.1", b"x")
+            fabric.send("192.0.9.1", PING.to_wire())
 
     def test_none_reply_is_timeout(self):
         fabric = NetworkFabric()
-        fabric.register("192.0.9.1", _Echo(reply=None))
+        fabric.register("192.0.9.1", _Echo(silent=True))
         with pytest.raises(Timeout):
-            fabric.send("192.0.9.1", b"x")
+            fabric.send("192.0.9.1", PING.to_wire())
 
     def test_full_loss_always_times_out(self):
         fabric = NetworkFabric()
         fabric.register("192.0.9.1", _Echo(), link=LinkProperties(loss_rate=1.0))
         with pytest.raises(Timeout):
-            fabric.send("192.0.9.1", b"x")
+            fabric.send("192.0.9.1", PING.to_wire())
         assert fabric.stats.datagrams_lost == 1
 
     def test_route_filter(self):
@@ -148,23 +169,23 @@ class TestFabric:
         fabric.register("192.0.9.1", _Echo())
         fabric.set_route_filter(lambda dst: dst != "192.0.9.1")
         with pytest.raises(Unreachable):
-            fabric.send("192.0.9.1", b"x")
+            fabric.send("192.0.9.1", PING.to_wire())
         fabric.set_route_filter(None)
-        assert fabric.send("192.0.9.1", b"x") == b"pong"
+        assert fabric.send("192.0.9.1", PING.to_wire()) == PING.make_response().to_wire()
 
     def test_unregister(self):
         fabric = NetworkFabric()
         fabric.register("192.0.9.1", _Echo())
         fabric.unregister("192.0.9.1")
         with pytest.raises(Timeout):
-            fabric.send("192.0.9.1", b"x")
+            fabric.send("192.0.9.1", PING.to_wire())
 
     def test_stats_bytes(self):
         fabric = NetworkFabric()
         fabric.register("192.0.9.1", _Echo())
-        fabric.send("192.0.9.1", b"abcd")
-        assert fabric.stats.bytes_sent == 4
-        assert fabric.stats.bytes_received == 4
+        fabric.send("192.0.9.1", PING.to_wire())
+        assert fabric.stats.bytes_sent == len(PING.to_wire())
+        assert fabric.stats.bytes_received == len(PING.make_response().to_wire())
 
     def test_endpoints_listing(self):
         fabric = NetworkFabric()

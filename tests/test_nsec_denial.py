@@ -9,6 +9,7 @@ from repro.dns.rdata import A, NS
 from repro.dns.rrset import RRset
 from repro.dns.types import RdataType
 from repro.dnssec.nsec import canonical_key, nsec_covers, nsec_matches
+from repro.net.endpoint import Endpoint
 from repro.resolver.profiles import UNBOUND
 from repro.resolver.recursive import RecursiveResolver
 from repro.server.authoritative import AuthoritativeServer
@@ -147,22 +148,17 @@ class TestNsecServing:
         refuse the unproven NXDOMAIN."""
         fabric, anchors = world
 
-        class Stripper:
+        class Stripper(Endpoint):
             def __init__(self, inner):
                 self.inner = inner
 
-            def handle_datagram(self, wire, source):
-                from repro.dns.message import Message
-
-                raw = self.inner.handle_datagram(wire, source)
-                if raw is None:
-                    return None
-                response = Message.from_wire(raw)
+            def handle_query(self, query, source):
+                response = self.inner.handle_query(query, source)
                 response.authority = [
                     r for r in response.authority
                     if r.rdtype not in (RdataType.NSEC, RdataType.RRSIG)
                 ]
-                return response.to_wire()
+                return response
 
         inner = fabric._endpoints[(DOM_IP, 53)]
         fabric.unregister(DOM_IP)

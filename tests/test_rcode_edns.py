@@ -1,6 +1,8 @@
 """RCODE splitting/joining, EDNS option plumbing, and the door table:
 what every endpoint owes a query at every door (RFC 6891, RFC 5936)."""
 
+import struct
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,6 +20,7 @@ from repro.dns.message import Message
 from repro.dns.name import Name
 from repro.dns.rcode import Rcode
 from repro.dns.rdata import AAAA, TXT
+from repro.dns.render import HEADER_LENGTH, skip_name
 from repro.dns.rrset import RRset
 from repro.dns.types import RdataType
 from repro.dns.wire import WireReader, WireWriter
@@ -38,6 +41,7 @@ from repro.server.behaviors import BehaviorServer
 from repro.testbed.replicas import ReplicaEndpoint
 
 from .authorities import make_simple_authority
+from .fabric_arms import handed_back
 
 
 class TestRcode:
@@ -241,24 +245,27 @@ def _query(qname: str, rdtype=RdataType.AAAA, *, version=0, payload=1232, edns=T
     return query
 
 
-def _doors(endpoint, query: Message) -> tuple[dict[str, tuple[bytes, Message]], Message | None]:
-    """Each door's reply wire and its parse, and the Message the paved
-    door handed back — which must be what parsing its wire gives."""
-    wire = query.to_wire()
-    replies, handed_back = {}, None
+def _doors(
+    endpoint, query: Message, wire: bytes | None = None
+) -> tuple[dict[str, tuple[bytes, Message]], Message | None]:
+    """Each door's reply wire (to ``wire``, by default ``query``'s own)
+    and its parse, and the Message the paved door handed back — which
+    must be what parsing its wire gives."""
+    wire = query.to_wire() if wire is None else wire
+    replies, paved = {}, None
     for door in ("datagram", "paved", "stream"):
         # The stale-flipping host answers a zone once, then REFUSES it;
         # every door here asks as that zone's first query.
         getattr(endpoint, "_seen", set()).clear()
         if door == "paved":
-            raw, handed_back = endpoint.handle_paved(wire, CLIENT, query)
-            raw = bytes(raw)
-            if handed_back is not None:
-                assert Message.from_wire(raw) == handed_back
+            reply = endpoint.handle_paved(wire, CLIENT, query)
+            raw, paved = bytes(reply), handed_back(reply)
+            if paved is not None:
+                assert Message.from_wire(raw) == paved
         else:
             raw = getattr(endpoint, f"handle_{door}")(wire, CLIENT)
         replies[door] = raw, Message.from_wire(raw)
-    return replies, handed_back
+    return replies, paved
 
 
 def _verdict(reply: Message) -> tuple:
@@ -346,11 +353,61 @@ def _probe(probe: str, subject: str, wild, endpoint) -> None:
             # or forwarder asks upstream with: they fetched it over TCP.
             (aaaa,) = replies["stream"][1].answer
             assert sorted(aaaa.rdatas, key=str) == sorted(FAT_AAAA, key=str)
+    elif probe == "do-echoed":
+        # RFC 3225 section 3: the DO bit is copied into the reply.
+        for dnssec_ok in (False, True):
+            query = _query(fat, RdataType.TXT)
+            query.edns.dnssec_ok = dnssec_ok
+            replies, _ = _doors(endpoint, query)
+            assert {reply.edns.dnssec_ok for _raw, reply in replies.values()} == {dnssec_ok}
+            assert _verdict(replies["paved"][1]) == _verdict(replies["datagram"][1])
+    elif probe == "unknown-option":
+        # RFC 6891 section 6.1.2: an option the responder does not know
+        # is ignored, and a reply carries no option it was not built with.
+        plain, _ = _doors(endpoint, _query(fat, RdataType.TXT))
+        query = _query(fat, RdataType.TXT)
+        query.edns.options.append(EdnsOption(code=UNKNOWN_OPTION, data=b"probe"))
+        replies, _ = _doors(endpoint, query)
+        for door, (_raw, reply) in replies.items():
+            assert reply.edns.option(UNKNOWN_OPTION) is None
+            assert _verdict(reply) == _verdict(plain[door][1])
+    elif probe == "z-bits":
+        # RFC 6891 section 6.1.4: Z is sent as zero and ignored on receipt.
+        wire = bytearray(_query(fat, RdataType.TXT).to_wire())
+        at = _opt_ttl_at(wire)
+        wire[at + 2:at + 4] = b"\xff\xff"  # DO and every Z bit
+        replies, _ = _doors(endpoint, Message.from_wire(bytes(wire)), bytes(wire))
+        for raw, reply in replies.values():
+            at = _opt_ttl_at(raw)
+            assert raw[at + 2:at + 4] == b"\x80\x00"  # DO echoed, Z cleared
     datagram, paved = replies["datagram"][1], replies["paved"][1]
     assert _verdict(paved) == _verdict(datagram)
 
 
-PROBES = ("no-question", "axfr", "payload-below-512", "oversized", "oversized-no-edns")
+#: An option code from the RFC 6891 section 9 local/experimental range.
+UNKNOWN_OPTION = 65001
+
+
+def _opt_ttl_at(wire) -> int:
+    """Offset of the OPT record's TTL field: extended RCODE, version, DO
+    and the Z bits."""
+    qdcount, *records = struct.unpack_from(">HHHH", wire, 4)
+    pos = HEADER_LENGTH
+    for _ in range(qdcount):
+        pos = skip_name(wire, pos) + 4
+    for _ in range(sum(records)):
+        pos = skip_name(wire, pos)
+        rdtype, _rdclass, _ttl, rdlength = struct.unpack_from(">HHIH", wire, pos)
+        if rdtype == RdataType.OPT:
+            return pos + 4
+        pos += 10 + rdlength
+    raise AssertionError("no OPT record")
+
+
+PROBES = (
+    "no-question", "axfr", "payload-below-512", "oversized", "oversized-no-edns",
+    "do-echoed", "unknown-option", "z-bits",
+)
 #: Rules 1-4 are the door's own replies: no cell of theirs may send.
 SILENT_PROBES = ("badvers", "no-question", "axfr")
 

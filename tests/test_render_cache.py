@@ -30,6 +30,7 @@ from repro.dns.render import (
     LazyWire,
     parse_equivalent,
     paved_reply,
+    read_reply,
     response_ttl_offsets,
     wire_key,
 )
@@ -45,6 +46,8 @@ from repro.resolver.resilience import ResilientFrontend
 from repro.scan.population import Profile, generate_population, population_config_for
 from repro.scan.wild import MISMATCH_HOST, WildInternet
 from repro.testbed.replicas import register_replicas
+
+from .fabric_arms import handed_back
 
 
 def make_response(
@@ -243,12 +246,11 @@ class TestParseEquivalent:
             big.answer.append(
                 RRset.of(name, RdataType.A, A(address=f"192.0.2.{index + 1}"))
             )
-        wire, parsed = paved_reply(big, 512)
-        assert parsed is None
+        wire = paved_reply(big, 512)
         assert wire == big.to_wire(max_size=512) and len(wire) <= 512
-        assert Message.from_wire(wire).tc and not big.tc
-        wire, parsed = paved_reply(big, 4096)
-        assert parsed is big and bytes(wire) == big.to_wire()
+        assert read_reply(wire).tc and not big.tc
+        wire = paved_reply(big, 4096)
+        assert read_reply(wire) is big and bytes(wire) == big.to_wire()
 
     def test_edns_options_refused(self):
         _query, response = make_response()
@@ -316,18 +318,6 @@ class TestLazyWire:
         assert wire is not None and wire != None  # noqa: E711
 
 
-class BytesOnlyEndpoint:
-    """An endpoint that predates the paved path: ``handle_datagram`` only."""
-
-    def __init__(self, server):
-        self.server = server
-        self.received: list[object] = []
-
-    def handle_datagram(self, wire, source):
-        self.received.append(wire)
-        return self.server.handle_datagram(wire, source)
-
-
 class TestPavedFabric:
     """The in-process hand-off must change bytes for nobody, and must
     step aside wherever an observable property demands the byte path."""
@@ -352,19 +342,10 @@ class TestPavedFabric:
         assert bytes(paved) == plain
         assert wild.fabric.stats.bytes_received - before == len(plain)
 
-        parsed = wild.fabric.take_paved()
+        parsed = handed_back(paved)
         if parsed is not None:
             # The handed-back Message re-encodes to the exact wire.
             assert parsed.to_wire() == bytes(paved)
-        # The slot is one-shot: a second take returns nothing.
-        assert wild.fabric.take_paved() is None
-
-    def test_plain_send_never_populates_the_slot(self, universe):
-        wild, _population = universe
-        server_ip = wild.root_hints[0]
-        wire = Message.make_query(".", RdataType.NS, msg_id=78).to_wire()
-        wild.fabric.send(server_ip, wire, source="198.51.100.9")
-        assert wild.fabric.take_paved() is None
 
     def _offer(self, wild, destination, query, **kwargs):
         """Paved-capable send as the engine makes it; returns (bytes
@@ -373,7 +354,7 @@ class TestPavedFabric:
             destination, LazyWire(query), source="198.51.100.9",
             message=query, **kwargs,
         )
-        return bytes(raw), wild.fabric.take_paved()
+        return bytes(raw), handed_back(raw)
 
     def test_hand_back_is_the_parse_of_the_wire(self, universe):
         wild, _population = universe
@@ -400,17 +381,6 @@ class TestPavedFabric:
         raw, parsed = self._offer(wild, wild.root_hints[0], query, transport="tcp")
         assert parsed is None
         assert Message.from_wire(raw).answer
-
-    def test_endpoint_without_handle_paved_gets_bytes(self, universe):
-        wild, _population = universe
-        endpoint = BytesOnlyEndpoint(wild.root_server)
-        wild.fabric.register("192.0.9.77", endpoint)
-        query = Message.make_query(".", RdataType.NS, msg_id=82)
-        raw, parsed = self._offer(wild, "192.0.9.77", query)
-        assert parsed is None
-        assert endpoint.received == [query.to_wire()]
-        assert isinstance(endpoint.received[0], bytes)
-        assert Message.from_wire(raw).id == 82
 
     def test_behaviour_and_replica_endpoints_are_paved(self, universe):
         """The wrappers hand the parsed query through and the Message

@@ -9,6 +9,7 @@ from repro.dns.rdata import AAAA, A, CNAME, NS
 from repro.dns.rrset import RRset
 from repro.dns.types import RdataType
 from repro.dnssec.trace import ResolutionEvent
+from repro.net.endpoint import Endpoint
 from repro.net.fabric import NetworkFabric
 from repro.resolver.forwarder import ForwardingResolver
 from repro.resolver.iterative import EngineConfig, IterativeEngine
@@ -142,12 +143,11 @@ class TestIterativeEngine:
         assert ResolutionEvent.ALL_SERVERS_FAILED in kinds
 
     def test_mismatched_id_ignored(self, mini_fabric):
-        class Liar:
-            def handle_datagram(self, wire, source):
-                message = Message.from_wire(wire)
-                response = message.make_response()
-                response.id = (message.id + 1) & 0xFFFF
-                return response.to_wire()
+        class Liar(Endpoint):
+            def handle_query(self, query, source):
+                response = query.make_response()
+                response.id = (query.id + 1) & 0xFFFF
+                return response
 
         mini_fabric.unregister(ROOT_IP)
         mini_fabric.register(ROOT_IP, Liar())

@@ -7,6 +7,7 @@ from repro.dns.rcode import Rcode
 from repro.dns.rdata import A, NS
 from repro.dns.rrset import RRset
 from repro.dns.types import RdataType
+from repro.net.endpoint import Endpoint
 from repro.resolver.profiles import CLOUDFLARE, UNBOUND
 from repro.resolver.recursive import RecursiveResolver
 from repro.server.authoritative import AuthoritativeServer
@@ -123,21 +124,19 @@ class TestWildcardValidation:
         """If the server swaps the synthesized rdata, validation fails."""
         fabric, anchors = world
 
-        class Tamperer:
+        class Tamperer(Endpoint):
             def __init__(self, inner):
                 self.inner = inner
 
-            def handle_datagram(self, wire, source):
-                from repro.dns.message import Message
-
-                raw = self.inner.handle_datagram(wire, source)
-                if raw is None:
-                    return None
-                response = Message.from_wire(raw)
-                for rrset in response.answer:
-                    if rrset.rdtype == RdataType.A:
-                        rrset.rdatas = [A(address="198.51.100.66")]
-                return response.to_wire()
+            def handle_query(self, query, source):
+                response = self.inner.handle_query(query, source)
+                # Forged copies: the zone's own RRsets stay as served.
+                response.answer = [
+                    RRset.of(rrset.name, rrset.rdtype, A(address="198.51.100.66"), ttl=rrset.ttl)
+                    if rrset.rdtype == RdataType.A else rrset
+                    for rrset in response.answer
+                ]
+                return response
 
         inner = fabric._endpoints[(DOM_IP, 53)]
         fabric.unregister(DOM_IP)

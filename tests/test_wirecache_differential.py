@@ -1,17 +1,18 @@
 """Paved-vs-byte differential gate: Messages crossing the in-process
 fabric must be byte-invisible.
 
-Every plain-UDP send from the engine is paved: the server gets the
-parsed query, the engine gets the server's response ``Message`` back
-whenever ``parse_equivalent`` proves a parse would be the identity — and
+Every plain-UDP send from the engine, the forwarder and the stub is
+paved: the server gets the parsed query, the sender takes the server's
+response ``Message`` back whenever ``parse_equivalent`` proves a parse would be the identity — and
 neither wire is rendered unless something reads its bytes.
 ``src/`` has no switch for that, so the byte-path arm is produced by a
 *test-only* fabric that never forwards ``message=``
 (:class:`tests.fabric_arms.PlainFabric`).  The claim gated here is that
 the two arms agree on *everything observable*: every per-domain scan
 record, the Figure 1/2 aggregates and fabric datagram/byte counters at
-1/8/32 workers under both retry-jitter seeds, and all 63×7 matrix cells
-through 1 and 2 resolver shards.  Every run has the runtime determinism
+1/8/32 workers under both retry-jitter seeds, all 63×7 matrix cells
+through 1 and 2 resolver shards, and a stub's answers through a
+forwarder and a resolver.  Every run has the runtime determinism
 sanitizer armed.  The
 gate is non-vacuous both ways: the paved arm must show hand-backs, the
 plain arm none, and the directed fallback worlds must show
@@ -32,7 +33,11 @@ from repro.dns.rdata import A, NS, TXT
 from repro.dns.rrset import RRset
 from repro.dns.types import RdataType
 from repro.net.chaos import ChaosPolicy
+from repro.resolver.forwarder import ForwardingResolver
 from repro.resolver.iterative import EngineConfig, IterativeEngine
+from repro.resolver.profiles import CLOUDFLARE
+from repro.resolver.recursive import RecursiveResolver
+from repro.resolver.stub import StubResolver
 from repro.scan.figures import figure1_series, figure2_series, series_to_csv
 from repro.scan.population import generate_population, population_config_for
 from repro.scan.scanner import ScanResult, WildScanner, categorization_of
@@ -200,6 +205,46 @@ class TestMatrixDifferential:
         assert paved_testbed.fabric.mutated_handbacks() == 0
         assert served_state(paved_testbed.fabric) == before
         assert before == served_state(plain_testbed.fabric)
+
+
+RESOLVER_IP, FORWARDER_IP = "192.0.9.53", "192.0.9.54"
+
+
+def chain_arm(population, fabric) -> list:
+    """A stub asking every fifth domain through a forwarder in front of
+    a recursive resolver, on a fresh universe on ``fabric``."""
+    wild = WildInternet(population, fabric=fabric)
+    fabric.register(RESOLVER_IP, RecursiveResolver(
+        fabric=fabric, profile=CLOUDFLARE, root_hints=wild.root_hints,
+        trust_anchors=wild.trust_anchors,
+    ))
+    fabric.register(FORWARDER_IP, ForwardingResolver(
+        fabric=fabric, upstreams=[RESOLVER_IP], annotate_forwarded=True,
+    ))
+    stub = StubResolver(fabric, FORWARDER_IP)
+    with determinism_sanitizer():
+        return [
+            stub.query(domain.fqdn, want_dnssec=True)
+            for domain in population.domains[::5]
+        ]
+
+
+class TestChainDifferential:
+    def test_stub_forwarder_resolver_chain_identical(self, population):
+        """Every hop a client's query takes — stub to forwarder to
+        resolver to authorities — sends paved, and the client sees what
+        the byte path gives it, EDE and EXTRA-TEXT included."""
+        paved, plain = CountingFabric(), PlainFabric()
+        answers = chain_arm(population, paved)
+        assert answers == chain_arm(population, plain)
+        assert any(answer.ede for answer in answers)
+        assert paved.stats == plain.stats
+        assert plain.offered == 0 and plain.handbacks == 0
+        # Resolver-side replies (RA set), not only authorities', came
+        # back unparsed, and nobody wrote to what they were handed.
+        assert paved.handbacks > 0
+        assert any(parsed.ra for parsed, _wire in paved.handed_back)
+        assert paved.mutated_handbacks() == 0
 
 
 # ---------------------------------------------------------------------------
