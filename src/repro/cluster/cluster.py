@@ -91,9 +91,6 @@ class ClusterConfig:
     #: disables it entirely; the default config never perturbs a
     #: no-fault run because with zero failures no state ever changes.
     health: ShardHealthConfig | None = ShardHealthConfig()
-    #: Give every shard a rendered-response wire cache (see
-    #: :mod:`repro.dns.render`); off by default — the seed byte path.
-    render_cache: bool = False
 
     def __post_init__(self) -> None:
         if self.shards < 1:
@@ -298,7 +295,6 @@ class ResolverCluster(Endpoint):
                     if self.l2 is not None
                     else None
                 ),
-                render_cache=config.render_cache,
             )
             for index in range(config.shards)
         ]

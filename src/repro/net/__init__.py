@@ -24,7 +24,6 @@ from .fabric import (
 )
 from .lanes import LaneDeadlock, VirtualLanePool, run_in_lanes
 from .ttl_store import TtlStore, remaining_ttl
-from .udp import UdpServer, serve_and_query, udp_query
 
 __all__ = [
     "AddressClass",
@@ -48,13 +47,10 @@ __all__ = [
     "Timeout",
     "TransportError",
     "TtlStore",
-    "UdpServer",
     "Unreachable",
     "VirtualLanePool",
     "classify",
     "is_globally_routable",
     "remaining_ttl",
     "run_in_lanes",
-    "serve_and_query",
-    "udp_query",
 ]

@@ -25,6 +25,19 @@ for everybody:
 
 So no door raises, and the paved and byte verdicts are one verdict:
 both doors run the same rules over the same body.
+
+The datagram door puts one rule in front of the six:
+
+0. a datagram the endpoint kept a reply for — the same bytes but for
+   the message ID — is answered with that reply before anything is
+   decoded (:meth:`Endpoint.stored_reply`).  Every reply the door
+   encodes is offered back (:meth:`Endpoint.keep_reply`), and the
+   endpoint keeps what its body marked as a cache hit.
+
+The base keeps nothing.  The recursive resolver keeps rendered replies
+in its :class:`~repro.resolver.cache.RenderedWireCache`, and the
+shedding frontend serves from its resolver's; both count a stored reply
+as the answer it replays.
 """
 
 from __future__ import annotations
@@ -64,17 +77,36 @@ class Endpoint:
         body that raised.  For counters and per-query state; the default
         does nothing."""
 
+    def stored_reply(self, wire: bytes, source: str) -> bytes | None:
+        """Rule 0: the reply kept for ``wire``, patched for it and counted
+        as the answer it replays — or None, and the door decodes ``wire``.
+        The default keeps nothing."""
+        return None
+
+    def keep_reply(self, wire: bytes, reply: Message, encoded: bytes) -> None:
+        """Offered every reply the datagram door encodes: ``encoded`` is
+        ``reply`` rendered for the query ``wire``.  An endpoint keeps it
+        for :meth:`stored_reply` when its body marked ``reply`` as a
+        cache hit; the default keeps nothing."""
+
     # -- the doors -----------------------------------------------------------
 
     def handle_datagram(self, wire: bytes, source: str) -> bytes | None:
         """The reply datagram to ``wire``, or None to drop it."""
+        stored = self.stored_reply(wire, source)
+        if stored is not None:
+            return stored
         try:
             query = Message.from_wire(wire)
         except Exception:
             return self._header_reply(wire, Rcode.FORMERR)
         try:
             response = self._answer(query, source, stream=False)
-            return None if response is None else response.to_wire(_reply_limit(query))
+            if response is None:
+                return None
+            encoded = response.to_wire(_reply_limit(query))
+            self.keep_reply(wire, response, encoded)
+            return encoded
         except Exception:
             return self._header_reply(wire, Rcode.SERVFAIL)
 

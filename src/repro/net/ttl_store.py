@@ -73,6 +73,11 @@ class TtlStore:
             self._drop_expired(key)
         return None
 
+    def holds(self, key, value) -> bool:
+        """Whether ``key``'s entry, fresh or not, is the ``value`` put."""
+        entry = self._entries.get(key)
+        return entry is not None and entry[0] is value
+
     def stale(self, key):
         """The entry while inside its stale window, else None."""
         entry = self._entries.get(key)

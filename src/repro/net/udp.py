@@ -8,6 +8,9 @@ agent — can also be bound to an actual UDP socket.  This is
 what the integration tests use to prove the wire format interoperates
 with a genuine network stack, and what a user would use to point ``dig``
 at the testbed.
+
+``repro.net`` does not re-export this module, so a process that never
+binds a socket never imports asyncio (or the ssl it pulls in).
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ import asyncio
 from dataclasses import dataclass
 
 from .endpoint import Endpoint
+
+__all__ = ["UdpServer", "serve_and_query", "udp_query"]
 
 
 class _EndpointProtocol(asyncio.DatagramProtocol):

@@ -126,15 +126,34 @@ class ResolverCache:
         self._stats.hits += 1
         return entry[0].copy(ttl=remaining_ttl(entry[1], self._clock.now()))
 
-    def positive_expiry(self, name: Name, rdtype: RdataType) -> float | None:
-        """The fractional expiry of a fresh positive entry, or None.
+    def positive_entry(self, name: Name, rdtype: RdataType) -> tuple[RRset, float] | None:
+        """A fresh positive entry as stored — the RRset and its
+        fractional expiry — or None.
 
         No stats: the rendered-wire cache uses it to record the exact
         ``expires_at`` a hit was served against, so per-hit TTL patches
         reproduce ``get_rrset``'s remaining TTL byte-for-byte.
         """
         entry = self._positive.fresh((name, int(rdtype)))
-        return entry[1] if entry is not None else None
+        return entry[:2] if entry is not None else None
+
+    def answers_from(self, kind: str, key: tuple[Name, int], value) -> bool:
+        """Whether a lookup of ``key`` — ``(name, int(rdtype))`` — in the
+        resolver's probe order (errors, positive, negative) would be
+        answered from ``value``, the entry a ``kind`` hit was served from,
+        as long as that entry lives.
+
+        No stats: the rendered-wire cache asks before it replays a hit,
+        so a reply is never served after its entry was replaced, evicted
+        or shadowed by one probed before it.
+        """
+        if kind == "error":
+            return self._errors.holds(key, value)
+        if self._errors.fresh(key) is not None:
+            return False
+        if kind == "positive":
+            return self._positive.holds(key, value)
+        return self._positive.fresh(key) is None and self._negative.holds(key, value)
 
     def get_stale_rrset(self, name: Name, rdtype: RdataType) -> RRset | None:
         """Expired-but-retained entry for serve-stale, or None."""
@@ -242,7 +261,8 @@ class RenderedWireCache:
 
     def __init__(self, clock: Clock):
         self._clock = clock
-        #: key -> (wire, ((ttl offset, fractional expiry), ...))
+        #: key -> (the wire after its ID, cut at every TTL field a hit
+        #: patches; those TTLs' fractional expiry; note)
         self._store = TtlStore(clock, RENDER_CACHE_CAPACITY)
         self._stats = RenderCacheStats()
 
@@ -253,20 +273,19 @@ class RenderedWireCache:
         stats.evictions = self._store.evicted
         return stats
 
-    def serve(self, key, query_wire) -> bytes | None:
-        """The cached response for ``key`` patched for this query, or None."""
+    def serve(self, key, query_wire) -> tuple[bytes, object] | None:
+        """The cached response for ``key`` patched for this query, and
+        the ``note`` it was stored with; or None."""
         entry = self._store.fresh(key)
         if entry is None:
             self._stats.misses += 1
             return None
-        wire, ttl_patches = entry[0]
-        now = self._clock.now()
-        out = bytearray(wire)
-        out[0:2] = query_wire[0:2]
-        for offset, expires_at in ttl_patches:
-            struct.pack_into(">I", out, offset, remaining_ttl(expires_at, now))
+        pieces, expires_at, note = entry[0]
+        ttl = b""
+        if len(pieces) > 1:
+            ttl = remaining_ttl(expires_at, self._clock.now()).to_bytes(4, "big")
         self._stats.hits += 1
-        return bytes(out)
+        return query_wire[:2] + ttl.join(pieces), note
 
     def store(
         self,
@@ -275,6 +294,7 @@ class RenderedWireCache:
         *,
         expires_at: float,
         decrement_answers_until: float | None = None,
+        note: object = None,
     ) -> bool:
         """Cache ``wire`` under ``key`` until ``expires_at``; returns
         False when refused.
@@ -283,14 +303,15 @@ class RenderedWireCache:
         (the first ANCOUNT TTL fields) for per-hit decrement against
         that fractional expiry; authority/additional TTLs are served
         verbatim, which matches how the negative cache replays its
-        stored SOA.
+        stored SOA.  ``note`` is the caller's, handed back with every
+        hit.
         """
         try:
             offsets = response_ttl_offsets(wire)
         except RenderRefused:
             self._stats.refusals += 1
             return False
-        patches: tuple = ()
+        patched: list[int] = []
         if decrement_answers_until is not None:
             ancount = struct.unpack_from(">H", wire, 6)[0]
             if ancount > len(offsets):
@@ -298,10 +319,10 @@ class RenderedWireCache:
                 # miscounted into it) — refuse rather than mis-patch.
                 self._stats.refusals += 1
                 return False
-            patches = tuple(
-                (offset, decrement_answers_until) for offset in offsets[:ancount]
-            )
-        self._store.put(key, (bytes(wire), patches), expires_at)
+            patched = offsets[:ancount]
+        cuts = [2, *(edge for offset in patched for edge in (offset, offset + 4)), len(wire)]
+        pieces = tuple(bytes(wire[start:end]) for start, end in zip(cuts[::2], cuts[1::2]))
+        self._store.put(key, (pieces, decrement_answers_until, note), expires_at)
         self._stats.stores += 1
         return True
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..dns.dnssec_records import DS
 from ..dns.message import Message
@@ -74,10 +75,22 @@ class ResolverStats:
     refreshes: int = 0
     refreshed_ok: int = 0
     #: Rendered-wire cache outcomes on the datagram path: hits served
-    #: straight from patched bytes (zero Message work — these do NOT
-    #: also count as answer-cache hits), and responses stored.
+    #: straight from patched bytes (zero Message work; each also counts
+    #: as the answer it replays, but not as an answer-cache hit), and
+    #: responses stored.
     render_hits: int = 0
     render_stores: int = 0
+
+
+class _Rendered(NamedTuple):
+    """What a kept reply replays beside its bytes: the answer-cache entry
+    it was rendered from, and the labels of what its answer counted."""
+
+    kind: str
+    key: tuple[Name, int]
+    entry: object
+    rcode: str
+    ede_codes: tuple[str, ...]
 
 
 #: Infrastructure fetch results one resolver keeps (one per
@@ -120,7 +133,6 @@ class RecursiveResolver(Endpoint):
         cache_config: CacheConfig | None = None,
         obs: Observability | None = None,
         l2: "SharedL2Cache | None" = None,
-        render_cache: bool = False,
     ):
         self.fabric = fabric
         self.profile = profile
@@ -181,26 +193,23 @@ class RecursiveResolver(Endpoint):
 
             self.reporter = ErrorReporter(self.clock)
         self.stats = ResolverStats()
-        #: Rendered-response wire cache for the datagram path (see
+        #: Rendered-response wire cache, rule 0 of the datagram door (see
         #: :mod:`repro.dns.render`): a repeat wire query whose answer is
-        #: still covered by the answer cache is served from stored bytes
-        #: with only the ID rewritten and answer TTLs re-derived from
-        #: the *same* fractional expiry ``get_rrset`` decrements against.
-        #: Off (None) by default — the seed byte path.
-        self.render_cache = RenderedWireCache(self.clock) if render_cache else None
-        #: Per-lane render plan: what kind of answer-cache hit produced
-        #: the response being encoded, and the entry's fractional expiry.
-        #: Only responses derived from a cache hit are wire-cacheable —
-        #: every other path mutates state (stats, refresh queues) or
-        #: depends on upstream work.
+        #: still the answer cache's is served from stored bytes with only
+        #: the ID rewritten and answer TTLs re-derived from the *same*
+        #: fractional expiry ``get_rrset`` decrements against.
+        self.render_cache = RenderedWireCache(self.clock)
+        #: Per-lane render plan: which answer-cache entry, of what kind,
+        #: produced the response being encoded, and its fractional
+        #: expiry.  Only responses derived from a cache hit are
+        #: wire-cacheable — every other path mutates state (stats,
+        #: refresh queues) or depends on upstream work.
         self._render_tls = threading.local()
         #: ``(zone, qname, type)`` -> FetchResult.
         self._infra_cache = TtlStore(self.clock, INFRA_CACHE_CAPACITY)
         self._infra_ttl = 300.0
         #: Everything :meth:`flush_caches` must forget.
-        self._stores = [self.cache, self._infra_cache]
-        if self.render_cache is not None:
-            self._stores.append(self.render_cache)
+        self._stores = [self.cache, self._infra_cache, self.render_cache]
         #: Optional cluster-shared L2 tier for infra fetch results (see
         #: :class:`repro.cluster.SharedL2Cache`): consulted read-through
         #: on an L1 miss, published to on every fresh fetch.  None when
@@ -351,80 +360,82 @@ class RecursiveResolver(Endpoint):
                 self.stats.with_ede += 1
         return response
 
-    # -- the datagram door's render-cache prelude -------------------------------------
+    # -- rule 0 of the datagram door: the rendered-wire cache -------------------------
 
-    def handle_datagram(self, wire: bytes, source: str) -> bytes | None:
-        """Endpoint's datagram door, behind the rendered-wire cache: a
-        repeat query the cache covers is served from stored bytes."""
-        key = self.render_serve_key(wire)
-        if key is None:
-            return super().handle_datagram(wire, source)
-        served = self.render_serve(key, wire)
-        if served is not None:
-            return served
-        self.render_reset()
-        encoded = super().handle_datagram(wire, source)
-        self.render_store(key, encoded)
-        return encoded
-
-    def on_door_reply(self, rcode: int) -> None:
-        """A reply the door made — a body that raised included — is no
-        render of a cache hit: forget the plan the body may have left."""
-        self.render_reset()
-
-    # -- rendered-wire cache hooks (shared with the resilient frontend) ---------------
-
-    def render_serve_key(self, wire: bytes) -> bytes | None:
-        """The render-cache key for an incoming wire, or None when the
-        cache is off or the datagram is too short to be a query."""
-        if self.render_cache is None:
+    def stored_reply(self, wire: bytes, source: str) -> bytes | None:
+        """A repeat query the rendered-wire cache covers: the kept reply,
+        counted as :meth:`handle_query` counts the cache hit it replays."""
+        hit = self.render_lookup(wire)
+        if hit is None:
             return None
-        return wire_key(wire)
+        self.count_render_hit(hit[1])
+        return hit[0]
 
-    def render_serve(self, key: bytes, wire: bytes) -> bytes | None:
-        """A patched cached response, or None.  A hit counts as one
-        served query and one render hit — *not* an answer-cache hit
-        (the answer cache was never consulted), so cluster aggregates
-        keep counting each client query exactly once."""
-        served = self.render_cache.serve(key, wire)
-        if served is None:
-            return None
-        self.stats.queries += 1
-        self.stats.render_hits += 1
-        if self.obs.enabled:
-            self._m_render.labels(profile=self._obs_profile).inc()
-        return served
-
-    def render_reset(self) -> None:
-        """Clear the per-lane render plan before handling one datagram."""
-        if self.render_cache is not None:
-            self._render_tls.plan = None
-
-    def _render_note(self, kind: str, expires_at: float | None) -> None:
-        """Record that the outcome being built came from a cache hit."""
-        if self.render_cache is not None and expires_at is not None:
-            self._render_tls.plan = (kind, expires_at)
-
-    def render_store(self, key: bytes, encoded: bytes) -> None:
-        """Cache the encoded response iff this datagram's answer came
-        straight from the answer cache (the only byte-stable paths).
-        Positive hits decrement their answer TTLs against the entry's
-        fractional expiry; negative hits replay stored authority TTLs
-        verbatim; error hits carry no records.  The wire entry expires
-        exactly when the underlying cache entry does."""
+    def keep_reply(self, wire: bytes, reply: Message, encoded: bytes) -> None:
+        """Keep ``encoded`` iff this datagram's answer came straight from
+        the answer cache (the only byte-stable paths), noting the entry
+        it came from and what its answer counted.  Positive hits
+        decrement their answer TTLs against the entry's fractional
+        expiry; negative hits replay stored authority TTLs verbatim;
+        error hits carry no records.  The wire expires exactly when the
+        entry does.  A resolver that reports errors (RFC 9567) keeps no
+        reply carrying EDE: each such answer may owe a report."""
         plan = getattr(self._render_tls, "plan", None)
         if plan is None:
             return
-        kind, expires_at = plan
         self._render_tls.plan = None
-        stored = self.render_cache.store(
-            key,
+        kind, key, entry, expires_at = plan
+        ede_codes = tuple(str(int(option.info_code)) for option in reply.extended_errors)
+        if ede_codes and self.reporter is not None:
+            return
+        if self.render_cache.store(
+            wire_key(wire),
             encoded,
             expires_at=expires_at,
             decrement_answers_until=expires_at if kind == "positive" else None,
-        )
-        if stored:
+            note=_Rendered(kind, key, entry, Rcode(reply.rcode).name, ede_codes),
+        ):
             self.stats.render_stores += 1
+
+    def render_lookup(self, wire: bytes) -> tuple[bytes, _Rendered] | None:
+        """The kept reply to ``wire`` patched for it, and its note, while
+        the answer-cache entry it was rendered from still answers the
+        question; else None, with this lane's render plan cleared for the
+        body about to run.  Counts nothing."""
+        key = wire_key(wire)
+        hit = None if key is None else self.render_cache.serve(key, wire)
+        if hit is not None:
+            note = hit[1]
+            if self.cache.answers_from(note.kind, note.key, note.entry):
+                return hit
+        self._render_tls.plan = None
+        return None
+
+    def count_render_hit(self, note: _Rendered, shed: bool = False) -> None:
+        """Count a kept reply served as the cache-hit answer it replays:
+        as :meth:`handle_query` counts one, or — ``shed`` — as
+        :meth:`answer_from_cache` does for a frontend that shed the
+        query.  Only the render-hit counters add to that; the answer
+        cache was never consulted and counts no hit."""
+        self.stats.queries += 1
+        self.stats.render_hits += 1
+        if note.ede_codes:
+            self.stats.with_ede += 1
+        if not self.obs.enabled:
+            return
+        label = self._obs_profile
+        self._m_render.labels(profile=label).inc()
+        if shed:
+            return
+        self._m_queries.labels(profile=label).inc()
+        self._m_responses.labels(profile=label, rcode=note.rcode).inc()
+        for code in note.ede_codes:
+            self._m_ede.labels(profile=label, code=code).inc()
+        self._m_latency.labels(profile=label).observe(0.0)  # a hit takes no virtual time
+
+    def _render_note(self, kind: str, qname: Name, rdtype, entry, expires_at: float) -> None:
+        """Record that the outcome being built came from a cache hit."""
+        self._render_tls.plan = (kind, (qname, int(rdtype)), entry, expires_at)
 
     # -- resolution pipeline ------------------------------------------------------------
 
@@ -503,7 +514,7 @@ class RecursiveResolver(Endpoint):
             outcome.events.append(record)
             outcome.validation = ValidationTrace.insecure()
             self._note_cache_hit("error", record)
-            self._render_note("error", error.expires_at)
+            self._render_note("error", qname, rdtype, error, error.expires_at)
             return outcome
 
         cached = self.cache.get_rrset(qname, rdtype)
@@ -514,7 +525,10 @@ class RecursiveResolver(Endpoint):
             outcome.from_cache = True
             outcome.validation = ValidationTrace.insecure()
             self._note_cache_hit("positive")
-            self._render_note("positive", self.cache.positive_expiry(qname, rdtype))
+            stored, expires_at = self.cache.positive_entry(qname, rdtype)
+            # Keyed by the stored RRset's own name: the store's key holds
+            # that object, so the render guard's lookup compares by identity.
+            self._render_note("positive", stored.name, rdtype, stored, expires_at)
             return outcome
         negative = self.cache.get_negative(qname, rdtype)
         if negative is not None:
@@ -524,7 +538,7 @@ class RecursiveResolver(Endpoint):
             outcome.from_cache = True
             outcome.validation = ValidationTrace.insecure()
             self._note_cache_hit("negative")
-            self._render_note("negative", negative.expires_at)
+            self._render_note("negative", qname, rdtype, negative, negative.expires_at)
             return outcome
         return None
 

@@ -452,8 +452,8 @@ class FrontendStats:
     inflight_peak: int = 0
     #: Answered serves slower than ``FrontendConfig.service_deadline``.
     deadline_breaches: int = 0
-    #: Datagrams answered straight from the rendered-wire cache (these
-    #: are also counted in ``answered``).
+    #: Datagrams answered straight from the rendered-wire cache (each
+    #: also counted as the answered or shed query it replays).
     render_hits: int = 0
     #: reason -> count, same closed vocabulary as the metric label.
     shed_by_reason: dict = field(default_factory=dict)
@@ -488,8 +488,10 @@ class ResilientFrontend(Endpoint):
     An :class:`~repro.net.endpoint.Endpoint` whose answer body is the
     shed policy, so it registers on the simulated fabric or binds a real
     UDP socket interchangeably, and its doors never raise.  Its counters
-    and refresh drain run the same at all three doors; the datagram door
-    alone adds the rendered-wire cache prelude.
+    and refresh drain run the same at all three doors.  Rule 0 of the
+    datagram door serves a repeat query from the resolver's
+    rendered-wire cache, received, charged, shed and counted exactly as
+    the body would have answered the cache hit it replays.
     """
 
     recursion_available = True
@@ -503,11 +505,6 @@ class ResilientFrontend(Endpoint):
         self.resolver = resolver
         self.config = config or FrontendConfig()
         self._clock = clock or resolver.clock
-        #: Repeat wire queries are served from the resolver's
-        #: rendered-response cache iff it was built with one.  A render
-        #: hit is answered *before* shed policy runs — it still charges
-        #: the client's token bucket, but cannot be refused.
-        self._renders = getattr(resolver, "render_cache", None) is not None
         self._buckets: dict[str, TokenBucket] = {}
         self._inflight = 0
         self._shed_count = 0
@@ -558,9 +555,45 @@ class ResilientFrontend(Endpoint):
         self._m_responses.labels(outcome="refused").inc()
         return response
 
+    def _sheds(self, source: str) -> bool:
+        """Shed policy for one received query: the in-flight cap first,
+        without charging the client's bucket, then the bucket.  Counts
+        the reason when it sheds."""
+        if self._inflight >= self.config.max_inflight:
+            self.stats.inflight_sheds += 1
+            self.stats.shed(reason="inflight-cap")
+            self._m_shed.labels(reason="inflight-cap").inc()
+            return True
+        if not self._bucket(source).take():
+            self.stats.bucket_sheds += 1
+            self.stats.shed(reason="rrl")
+            self._m_shed.labels(reason="rrl").inc()
+            return True
+        return False
+
+    def _served_cached(self) -> None:
+        self.stats.served_cached += 1
+        self._m_served_cached.inc()
+        self._m_responses.labels(outcome="cached").inc()
+
+    def _in_flight(self, delta: int) -> None:
+        """One more (+1) or one fewer (-1) resolution in flight."""
+        self._inflight += delta
+        self.stats.inflight_peak = max(self.stats.inflight_peak, self._inflight)
+        self._m_inflight.set(self._inflight)
+
+    def _answered(self, took: float) -> None:
+        """Count a resolution that answered in ``took`` virtual seconds;
+        one slower than the service deadline is a breach too."""
+        deadline = self.config.service_deadline
+        if deadline is not None and took > deadline:
+            self.stats.deadline_breaches += 1
+        self.stats.answered += 1
+        self._m_responses.labels(outcome="answered").inc()
+
     # -- endpoint -----------------------------------------------------------
-    # Each query is received and drained once, at any door: a render hit
-    # in the datagram prelude, else in the body or ``on_door_reply``.
+    # Each query is received and drained once, at any door: a kept reply
+    # in rule 0, else in the body or ``on_door_reply``.
 
     def _received(self) -> None:
         self.stats.datagrams += 1
@@ -579,9 +612,8 @@ class ResilientFrontend(Endpoint):
                 self.stats.handler_errors += 1
 
     def on_door_reply(self, rcode: int) -> None:
-        """Count the door's own reply; a render plan a raising body left
-        behind is no render of a cache hit.  A SERVFAIL here is a body
-        that raised, so :meth:`handle_query` already received the query."""
+        """Count the door's own reply.  A SERVFAIL here is a body that
+        raised, so :meth:`handle_query` already received the query."""
         if rcode == Rcode.SERVFAIL:
             self.stats.handler_errors += 1
             self._m_responses.labels(outcome="servfail").inc()
@@ -596,73 +628,56 @@ class ResilientFrontend(Endpoint):
                 self.stats.answered += 1
                 self._m_responses.labels(outcome="answered").inc()
             self._drain_refreshes()
-        if self._renders:
-            self.resolver.render_reset()
 
-    def handle_datagram(self, wire: bytes, source: str) -> bytes | None:
-        """Endpoint's datagram door behind the rendered-wire cache: a
-        repeat query the cache covers is served from stored bytes, ahead
-        of shed policy."""
-        key = self.resolver.render_serve_key(wire) if self._renders else None
-        if key is None:
-            return super().handle_datagram(wire, source)
-        response = self.resolver.render_serve(key, wire)
-        if response is not None:
-            # Mirror the always-served cache-hit semantics: the
-            # client's bucket is charged (a hit is still a served
-            # answer) but the outcome cannot be a shed.
-            self._received()
-            self._bucket(source).take()
-            self.stats.answered += 1
+    #: Endpoint's datagram door, bound in this class body so that
+    #: ``perf/layers.py`` can span the serve path's entry point here.
+    handle_datagram = Endpoint.handle_datagram
+
+    def stored_reply(self, wire: bytes, source: str) -> bytes | None:
+        """Rule 0 through the resolver's rendered-wire cache: the kept
+        reply, received, charged, shed and counted exactly as
+        :meth:`handle_query` would answer the cache hit it replays."""
+        hit = self.resolver.render_lookup(wire)
+        if hit is None:
+            return None
+        self._received()
+        try:
+            shed = self._sheds(source)
+            if shed:
+                self._served_cached()
+            else:
+                self._in_flight(1)
+                self._in_flight(-1)
+                self._answered(0.0)  # a cache hit takes no virtual time
+            self.resolver.count_render_hit(hit[1], shed)
             self.stats.render_hits += 1
-            self._m_responses.labels(outcome="answered").inc()
+            return hit[0]
+        finally:
             self._drain_refreshes()
-            return response
-        self.resolver.render_reset()
-        response = super().handle_datagram(wire, source)
-        self.resolver.render_store(key, response)
-        return response
+
+    def keep_reply(self, wire: bytes, reply: Message, encoded: bytes) -> None:
+        self.resolver.keep_reply(wire, reply, encoded)
 
     def handle_query(self, query: Message, source: str) -> Message:
         """The answer body: shed policy in front of the resolver's, then
         the refresh drain."""
         self._received()
         try:
-            shedding = False
-            if self._inflight >= self.config.max_inflight:
-                self.stats.inflight_sheds += 1
-                self.stats.shed(reason="inflight-cap")
-                self._m_shed.labels(reason="inflight-cap").inc()
-                shedding = True
-            elif not self._bucket(source).take():
-                self.stats.bucket_sheds += 1
-                self.stats.shed(reason="rrl")
-                self._m_shed.labels(reason="rrl").inc()
-                shedding = True
-            if shedding:
+            if self._sheds(source):
                 # Cache hits and stale answers are always served — shedding
                 # only protects the expensive cache-miss resolution path.
                 cached = self.resolver.answer_from_cache(query)
-                if cached is not None:
-                    self.stats.served_cached += 1
-                    self._m_served_cached.inc()
-                    self._m_responses.labels(outcome="cached").inc()
-                    return cached
-                return self._shed_response(query)
-            self._inflight += 1
-            self.stats.inflight_peak = max(self.stats.inflight_peak, self._inflight)
-            self._m_inflight.set(self._inflight)
+                if cached is None:
+                    return self._shed_response(query)
+                self._served_cached()
+                return cached
+            self._in_flight(1)
             started = self._clock.now()
             try:
                 response = self.resolver.handle_query(query, source)
             finally:
-                self._inflight -= 1
-                self._m_inflight.set(self._inflight)
-            deadline = self.config.service_deadline
-            if deadline is not None and self._clock.now() - started > deadline:
-                self.stats.deadline_breaches += 1
-            self.stats.answered += 1
-            self._m_responses.labels(outcome="answered").inc()
+                self._in_flight(-1)
+            self._answered(self._clock.now() - started)
             return response
         finally:
             self._drain_refreshes()

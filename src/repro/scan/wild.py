@@ -72,6 +72,27 @@ def hosting_address(index: int) -> str:
     return f"45.{(index >> 8) & 0xFF}.{index & 0xFF}.1"
 
 
+#: The mutation every wild apex — the root and each TLD — is built with.
+#: One instance serves them all: a :class:`ZoneBuilder` never writes to
+#: its mutation.
+_APEX_MUTATION = ZoneMutation(algorithm=WILD_ALGORITHM, nsec3_iterations=0, nsec3_salt=b"")
+
+
+def _tld_nameserver(origin: Name) -> Name:
+    return Name.from_text("a.nic", origin=origin)
+
+
+def _tld_apex_builder(origin: Name, index: int, now: int) -> ZoneBuilder:
+    """TLD number ``index``'s apex builder, loaded but not built.  A pure
+    function of its arguments, so the root's DS, made from one builder,
+    matches the keys of every other."""
+    builder = ZoneBuilder(origin, now=now, mutation=_APEX_MUTATION, key_seed=100 + index)
+    ns_name = _tld_nameserver(origin)
+    builder.add(RRset.of(origin, RdataType.NS, NS(target=ns_name), ttl=300))
+    builder.add(address_rrset(ns_name, tld_server_address(index)))
+    return builder
+
+
 # ---------------------------------------------------------------------------
 # per-domain configuration derived from the profile
 # ---------------------------------------------------------------------------
@@ -128,28 +149,27 @@ def domain_mutation(domain: WildDomain) -> ZoneMutation:
 class VirtualTldServer(Endpoint):
     """Serves one TLD: real signed apex, synthesized delegations.
 
-    ``apex`` is the apex zone's builder, loaded but not yet built: the
-    keys (and so the DS the root publishes, and every signature made
-    here) exist from the start, the signed zone from the first query
-    that reads :attr:`apex_zone`.  Most TLDs of a universe host no
-    scanned domain and never build theirs.
+    The apex builder (:func:`_tld_apex_builder` of the TLD's ``index``) is
+    made on first use: the keys, for the first signature made here, the
+    signed zone for the first query that reads :attr:`apex_zone`.  Most
+    TLDs of a universe host no queried domain and never make theirs.
     """
 
     def __init__(
         self,
         wild: "WildInternet",
         tld_name: str,
-        apex: ZoneBuilder,
+        index: int,
         broken_denial: bool,
         now: int,
         axfr_allowed: bool = False,
     ):
         self.wild = wild
         self.tld = tld_name
-        self.origin = apex.origin
-        self._apex = apex
+        self.origin = Name.from_text(tld_name + ".")
+        self.index = index
+        self._apex: ZoneBuilder | None = None
         self._apex_zone: Zone | None = None
-        self.ksk, self.zsk = apex.keys()
         self.broken_denial = broken_denial
         self.now = now
         self.axfr_allowed = axfr_allowed
@@ -161,10 +181,23 @@ class VirtualTldServer(Endpoint):
         self.queries = 0
         self.transfers = 0
 
+    def _builder(self) -> ZoneBuilder:
+        if self._apex is None:
+            self._apex = _tld_apex_builder(self.origin, self.index, self.now)
+        return self._apex
+
+    @property
+    def ksk(self):
+        return self._builder().keys()[0]
+
+    @property
+    def zsk(self):
+        return self._builder().keys()[1]
+
     @property
     def apex_zone(self) -> Zone:
         if self._apex_zone is None:
-            self._apex_zone = self._apex.build().zone
+            self._apex_zone = self._builder().build().zone
         return self._apex_zone
 
     # -- answer bodies (the doors are Endpoint's) -------------------------------
@@ -412,12 +445,7 @@ class WildInternet:
 
         # TLD apex zones + virtual servers.
         root_builder = ZoneBuilder(
-            Name.root(),
-            now=self.now,
-            mutation=ZoneMutation(
-                algorithm=WILD_ALGORITHM, nsec3_iterations=0, nsec3_salt=b""
-            ),
-            key_seed=7,
+            Name.root(), now=self.now, mutation=_APEX_MUTATION, key_seed=7
         )
         root_builder.add(
             RRset.of(
@@ -433,23 +461,11 @@ class WildInternet:
         )
 
         for index, tld in enumerate(sorted(population.tlds.values(), key=lambda t: t.name)):
-            origin = Name.from_text(tld.name + ".")
             address = tld_server_address(index)
-            builder = ZoneBuilder(
-                origin,
-                now=self.now,
-                mutation=ZoneMutation(
-                    algorithm=WILD_ALGORITHM, nsec3_iterations=0, nsec3_salt=b""
-                ),
-                key_seed=100 + index,
-            )
-            ns_name = Name.from_text("a.nic", origin=origin)
-            builder.add(RRset.of(origin, RdataType.NS, NS(target=ns_name), ttl=300))
-            builder.add(address_rrset(ns_name, address))
             server = VirtualTldServer(
                 wild=self,
                 tld_name=tld.name,
-                apex=builder,
+                index=index,
                 broken_denial=tld.broken_denial,
                 now=self.now,
                 axfr_allowed=tld.axfr_allowed,
@@ -457,8 +473,12 @@ class WildInternet:
             self.tld_servers[tld.name] = server
             self.tld_addresses[tld.name] = address
             self.fabric.register(address, server)
-
-            root_builder.delegate(builder, [(ns_name, address)])
+            # The builder goes once the root holds the delegation; the
+            # server derives the same keys again when it first signs.
+            root_builder.delegate(
+                _tld_apex_builder(server.origin, index, self.now),
+                [(_tld_nameserver(server.origin), address)],
+            )
 
         self.root_built = root_builder.build()
         root_server = AuthoritativeServer(name="root")

@@ -22,7 +22,9 @@ the Prometheus text exposition format on ``http://HOST:PORT/metrics``
 (all profiles report into one registry, labeled by profile).
 ``--metrics-dump PATH`` writes the same exposition to a file on
 shutdown (and ``--duration`` bounds the run, for smoke tests);
-``--trace-log PATH`` streams every finished query trace as NDJSON.
+``--trace-log PATH`` streams every finished query trace as NDJSON (a
+repeat query answered from the rendered-wire cache resolves nothing and
+leaves no trace).
 
 ``--drill SCENARIO`` skips the sockets entirely and replays one named
 load scenario (steady, flash, stampede, outage, overload, or the

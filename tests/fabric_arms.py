@@ -1,4 +1,4 @@
-"""Test-only fabrics: the two arms of every paved-vs-byte differential.
+"""Test-only arms of the differentials ``src/`` has no switch for.
 
 ``src/`` has no switch between the paved path and the byte path — the
 engine always offers its parsed query and the fabric paves whenever it
@@ -7,6 +7,9 @@ therefore lives here: :class:`PlainFabric` simply never forwards
 ``message=``.  :class:`CountingFabric` is the paved arm with the
 evidence the gates need to be non-vacuous, and it checks the hand-off
 ownership rule on every send.
+
+Nor does it have a switch for the resolver's rendered-wire cache, rule 0
+of the datagram door: :func:`render_off` makes the arm without it.
 """
 
 from __future__ import annotations
@@ -78,6 +81,14 @@ class PlainFabric(CountingFabric):
     def send(self, destination, wire, **kwargs):
         kwargs.pop("message", None)
         return super().send(destination, wire, **kwargs)
+
+
+def render_off(*resolvers):
+    """The render-off arm: each resolver keeps no reply, so rule 0 of its
+    datagram door, and of a frontend in front of it, never serves one
+    and every datagram is decoded and answered by the body."""
+    for resolver in resolvers:
+        resolver.keep_reply = lambda wire, reply, encoded: None
 
 
 def count_handback_verdicts(monkeypatch) -> Counter:

@@ -5,7 +5,12 @@ counters, convenience helpers) so refactors cannot silently change
 them.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import repro
 from repro.dns.ede import ExtendedError
 from repro.dns.message import Message, Question
 from repro.dns.name import Name
@@ -167,3 +172,18 @@ class TestProfilesSurface:
         assert "Unbound 1.16.2" in names
         assert "PowerDNS Recursor 4.8.2" in names
         assert "Knot Resolver 5.6.0" in names
+
+
+def test_in_process_packages_import_no_socket_stack():
+    """asyncio and ssl belong to ``repro.net.udp``: a run that never
+    binds a socket (scan, testbed, load, cluster) does not import them."""
+    code = (
+        "import sys, repro.scan, repro.testbed, repro.load, repro.cluster; "
+        "print(sorted({'asyncio', 'ssl'} & set(sys.modules)))"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.strip() == "[]"

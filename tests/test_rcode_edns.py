@@ -444,7 +444,7 @@ class TestBadvers:
     def test_badvers_is_never_cached_and_never_served_from_a_cache(self, wild):
         """Not stored in the answer or render cache, not answered from
         either by a shedding frontend, zero upstream datagrams."""
-        resolver = _on_wild(RecursiveResolver, wild, render_cache=True)
+        resolver = _on_wild(RecursiveResolver, wild)
         qname = wild.population.domains[0].fqdn
         v0 = _query(qname, RdataType.A).to_wire()
         v1 = _query(qname, RdataType.A, version=1).to_wire()

@@ -13,8 +13,10 @@ exactly-once stats accounting for render hits through a
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import struct
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,15 +41,16 @@ from repro.dns.types import RdataType
 from repro.load import ZipfMix, build_clients
 from repro.net.chaos import ChaosPolicy
 from repro.net.clock import SimulatedClock
-from repro.resolver.cache import RenderedWireCache, default_cache_config
+from repro.obs import Observability
+from repro.resolver.cache import CacheConfig, RenderedWireCache, default_cache_config
 from repro.resolver.profiles import CLOUDFLARE
 from repro.resolver.recursive import RecursiveResolver
-from repro.resolver.resilience import ResilientFrontend
+from repro.resolver.resilience import FrontendConfig, ResilientFrontend
 from repro.scan.population import Profile, generate_population, population_config_for
 from repro.scan.wild import MISMATCH_HOST, WildInternet
 from repro.testbed.replicas import register_replicas
 
-from .fabric_arms import handed_back
+from .fabric_arms import handed_back, render_off
 
 
 def make_response(
@@ -149,8 +152,7 @@ class TestTtlPatching:
 
         clock.advance(min(advance, min(ttls) + fraction - 1e-6))
         hit_query = Message.make_query("cache.test.", RdataType.A, msg_id=hit_id)
-        served = cache.serve(key, hit_query.to_wire())
-        assert served is not None
+        served, _note = cache.serve(key, hit_query.to_wire())
 
         expected_ttl = max(1, int(expires_at - clock.now()))
         _q, expected = make_response(
@@ -181,8 +183,7 @@ class TestTtlPatching:
             decrement_answers_until=start + 10.5,
         )
         clock.advance(10.4)
-        served = cache.serve(key, query.to_wire())
-        assert served is not None
+        served, _note = cache.serve(key, query.to_wire())
         assert Message.from_wire(served).answer[0].ttl == 1
 
 
@@ -421,7 +422,7 @@ class TestClusterRenderExactlyOnce:
             profile=CLOUDFLARE,
             root_hints=wild.root_hints,
             trust_anchors=wild.trust_anchors,
-            config=ClusterConfig(shards=2, render_cache=True),
+            config=ClusterConfig(shards=2),
         )
         qname = population.domains[0].name
         responses = []
@@ -494,7 +495,6 @@ class TestFlushForgetsRenderedWires:
             profile=CLOUDFLARE,
             root_hints=wild.root_hints,
             trust_anchors=wild.trust_anchors,
-            render_cache=True,
         )
         wire = self._warm(resolver, population.domains[0].name)
         assert resolver.stats.render_hits == 1 and len(resolver.render_cache) == 1
@@ -514,7 +514,7 @@ class TestFlushForgetsRenderedWires:
             profile=CLOUDFLARE,
             root_hints=wild.root_hints,
             trust_anchors=wild.trust_anchors,
-            config=ClusterConfig(shards=2, render_cache=True),
+            config=ClusterConfig(shards=2),
         )
         qname = population.domains[0].name
         wire = self._warm(cluster, qname)
@@ -533,18 +533,39 @@ class TestFlushForgetsRenderedWires:
 
 
 class TestReplayDifferential:
-    """What promoting the resolver's render cache to the only datagram
-    path will stand on: the same seeded client trace through two fresh
-    frontends, render cache on vs off, gets byte-identical replies for
-    the same upstream traffic — on a Zipf-hot mix (nearly all render
-    hits) and on a uniform mix whose 400 s clock jumps expire every TTL
-    (nearly none)."""
+    """What rule 0 of the datagram door stands on: the same seeded client
+    trace through two fresh frontends, the render cache on vs the
+    test-only off arm, gets byte-identical replies for the same upstream
+    traffic — on a Zipf-hot mix (nearly all render hits) and on a
+    uniform mix whose 400 s clock jumps expire every TTL (nearly none) —
+    and, with observability on, moves every counter alike, through one
+    frontend and through a 2-shard cluster of them."""
 
     PASSES, QUERIES, SEED = 3, 3000, 20230524
+    #: All a render hit may move differently: its own counters, and the
+    #: answer-cache hits it never consulted.
+    RENDER_ONLY = {
+        "render_hits", "render_stores",
+        "repro_resolver_render_hits_total", "repro_resolver_cache_hits_total",
+    }
 
     @pytest.fixture(scope="class")
     def population(self):
         return generate_population(population_config_for(500, self.SEED))
+
+    @pytest.fixture(scope="class")
+    def replays(self, population):
+        """``replay(hot, shards, off)``: each arm replayed once per class."""
+        traces, runs = {}, {}
+
+        def replay(hot: bool, shards: int, off: bool):
+            if hot not in traces:
+                traces[hot] = self._trace(population, hot)
+            if (hot, shards, off) not in runs:
+                runs[hot, shards, off] = self._replay(population, traces[hot], shards, off)
+            return runs[hot, shards, off]
+
+        return replay
 
     def _trace(self, population, hot: bool) -> list[tuple[bytes, str, float]]:
         """(query wire, client address, clock advance) per query."""
@@ -572,35 +593,108 @@ class TestReplayDifferential:
             for qname, gap in zip(names, gaps)
         ]
 
-    def _replay(self, population, trace, render_cache: bool):
+    def _replay(self, population, trace, shards: int, off: bool) -> SimpleNamespace:
         wild = WildInternet(population)
-        resolver = RecursiveResolver(
+        obs = Observability(clock=wild.fabric.clock)
+        world = dict(
             fabric=wild.fabric,
             profile=CLOUDFLARE,
             root_hints=wild.root_hints,
             trust_anchors=wild.trust_anchors,
             cache_config=default_cache_config(),
-            render_cache=render_cache,
+            obs=obs,
         )
-        frontend = ResilientFrontend(resolver)
+        if shards == 1:
+            resolver = RecursiveResolver(**world)
+            door = ResilientFrontend(resolver)
+            resolvers, frontends = [resolver], [door]
+        else:
+            door = ResolverCluster(**world, shards=shards, frontend_config=FrontendConfig())
+            resolvers, frontends = door.shards, door.frontends
+        if off:
+            render_off(*resolvers)
         replies = []
         for _ in range(self.PASSES):
             for wire, source, gap in trace:
                 wild.fabric.clock.advance(gap)
-                replies.append(frontend.handle_datagram(wire, source))
-        return replies, wild.fabric.stats.datagrams_sent, frontend.stats
+                replies.append(door.handle_datagram(wire, source))
+        return SimpleNamespace(
+            replies=replies,
+            sent=wild.fabric.stats.datagrams_sent,
+            frontends=[frontend.stats for frontend in frontends],
+            resolvers=[resolver.stats for resolver in resolvers],
+            metrics=obs.registry.snapshot()["metrics"],
+        )
 
     @pytest.mark.parametrize("hot", [True, False], ids=["zipf-hot", "uniform-churn"])
-    def test_replies_and_upstream_traffic_identical(self, population, hot):
-        trace = self._trace(population, hot)
-        off, off_sent, off_stats = self._replay(population, trace, render_cache=False)
-        on, on_sent, on_stats = self._replay(population, trace, render_cache=True)
+    def test_replies_and_upstream_traffic_identical(self, replays, hot):
+        off, off_sent, off_stats = self._frontend_arm(replays(hot, 1, off=True))
+        on, on_sent, on_stats = self._frontend_arm(replays(hot, 1, off=False))
         differing = sum(1 for a, b in zip(on, off) if a != b)
         assert len(on) == len(off) == self.PASSES * self.QUERIES
         assert differing == 0
         assert on_sent == off_sent
         assert on_stats.render_hits > 0 and off_stats.render_hits == 0
         assert on_stats.answered == off_stats.answered == len(on)
+
+    @staticmethod
+    def _frontend_arm(run):
+        return run.replies, run.sent, run.frontends[0]
+
+    @pytest.mark.parametrize("shards", [1, 2], ids=["frontend", "2-shard-cluster"])
+    @pytest.mark.parametrize("hot", [True, False], ids=["zipf-hot", "uniform-churn"])
+    def test_every_counter_moves_alike(self, replays, hot, shards):
+        """Frontend snapshots, resolver stats and every metric series are
+        equal between the arms but for :attr:`RENDER_ONLY`."""
+        on, off = replays(hot, shards, off=False), replays(hot, shards, off=True)
+        assert on.replies == off.replies and on.sent == off.sent
+        assert sum(stats.render_hits for stats in on.frontends) > 0
+
+        def counters(run):
+            return (
+                [self._without(stats.snapshot()) for stats in run.frontends],
+                [self._without(dataclasses.asdict(stats)) for stats in run.resolvers],
+                [family for family in run.metrics if family["name"] not in self.RENDER_ONLY],
+            )
+
+        assert counters(on) == counters(off)
+
+    def _without(self, counters: dict) -> dict:
+        return {name: value for name, value in counters.items() if name not in self.RENDER_ONLY}
+
+
+class TestRenderHitNeedsItsEntry:
+    """A kept reply is served only while the answer-cache entry it was
+    rendered from would still answer: once that entry is evicted, the
+    query goes back to the body like the off arm's."""
+
+    def test_evicted_entry_is_not_replayed(self):
+        population = generate_population(population_config_for(40))
+        first, second = [
+            d.fqdn for d in population.domains if d.profile is Profile.VALID_UNSIGNED
+        ][:2]
+        arms = []
+        for off in (False, True):
+            wild = WildInternet(population)
+            resolver = RecursiveResolver(
+                fabric=wild.fabric,
+                profile=CLOUDFLARE,
+                root_hints=wild.root_hints,
+                trust_anchors=wild.trust_anchors,
+                cache_config=CacheConfig(max_entries=1),
+            )
+            if off:
+                render_off(resolver)
+            replies = []
+            # cold, the hit that keeps a render, then a second name whose
+            # answer evicts the first's, then the first name again
+            for msg_id, qname in enumerate((first, first, second, second, first)):
+                wire = Message.make_query(qname, RdataType.A, msg_id=msg_id).to_wire()
+                replies.append(resolver.handle_datagram(wire, "203.0.113.5"))
+            arms.append((replies, wild.fabric.stats.datagrams_sent, resolver.stats))
+        (on, on_sent, on_stats), (off, off_sent, _off_stats) = arms
+        assert on == off and on_sent == off_sent
+        assert (on_stats.render_stores, on_stats.render_hits) == (2, 0)
 
 
 def test_offsets_patch_exactly_the_ttl_fields():

@@ -11,6 +11,7 @@ three-zone world under two seeds.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
 
@@ -45,6 +46,8 @@ from repro.resolver.resilience import (
 from repro.server.authoritative import AuthoritativeServer
 from repro.zones.builder import ZoneBuilder, address_rrset
 from repro.zones.mutations import ZoneMutation
+
+from .fabric_arms import render_off
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 
@@ -373,6 +376,12 @@ class _FakeResolver:
     def run_refreshes(self, limit=None):
         return 0
 
+    def render_lookup(self, wire):
+        return None  # keeps no rendered replies
+
+    def keep_reply(self, wire, reply, encoded):
+        pass
+
 
 def _query_wire(qname: str) -> bytes:
     return Message.make_query(qname, RdataType.A).to_wire()
@@ -494,46 +503,64 @@ class TestResilientFrontend:
 
 
 class TestFrontendRenderPath:
-    """The frontend serves repeat wire queries from the resolver's
-    rendered-response cache iff the resolver was built with one — ahead
-    of shed policy, so a render hit is charged but never refused."""
+    """The frontend serves repeat wire queries from its resolver's
+    rendered-response cache, received, charged, shed and counted exactly
+    as the body would answer the cache hit each one replays."""
 
     CLIENT = "198.51.100.1"
 
-    @pytest.fixture()
-    def resolver(self):
+    @classmethod
+    def _warm(cls, off: bool = False) -> RecursiveResolver:
         """A resolver holding one rendered wire for WWW (cold resolution,
-        then the answer-cache hit that stores it)."""
+        then the answer-cache hit that stores it) — none on the
+        render-off arm."""
         resolver = RecursiveResolver(
             fabric=_build_world(), profile=CLOUDFLARE, root_hints=[ROOT_IP],
-            validate=False, render_cache=True,
+            validate=False,
         )
+        if off:
+            render_off(resolver)
         for _ in range(2):
-            resolver.handle_datagram(_query_wire(str(WWW)), self.CLIENT)
-        assert resolver.stats.render_stores == 1 and resolver.stats.render_hits == 0
+            resolver.handle_datagram(_query_wire(str(WWW)), cls.CLIENT)
+        assert resolver.stats.render_stores == (0 if off else 1)
+        assert resolver.stats.render_hits == 0
         return resolver
 
-    def test_hit_is_charged_but_cannot_be_shed(self, resolver):
-        frontend = ResilientFrontend(
-            resolver, FrontendConfig(client_rate=0.0, client_burst=1.0, max_inflight=0)
-        )
-        query = Message.make_query(WWW, RdataType.A)
-        for _ in range(3):  # the 2nd and 3rd find the bucket empty
-            reply = Message.from_wire(frontend.handle_datagram(query.to_wire(), self.CLIENT))
-            assert reply.rcode == Rcode.NOERROR and reply.id == query.id and reply.answer
-        assert frontend._bucket(self.CLIENT).tokens == 0.0
-        stats = frontend.stats
-        assert (stats.datagrams, stats.answered, stats.render_hits) == (3, 3, 3)
-        assert resolver.stats.render_hits == 3
-        assert stats.bucket_sheds == stats.inflight_sheds == stats.served_cached == 0
-        assert stats.shed_refused == stats.shed_truncated == 0
-        assert stats.shed_by_reason == {}
-        # The charge is real: the same client's next *miss* is rate limited.
-        frontend.config.max_inflight = 64
-        shed = Message.from_wire(
-            frontend.handle_datagram(_query_wire("other.drill.test."), self.CLIENT)
-        )
-        assert shed.rcode == Rcode.REFUSED and stats.bucket_sheds == 1
+    @pytest.fixture()
+    def resolver(self):
+        return self._warm()
+
+    def test_hit_is_charged_and_shed_like_the_off_arm(self):
+        """In-flight cap first, without a charge; then the bucket; a shed
+        hit is served from cache — for a render hit as for the body."""
+        arms = {}
+        for off in (False, True):
+            resolver = self._warm(off)
+            frontend = ResilientFrontend(
+                resolver, FrontendConfig(client_rate=0.0, client_burst=1.0)
+            )
+            query = Message.make_query(WWW, RdataType.A, msg_id=4242)
+            replies = []
+            # capped, then charged, then the empty bucket sheds
+            for max_inflight in (0, 64, 64):
+                frontend.config.max_inflight = max_inflight
+                replies.append(frontend.handle_datagram(query.to_wire(), self.CLIENT))
+            stats = frontend.stats.snapshot()
+            served = {
+                name: value for name, value in dataclasses.asdict(resolver.stats).items()
+                if name not in ("render_hits", "render_stores")
+            }
+            tokens = frontend._bucket(self.CLIENT).tokens
+            arms[off] = (replies, stats.pop("render_hits"), stats, served, tokens)
+        (on_replies, on_hits, on, on_served, on_tokens) = arms[False]
+        (off_replies, off_hits, off, off_served, off_tokens) = arms[True]
+        assert on_replies == off_replies
+        assert all(Message.from_wire(reply).answer for reply in on_replies)
+        assert (on_hits, off_hits) == (3, 0)
+        assert on == off and on_served == off_served
+        assert on_tokens == off_tokens == 0.0
+        assert (on["answered"], on["served_cached"]) == (1, 2)
+        assert on["shed_by_reason"] == {"rrl": 1, "inflight-cap": 1, "garbage": 0}
 
     def test_hit_still_drains_inline_refreshes(self, resolver, monkeypatch):
         drained = []
@@ -558,16 +585,6 @@ class TestFrontendRenderPath:
         assert frontend.handle_datagram(wire, self.CLIENT) == want
         assert Message.from_wire(want).rcode == Rcode.NOERROR
         assert (frontend.stats.handler_errors, frontend.stats.answered) == (1, 1)
-
-    def test_resolver_without_a_render_cache_never_takes_the_path(self):
-        resolver = RecursiveResolver(
-            fabric=_build_world(), profile=CLOUDFLARE, root_hints=[ROOT_IP],
-            validate=False,
-        )
-        frontend = ResilientFrontend(resolver)
-        for _ in range(3):
-            frontend.handle_datagram(_query_wire(str(WWW)), self.CLIENT)
-        assert frontend.stats.answered == 3 and frontend.stats.render_hits == 0
 
 
 class TestHeaderSynthesis:

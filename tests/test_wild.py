@@ -308,7 +308,7 @@ class TestLazyTldApex:
         builder = self._loaded_builder(wild, tld)
         eager = builder.build()  # up front, as every TLD used to be
         eager_server = VirtualTldServer(
-            wild, tld, apex=builder, broken_denial=server.broken_denial, now=wild.now
+            wild, tld, server.index, broken_denial=server.broken_denial, now=wild.now
         )
         eager_server._apex_zone = eager.zone  # nothing left to be lazy about
 
@@ -328,6 +328,14 @@ class TestLazyTldApex:
             (r.name, r.rdtype, r.rdatas) for r in eager_server.handle_axfr(transfer).answer
         ]
         assert lazy_axfr[0].rdtype == lazy_axfr[-1].rdtype == RdataType.SOA
+
+    def test_a_fresh_universe_holds_no_tld_builder_until_queried(self, wild, small_population):
+        assert all(s._apex is None for s in wild.tld_servers.values())
+        domain = first_domain(small_population, Profile.VALID_SIGNED)
+        server = wild.tld_servers[domain.tld]
+        server.handle_query(Message.make_query(domain.fqdn, RdataType.A, want_dnssec=True))
+        holding = [s for s in wild.tld_servers.values() if s._apex is not None]
+        assert holding == [server] and server._apex_zone is None
 
     def test_a_scan_builds_only_the_apexes_it_reads(self, wild):
         from repro.scan.scanner import WildScanner
