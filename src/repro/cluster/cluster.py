@@ -18,12 +18,13 @@ error caches, the two-phase stale flow, single-flight coalescing)
 stays on one shard.  ``tests/test_cluster_differential.py`` pins this
 byte-for-byte at 1, 2, and 8 shards.
 
-The optional shared **L2 tier** is a read-through cache of validator
-infrastructure fetches (DNSKEY/DS sets and referral data keyed by
-``(zone, qname, rdtype)``): the records every shard would fetch
-identically, and the only cross-shard sharing that cannot perturb
-per-name semantics.  A shard that misses its private L1 infra cache
-consults the L2 before going to the wire and publishes what it fetched.
+The shared **L2 tier**, on whenever there is more than one shard, is a
+read-through cache of validator infrastructure fetches (DNSKEY/DS sets
+and referral data keyed by ``(zone, qname, rdtype)``): the records
+every shard would fetch identically, and the only cross-shard sharing
+that cannot perturb per-name semantics.  A shard that misses its
+private L1 infra cache consults the L2 before going to the wire and
+publishes what it fetched.
 Publications are tagged with the owning shard so a cold shard restart
 can discard exactly that shard's entries (a restarted process's old
 publications cannot be trusted) while keeping the survivors' warm.
@@ -65,7 +66,7 @@ from ..obs import NULL_OBS, Observability
 from ..resolver.cache import CacheConfig, CacheStats
 from ..resolver.iterative import EngineConfig
 from ..resolver.profiles import ResolverProfile
-from ..resolver.recursive import RecursiveResolver, ResolverStats
+from ..resolver.recursive import L2_CACHE_CAPACITY, RecursiveResolver, ResolverStats
 from ..resolver.resilience import (
     FrontendConfig,
     ResilienceConfig,
@@ -83,10 +84,6 @@ class ClusterConfig:
     shards: int = 2
     #: Virtual points per shard on the hash ring.
     vnodes: int = DEFAULT_VNODES
-    #: Enable the shared L2 read-through infra-cache tier.
-    l2: bool = True
-    #: Bounded L2 size; expired entries fall out first, then the oldest.
-    l2_capacity: int = 8192
     #: Shard health monitoring (ejection + half-open probe).  ``None``
     #: disables it entirely; the default config never perturbs a
     #: no-fault run because with zero failures no state ever changes.
@@ -124,7 +121,7 @@ class SharedL2Cache:
     live one.
     """
 
-    def __init__(self, clock, capacity: int = 8192, listener=None):
+    def __init__(self, clock, capacity: int = L2_CACHE_CAPACITY, listener=None):
         self._store = TtlStore(clock, capacity)
         self._stats = L2Stats()
         #: Optional ``callable(outcome: str)`` the cluster hooks to emit
@@ -262,11 +259,9 @@ class ResolverCluster(Endpoint):
         )
         self._m_probe = self.obs.counter("repro_cluster_probe_total")
 
-        self.l2: SharedL2Cache | None = None
-        if config.l2 and config.shards > 1:
-            self.l2 = SharedL2Cache(
-                self.clock, capacity=config.l2_capacity, listener=self._note_l2
-            )
+        self.l2: SharedL2Cache | None = (
+            SharedL2Cache(self.clock, listener=self._note_l2) if config.shards > 1 else None
+        )
 
         shard_ids = [self._shard_id(i) for i in range(config.shards)]
         #: The *routing* ring: ejection removes a shard, rejoin re-adds
@@ -290,11 +285,7 @@ class ResolverCluster(Endpoint):
                 resilience=resilience,
                 cache_config=cache_config,
                 obs=self.obs,
-                l2=(
-                    _ShardL2View(self.l2, index)
-                    if self.l2 is not None
-                    else None
-                ),
+                l2=None if self.l2 is None else _ShardL2View(self.l2, index),
             )
             for index in range(config.shards)
         ]

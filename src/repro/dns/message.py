@@ -9,11 +9,11 @@ EDE options are always reached via ``message.edns``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import rcode as rcode_mod
-from .edns import Edns
-from .ede import ExtendedError, OptionCode
+from .edns import Edns, EdnsOption
+from .ede import ExtendedError
 from .exceptions import FormError
 from .name import Name
 from .rdata import Rdata
@@ -147,24 +147,29 @@ class Message:
         """All EDE options present on this message (possibly empty)."""
         if self.edns is None:
             return []
-        return [
-            opt
-            for opt in self.edns.options
-            if isinstance(opt, ExtendedError) and opt.code == OptionCode.EDE
-        ]
+        return [opt for opt in self.edns.options if isinstance(opt, ExtendedError)]
 
     @property
     def ede_codes(self) -> tuple[int, ...]:
         """Sorted, de-duplicated INFO-CODEs on this message."""
         return tuple(sorted({e.info_code for e in self.extended_errors}))
 
-    def add_ede(self, info_code: int, extra_text: str = "") -> None:
-        """Attach an EDE option, creating the OPT record if needed."""
+    def add_option(self, option: EdnsOption) -> bool:
+        """Attach ``option`` iff this message has an OPT; whether it did.
+        The one check for every option a reply carries: a reply has an
+        OPT iff its query had one (:meth:`make_response`, RFC 6891
+        section 7), so EDE rides only there (RFC 8914 section 3)."""
         if self.edns is None:
-            self.edns = Edns()
-        existing = {(e.info_code, e.extra_text) for e in self.extended_errors}
-        if (int(info_code), extra_text) not in existing:
-            self.edns.options.append(ExtendedError.make(info_code, extra_text))
+            return False
+        self.edns.options.append(option)
+        return True
+
+    def add_ede(self, info_code: int, extra_text: str = "") -> bool:
+        """Attach one EDE option via :meth:`add_option`; whether it did.
+        RFC 8914 allows repeats, but an identical ``(code, text)`` pair
+        tells the client nothing new, so it is not attached twice."""
+        option = ExtendedError.make(info_code, extra_text)
+        return option not in self.extended_errors and self.add_option(option)
 
     # -- section helpers -----------------------------------------------------
 
@@ -230,27 +235,28 @@ class Message:
 
         wire = writer.getvalue()
         if max_size and len(wire) > max_size:
-            return self.truncated().to_wire()
+            return self.truncated(max_size).to_wire()
         return wire
 
-    def truncated(self) -> "Message":
+    def truncated(self, max_size: int = 0) -> "Message":
         """The TC=1 form sent when this message exceeds the size limit:
-        header, question and OPT, no records.  AD is cleared (nothing
-        left to vouch for); CD is the query's bit echoed (RFC 4035
-        section 3.2.2) and survives."""
-        return Message(
-            id=self.id,
-            qr=self.qr,
-            opcode=self.opcode,
-            aa=self.aa,
-            tc=True,
-            rd=self.rd,
-            ra=self.ra,
-            cd=self.cd,
-            rcode=self.rcode,
-            question=list(self.question),
-            edns=self.edns,
+        header, question and OPT, no records, in ``max(512, max_size)``
+        octets.  AD is cleared (nothing left to vouch for); CD is the
+        query's bit echoed (RFC 4035 section 3.2.2) and survives.  The
+        OPT stays (RFC 6891 section 7), on an ``Edns`` of its own that
+        sheds options until the form fits: EXTRA-TEXT first (RFC 8914
+        section 3), then EDE options, then the rest."""
+        form = replace(
+            self, tc=True, ad=False, question=list(self.question),
+            answer=[], authority=[], additional=[],
+            edns=None if self.edns is None else replace(self.edns, options=list(self.edns.options)),
         )
+        limit = max(512, max_size)
+        for shed in _TC_SHEDS:
+            if form.edns is None or not form.edns.options or len(form.to_wire()) <= limit:
+                break
+            form.edns.options = shed(form.edns.options)
+        return form
 
     @classmethod
     def from_wire(cls, wire: bytes | bytearray | memoryview) -> "Message":
@@ -332,6 +338,14 @@ class Message:
         return "\n".join(lines)
 
 
+#: What :meth:`Message.truncated` drops from its OPT, a step at a time.
+_TC_SHEDS = (
+    lambda options: [ExtendedError.make(o.info_code) if isinstance(o, ExtendedError) else o for o in options],
+    lambda options: [o for o in options if not isinstance(o, ExtendedError)],
+    lambda options: [],
+)
+
+
 def _read_section(
     reader: WireReader, count: int, message: Message, is_additional: bool
 ) -> list[RRset]:
@@ -345,6 +359,8 @@ def _read_section(
         if is_additional and rdtype_value == int(RdataType.OPT):
             if message.edns is not None:
                 raise FormError("more than one OPT record")
+            if not name.is_root():
+                raise FormError("OPT owner is not the root")  # RFC 6891 section 6.1.2
             rdata = reader.read_bytes(rdlength)
             message.edns = Edns.from_opt_fields(rdclass_value, ttl, rdata)
             continue

@@ -285,5 +285,5 @@ def paved_reply(response, max_size: int = 0):
     retries over TCP."""
     wire = LazyWire(response)
     if max_size and len(wire) > max_size:
-        return response.truncated().to_wire()
+        return response.truncated(max_size).to_wire()
     return wire

@@ -1,22 +1,7 @@
-"""A forwarding resolver (CPE / enterprise style).
-
-RFC 8914 is explicit that *forwarders* may generate, forward, and parse
-EDE options, and warns that a forwarder relaying upstream errors can
-confuse clients unless it marks its own contributions.  This forwarder:
-
-* relays recursive queries to one or more upstream resolvers over the
-  fabric (failover in order; a truncated reply is asked again over TCP;
-  a reply that does not parse or answers another query is none);
-* **forwards** upstream EDE options verbatim;
-* optionally annotates them (``annotate_forwarded``) by prefixing the
-  EXTRA-TEXT with the upstream address — the disambiguation the RFC
-  suggests;
-* generates its *own* EDE when every upstream is unreachable
-  (No Reachable Authority 22 / Network Error 23) or when serving from
-  its small answer cache after upstream loss (Stale Answer 3);
-* applies an optional :class:`~repro.resolver.policy.LocalPolicy`
-  before forwarding (the home-router blocklist case), emitting the
-  policy codes itself.
+"""A forwarding resolver (CPE / enterprise style): it relays queries to
+upstream resolvers, forwards (optionally annotated) and generates EDE
+options, and applies an optional local policy first — the relay rule
+written out in docs/ARCHITECTURE.md, "The forwarder's relay rule".
 """
 
 from __future__ import annotations
@@ -170,15 +155,12 @@ class ForwardingResolver(Endpoint):
         response.rcode = upstream_response.rcode
         response.answer = [r.copy() for r in upstream_response.answer]
         response.authority = [r.copy() for r in upstream_response.authority]
-        if query.edns is not None:
-            for option in upstream_response.extended_errors:
-                text = option.extra_text
-                if self.annotate_forwarded:
-                    prefix = f"[from {upstream}] "
-                    text = prefix + text if text else prefix.strip()
-                response.add_ede(option.info_code, text)
-                self.stats.ede_forwarded += 1
-                self._m_ede.labels(origin="forwarded").inc()
+        for option in upstream_response.extended_errors:
+            text = option.extra_text
+            if self.annotate_forwarded:
+                prefix = f"[from {upstream}] "
+                text = prefix + text if text else prefix.strip()
+            self._add_ede(response, "forwarded", option.info_code, text)
         return response
 
     def _all_upstreams_down(
@@ -188,20 +170,14 @@ class ForwardingResolver(Endpoint):
         stale = self.cache.get_stale_rrset(qname, rdtype)
         if stale is not None:
             response.answer.append(stale)
-            if query.edns is not None:
-                response.add_ede(EdeCode.STALE_ANSWER)
-                self.stats.ede_generated += 1
-                self._m_ede.labels(origin="generated").inc()
+            self._add_ede(response, "generated", EdeCode.STALE_ANSWER)
             return response
         response.rcode = Rcode.SERVFAIL
-        if query.edns is not None:
-            response.add_ede(EdeCode.NO_REACHABLE_AUTHORITY)
-            response.add_ede(
-                EdeCode.NETWORK_ERROR,
-                f"no upstream resolver reachable ({', '.join(self.upstreams)})",
-            )
-            self.stats.ede_generated += 2
-            self._m_ede.labels(origin="generated").inc(2)
+        self._add_ede(response, "generated", EdeCode.NO_REACHABLE_AUTHORITY)
+        self._add_ede(
+            response, "generated", EdeCode.NETWORK_ERROR,
+            f"no upstream resolver reachable ({', '.join(self.upstreams)})",
+        )
         return response
 
     def _policy_response(self, query: Message, qname, rdtype, decision) -> Message:
@@ -217,8 +193,18 @@ class ForwardingResolver(Endpoint):
                     ARdata(address=decision.rule.forged_address), ttl=30,
                 )
             )
-        if query.edns is not None:
-            response.add_ede(ACTION_EDE[decision.action], decision.rule.reason)
-            self.stats.ede_generated += 1
-            self._m_ede.labels(origin="generated").inc()
+        self._add_ede(
+            response, "generated", ACTION_EDE[decision.action], decision.rule.reason
+        )
         return response
+
+    def _add_ede(self, response: Message, origin: str, info_code: int, text: str = "") -> None:
+        """Attach one EDE option and count it, as ``forwarded`` or
+        ``generated`` — only when :meth:`Message.add_ede` attached it."""
+        if not response.add_ede(info_code, text):
+            return
+        if origin == "forwarded":
+            self.stats.ede_forwarded += 1
+        else:
+            self.stats.ede_generated += 1
+        self._m_ede.labels(origin=origin).inc()

@@ -97,6 +97,10 @@ class _Rendered(NamedTuple):
 #: ``(zone, qname, type)`` fetched within the last ``_infra_ttl``).
 INFRA_CACHE_CAPACITY = 100_000
 
+#: What a cluster's shared L2 tier keeps of its shards' infrastructure
+#: fetches; expired entries fall out first, then the oldest.
+L2_CACHE_CAPACITY = 8192
+
 
 class _Flight:
     """Marker for one in-flight upstream fetch (single-flight dedup).
@@ -351,13 +355,11 @@ class RecursiveResolver(Endpoint):
             rdata = AAAA(address=forged) if ":" in forged else A(address=forged)
             if (rdtype == RdataType.A) == (":" not in forged):
                 response.answer.append(RRset.of(qname, rdtype, rdata, ttl=30))
-        if query.edns is not None:
-            emission = self.policy.policy_emission(
-                ACTION_EDE[decision.action], decision.rule.reason
-            )
-            if emission is not None:
-                response.add_ede(emission.code, emission.extra_text)
-                self.stats.with_ede += 1
+        emission = self.policy.policy_emission(
+            ACTION_EDE[decision.action], decision.rule.reason
+        )
+        if emission is not None and response.add_ede(emission.code, emission.extra_text):
+            self.stats.with_ede += 1
         return response
 
     # -- rule 0 of the datagram door: the rendered-wire cache -------------------------
@@ -795,11 +797,10 @@ class RecursiveResolver(Endpoint):
             response.authority.append(rrset.copy())
         if outcome.validation.state is ValidationState.SECURE and not query.cd:
             response.ad = True
-        if query.edns is not None:
-            for emission in self.policy.emissions(outcome):
-                response.add_ede(emission.code, emission.extra_text)
-            if response.extended_errors:
-                self.stats.with_ede += 1
+        for emission in self.policy.emissions(outcome):
+            response.add_ede(emission.code, emission.extra_text)
+        if response.extended_errors:
+            self.stats.with_ede += 1
         return response
 
     # -- validator record source ----------------------------------------------------------------

@@ -549,8 +549,7 @@ class ResilientFrontend(Endpoint):
             self._m_responses.labels(outcome="truncated").inc()
             return response
         response.rcode = Rcode.REFUSED
-        if query.edns is not None:
-            response.add_ede(int(EdeCode.PROHIBITED), "client rate limited")
+        response.add_ede(int(EdeCode.PROHIBITED), "client rate limited")
         self.stats.shed_refused += 1
         self._m_responses.labels(outcome="refused").inc()
         return response

@@ -116,10 +116,10 @@ class AuthoritativeServer(Endpoint):
 
         response = query.make_response(recursion_available=False)
         response.aa = True
-        if query.edns is not None and self.report_agent is not None:
+        if self.report_agent is not None:
             from ..resolver.error_reporting import ReportChannelOption
 
-            response.edns.options.append(ReportChannelOption.make(self.report_agent))
+            response.add_option(ReportChannelOption.make(self.report_agent))
 
         result = zone.lookup(qname, rdtype)
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.dns.edns import DEFAULT_PAYLOAD, Edns
-from repro.dns.ede import EdeCode
+from repro.dns.ede import EdeCode, ExtendedError
 from repro.dns.exceptions import FormError
 from repro.dns.message import Message, Question
 from repro.dns.name import Name
@@ -143,6 +143,13 @@ class TestEdns:
         with pytest.raises(FormError):
             Message.from_wire(bytes(wire))
 
+    def test_opt_owner_must_be_root(self):
+        """RFC 6891 section 6.1.2: the OPT's owner is the root name."""
+        wire = Message.make_query("example.com.").to_wire()
+        assert wire[-11] == 0  # the root owner
+        with pytest.raises(FormError):
+            Message.from_wire(wire[:-11] + b"\x01a" + wire[-11:])
+
     def test_make_response_echoes_edns_do(self):
         query = Message.make_query("example.com.", want_dnssec=True)
         response = query.make_response()
@@ -156,10 +163,15 @@ class TestEdns:
 
 
 class TestEdeOnMessages:
-    def test_add_ede_creates_opt(self):
+    def test_add_ede_without_opt_attaches_nothing(self):
+        """RFC 6891 section 7: no OPT in a reply to a query without one,
+        so no option either — the one check, in ``Message``."""
         message = Message(id=1, qr=True)
-        message.add_ede(EdeCode.STALE_ANSWER)
-        assert message.edns is not None
+        assert message.add_ede(EdeCode.STALE_ANSWER) is False
+        assert message.add_option(ExtendedError.make(EdeCode.STALE_ANSWER)) is False
+        assert message.edns is None and message.ede_codes == ()
+        message.edns = Edns()
+        assert message.add_ede(EdeCode.STALE_ANSWER) is True
         assert message.ede_codes == (3,)
 
     def test_ede_round_trip_with_text(self):
@@ -171,19 +183,20 @@ class TestEdeOnMessages:
         assert decoded.extended_errors[0].extra_text == "1.2.3.4:53 rcode=REFUSED for a. A"
 
     def test_multiple_ede_sorted_dedup(self):
-        message = Message(id=1, qr=True)
-        for code in (23, 9, 22, 9):
-            message.add_ede(code)
+        message = Message(id=1, qr=True, edns=Edns())
+        assert [message.add_ede(code) for code in (23, 9, 22, 9)] == [True, True, True, False]
         assert message.ede_codes == (9, 22, 23)
 
     def test_duplicate_ede_with_same_text_dropped(self):
-        message = Message(id=1, qr=True)
-        message.add_ede(22, "x")
-        message.add_ede(22, "x")
+        message = Message(id=1, qr=True, edns=Edns())
+        assert message.add_ede(22, "x") is True
+        assert message.add_ede(22, "x") is False
         assert len(message.extended_errors) == 1
 
     def test_same_code_different_text_kept(self):
-        message = Message(id=1, qr=True)
+        """RFC 8914 allows several EDE options; one code may come back
+        with a text per server."""
+        message = Message(id=1, qr=True, edns=Edns())
         message.add_ede(23, "server a")
         message.add_ede(23, "server b")
         assert len(message.extended_errors) == 2
@@ -214,7 +227,7 @@ class TestEdeOnMessages:
 
 class TestEncodeIsPure:
     """A render writes to nothing the Message holds: wires are rendered
-    late, maybe twice, and the truncated form shares its ``Edns``."""
+    late, maybe twice, and the truncated form has an ``Edns`` of its own."""
 
     @pytest.mark.parametrize("rcode", [Rcode.BADVERS, Rcode.NOERROR])
     def test_to_wire_leaves_message_and_edns_as_they_were(self, rcode):
@@ -230,6 +243,7 @@ class TestEncodeIsPure:
         assert message.to_wire() == first == before.to_wire()
         assert message.to_wire(max_size=12) == before.truncated().to_wire()
         assert message == before
+        assert message.truncated().edns is not edns
 
     def test_extended_bits_come_from_the_rcode_not_the_edns(self):
         # A parsed BADVERS whose rcode is then rewritten must not carry

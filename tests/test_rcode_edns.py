@@ -15,7 +15,8 @@ from repro.dns.edns import (
     OptionCode,
     PaddingOption,
 )
-from repro.dns.exceptions import OptionError
+from repro.dns.ede import EdeCode
+from repro.dns.exceptions import FormError, OptionError
 from repro.dns.message import Message
 from repro.dns.name import Name
 from repro.dns.rcode import Rcode
@@ -24,6 +25,7 @@ from repro.dns.render import HEADER_LENGTH, skip_name
 from repro.dns.rrset import RRset
 from repro.dns.types import RdataType
 from repro.dns.wire import WireReader, WireWriter
+from repro.net.endpoint import Endpoint
 from repro.resolver.error_reporting import ReportingAgent
 from repro.resolver.forwarder import ForwardingResolver
 from repro.resolver.profiles import CLOUDFLARE
@@ -380,12 +382,35 @@ def _probe(probe: str, subject: str, wild, endpoint) -> None:
         for raw, reply in replies.values():
             at = _opt_ttl_at(raw)
             assert raw[at + 2:at + 4] == b"\x80\x00"  # DO echoed, Z cleared
+    elif probe in ("two-opts", "opt-owner-not-root"):
+        # RFC 6891 section 6.1.1: one OPT at most, owned by the root; any
+        # other query is FORMERR (rule 1).  No Message can hold it, so no
+        # sender paves it: the fabric hands its bytes to the datagram door.
+        wire = _broken_opt(fat, probe)
+        with pytest.raises(FormError):
+            Message.from_wire(wire)
+        for door in ("datagram", "stream"):
+            reply = Message.from_wire(getattr(endpoint, f"handle_{door}")(wire, CLIENT))
+            assert (reply.rcode, reply.qr, reply.id) == (Rcode.FORMERR, True, 4242)
+        return
     datagram, paved = replies["datagram"][1], replies["paved"][1]
     assert _verdict(paved) == _verdict(datagram)
 
 
 #: An option code from the RFC 6891 section 9 local/experimental range.
 UNKNOWN_OPTION = 65001
+
+
+def _broken_opt(qname: str, probe: str) -> bytes:
+    """A query wire with two OPTs, or with its one OPT owned by ``a.``."""
+    wire = bytearray(_query(qname, RdataType.TXT).to_wire())
+    opt = bytes(wire[-11:])  # root owner, TYPE, CLASS, TTL, RDLENGTH 0
+    if probe == "two-opts":
+        wire += opt
+        wire[10:12] = b"\x00\x02"  # ARCOUNT
+    else:
+        wire[-11:] = b"\x01a" + opt
+    return bytes(wire)
 
 
 def _opt_ttl_at(wire) -> int:
@@ -406,10 +431,10 @@ def _opt_ttl_at(wire) -> int:
 
 PROBES = (
     "no-question", "axfr", "payload-below-512", "oversized", "oversized-no-edns",
-    "do-echoed", "unknown-option", "z-bits",
+    "do-echoed", "unknown-option", "z-bits", "two-opts", "opt-owner-not-root",
 )
 #: Rules 1-4 are the door's own replies: no cell of theirs may send.
-SILENT_PROBES = ("badvers", "no-question", "axfr")
+SILENT_PROBES = ("badvers", "no-question", "axfr", "two-opts", "opt-owner-not-root")
 
 
 class TestBadvers:
@@ -468,3 +493,33 @@ class TestBadvers:
         assert (len(resolver.cache), len(resolver.render_cache)) == (cached, rendered)
         assert wild.fabric.stats.datagrams_sent == sent
         assert shedding.stats.served_cached == 0 and shedding.stats.answered == 1
+
+
+class _Verbose(Endpoint):
+    """An upstream whose every answer is SERVFAIL with one Network Error
+    carrying 600 octets of EXTRA-TEXT."""
+
+    recursion_available = True
+
+    def handle_query(self, query, source):
+        reply = query.make_response()
+        reply.rcode = Rcode.SERVFAIL
+        reply.add_ede(EdeCode.NETWORK_ERROR, "v" * 600)
+        return reply
+
+
+def test_annotated_relay_fits_512_at_every_door(fabric):
+    """Rule 5 with the forwarder's ``[from ...]`` prefix on a long
+    EXTRA-TEXT: the TC=1 form keeps the OPT and the code, drops the text
+    (RFC 8914 section 3), and fits; the stream reply relays it whole."""
+    fabric.register(UPSTREAM, _Verbose())
+    forwarder = ForwardingResolver(fabric=fabric, upstreams=[UPSTREAM], annotate_forwarded=True)
+    query = _query("verbose.test.", RdataType.A, payload=512)
+    replies, _ = _doors(forwarder, query)
+    _fits(query, replies, overflows=True)
+    (whole,) = replies["stream"][1].extended_errors
+    assert whole.extra_text == f"[from {UPSTREAM}] " + "v" * 600
+    for door in ("datagram", "paved"):
+        assert [(e.info_code, e.extra_text) for e in replies[door][1].extended_errors] == [
+            (EdeCode.NETWORK_ERROR, "")
+        ]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dns.ede import EdeCode
 from repro.dns.message import Message
 from repro.dns.name import Name
 from repro.dns.rdata import A, NS, TXT
@@ -102,6 +103,32 @@ class TestTruncatedForm:
         assert wire == response.to_wire(max_size=512) == response.truncated().to_wire()
         # Neither path marks the message it truncated.
         assert not response.tc and response.answer
+
+    def test_long_extra_text_goes_first(self):
+        """The form must itself fit: RFC 8914 section 3 drops EXTRA-TEXT
+        before other data, and RFC 6891 section 7 keeps the OPT.  A
+        600-octet EXTRA-TEXT used to ride along whole (646 octets)."""
+        response = self.big_response()
+        response.add_ede(EdeCode.NETWORK_ERROR, "x" * 600)
+        wire = response.to_wire(max_size=512)
+        parsed = Message.from_wire(wire)
+        assert len(wire) <= 512 and parsed.tc and parsed.edns is not None
+        assert [(e.info_code, e.extra_text) for e in parsed.extended_errors] == [(23, "")]
+        # The reply keeps its own OPT whole: the form has its own Edns.
+        assert response.extended_errors[0].extra_text == "x" * 600
+        assert response.truncated().edns is not response.edns
+
+    def test_ede_options_go_next_and_the_opt_stays(self):
+        from repro.dns.render import paved_reply
+
+        response = self.big_response()
+        for code in range(100):  # 600 octets of options without text
+            response.add_ede(code)
+        wire = response.to_wire(max_size=512)
+        parsed = Message.from_wire(wire)
+        assert len(wire) <= 512 and parsed.tc
+        assert parsed.edns is not None and not parsed.edns.options
+        assert paved_reply(response, 512) == wire
 
     def test_server_echoes_cd_when_truncating(self, big_server):
         query = Message.make_query(BIG, RdataType.TXT, use_edns=False)
