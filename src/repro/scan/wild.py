@@ -236,7 +236,7 @@ class VirtualTldServer(Endpoint):
             return self._apex_answer(response, qname, rdtype, dnssec_ok)
 
         child = self._child_zone_of(qname)
-        domain = None if child is None else self.wild.domain_by_name.get(str(child)[:-1])
+        domain = None if child is None else self.wild.domain_by_owner.get(child)
         if domain is None:
             response.aa = True
             response.rcode = Rcode.NXDOMAIN
@@ -418,6 +418,13 @@ class WildInternet:
         self.domain_by_name: dict[str, WildDomain] = {
             d.name: d for d in population.domains
         }
+        #: The same domains by owner name, which compares without case
+        #: (RFC 4343): every lookup of a queried name goes through here.
+        self.domain_by_owner: dict[Name, WildDomain] = {
+            Name.from_text(d.fqdn): d for d in population.domains
+        }
+        if len(self.domain_by_owner) != len(self.domain_by_name):
+            raise ValueError("two registered domains differ only by case")
         self._delegations: dict[str, Delegation] = {}
         #: The one store of built child zones (see :meth:`zone_for`).
         self._zones: dict[str, Zone] = {}
@@ -529,11 +536,10 @@ class WildInternet:
             return self._rdomain_cache[qname]
         except KeyError:
             pass
-        labels = [l for l in qname.labels if l != b""]
+        labels = qname.labels
         domain = None
-        for depth in range(2, len(labels) + 1):
-            candidate = b".".join(labels[-depth:]).decode("ascii", "replace")
-            domain = self.domain_by_name.get(candidate)
+        for depth in range(3, len(labels) + 1):  # two labels and the root, or more
+            domain = self.domain_by_owner.get(Name.from_wire_labels(labels[-depth:]))
             if domain is not None:
                 break
         if len(self._rdomain_cache) > 65536:

@@ -39,6 +39,7 @@ from repro.scan.wild import (
     VirtualTldServer,
     WildInternet,
 )
+from repro.server.acl import Acl
 from repro.server.behaviors import BehaviorServer
 from repro.testbed.replicas import ReplicaEndpoint
 
@@ -228,6 +229,53 @@ SUBJECTS = {
 }
 
 
+def _acl_refusing():
+    server = _fat_authority()
+    server.acl = Acl.none()
+    return server
+
+
+def _bogus_name(wild) -> str:
+    return next(d for d in wild.population.domains if d.profile is Profile.BOGUS).fqdn
+
+
+def _unregistered(wild) -> str:
+    return "unregistered.invalid."
+
+
+#: How each subject comes to refuse or fail a query through no fault of
+#: the query, as ``(endpoint, qname, rdtype, rcode)``: an ACL refusal, a
+#: name in no zone it serves, a validation failure, a frontend shed, all
+#: upstreams down.  The TLD and the agent refuse a transfer and nothing
+#: else (a TLD denies a name it does not serve with NXDOMAIN).
+FAILURES = {
+    "authoritative": (lambda wild: _acl_refusing(), lambda wild: "fat.example.com.",
+                      RdataType.A, Rcode.REFUSED),
+    "behavior-normal": (lambda wild: BehaviorServer(_acl_refusing()),
+                        lambda wild: "fat.example.com.", RdataType.A, Rcode.REFUSED),
+    "replica": (lambda wild: ReplicaEndpoint(_acl_refusing(), "192.0.9.9", "near"),
+                lambda wild: "fat.example.com.", RdataType.A, Rcode.REFUSED),
+    **{
+        subject: (SUBJECTS[subject], _unregistered, RdataType.A, Rcode.REFUSED)
+        for subject in ("hosting", "stale-flipping-passthrough", "cname-loop-passthrough")
+    },
+    "tld": (SUBJECTS["tld"], lambda wild: "nowhere." + _fat_name(wild, "tld"),
+            RdataType.AXFR, Rcode.REFUSED),
+    "reporting-agent": (SUBJECTS["reporting-agent"], lambda wild: "agent.example.",
+                        RdataType.AXFR, Rcode.REFUSED),
+    **{
+        subject: (SUBJECTS[subject], _bogus_name, RdataType.A, Rcode.SERVFAIL)
+        for subject in ("resolver", "frontend", "cluster", "cluster-frontends")
+    },
+    "frontend-shedding": (SUBJECTS["frontend-shedding"], _bogus_name, RdataType.A,
+                          Rcode.REFUSED),
+    "forwarder": (
+        lambda wild: ForwardingResolver(fabric=wild.fabric, upstreams=["192.0.9.151"]),
+        _bogus_name, RdataType.A, Rcode.SERVFAIL,
+    ),
+}
+
+
 def _fat_name(wild, subject: str) -> str:
     """Where ``subject`` finds the planted records (the agent finds none
     anywhere: it answers reports, never data)."""
@@ -247,15 +295,18 @@ def _query(qname: str, rdtype=RdataType.AAAA, *, version=0, payload=1232, edns=T
     return query
 
 
+DOORS = ("datagram", "paved", "stream")
+
+
 def _doors(
-    endpoint, query: Message, wire: bytes | None = None
+    endpoint, query: Message, wire: bytes | None = None, doors=DOORS
 ) -> tuple[dict[str, tuple[bytes, Message]], Message | None]:
     """Each door's reply wire (to ``wire``, by default ``query``'s own)
     and its parse, and the Message the paved door handed back — which
     must be what parsing its wire gives."""
     wire = query.to_wire() if wire is None else wire
     replies, paved = {}, None
-    for door in ("datagram", "paved", "stream"):
+    for door in doors:
         # The stale-flipping host answers a zone once, then REFUSES it;
         # every door here asks as that zone's first query.
         getattr(endpoint, "_seen", set()).clear()
@@ -392,6 +443,9 @@ def _probe(probe: str, subject: str, wild, endpoint) -> None:
         for door in ("datagram", "stream"):
             reply = Message.from_wire(getattr(endpoint, f"handle_{door}")(wire, CLIENT))
             assert (reply.rcode, reply.qr, reply.id) == (Rcode.FORMERR, True, 4242)
+            # The one reply without the query's OPT: the OPT is what did
+            # not parse, so the FORMERR is the header alone.
+            assert reply.edns is None
         return
     datagram, paved = replies["datagram"][1], replies["paved"][1]
     assert _verdict(paved) == _verdict(datagram)
@@ -465,6 +519,22 @@ class TestBadvers:
     @pytest.mark.parametrize("probe", PROBES)
     def test_door_table(self, wild, probe, subject):
         self._cell(wild, probe, subject)
+
+    @pytest.mark.parametrize("subject", sorted(SUBJECTS))
+    def test_refused_and_servfail_carry_opt_iff_the_query_did(self, wild, subject):
+        """RFC 6891 section 7: a responder that understands EDNS puts an
+        OPT in its reply to an OPT-bearing query, refusals and failures
+        included, and never one in a reply to a query without."""
+        build, qname, rdtype, rcode = FAILURES[subject]
+        for edns in (True, False):
+            query = _query(qname(wild), rdtype, edns=edns)
+            # A door each, on a fresh endpoint: a resolver asked twice
+            # answers the second time from its error cache (EDE 13).
+            replies = {door: _doors(build(wild), query, doors=(door,))[0][door] for door in DOORS}
+            for _raw, reply in replies.values():
+                assert (reply.rcode, reply.id) == (rcode, query.id)
+                assert (reply.edns is None) == (query.edns is None)
+            assert _verdict(replies["paved"][1]) == _verdict(replies["datagram"][1])
 
     def test_badvers_is_never_cached_and_never_served_from_a_cache(self, wild):
         """Not stored in the answer or render cache, not answered from

@@ -91,6 +91,18 @@ class TestWildDeployment:
         assert small_wild.registered_domain_of(sub) is domain
         assert small_wild.registered_domain_of(Name.from_text("unknown.zz.")) is None
 
+    @pytest.mark.parametrize("upper_first", [False, True])
+    def test_registered_domain_lookup_ignores_case(self, small_population, upper_first):
+        """RFC 4343: every spelling finds the domain, whichever arrives
+        first (the memo is keyed by a case-blind Name)."""
+        wild = WildInternet(small_population)
+        domain = small_population.domains[0]
+        spellings = [f"www.{domain.fqdn}", f"WWW.{domain.fqdn.upper()}", f"www.{domain.fqdn.title()}"]
+        if upper_first:
+            spellings.reverse()
+        for spelling in spellings * 2:
+            assert wild.registered_domain_of(Name.from_text(spelling)) is domain
+
     def test_domain_keys_deterministic(self, small_wild, small_population):
         """Every builder of a domain derives the same keys — the DS the
         TLD publishes and the DNSKEY a rebuilt zone serves agree."""
@@ -166,6 +178,16 @@ class TestVirtualTldServer:
         )
         assert response.aa
         assert any(r.rdtype == RdataType.DNSKEY for r in response.answer)
+
+    def test_referral_ignores_case(self, small_wild, small_population):
+        """RFC 4343: ``D1.DP.`` is referred like ``d1.dp.``, not denied."""
+        domain = first_domain(small_population, Profile.VALID_UNSIGNED)
+        spellings = (domain.fqdn, domain.fqdn.upper(), f"www.{domain.fqdn.title()}")
+        for spelling in spellings:
+            response = self._query(small_wild, spelling, tld=domain.tld)
+            assert response.rcode == Rcode.NOERROR and not response.aa
+            (ns,) = [r for r in response.authority if r.rdtype == RdataType.NS]
+            assert ns.name == Name.from_text(domain.fqdn)
 
     def test_unknown_child_nxdomain(self, small_wild, small_population):
         domain = small_population.domains[0]
