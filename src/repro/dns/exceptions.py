@@ -40,6 +40,12 @@ class EmptyLabel(DnsError):
     """A name contained an empty interior label (e.g. ``a..b``)."""
 
 
+class BadEscape(DnsError):
+    """A presentation-format name held a malformed escape (RFC 1035
+    section 5.1): a ``\\DDD`` that is not three ASCII digits of value
+    <= 255, or a ``\\`` that ends the text."""
+
+
 class UnknownRdataType(DnsError):
     """No rdata implementation is registered for a given RR type."""
 

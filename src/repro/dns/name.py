@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import total_ordering
 from typing import Iterable, Iterator
 
-from .exceptions import EmptyLabel, LabelTooLong, NameTooLong
+from .exceptions import BadEscape, EmptyLabel, LabelTooLong, NameTooLong
 
 MAX_LABEL_LENGTH = 63
 MAX_NAME_LENGTH = 255
@@ -43,15 +43,20 @@ def _text_to_labels(text: str) -> list[bytes]:
     while i < n:
         char = text[i]
         if char == "\\":
-            if i + 3 < n + 1 and text[i + 1 : i + 4].isdigit():
-                current.append(int(text[i + 1 : i + 4]) & 0xFF)
+            escaped = text[i + 1 : i + 2]
+            if not escaped:
+                raise BadEscape(f"trailing backslash in {text!r}")
+            if escaped.isdigit():
+                # RFC 1035 section 5.1: \DDD, three ASCII digits, <= 255.
+                digits = text[i + 1 : i + 4]
+                if not (len(digits) == 3 and digits.isascii() and digits.isdigit()
+                        and int(digits) <= 255):
+                    raise BadEscape(f"bad \\DDD escape in {text!r}")
+                current.append(int(digits))
                 i += 4
-            elif i + 1 < n:
-                current.append(ord(text[i + 1]))
-                i += 2
             else:
-                current.append(ord("\\"))
-                i += 1
+                current.append(ord(escaped))
+                i += 2
         elif char == ".":
             labels.append(bytes(current))
             current = bytearray()

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.dns.exceptions import EmptyLabel, LabelTooLong, NameTooLong
+from repro.dns.exceptions import BadEscape, DnsError, EmptyLabel, LabelTooLong, NameTooLong
 from repro.dns.name import Name
 
 
@@ -52,6 +52,34 @@ class TestParsing:
     def test_escaped_backslash(self):
         name = Name.from_text(r"a\\b.example.")
         assert name.labels[0] == b"a\\b"
+
+    def test_escaped_decimal_bounds(self):
+        assert Name.from_text(r"a\000\255.").labels[0] == b"a\x00\xff"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            r"a\256b.",  # above 255: was wrapped to a\000b
+            r"a\999.",  # was wrapped to a\231
+            "a\\\u00b2\u00b3\u2074.",  # superscript digits: was a bare ValueError
+            "a\\\u0663\u0663\u0663.",  # Arabic-Indic digits
+            "a\\",  # trailing backslash: was a literal backslash
+            "a.b\\",
+            r"a\1b.",  # fewer than three digits
+            r"a\25.",
+        ],
+    )
+    def test_malformed_escape_rejected(self, text):
+        """RFC 1035 section 5.1: \\DDD is three ASCII digits of an octet."""
+        with pytest.raises(BadEscape):
+            Name.from_text(text)
+        assert issubclass(BadEscape, DnsError)
+
+    def test_malformed_escape_rejected_in_zone_file_owner(self):
+        from repro.zones.zonefile import parse_zone
+
+        with pytest.raises(BadEscape):
+            parse_zone("$ORIGIN example.\nx\\300 300 IN A 192.0.2.1\n")
 
     def test_round_trip_text(self):
         for text in ("example.com.", "a.b.c.d.e.", "xn--dns.test."):
