@@ -17,8 +17,9 @@ the invariants that guarantee rests on:
   reachable from an endpoint door (``Endpoint.handle_datagram``,
   ``handle_paved``, ``handle_stream`` and their overrides), no
   jitter-domain value flowing into schedule-domain or client-visible
-  state, no ``raise`` escaping a door's handlers.  Intentional
-  exceptions live in a committed baseline (``flow_baseline.json``).
+  state.  Intentional exceptions live in a committed baseline
+  (``flow_baseline.json``).  That no door raises is a run-time fact,
+  checked by the fuzz gate's raising-body and routing rows.
 * **Runtime sanitizer** (:mod:`.sanitizer`) — an opt-in guard that
   patches the same entry points to *raise* inside fabric runs, so the
   static allowlist can be proven sound end-to-end.

@@ -215,9 +215,6 @@ RULE_CATALOG: dict[str, tuple[str, str]] = {
     "seed-domain-taint": (
         "flow", "jitter-domain value flowing into schedule/client-visible state"
     ),
-    "never-raise": (
-        "flow", "raise reachable from an endpoint door outside its handlers"
-    ),
     RULE_UNUSED_SUPPRESSION: (
         "meta", "# repro: allow[...] marker that suppresses nothing"
     ),

@@ -2,10 +2,10 @@
 
 The stack's headline guarantees are dynamic facts — byte-identical
 scans at any worker count, jitter-seed isolation of the load
-scenarios, endpoints that never raise — proven today by differential
-tests that execute long after a violating line lands.  This module
-proves the *structural* halves of those guarantees at selfcheck time,
-on a whole-program call graph of ``src/repro``:
+scenarios — proven today by differential tests that execute long
+after a violating line lands.  This module proves the *structural*
+halves of those guarantees at selfcheck time, on a whole-program call
+graph of ``src/repro``:
 
 ``answer-path-blocking``
     Starting from every endpoint door — ``Endpoint.handle_datagram``,
@@ -32,12 +32,6 @@ on a whole-program call graph of ``src/repro``:
     injection sites — ``EngineConfig``, ``ChaosPolicy``, ``Outage``,
     ``LoadConfig`` constructions — are boundaries: jitter may flow *in*
     but the resulting config object is not itself tainted.
-
-``never-raise``
-    Every explicit ``raise`` reachable from an endpoint door along a
-    call path not covered by a broad ``except`` (``Exception``,
-    ``BaseException``, bare, or a handler naming the raised class) is
-    flagged, making the docstring contract machine-checked.
 
 Call-graph construction reuses the engine's alias resolution
 (:class:`~repro.analysis.engine.AliasResolver`) and adds: method
@@ -71,17 +65,15 @@ from .findings import Finding
 
 RULE_ANSWER_PATH_BLOCKING = "answer-path-blocking"
 RULE_SEED_DOMAIN_TAINT = "seed-domain-taint"
-RULE_NEVER_RAISE = "never-raise"
 
 FLOW_RULES = (
     RULE_ANSWER_PATH_BLOCKING,
     RULE_SEED_DOMAIN_TAINT,
-    RULE_NEVER_RAISE,
 )
 
 #: The door contract's entry points: these methods of any class of this
-#: name, and every subclass override of them, anchor the answer-path and
-#: never-raise traversals.
+#: name, and every subclass override of them, anchor the answer-path
+#: traversal.
 ENTRY_CLASS = "Endpoint"
 ENTRY_METHODS = ("handle_datagram", "handle_paved", "handle_stream")
 
@@ -159,18 +151,6 @@ class CallSite:
     external: tuple[str, ...] = ()
     #: Classes this call constructs (internal qualnames or external dotted).
     constructs: tuple[str, ...] = ()
-    #: The call happens under a try whose handler catches broadly.
-    protected: bool = False
-    #: Exception names caught by enclosing *named* handlers — a callee's
-    #: ``raise X`` cannot escape through this site when ``X`` is listed.
-    caught: tuple[str, ...] = ()
-
-
-@dataclass
-class RaiseSite:
-    line: int
-    exc_name: str | None  # None for a bare re-raise
-    handled: bool  # an enclosing handler in the same function catches it
 
 
 @dataclass
@@ -183,7 +163,6 @@ class FunctionInfo:
     path: str
     return_types: tuple[str, ...] = ()
     calls: list[CallSite] = field(default_factory=list)
-    raises: list[RaiseSite] = field(default_factory=list)
     #: id(ast.Call) -> CallSite, for the taint pass.
     call_index: dict[int, CallSite] = field(default_factory=dict)
 
@@ -587,24 +566,7 @@ class Program:
     def _analyze_body(self, fn: FunctionInfo) -> None:
         env = self._build_env(fn)
 
-        def handler_names(handler: ast.ExceptHandler) -> set[str] | None:
-            """None means catch-everything."""
-            if handler.type is None:
-                return None
-            types = (
-                handler.type.elts
-                if isinstance(handler.type, ast.Tuple)
-                else [handler.type]
-            )
-            names: set[str] = set()
-            for t in types:
-                name = t.id if isinstance(t, ast.Name) else getattr(t, "attr", "")
-                if name in ("Exception", "BaseException"):
-                    return None
-                names.add(name)
-            return names
-
-        def visit(node: ast.AST, frames: tuple) -> None:
+        def visit(node: ast.AST) -> None:
             if isinstance(node, ast.Call):
                 targets, external, constructs = self._call_targets(node, env, fn)
                 name = (
@@ -612,54 +574,19 @@ class Program:
                     if isinstance(node.func, ast.Attribute)
                     else node.func.id if isinstance(node.func, ast.Name) else ""
                 )
-                named = [frame for frame in frames if frame is not None]
                 site = CallSite(
                     node=node, line=node.lineno, name=name,
                     targets=tuple(sorted(targets)),
                     external=tuple(sorted(external)),
                     constructs=tuple(sorted(constructs)),
-                    protected=any(frame is None for frame in frames),
-                    caught=tuple(sorted(frozenset().union(*named))) if named else (),
                 )
                 fn.calls.append(site)
                 fn.call_index[id(node)] = site
-            elif isinstance(node, ast.Raise):
-                exc = node.exc
-                if isinstance(exc, ast.Call):
-                    exc = exc.func
-                exc_name = (
-                    exc.id if isinstance(exc, ast.Name)
-                    else exc.attr if isinstance(exc, ast.Attribute)
-                    else None
-                )
-                handled = any(
-                    frame is None or (exc_name is not None and exc_name in frame)
-                    for frame in frames
-                )
-                fn.raises.append(
-                    RaiseSite(line=node.lineno, exc_name=exc_name, handled=handled)
-                )
-            if isinstance(node, ast.Try):
-                caught = [handler_names(h) for h in node.handlers]
-                # A broad handler protects the try body only; handlers,
-                # else and finally run outside its cover.
-                body_frames = frames + tuple(
-                    (None,) if any(c is None for c in caught)
-                    else (frozenset().union(*caught),) if caught else ()
-                )
-                for child in node.body:
-                    visit(child, body_frames)
-                for handler in node.handlers:
-                    for child in handler.body:
-                        visit(child, frames)
-                for child in list(node.orelse) + list(node.finalbody):
-                    visit(child, frames)
-                return
             for child in ast.iter_child_nodes(node):
-                visit(child, frames)
+                visit(child)
 
         for stmt in getattr(fn.node, "body", ()):
-            visit(stmt, ())
+            visit(stmt)
 
 
 # ---------------------------------------------------------------------------
@@ -683,18 +610,9 @@ def find_entries(program: Program) -> list[FunctionInfo]:
 
 
 def _reachable(
-    program: Program,
-    entries: list[FunctionInfo],
-    *,
-    unprotected_only: bool = False,
-    exc_name: str | None = None,
+    program: Program, entries: list[FunctionInfo]
 ) -> dict[str, str | None]:
-    """BFS over call edges; returns fn qualname -> parent qualname.
-
-    With ``exc_name``, call sites whose enclosing named handlers catch
-    that exception also block the edge — the escape analysis for
-    ``raise X`` must not pass through a ``try: ... except X:`` caller.
-    """
+    """BFS over call edges; returns fn qualname -> parent qualname."""
     parents: dict[str, str | None] = {fn.qualname: None for fn in entries}
     queue = deque(fn.qualname for fn in entries)
     while queue:
@@ -703,10 +621,6 @@ def _reachable(
         if _is_boundary(fn.module):
             continue  # the scheduler boundary: do not look inside
         for site in fn.calls:
-            if unprotected_only and site.protected:
-                continue
-            if exc_name is not None and exc_name in site.caught:
-                continue
             for target in site.targets:
                 if target not in parents:
                     parents[target] = current
@@ -798,54 +712,6 @@ def check_answer_path(program: Program) -> Iterator[Finding]:
                     line=site.line,
                     key=f"{RULE_ANSWER_PATH_BLOCKING}::{q}::unbounded:{site.name}",
                 )
-
-
-# ---------------------------------------------------------------------------
-# Rule: never-raise
-# ---------------------------------------------------------------------------
-
-
-def check_never_raise(program: Program) -> Iterator[Finding]:
-    entries = find_entries(program)
-    if not entries:
-        return
-    # The broad-only reachability bounds the candidate set; each raised
-    # exception name then gets its own pass where call sites under a
-    # handler *naming* that exception also block the edge, so a
-    # parse-or-refuse callee (`try: walk() except RefusedError:`) is
-    # credited without demanding a bare `except Exception`.
-    parents = _reachable(program, entries, unprotected_only=True)
-    named_parents: dict[str | None, dict[str, str | None]] = {None: parents}
-
-    def parents_for(exc_name: str | None) -> dict[str, str | None]:
-        if exc_name not in named_parents:
-            named_parents[exc_name] = _reachable(
-                program, entries, unprotected_only=True, exc_name=exc_name
-            )
-        return named_parents[exc_name]
-
-    for q in sorted(parents):
-        fn = program.functions[q]
-        for site in fn.raises:
-            if site.handled:
-                continue
-            escape_parents = parents_for(site.exc_name)
-            if q not in escape_parents:
-                continue
-            chain = _chain(program, escape_parents, q)
-            label = site.exc_name or "bare raise"
-            yield Finding(
-                rule=RULE_NEVER_RAISE,
-                message=(
-                    f"`raise {label}` can escape an endpoint door"
-                    f" (via {chain}); the door contract is that no door"
-                    " ever raises — catch it inside the door or record a"
-                    " baselined justification"
-                ),
-                path=fn.path,
-                line=site.line,
-                key=f"{RULE_NEVER_RAISE}::{q}::raise:{site.exc_name or 'bare'}",
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -1028,7 +894,6 @@ def load_baseline(path: Path) -> dict[str, str]:
 _RULE_CHECKS = {
     RULE_ANSWER_PATH_BLOCKING: check_answer_path,
     RULE_SEED_DOMAIN_TAINT: check_seed_domains,
-    RULE_NEVER_RAISE: check_never_raise,
 }
 
 

@@ -19,9 +19,9 @@ for everybody:
 5. a datagram or paved reply fits ``max(512, payload)`` octets or
    becomes :meth:`~repro.dns.message.Message.truncated` (RFC 6891
    section 7); a stream reply is never truncated;
-6. an ``Exception`` out of the body becomes a SERVFAIL echoing the
-   query.  A ``BaseException`` — the lane pool's abort — passes
-   through.
+6. an ``Exception`` out of rule 0 or the body becomes a SERVFAIL
+   echoing the query.  A ``BaseException`` — the lane pool's abort —
+   passes through.
 
 So no door raises, and the paved and byte verdicts are one verdict:
 both doors run the same rules over the same body.
@@ -93,14 +93,14 @@ class Endpoint:
 
     def handle_datagram(self, wire: bytes, source: str) -> bytes | None:
         """The reply datagram to ``wire``, or None to drop it."""
-        stored = self.stored_reply(wire, source)
-        if stored is not None:
-            return stored
         try:
-            query = Message.from_wire(wire)
-        except Exception:
-            return self._header_reply(wire, Rcode.FORMERR)
-        try:
+            stored = self.stored_reply(wire, source)
+            if stored is not None:
+                return stored
+            try:
+                query = Message.from_wire(wire)
+            except Exception:
+                return self._header_reply(wire, Rcode.FORMERR)
             response = self._answer(query, source, stream=False)
             if response is None:
                 return None

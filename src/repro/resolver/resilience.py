@@ -611,8 +611,9 @@ class ResilientFrontend(Endpoint):
                 self.stats.handler_errors += 1
 
     def on_door_reply(self, rcode: int) -> None:
-        """Count the door's own reply.  A SERVFAIL here is a body that
-        raised, so :meth:`handle_query` already received the query."""
+        """Count the door's own reply.  A SERVFAIL here is a raise out of
+        the body, which already received the query, or out of rule 0,
+        which received it only if the raise came after its render hit."""
         if rcode == Rcode.SERVFAIL:
             self.stats.handler_errors += 1
             self._m_responses.labels(outcome="servfail").inc()

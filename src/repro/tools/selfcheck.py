@@ -7,8 +7,7 @@ resolves in the RFC 8914 registry, every Table 4 case maps to a testbed
 subdomain and a reachable policy branch, the rdata registry is closed),
 the interprocedural flow rules (no real-blocking call or unbounded wait
 reachable from an endpoint door, jitter seeds never shape schedule-domain
-state, no raise escapes a door), and unused-suppression /
-stale-baseline detection.
+state), and unused-suppression / stale-baseline detection.
 
 Flow rules need the whole-program call graph, so they run only on the
 default whole-package pass; explicit path arguments get the per-file
@@ -25,7 +24,7 @@ Examples::
     python -m repro.tools.selfcheck              # whole package, all rules
     python -m repro.tools.selfcheck --json       # machine-readable findings
     python -m repro.tools.selfcheck --list-rules # the rule catalog
-    python -m repro.tools.selfcheck --rule never-raise --rule wall-clock
+    python -m repro.tools.selfcheck --rule seed-domain-taint --rule wall-clock
     python -m repro.tools.selfcheck src/repro/scan/scanner.py
 """
 

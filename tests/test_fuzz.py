@@ -1,5 +1,7 @@
 """Robustness fuzzing: hostile inputs must raise DnsError, never crash."""
 
+import importlib
+import pkgutil
 import random
 import struct
 
@@ -9,6 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.dns.exceptions import DnsError
 from repro.dns.message import Message
 from repro.dns.name import Name
+from repro.dns.rcode import Rcode
 from repro.dns.rdata import A, CNAME, Rdata
 from repro.dns.render import (
     HEADER_LENGTH,
@@ -19,8 +22,10 @@ from repro.dns.render import (
 from repro.dns.rrset import RRset
 from repro.dns.types import RdataType
 from repro.dns.wire import WireReader
-from repro.cluster import ResolverCluster
+import repro
+from repro.cluster import ConsistentHashRing, ResolverCluster
 from repro.net.clock import SimulatedClock
+from repro.net.endpoint import Endpoint
 from repro.resolver.cache import RenderedWireCache
 from repro.resolver.error_reporting import (
     ReportChannelOption,
@@ -33,6 +38,7 @@ from repro.resolver.recursive import RecursiveResolver
 from repro.resolver.resilience import ResilientFrontend
 from repro.scan.extratext import parse_network_error
 from repro.scan.wild import WildInternet
+from repro.server.behaviors import Behavior
 from repro.testbed.infra import build_testbed
 from repro.testbed.replicas import ReplicaTopology
 from repro.testbed.subdomains import ALL_CASES
@@ -470,16 +476,24 @@ def _hostile_wires(qname: str) -> list[bytes]:
     ]
 
 
-@pytest.mark.parametrize(
-    "world", [_wild_world, _flat_world, _replicated_world, _resolver_world]
-)
-def test_every_registered_endpoint_parses_or_refuses(world, small_population):
+WORLDS = (_wild_world, _flat_world, _replicated_world, _resolver_world)
+
+
+@pytest.fixture(scope="module")
+def worlds(small_population):
+    """Each world, built once for every row below: ``world -> (fabric,
+    the qname of a valid query)``."""
+    return {world: world(small_population) for world in WORLDS}
+
+
+@pytest.mark.parametrize("world", WORLDS)
+def test_every_registered_endpoint_parses_or_refuses(world, worlds):
     """The never-raise contract, at every door of every world: whatever
     arrives, by datagram, paved send or stream, an endpoint answers with
     bytes that parse or stays silent — it does not raise into
     ``fabric.send`` — and a reply to anything with a whole header
     carries that header's ID with QR set."""
-    fabric, qname = world(small_population)
+    fabric, qname = worlds[world]
     wires = _hostile_wires(qname)
     calls = 0
     for endpoint in fabric.registered_endpoints():
@@ -506,3 +520,113 @@ def test_every_registered_endpoint_parses_or_refuses(world, small_population):
                 if len(wire) >= HEADER_LENGTH:
                     assert parsed.id == int.from_bytes(wire[:2], "big") and parsed.qr
     assert calls >= 2 * len(wires) * len(fabric.registered_endpoints())
+
+
+# -- never-raise, every door: a body that raises gets a SERVFAIL ----------------------
+
+CLIENT = "198.51.100.7"
+DOORS = ("datagram", "paved", "stream")
+
+
+def _broken(*_args):
+    raise RuntimeError("a broken body")
+
+
+def _knock(endpoint: Endpoint, door: str, query: Message):
+    wire = query.to_wire()
+    if door == "paved":
+        return endpoint.handle_paved(wire, CLIENT, query)
+    return getattr(endpoint, f"handle_{door}")(wire, CLIENT)
+
+
+def _door_owners(endpoint: Endpoint) -> list[Endpoint]:
+    """The endpoints whose own door rules answer for ``endpoint``: a
+    cluster routes each query to the same door of a shard, or of the
+    shard's frontend."""
+    if isinstance(endpoint, ResolverCluster):
+        return endpoint.frontends or endpoint.shards
+    return [endpoint]
+
+
+@pytest.mark.parametrize("world", WORLDS)
+def test_every_door_turns_a_raising_body_into_servfail(world, worlds, monkeypatch):
+    """Rule 6 at every door of every registered endpoint: when rule 0,
+    the answer body or the transfer body raises, the door answers a
+    SERVFAIL echoing the query's ID with QR set and calls
+    ``on_door_reply`` exactly once, with SERVFAIL.  A TIMEOUT server
+    stays silent and calls nothing."""
+    fabric, qname = worlds[world]
+    query = Message.make_query(qname, RdataType.A, want_dnssec=True, msg_id=0x5151)
+    axfr = Message.make_query(qname, RdataType.AXFR, msg_id=0x5152)
+    legs = (
+        ("handle_query", DOORS, query),
+        ("handle_axfr", ("stream",), axfr),
+        ("stored_reply", ("datagram",), query),
+    )
+    knocks = 0
+    for endpoint in fabric.registered_endpoints():
+        silent = getattr(endpoint, "behavior", None) is Behavior.TIMEOUT
+        for method, doors, asked in legs:
+            with monkeypatch.context() as patch:
+                seen: list[int] = []
+                for owner in _door_owners(endpoint):
+                    patch.setattr(owner, method, _broken)
+                    counted = owner.on_door_reply
+                    patch.setattr(
+                        owner, "on_door_reply",
+                        lambda rcode, counted=counted: (seen.append(rcode), counted(rcode)),
+                    )
+                for door in doors:
+                    seen.clear()
+                    reply = _knock(endpoint, door, asked)
+                    knocks += 1
+                    if silent:
+                        assert reply is None and seen == []
+                        continue
+                    parsed = Message.from_wire(bytes(reply))
+                    assert (parsed.id, parsed.qr, parsed.rcode) == (
+                        asked.id, True, Rcode.SERVFAIL
+                    ), (type(endpoint).__name__, method, door)
+                    assert seen == [Rcode.SERVFAIL], (type(endpoint).__name__, method, door)
+    assert knocks == 5 * len(fabric.registered_endpoints())
+
+
+def test_a_cluster_whose_routing_raises_drops_the_query(worlds, monkeypatch):
+    """``ResolverCluster._route`` never raises: when the ring itself
+    raises, each of the cluster's three doors drops the query (None)."""
+    fabric, qname = worlds[_resolver_world]
+    [cluster] = [
+        endpoint for endpoint in fabric.registered_endpoints()
+        if isinstance(endpoint, ResolverCluster)
+    ]
+    monkeypatch.setattr(ConsistentHashRing, "shard_for", _broken)
+    query = Message.make_query(qname, RdataType.A, msg_id=0x5153)
+    for door in DOORS:
+        assert _knock(cluster, door, query) is None
+
+
+def test_every_endpoint_class_sits_in_a_world(worlds):
+    """The rows above cover every concrete :class:`Endpoint` subclass in
+    ``repro``: each is registered in some world, or is a shard or a
+    frontend of a registered cluster.  A new endpoint class must join a
+    world before its doors go unchecked."""
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not module.name.endswith("__main__"):
+            importlib.import_module(module.name)
+
+    def subclasses(kind):
+        for sub in kind.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    defined = {
+        kind for kind in subclasses(Endpoint) if kind.__module__.startswith("repro.")
+    }
+    registered = set()
+    for fabric, _qname in worlds.values():
+        for endpoint in fabric.registered_endpoints():
+            registered.add(type(endpoint))
+            if isinstance(endpoint, ResolverCluster):
+                registered.update(map(type, endpoint.shards + (endpoint.frontends or [])))
+    assert len(defined) >= 12
+    assert defined <= registered, sorted(kind.__name__ for kind in defined - registered)

@@ -492,6 +492,28 @@ class TestResilientFrontend:
             assert (stats.datagrams, drains, stats.formerr) == (2, 2, 1)
             assert (stats.answered, stats.handler_errors) == ((0, 1) if explode else (1, 0))
 
+    def test_a_raising_rule_0_is_one_counted_servfail(self):
+        """Rule 0 runs under the datagram door's catch: a resolver whose
+        rendered-wire lookup raises gets a header-echoed SERVFAIL,
+        counted once as a handler error, before the query was received."""
+        clock = SimulatedClock()
+        resolver = _FakeResolver(clock)
+
+        def broken(wire):
+            raise RuntimeError("boom")
+
+        resolver.render_lookup = broken
+        frontend = ResilientFrontend(resolver, clock=clock)
+        seen = []
+        counted = frontend.on_door_reply
+        frontend.on_door_reply = lambda rcode: (seen.append(rcode), counted(rcode))
+        query = Message.make_query("a.test.", RdataType.A)
+        reply = Message.from_wire(frontend.handle_datagram(query.to_wire(), "198.51.100.1"))
+        assert (reply.id, reply.qr, reply.rcode) == (query.id, True, Rcode.SERVFAIL)
+        assert seen == [Rcode.SERVFAIL]
+        stats = frontend.stats
+        assert (stats.handler_errors, stats.datagrams, stats.answered) == (1, 0, 0)
+
     def test_bucket_table_stays_bounded(self):
         clock = SimulatedClock()
         frontend = ResilientFrontend(

@@ -96,11 +96,11 @@ def test_marker_text_inside_a_string_is_not_a_suppression():
 
 def test_known_but_inactive_rule_is_exempt_unknown_is_not():
     source = (
-        "a = 1  # repro: allow[never-raise]\n"
+        "a = 1  # repro: allow[seed-domain-taint]\n"
         "b = 2  # repro: allow[not-a-real-rule]\n"
     )
     suppressions = _Suppressions(source)
-    # never-raise is in the catalog but not active this run: exempt.
+    # seed-domain-taint is in the catalog but not active this run: exempt.
     # The typo is not in the catalog: always reported.
     unused = list(suppressions.unused("f.py", active=frozenset({"wall-clock"})))
     assert len(unused) == 1
