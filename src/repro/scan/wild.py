@@ -23,9 +23,10 @@ what the corresponding real-world configuration would produce.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 
-from ..dns.dnssec_records import DS, NSEC3, RRSIG
+from ..dns.dnssec_records import DS, NSEC3
 from ..dns.message import Message
 from ..dns.name import Name
 from ..dns.rcode import Rcode
@@ -35,7 +36,7 @@ from ..dns.types import RdataType
 from ..dnssec.algorithms import Algorithm
 from ..dnssec.ds import make_ds
 from ..dnssec.nsec3 import base32hex_encode, nsec3_hash
-from ..dnssec.signer import SigningPolicy, sign_rrset
+from ..dnssec.signer import SignatureSlot, SigningPolicy
 from ..net.endpoint import Endpoint
 from ..net.fabric import NetworkFabric
 from ..server.authoritative import AuthoritativeServer
@@ -150,9 +151,11 @@ class VirtualTldServer(Endpoint):
     """Serves one TLD: real signed apex, synthesized delegations.
 
     The apex builder (:func:`_tld_apex_builder` of the TLD's ``index``) is
-    made on first use: the keys, for the first signature made here, the
-    signed zone for the first query that reads :attr:`apex_zone`.  Most
-    TLDs of a universe host no queried domain and never make theirs.
+    made on first use: the keys, for the first signature slot given out
+    here (a child's DS, the opt-out NSEC3), the zone for the first query
+    that reads :attr:`apex_zone`.  Every signature is made when first
+    served.  Most TLDs of a universe host no queried domain and never
+    make theirs.
     """
 
     def __init__(
@@ -174,10 +177,6 @@ class VirtualTldServer(Endpoint):
         self.now = now
         self.axfr_allowed = axfr_allowed
         self._policy = SigningPolicy.window(now)
-        self._optout: tuple[RRset, RRset | None] | None = None
-        #: DS RRSIG memo: signing is a pure function of the delegation
-        #: and the signing policy, so a child's DS set is signed once.
-        self._ds_sig_cache: dict[Name, RRSIG] = {}
         self.queries = 0
         self.transfers = 0
 
@@ -193,6 +192,10 @@ class VirtualTldServer(Endpoint):
     @property
     def zsk(self):
         return self._builder().keys()[1]
+
+    def signature_slot(self, rrset: RRset) -> SignatureSlot:
+        """This TLD's signature over ``rrset``, made when first read."""
+        return SignatureSlot(rrset, self.zsk, self.origin, self._policy)
 
     @property
     def apex_zone(self) -> Zone:
@@ -269,12 +272,10 @@ class VirtualTldServer(Endpoint):
             return False
         section.append(ds_rrset.copy())
         if dnssec_ok:
-            child = ds_rrset.name
-            sig = self._ds_sig_cache.get(child)
-            if sig is None:
-                sig = sign_rrset(ds_rrset, self.zsk, self.origin, self._policy)
-                self._ds_sig_cache[child] = sig
-            section.append(RRset.of(child, RdataType.RRSIG, sig, ttl=300))
+            assert delegation.ds_sig is not None
+            section.append(
+                RRset.of(ds_rrset.name, RdataType.RRSIG, delegation.ds_sig.made(), ttl=300)
+            )
         return True
 
     def _child_zone_of(self, qname: Name) -> Name | None:
@@ -313,29 +314,29 @@ class VirtualTldServer(Endpoint):
         if dnssec_ok:
             self._add_optout_denial(response)
 
+    @functools.cached_property
+    def _optout(self) -> SignatureSlot:
+        """One wrap-around opt-out NSEC3 covers every unsigned child: the
+        slot of its signature, which holds the record itself."""
+        apex_hash = nsec3_hash(self.origin, b"", 0)
+        owner = Name.from_text(base32hex_encode(apex_hash), origin=self.origin)
+        nsec3 = NSEC3(
+            hash_algorithm=1,
+            flags=0x01,  # opt-out
+            iterations=0,
+            salt=b"",
+            next_hash=apex_hash,
+            types=(int(RdataType.NS), int(RdataType.SOA), int(RdataType.DNSKEY)),
+        )
+        return self.signature_slot(RRset.of(owner, RdataType.NSEC3, nsec3, ttl=300))
+
     def _add_optout_denial(self, response: Message) -> None:
-        """One wrap-around opt-out NSEC3 covers every unsigned child."""
-        if self._optout is None:
-            apex_hash = nsec3_hash(self.origin, b"", 0)
-            owner = Name.from_text(base32hex_encode(apex_hash), origin=self.origin)
-            nsec3 = NSEC3(
-                hash_algorithm=1,
-                flags=0x01,  # opt-out
-                iterations=0,
-                salt=b"",
-                next_hash=apex_hash,
-                types=(int(RdataType.NS), int(RdataType.SOA), int(RdataType.DNSKEY)),
+        slot = self._optout
+        response.authority.append(slot.rrset.copy())
+        if not self.broken_denial:
+            response.authority.append(
+                RRset.of(slot.rrset.name, RdataType.RRSIG, slot.made(), ttl=300)
             )
-            rrset = RRset.of(owner, RdataType.NSEC3, nsec3, ttl=300)
-            sig_rrset: RRset | None = None
-            if not self.broken_denial:
-                sig = sign_rrset(rrset, self.zsk, self.origin, self._policy)
-                sig_rrset = RRset.of(owner, RdataType.RRSIG, sig, ttl=300)
-            self._optout = (rrset, sig_rrset)
-        rrset, sig_rrset = self._optout
-        response.authority.append(rrset.copy())
-        if sig_rrset is not None:
-            response.authority.append(sig_rrset.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -605,11 +606,15 @@ class WildInternet:
             servers = [(ns1, self.server_address_for(domain))]
 
         delegation = self.builder_for(domain).delegation(servers)
+        ds = delegation.ds
         if profile is Profile.SIGNED_LAME:
             # The TLD still lists a DS for keys its (unsigned, lame)
             # child does not have.
+            ds = RRset.of(apex, RdataType.DS, self._fake_ds, ttl=300)
+        if ds is not None:
             delegation = dataclasses.replace(
-                delegation, ds=RRset.of(apex, RdataType.DS, self._fake_ds, ttl=300)
+                delegation, ds=ds,
+                ds_sig=self.tld_servers[domain.tld].signature_slot(ds),
             )
         self._delegations[domain.name] = delegation
         return delegation

@@ -115,6 +115,15 @@ def _rrset_rows(rrsets) -> list[str]:
     )
 
 
+def _made(slots) -> list[str]:
+    """The signatures these slots have made so far: which ones were
+    made is query-driven state."""
+    return [
+        slot._made.to_wire().hex() for slot in slots
+        if slot is not None and slot._made is not None
+    ]
+
+
 def served_state(fabric: NetworkFabric) -> dict[str, str]:
     """Digest of everything the registered servers serve *from*, minus
     counters: one entry per (endpoint, zone) over names, TTLs and
@@ -142,11 +151,9 @@ def served_state(fabric: NetworkFabric) -> dict[str, str]:
             if endpoint._apex_zone is not None:
                 put(f"{prefix} zone {endpoint.origin}",
                     _rrset_rows(endpoint._apex_zone.all_rrsets()))
-            if endpoint._optout is not None:
-                put(f"{prefix} memo optout",
-                    _rrset_rows(r for r in endpoint._optout if r is not None))
-            for child, sig in sorted(endpoint._ds_sig_cache.items()):
-                put(f"{prefix} memo ds {child}", [sig.to_wire().hex()])
+            optout = endpoint.__dict__.get("_optout")
+            if optout is not None:
+                put(f"{prefix} memo optout", _rrset_rows([optout.rrset]) + _made([optout]))
         if hasattr(endpoint, "_seen"):
             put(f"{prefix} set _seen", sorted(map(str, endpoint._seen)))
         wild = getattr(endpoint, "wild", None)
@@ -155,5 +162,6 @@ def served_state(fabric: NetworkFabric) -> dict[str, str]:
             for zone in wild._zones.values():
                 put(f"wild zone {zone.origin}", _rrset_rows(zone.all_rrsets()))
             for name, delegation in wild._delegations.items():
-                put(f"wild memo delegation {name}", _rrset_rows(delegation.rrsets()))
+                put(f"wild memo delegation {name}",
+                    _rrset_rows(delegation.rrsets()) + _made([delegation.ds_sig]))
     return state
