@@ -13,7 +13,8 @@ Checks implemented:
 * DS ↔ DNSKEY linkage (tag, algorithm, digest; unassigned/reserved
   numbers; unsupported digest types),
 * DNSKEY RRset shape (zone-key bits, SEP presence, stand-by keys),
-* RRSIG coverage and validity windows for every RRset,
+* RRSIG coverage and validity windows for every authoritative RRset,
+  and no RRSIG over a delegation's NS set or glue (RFC 4035 section 2.2),
 * cryptographic verification of every signature,
 * NSEC3 chain integrity (presence, closure, salt/iteration agreement
   with NSEC3PARAM, RFC 9276 iteration guidance, signature coverage).
@@ -181,10 +182,20 @@ class ZoneLinter:
     def _check_signatures(self, dnskeys: list[DNSKEY]) -> None:
         by_tag = {(k.key_tag(), k.algorithm): k for k in dnskeys if k.is_zone_key}
         covered_keys: set[int] = set()
+        cuts = self.zone.zone_cuts()
         for rrset in self.zone.all_rrsets():
             if rrset.rdtype == RdataType.RRSIG:
                 continue
             sigs = self._sigs_covering(rrset)
+            if not self.zone.is_authoritative(rrset.name, rrset.rdtype, cuts):
+                if sigs:
+                    self._emit(
+                        Severity.WARNING, "rrsig-unauthoritative",
+                        f"an RRSIG covers the {rrset.rdtype} RRset, which is a"
+                        " delegation's NS set or glue, not the zone's own data",
+                        rrset.name,
+                    )
+                continue
             if not sigs:
                 self._emit(
                     Severity.ERROR, "rrsig-missing",

@@ -6,6 +6,7 @@ from repro.dns.name import Name
 from repro.dns.rdata import A, NS
 from repro.dns.rrset import RRset
 from repro.dns.types import RdataType
+from repro.dnssec.signer import SigningPolicy, sign_rrset
 from repro.zones.builder import ZoneBuilder
 from repro.zones.lint import Severity, lint_zone
 from repro.zones.mutations import SigScope, Window, ZoneMutation
@@ -116,6 +117,43 @@ class TestSignatureChecks:
         errors = [f for f in findings if f.severity is Severity.ERROR]
         assert len(errors) == 1
         assert errors[0].check == "rrsig-missing"
+
+
+class TestDelegationData:
+    """RFC 4035 section 2.2: a parent signs the DS at a cut, never the
+    delegation's NS set or its glue."""
+
+    CHILD = Name.from_text("child.lint.test.")
+
+    def parent(self, *, secure: bool):
+        builder = ZoneBuilder(ORIGIN, now=NOW, mutation=ZoneMutation(algorithm=13))
+        ns = Name.from_text("ns1.lint.test.")
+        builder.add(RRset.of(ORIGIN, RdataType.NS, NS(target=ns)))
+        builder.add(RRset.of(ns, RdataType.A, A(address="192.0.9.60")))
+        child = ZoneBuilder(
+            self.CHILD, now=NOW, mutation=ZoneMutation(algorithm=13, signed=secure), key_seed=5
+        )
+        builder.delegate(child, [(Name.from_text("ns1", origin=self.CHILD), "192.0.9.61")])
+        return builder.build()
+
+    @pytest.mark.parametrize("secure", [True, False])
+    def test_an_unsigned_delegation_is_clean(self, secure):
+        built = self.parent(secure=secure)
+        findings = lint_zone(built.zone, now=NOW, parent_ds=built.ds_rdatas)
+        assert not [f for f in findings if f.severity is Severity.ERROR], findings
+        assert "rrsig-unauthoritative" not in checks(findings)
+
+    def test_a_signed_delegation_ns_set_or_glue_is_flagged(self):
+        built = self.parent(secure=True)
+        zone, zsk = built.zone, built.zsk
+        glue = Name.from_text("ns1", origin=self.CHILD)
+        for name, rdtype in ((self.CHILD, RdataType.NS), (glue, RdataType.A)):
+            sig = sign_rrset(zone.find(name, rdtype), zsk, ORIGIN, SigningPolicy.window(NOW))
+            zone.add(RRset.of(name, RdataType.RRSIG, sig))
+        findings = lint_zone(zone, now=NOW, parent_ds=built.ds_rdatas)
+        flagged = [f for f in findings if f.check == "rrsig-unauthoritative"]
+        assert sorted(f.name for f in flagged) == sorted([str(self.CHILD), str(glue)])
+        assert {f.severity for f in flagged} == {Severity.WARNING}
 
 
 class TestNsec3Checks:

@@ -263,8 +263,12 @@ def test_building_a_signed_zone_compares_names_linearly(monkeypatch):
 # at the commit before the owner-indexed store, lazy TLD apexes and the
 # RSA key memo.  A store, builder or signer change that moves one has
 # changed what is served, not just the order it is enumerated in.
-TESTBED_DIGEST = "56c51411ee8cf699f8d5570a32bcb11e48d30de13cdf2a4c19ea48d7acc5832a"
-WILD_ROOT_DIGEST = "b3876817f69a164bff37f81e4e6e5339d458922f551d0feb977dd5b1440690ae"
+# Re-pinned once since, with the row diff printed, when zones stopped
+# signing delegation NS sets and glue (RFC 4035 section 2.2): the diff
+# was those RRSIGs and the NSEC3 rows whose bitmap lost RRSIG, with
+# their signatures; the TLD apexes did not move.
+TESTBED_DIGEST = "87cdcda4cc878e6671d3beb5b6337ef432eaba27b1036b2a6f669a31fd8dcb3c"
+WILD_ROOT_DIGEST = "fb4cd783538084b9e96bdd487fb9f4ac236f27e3bdf64fe7c23c2ad2f416b633"
 WILD_TLD_APEXES_DIGEST = "c0985f4f85b337663ff25ca2b71175a08b30626f6919431bf8975dbf7e0c256c"
 
 
@@ -288,7 +292,7 @@ def test_wild_root_and_tld_apex_content_is_pinned(small_population):
 # hosting server builds, for every domain of two populations.  The
 # delegation rows are NS names, glue owner/family/address and DS rdatas
 # (``tests/zone_digest.delegation_digest``).
-REPLICATED_TIERS_DIGEST = "a30640226e218d8a0a3d21317a1178cf8f0bfdaa5dad39f7aed4d4b5ad571b99"
+REPLICATED_TIERS_DIGEST = "e615d3451760c7abcbe43e7c3f8c9a19a11699e0d86987fd591ee5e383f730d9"
 LEDGER_CHILD_ZONES_DIGEST = "80d09be1e98c44b8d7df6cdec55f20f8dc446ab7ab5f069a22199523ee70d198"
 LEDGER_DELEGATIONS_DIGEST = "766840d0b9a09177e45a040e024fcdb9985307669f46cec169d5bd8aeafc0137"
 SMALL_CHILD_ZONES_DIGEST = "d23d562561d38e35efa8b269bb0cc393091a6c9c3c4f5c582ea638802a449f6f"
@@ -321,6 +325,65 @@ def test_replicated_tier_zone_content_is_pinned():
     testbed = build_testbed(topology=ReplicaTopology())
     tiers = [testbed.root_built.zone, testbed.com_built.zone, testbed.parent_built.zone]
     assert content_digest(tiers) == REPLICATED_TIERS_DIGEST
+
+
+def _delegation_data(zone: Zone) -> list[RRset]:
+    """What a zone must not sign (RFC 4035 section 2.2): an NS set below
+    the apex, and an address set at or below such a name (glue)."""
+    cuts = {
+        rrset.name for rrset in zone.all_rrsets()
+        if rrset.rdtype == RdataType.NS and rrset.name != zone.origin
+    }
+
+    def below_a_cut(name: Name) -> bool:
+        while name != zone.origin:
+            if name in cuts:
+                return True
+            name = name.parent()
+        return False
+
+    return [
+        rrset for rrset in zone.all_rrsets()
+        if (rrset.rdtype == RdataType.NS and rrset.name in cuts)
+        or (rrset.rdtype in (RdataType.A, RdataType.AAAA) and below_a_cut(rrset.name))
+    ]
+
+
+def test_no_built_zone_signs_a_delegation_ns_set_or_glue(testbed, small_wild):
+    """The builder signed all 130 such RRsets of the testbed's zones (63
+    child delegations in the parent, one in com, one in the root)."""
+    zones = [*served_zones(testbed.fabric), small_wild.root_built.zone]
+    signed = [
+        f"{rrset.name} {rrset.rdtype}"
+        for zone in zones for rrset in _delegation_data(zone)
+        if zone.rrsigs_for(rrset.name, rrset.rdtype) is not None
+    ]
+    assert signed == []
+
+
+def test_nsec3_bitmaps_list_rrsig_only_where_something_is_signed(testbed, small_wild):
+    """RFC 5155 section 3.2.1: the bitmap names the types at the original
+    owner, so a name holding only delegation data — an insecure cut, a
+    glue name — has no RRSIG bit."""
+    zones = [testbed.root_built.zone, testbed.com_built.zone, testbed.parent_built.zone,
+             small_wild.root_built.zone]
+    for zone in zones:
+        unsigned = {(rrset.name, rrset.rdtype) for rrset in _delegation_data(zone)}
+        by_owner = dict(zone.nsec3_records())
+        param = zone.find(zone.origin, RdataType.NSEC3PARAM).rdatas[0]
+        data = {
+            name: [r.rdtype for r in zone.rrsets_at(name) if r.rdtype != RdataType.RRSIG]
+            for name in zone.names() if zone.find(name, RdataType.NSEC3) is None
+        }
+        signs = {
+            name: any((name, rdtype) not in unsigned for rdtype in rdtypes)
+            for name, rdtypes in data.items()
+        }
+        assert not all(signs.values())
+        for name in data:
+            digest = nsec3_hash(name, param.salt, param.iterations)
+            record = by_owner[Name.from_text(base32hex_encode(digest), origin=zone.origin)]
+            assert (int(RdataType.RRSIG) in record.types) == signs[name], (zone.origin, name)
 
 
 def test_second_testbed_in_a_process_reuses_keys_and_builds_the_same_bytes(
