@@ -7,6 +7,7 @@ closest-encloser computation validators use to check NXDOMAIN proofs.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 
 from ..dns.name import Name
@@ -25,19 +26,9 @@ TYPICAL_ITERATION_LIMIT = 150
 
 
 def base32hex_encode(data: bytes) -> str:
-    """Base32 with the "extended hex" alphabet, no padding (RFC 4648 §7)."""
-    bits = 0
-    value = 0
-    out = []
-    for byte in data:
-        value = (value << 8) | byte
-        bits += 8
-        while bits >= 5:
-            bits -= 5
-            out.append(_B32HEX_ALPHABET[(value >> bits) & 0x1F])
-    if bits:
-        out.append(_B32HEX_ALPHABET[(value << (5 - bits)) & 0x1F])
-    return "".join(out)
+    """Base32 with the "extended hex" alphabet, lower case, no padding
+    (RFC 4648 §7)."""
+    return base64.b32hexencode(data).rstrip(b"=").decode("ascii").lower()
 
 
 def base32hex_decode(text: str) -> bytes:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import accumulate
 
 
 class Profile(IntEnum):
@@ -330,15 +331,18 @@ def generate_population(config: PopulationConfig | None = None) -> Population:
         max(len(refused_pool), 2), min(fix_top, len(refused_pool)), config.fix_coverage
     )
 
-    def _power_weights(pool_size: int) -> list[float]:
-        return [i ** -exponent for i in range(1, pool_size + 1)]
+    # Every draw below passes ``cum_weights``, summed once per list here:
+    # ``rng.choices(weights=w)`` would re-sum ``w`` on every call into
+    # exactly this list, so each pick is the same.
+    def _power_cum_weights(pool_size: int) -> list[float]:
+        return list(accumulate(i ** -exponent for i in range(1, pool_size + 1)))
 
-    refused_weights = _power_weights(len(refused_pool)) if refused_pool else []
-    servfail_weights = _power_weights(len(servfail_pool)) if servfail_pool else []
-    timeout_weights = _power_weights(len(timeout_pool)) if timeout_pool else []
+    refused_cum = _power_cum_weights(len(refused_pool))
+    servfail_cum = _power_cum_weights(len(servfail_pool))
+    timeout_cum = _power_cum_weights(len(timeout_pool))
 
-    def pick_ns(pool: list[BrokenNameserver], weights: list[float]) -> BrokenNameserver:
-        chosen = rng.choices(pool, weights=weights, k=1)[0]
+    def pick_ns(pool: list[BrokenNameserver], cum_weights: list[float]) -> BrokenNameserver:
+        chosen = rng.choices(pool, cum_weights=cum_weights, k=1)[0]
         chosen.hosted += 1
         return chosen
 
@@ -355,14 +359,15 @@ def generate_population(config: PopulationConfig | None = None) -> Population:
             weights[tld.name] = 1.0 / (30 + 0.02 * (order - 30))
     weights["com"] = sum(weights.values()) * 0.8  # ~45% of everything
 
-    def draw_tld(candidates: list[Tld]) -> Tld:
-        w = [weights[t.name] for t in candidates]
-        return rng.choices(candidates, weights=w, k=1)[0]
+    def draw_tld(candidates: list[Tld], cum_weights: list[float]) -> Tld:
+        return rng.choices(candidates, cum_weights=cum_weights, k=1)[0]
 
     # Candidate sets per placement rule.
     normal_tlds = [t for t in placeable if not (t.zero_ede or t.broken_denial)]
     misconfig_tlds = [t for t in normal_tlds if not t.standby]
     all_valid_tlds = [t for t in placeable if not t.broken_denial]
+    misconfig_cum = list(accumulate(weights[t.name] for t in misconfig_tlds))
+    all_valid_cum = list(accumulate(weights[t.name] for t in all_valid_tlds))
 
     domains: list[WildDomain] = []
     serial = 0
@@ -394,7 +399,7 @@ def generate_population(config: PopulationConfig | None = None) -> Population:
             broken_budget[profile] = max(0, broken_budget[profile] - 1)
             domain = add_domain(tld, profile, signed=profile is Profile.STANDBY_KSK)
             if profile is Profile.LAME_REFUSED and refused_pool:
-                domain.ns_index = pick_ns(refused_pool, refused_weights).index
+                domain.ns_index = pick_ns(refused_pool, refused_cum).index
 
     # -- NSEC_MISSING domains live under the broken-denial TLDs --------------------------------
     for i in range(counts[Profile.NSEC_MISSING]):
@@ -428,7 +433,7 @@ def generate_population(config: PopulationConfig | None = None) -> Population:
     # -- the bulk misconfigured domains ------------------------------------------------------------
     for profile, remaining in list(counts.items()):
         for _ in range(remaining):
-            tld = draw_tld(misconfig_tlds)
+            tld = draw_tld(misconfig_tlds, misconfig_cum)
             signed = profile in (
                 Profile.SIGNED_LAME,
                 Profile.DNSKEY_MISSING,
@@ -441,16 +446,16 @@ def generate_population(config: PopulationConfig | None = None) -> Population:
             domain = add_domain(tld, profile, signed=signed)
             if profile in (Profile.LAME_REFUSED, Profile.SIGNED_LAME, Profile.PARTIAL_REFUSED):
                 if refused_pool:
-                    domain.ns_index = pick_ns(refused_pool, refused_weights).index
+                    domain.ns_index = pick_ns(refused_pool, refused_cum).index
             elif profile is Profile.LAME_SERVFAIL and servfail_pool:
-                domain.ns_index = pick_ns(servfail_pool, servfail_weights).index
+                domain.ns_index = pick_ns(servfail_pool, servfail_cum).index
             elif profile is Profile.LAME_TIMEOUT and timeout_pool:
-                domain.ns_index = pick_ns(timeout_pool, timeout_weights).index
+                domain.ns_index = pick_ns(timeout_pool, timeout_cum).index
         counts[profile] = 0
 
     # -- the healthy majority ----------------------------------------------------------------------
     for i in range(n_valid):
-        tld = draw_tld(all_valid_tlds)
+        tld = draw_tld(all_valid_tlds, all_valid_cum)
         signed = i < n_valid_signed
         add_domain(
             tld,

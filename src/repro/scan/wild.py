@@ -83,11 +83,16 @@ def _tld_nameserver(origin: Name) -> Name:
     return Name.from_text("a.nic", origin=origin)
 
 
+def _tld_key_builder(origin: Name, index: int, now: int) -> ZoneBuilder:
+    """TLD number ``index``'s builder with no records: its keys, and so
+    the DS the root publishes for it.  A pure function of its arguments,
+    so that DS matches the keys of every other builder of the TLD."""
+    return ZoneBuilder(origin, now=now, mutation=_APEX_MUTATION, key_seed=100 + index)
+
+
 def _tld_apex_builder(origin: Name, index: int, now: int) -> ZoneBuilder:
-    """TLD number ``index``'s apex builder, loaded but not built.  A pure
-    function of its arguments, so the root's DS, made from one builder,
-    matches the keys of every other."""
-    builder = ZoneBuilder(origin, now=now, mutation=_APEX_MUTATION, key_seed=100 + index)
+    """TLD number ``index``'s apex builder, loaded but not built."""
+    builder = _tld_key_builder(origin, index, now)
     ns_name = _tld_nameserver(origin)
     builder.add(RRset.of(origin, RdataType.NS, NS(target=ns_name), ttl=300))
     builder.add(address_rrset(ns_name, tld_server_address(index)))
@@ -481,10 +486,10 @@ class WildInternet:
             self.tld_servers[tld.name] = server
             self.tld_addresses[tld.name] = address
             self.fabric.register(address, server)
-            # The builder goes once the root holds the delegation; the
-            # server derives the same keys again when it first signs.
+            # The DS needs the KSK alone; the server derives the same keys
+            # again, and loads its apex, when it is first queried.
             root_builder.delegate(
-                _tld_apex_builder(server.origin, index, self.now),
+                _tld_key_builder(server.origin, index, self.now),
                 [(_tld_nameserver(server.origin), address)],
             )
 
