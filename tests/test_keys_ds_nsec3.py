@@ -31,6 +31,8 @@ from repro.dnssec.nsec3 import (
     nsec3_owner,
 )
 
+from . import base32hex_oracle
+
 ZONE = Name.from_text("example.com.")
 
 
@@ -218,6 +220,12 @@ class TestBase32Hex:
     @given(st.binary(min_size=0, max_size=64))
     def test_property_round_trip(self, data):
         assert base32hex_decode(base32hex_encode(data)) == data
+
+    @given(st.binary(min_size=0, max_size=64))
+    def test_property_equals_the_bit_loop_oracle(self, data):
+        encoded = base32hex_encode(data)
+        assert encoded == base32hex_oracle.base32hex_encode(data)
+        assert base32hex_decode(encoded) == data
 
 
 class TestNsec3Hash:

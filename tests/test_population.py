@@ -1,13 +1,20 @@
 """Synthetic population: calibration, TLD structure, NS pool, Tranco."""
 
+import hashlib
+import random
+from itertools import accumulate
+from types import SimpleNamespace
+
 import pytest
 
+from repro.scan import population as population_module
 from repro.scan.population import (
     NOMINAL_COUNTS,
     NOMINAL_TOTAL_DOMAINS,
     PopulationConfig,
     Profile,
     generate_population,
+    population_config_for,
 )
 
 
@@ -197,3 +204,56 @@ class TestGeneratedUniverse:
     def test_com_is_biggest(self, population):
         sizes = {name: t.domains for name, t in population.tlds.items()}
         assert max(sizes, key=sizes.get) == "com"
+
+
+# -- the draws, pinned ---------------------------------------------------------------
+
+#: SHA-256 over each domain's (name, tld, profile, signed, hosting_index,
+#: ns_index, rank), in population order, taken at the commit before the
+#: draws passed summed weights.  A draw that moves changes one of these.
+POPULATION_DIGESTS = {
+    (500, 20230524): "737ef1d1da1b0aee2092bc20b264bb4e383b824f9d89d706e06269391229ddd4",
+    (500, 7): "98ce5ff96e7488e25c721ad558e186e7df927909cfa558e6a43da5499c8fd236",
+    (30_300, 20230524): "8440ecbb174811c94cdd47e19c849a15f42c465a0ccf050d24fb1edfdc75c559",
+}
+
+
+def population_digest(population) -> str:
+    digest = hashlib.sha256()
+    for d in population.domains:
+        row = (d.name, d.tld, int(d.profile), d.signed, d.hosting_index, d.ns_index, d.rank)
+        digest.update(repr(row).encode() + b"\n")
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("domains, seed", sorted(POPULATION_DIGESTS))
+def test_population_content_is_pinned(domains, seed):
+    population = generate_population(population_config_for(domains, seed))
+    assert len(population.domains) == domains
+    assert population_digest(population) == POPULATION_DIGESTS[domains, seed]
+
+
+def test_a_draw_sums_no_weights(monkeypatch):
+    """A count, not a time: every weighted draw takes cumulative weights
+    summed once per candidate list or nameserver pool, where
+    ``choices(weights=...)`` re-summed all 1 475 TLD weights per draw."""
+    summed = {"in_draws": 0, "up_front": 0, "draws": 0}
+
+    class CountingRandom(random.Random):
+        def choices(self, population, weights=None, *, cum_weights=None, k=1):
+            summed["draws"] += k
+            summed["in_draws"] += 0 if weights is None else len(weights)
+            return super().choices(population, weights, cum_weights=cum_weights, k=k)
+
+    def counting_accumulate(iterable):
+        for total in accumulate(iterable):
+            summed["up_front"] += 1
+            yield total
+
+    monkeypatch.setattr(population_module, "random", SimpleNamespace(Random=CountingRandom))
+    monkeypatch.setattr(population_module, "accumulate", counting_accumulate, raising=False)
+    population = generate_population(population_config_for(3030))
+    assert summed["draws"] > 2000
+    assert summed["in_draws"] == 0, summed
+    # Two TLD candidate lists and three pools, each summed once.
+    assert summed["up_front"] <= 2 * len(population.tlds) + len(population.broken_ns), summed
