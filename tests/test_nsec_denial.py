@@ -66,7 +66,7 @@ class TestNsecHelpers:
 class TestNsecChain:
     def test_chain_built(self, built):
         records = built.zone.nsec_records()
-        assert len(records) == len(built.zone.names())
+        assert len(records) == len(built.zone.owners())
 
     def test_chain_closes(self, built):
         records = built.zone.nsec_records()
