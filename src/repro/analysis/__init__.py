@@ -12,17 +12,19 @@ the invariants that guarantee rests on:
   INFO-CODE must resolve in the RFC 8914 registry, every testbed case
   in the paper's Table 4 transcription must map to a defined subdomain
   and a reachable policy branch, every enum member reference must exist.
-* **Flow rules** (:mod:`.flow`) — interprocedural analysis over a
-  whole-program call graph: no real-blocking call or unbounded wait
-  reachable from an endpoint door (``Endpoint.handle_datagram``,
-  ``handle_paved``, ``handle_stream`` and their overrides), no
-  jitter-domain value flowing into schedule-domain or client-visible
-  state.  Intentional exceptions live in a committed baseline
-  (``flow_baseline.json``).  That no door raises is a run-time fact,
-  checked by the fuzz gate's raising-body and routing rows.
 * **Runtime sanitizer** (:mod:`.sanitizer`) — an opt-in guard that
   patches the same entry points to *raise* inside fabric runs, so the
-  static allowlist can be proven sound end-to-end.
+  static allowlist can be proven sound end-to-end, and trips on
+  real-blocking ``threading`` and ``socket`` calls made inside an
+  endpoint door: the answer path waits only on the virtual clock.
+
+The serving contracts are run-time facts, one mechanism each (see
+docs/ARCHITECTURE.md "Serving contracts: one mechanism each"): no door
+raises (the fuzz gate's raising-body row), no door blocks in real time
+(the sanitizer's door tripwires and the fuzz gate's blocking-body
+row), a coalesced wait is bounded by its client's deadline (the
+deadline spy row) and the jitter seed never shapes what a client sees
+(the load gates).
 
 ``python -m repro.tools.selfcheck`` runs the whole pass and exits
 non-zero on findings; CI gates on it.
@@ -33,7 +35,6 @@ from .engine import (
     AliasResolver,
     analyze_paths,
     analyze_repo,
-    default_flow_baseline,
     known_rules,
     repo_source_root,
 )
@@ -46,7 +47,6 @@ __all__ = [
     "Severity",
     "analyze_paths",
     "analyze_repo",
-    "default_flow_baseline",
     "determinism_sanitizer",
     "findings_to_json",
     "known_rules",

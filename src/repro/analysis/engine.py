@@ -13,17 +13,15 @@ Markers name the rule they suppress (comma-separated for several) and
 are themselves checked: a marker that suppresses nothing is reported as
 ``unused-suppression``, so stale annotations cannot accumulate and
 quietly widen the allowlist.  A marker naming a *known* rule that was
-not part of the current run (a flow rule during a single-file pass, or
-a rule excluded by ``--rule``) is exempt — it had no chance to be used.
+not part of the current run (a rule excluded by ``--rule``) is exempt —
+it had no chance to be used.
 
-The engine also owns the shared alias-resolution machinery
+The engine also owns the alias-resolution machinery
 (:class:`AliasResolver`): the per-module map from local names to the
 dotted entry points they denote, following ``import x as y``,
-``from x import y as z`` (including relative imports), and module-level
-``name = module.attr`` aliases.  The determinism rules use it to catch
-aliased wall-clock escapes; the interprocedural call-graph builder in
-:mod:`.flow` uses it to resolve cross-module call targets and
-re-exported names.
+``from x import y as z`` and module-level ``name = module.attr``
+aliases.  The determinism rules use it to catch aliased wall-clock
+escapes.
 """
 
 from __future__ import annotations
@@ -39,18 +37,16 @@ from typing import Callable, Iterable, Iterator
 from .findings import Finding
 
 RULE_UNUSED_SUPPRESSION = "unused-suppression"
-RULE_STALE_BASELINE = "stale-baseline"
 RULE_PARSE_ERROR = "parse-error"
 
 
 # ---------------------------------------------------------------------------
-# Alias resolution (shared by the determinism rules and the call graph)
+# Alias resolution (for the determinism rules)
 # ---------------------------------------------------------------------------
 
-#: Stdlib modules the determinism rules police; kept here so both the
-#: per-file rules and the flow analyzer agree on the boundary set.
+#: Stdlib modules the determinism rules police.
 TRACKED_STDLIB_MODULES = frozenset(
-    {"time", "random", "os", "datetime", "secrets", "uuid", "socket", "threading"}
+    {"time", "random", "os", "datetime", "secrets", "uuid"}
 )
 
 
@@ -58,26 +54,21 @@ class AliasResolver(ast.NodeVisitor):
     """Maps module-local names to the dotted paths they denote.
 
     Handles ``import a.b``, ``import a.b as c``, ``from x import y``
-    (with ``as`` renames), relative imports when the module's own dotted
-    name is known, and simple module-level aliases of the form
+    (with ``as`` renames) and simple module-level aliases of the form
     ``wall = time.time``.  :meth:`dotted` then resolves a ``Name`` or
     ``Attribute`` chain to its dotted target, so ``wall()`` and
     ``t.sleep()`` (after ``import time as t``) both resolve.
     """
 
-    def __init__(self, module: str | None = None, is_package: bool = False):
+    def __init__(self) -> None:
         #: local name -> dotted path ("random", "time.time", "repro.obs.NULL_OBS")
         self.names: dict[str, str] = {}
-        self._module = module
-        self._is_package = is_package
 
     # -- collection ----------------------------------------------------------
 
     @classmethod
-    def collect(
-        cls, tree: ast.AST, module: str | None = None, is_package: bool = False
-    ) -> "AliasResolver":
-        resolver = cls(module, is_package)
+    def collect(cls, tree: ast.AST) -> "AliasResolver":
+        resolver = cls()
         resolver.visit(tree)
         if isinstance(tree, ast.Module):
             resolver._collect_module_aliases(tree)
@@ -94,32 +85,12 @@ class AliasResolver(ast.NodeVisitor):
                 self.names[root] = root
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        base = self._import_base(node)
-        if base is None:
-            return
+        if node.level:
+            return  # a relative import never names a tracked stdlib module
         for alias in node.names:
             if alias.name == "*":
                 continue
-            bound = alias.asname or alias.name
-            self.names[bound] = f"{base}.{alias.name}" if base else alias.name
-
-    def _import_base(self, node: ast.ImportFrom) -> str | None:
-        """The dotted module an ``ImportFrom`` pulls names out of."""
-        if node.level == 0:
-            return node.module
-        if self._module is None:
-            return None  # relative import with no module context
-        parts = self._module.split(".")
-        # The anchor package: the module itself when it *is* a package
-        # (``__init__``), its parent otherwise; each extra level climbs one.
-        anchor = parts if self._is_package else parts[:-1]
-        climb = node.level - 1
-        if climb > len(anchor):
-            return None
-        base_parts = anchor[: len(anchor) - climb] if climb else anchor
-        if node.module:
-            base_parts = base_parts + node.module.split(".")
-        return ".".join(base_parts) if base_parts else None
+            self.names[alias.asname or alias.name] = f"{node.module}.{alias.name}"
 
     def _collect_module_aliases(self, tree: ast.Module) -> None:
         """Module-level ``name = <resolvable dotted>`` aliases."""
@@ -152,24 +123,6 @@ class AliasResolver(ast.NodeVisitor):
             return None
         root = dotted.split(".", 1)[0]
         return dotted if root in TRACKED_STDLIB_MODULES else None
-
-
-def module_name_for(path: Path) -> str:
-    """The dotted module name for ``path``, via ``__init__.py`` walking.
-
-    Climbs parent directories for as long as they are packages, so
-    ``src/repro/net/clock.py`` names ``repro.net.clock`` and a fixture
-    package in a tmp directory names ``fixture_pkg.module``.
-    """
-    path = Path(path).resolve()
-    parts = [path.stem] if path.stem != "__init__" else []
-    parent = path.parent
-    while (parent / "__init__.py").exists():
-        parts.insert(0, parent.name)
-        parent = parent.parent
-    if not parts:  # a bare __init__.py outside any package
-        parts = [path.parent.name]
-    return ".".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -209,17 +162,8 @@ RULE_CATALOG: dict[str, tuple[str, str]] = {
     "resilience-codes": (
         "table", "resilience-layer EDE codes unassigned or unreachable"
     ),
-    "answer-path-blocking": (
-        "flow", "real-blocking or unbounded wait reachable from an endpoint door"
-    ),
-    "seed-domain-taint": (
-        "flow", "jitter-domain value flowing into schedule/client-visible state"
-    ),
     RULE_UNUSED_SUPPRESSION: (
         "meta", "# repro: allow[...] marker that suppresses nothing"
-    ),
-    RULE_STALE_BASELINE: (
-        "meta", "flow-baseline entry matching no current finding"
     ),
     RULE_PARSE_ERROR: (
         "meta", "file that does not parse"
@@ -310,23 +254,17 @@ def _comments(source: str) -> Iterator[tuple[int, str, bool]]:
 
 @dataclass
 class SourceFile:
-    """One parsed module, ready for source and flow rules."""
+    """One parsed module, ready for the source rules."""
 
     path: Path
     display: str
     tree: ast.Module
     suppressions: _Suppressions
-    module: str
 
 
 def repo_source_root() -> Path:
     """The installed ``repro`` package directory (``src/repro``)."""
     return Path(__file__).resolve().parent.parent
-
-
-def default_flow_baseline() -> Path:
-    """The committed baseline of intentional flow-rule exceptions."""
-    return Path(__file__).resolve().parent / "flow_baseline.json"
 
 
 def iter_python_files(root: Path) -> list[Path]:
@@ -368,7 +306,6 @@ def load_files(
                 display=display,
                 tree=tree,
                 suppressions=_Suppressions(source),
-                module=module_name_for(Path(path)),
             )
         )
     return files, findings
@@ -397,59 +334,28 @@ SOURCE_RULES: tuple[Callable[[ast.AST, str], Iterator[Finding]], ...] = (
 )
 
 
-def _active_rules(
-    flow: bool, selected: frozenset[str] | None
-) -> frozenset[str]:
-    """The rule names that can fire in this run (for marker hygiene)."""
-    from .flow import FLOW_RULES
-
-    active = set(RULE_CATALOG)
-    if not flow:
-        active -= set(FLOW_RULES)
-        active.discard(RULE_STALE_BASELINE)
-    if selected is not None:
-        active &= selected
-    return frozenset(active)
-
-
 def analyze_paths(
     paths: Iterable[Path],
     *,
     base: Path | None = None,
     rules: Iterable[Callable[[ast.AST, str], Iterator[Finding]]] = SOURCE_RULES,
-    flow: bool = False,
-    baseline: Path | None = None,
-    repo_mode: bool = False,
     selected: Iterable[str] | None = None,
 ) -> list[Finding]:
     """Run the analysis over ``paths``, honouring inline suppressions.
 
-    ``flow`` additionally builds the whole-program call graph over the
-    given files and runs the interprocedural rules (:mod:`.flow`);
-    ``baseline`` names a committed file of intentional flow exceptions,
-    and ``repo_mode`` turns on stale-baseline detection (only the full
-    repo pass sees every finding a baseline entry could match).
     ``selected`` restricts the run to the named rules.
     """
     chosen = frozenset(selected) if selected is not None else None
-    active = _active_rules(flow, chosen)
+    active = frozenset(RULE_CATALOG) if chosen is None else chosen & set(RULE_CATALOG)
     files, findings = load_files(paths, base)
-
-    def wanted(finding: Finding) -> bool:
-        return chosen is None or finding.rule in chosen
 
     for file in files:
         for rule in rules:
             for finding in rule(file.tree, file.display):
-                if not wanted(finding):
+                if chosen is not None and finding.rule not in chosen:
                     continue
                 if not file.suppressions.suppresses(finding):
                     findings.append(finding)
-
-    if flow:
-        findings.extend(
-            _run_flow(files, chosen, baseline, repo_mode, active)
-        )
 
     if RULE_UNUSED_SUPPRESSION in active:
         for file in files:
@@ -457,59 +363,15 @@ def analyze_paths(
     return findings
 
 
-def _run_flow(
-    files: list[SourceFile],
-    chosen: frozenset[str] | None,
-    baseline: Path | None,
-    repo_mode: bool,
-    active: frozenset[str],
-) -> list[Finding]:
-    from .flow import FLOW_RULES, analyze_program, load_baseline
-
-    flow_rules = tuple(
-        r for r in FLOW_RULES if chosen is None or r in chosen
-    )
-    if not flow_rules:
-        return []
-    entries = load_baseline(baseline) if baseline is not None else {}
-    by_display = {file.display: file for file in files}
-    used_keys: set[str] = set()
-    findings: list[Finding] = []
-    for finding in analyze_program(files, rules=flow_rules):
-        if finding.key in entries:
-            used_keys.add(finding.key)
-            continue
-        file = by_display.get(finding.path)
-        if file is not None and file.suppressions.suppresses(finding):
-            continue
-        findings.append(finding)
-    if repo_mode and RULE_STALE_BASELINE in active:
-        for key in sorted(set(entries) - used_keys):
-            findings.append(
-                Finding(
-                    rule=RULE_STALE_BASELINE,
-                    message=(
-                        f"baseline entry {key!r} matches no current finding;"
-                        " remove it from the baseline file"
-                    ),
-                    path=str(baseline),
-                )
-            )
-    return findings
-
-
 def analyze_repo(
     root: Path | None = None, selected: Iterable[str] | None = None
 ) -> list[Finding]:
-    """The full selfcheck: source, table, and flow rules over ``src/repro``."""
+    """The full selfcheck: source and table rules over ``src/repro``."""
     package_root = root or repo_source_root()
     chosen = frozenset(selected) if selected is not None else None
     findings = analyze_paths(
         iter_python_files(package_root),
         base=package_root.parent,
-        flow=True,
-        baseline=default_flow_baseline(),
-        repo_mode=True,
         selected=selected,
     )
     if chosen is None or chosen & set(TABLE_RULES):

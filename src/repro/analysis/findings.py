@@ -28,10 +28,6 @@ class Finding:
     path: str = ""
     line: int = 0
     severity: Severity = Severity.ERROR
-    #: Stable identity for baseline matching (flow rules only): rule +
-    #: enclosing symbol + violation token, independent of line numbers so
-    #: unrelated edits do not invalidate committed baseline entries.
-    key: str = ""
 
     def __str__(self) -> str:
         return render_finding(self)

@@ -5,13 +5,13 @@ rules (no wall clock, no ambient entropy, no global RNG outside the
 annotated boundary), the protocol-invariant rules (every EDE INFO-CODE
 resolves in the RFC 8914 registry, every Table 4 case maps to a testbed
 subdomain and a reachable policy branch, the rdata registry is closed),
-the interprocedural flow rules (no real-blocking call or unbounded wait
-reachable from an endpoint door, jitter seeds never shape schedule-domain
-state), and unused-suppression / stale-baseline detection.
+and unused-suppression detection.  The serving contracts (no door
+raises or blocks in real time, deadline-bounded waits, seed-domain
+separation) are run-time facts, checked by the test suite, not here.
 
-Flow rules need the whole-program call graph, so they run only on the
-default whole-package pass; explicit path arguments get the per-file
-rules (fast inner-loop linting of the files you are editing).
+Explicit path arguments get the per-file rules (fast inner-loop linting
+of the files you are editing); the default whole-package pass adds the
+table rules.
 
 Exit codes::
 
@@ -24,7 +24,7 @@ Examples::
     python -m repro.tools.selfcheck              # whole package, all rules
     python -m repro.tools.selfcheck --json       # machine-readable findings
     python -m repro.tools.selfcheck --list-rules # the rule catalog
-    python -m repro.tools.selfcheck --rule seed-domain-taint --rule wall-clock
+    python -m repro.tools.selfcheck --rule global-random --rule wall-clock
     python -m repro.tools.selfcheck src/repro/scan/scanner.py
 """
 

@@ -1,21 +1,18 @@
-"""Alias-resolution unit tests: the bindings the call graph stands on.
+"""Alias-resolution unit tests: the bindings the determinism rules stand on.
 
-``AliasResolver`` is shared by the per-file determinism rules and the
-interprocedural flow analyzer; these tests pin the binding forms it
-must handle — plain imports, ``as`` renames, attribute chains, relative
-imports, module-level aliases — and the re-export following built on
-top of it by :class:`repro.analysis.flow.Program`.
+``AliasResolver`` maps module-local names to the dotted entry points
+they denote; these tests pin the binding forms it must handle — plain
+imports, ``as`` renames, attribute chains, module-level aliases — and
+that a relative import binds nothing.
 """
 
 import ast
 
 from repro.analysis import AliasResolver
-from repro.analysis.engine import iter_python_files, load_files, module_name_for
-from repro.analysis.flow import ClassInfo, FunctionInfo, Program
 
 
-def resolve(source, expr, module=None, is_package=False):
-    aliases = AliasResolver.collect(ast.parse(source), module, is_package)
+def resolve(source, expr):
+    aliases = AliasResolver.collect(ast.parse(source))
     node = ast.parse(expr, mode="eval").body
     return aliases.dotted(node)
 
@@ -42,23 +39,11 @@ def test_module_level_alias_assignment():
     assert resolve(source, "wall") == "time.time"
 
 
-def test_relative_import_resolution_needs_module_context():
-    source = "from .clock import Clock"
-    assert resolve(source, "Clock") is None  # no module context: unknown
-    assert (
-        resolve(source, "Clock", module="repro.net.lanes")
-        == "repro.net.clock.Clock"
-    )
-    # A package __init__ anchors at the package itself, not its parent.
-    assert (
-        resolve(source, "Clock", module="repro.net", is_package=True)
-        == "repro.net.clock.Clock"
-    )
-    # ``..`` climbs one package.
-    assert (
-        resolve("from ..dns import wire", "wire.to_bytes", module="repro.net.lanes")
-        == "repro.dns.wire.to_bytes"
-    )
+def test_relative_import_binds_nothing():
+    # A package's own ``time`` module is not the stdlib one.
+    assert resolve("from . import time", "time.sleep") is None
+    assert resolve("from .clock import Clock", "Clock") is None
+    assert resolve("from ..dns import wire", "wire.to_bytes") is None
 
 
 def test_stdlib_dotted_filters_to_tracked_modules():
@@ -69,124 +54,3 @@ def test_stdlib_dotted_filters_to_tracked_modules():
     deque_call = ast.parse("collections.deque", mode="eval").body
     assert aliases.stdlib_dotted(time_call) == "time.sleep"
     assert aliases.stdlib_dotted(deque_call) is None
-
-
-def test_module_name_for_walks_packages(tmp_path):
-    pkg = tmp_path / "outer" / "inner"
-    pkg.mkdir(parents=True)
-    (tmp_path / "outer" / "__init__.py").write_text("")
-    (pkg / "__init__.py").write_text("")
-    (pkg / "mod.py").write_text("x = 1\n")
-    assert module_name_for(pkg / "mod.py") == "outer.inner.mod"
-    assert module_name_for(pkg / "__init__.py") == "outer.inner"
-
-
-def build_program(tmp_path, tree):
-    """Write a package tree ({relpath: source}) and build its Program."""
-    for rel, source in tree.items():
-        path = tmp_path / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(source)
-    files, errors = load_files(iter_python_files(tmp_path), tmp_path)
-    assert errors == []
-    return Program(files)
-
-
-def test_program_resolves_reexported_names(tmp_path):
-    program = build_program(tmp_path, {
-        "pkg/__init__.py": "from .impl import Worker, helper\n",
-        "pkg/impl.py": (
-            "class Worker:\n"
-            "    def run(self):\n"
-            "        return helper()\n"
-            "def helper():\n"
-            "    return 1\n"
-        ),
-        "pkg/user.py": (
-            "import pkg\n"
-            "from pkg import Worker\n"
-            "def use():\n"
-            "    w = Worker()\n"
-            "    pkg.helper()\n"
-            "    return w.run()\n"
-        ),
-    })
-    # The re-exported class and function resolve to their real homes.
-    assert isinstance(program.resolve("pkg.Worker"), ClassInfo)
-    assert program.resolve("pkg.Worker").qualname == "pkg.impl.Worker"
-    assert isinstance(program.resolve("pkg.helper"), FunctionInfo)
-    assert program.resolve("pkg.helper").qualname == "pkg.impl.helper"
-    # Call edges in user.use() land on the impl symbols.
-    use = program.functions["pkg.user.use"]
-    targets = {t for site in use.calls for t in site.targets}
-    assert "pkg.impl.helper" in targets
-    assert "pkg.impl.Worker.run" in targets
-
-
-def test_program_dispatches_through_subclass_overrides(tmp_path):
-    program = build_program(tmp_path, {
-        "pkg/__init__.py": "",
-        "pkg/base.py": (
-            "class Clock:\n"
-            "    def sleep(self, s):\n"
-            "        raise NotImplementedError\n"
-        ),
-        "pkg/fast.py": (
-            "from .base import Clock\n"
-            "class FastClock(Clock):\n"
-            "    def sleep(self, s):\n"
-            "        return None\n"
-        ),
-        "pkg/user.py": (
-            "from .base import Clock\n"
-            "def nap(clock: Clock):\n"
-            "    clock.sleep(1)\n"
-        ),
-    })
-    nap = program.functions["pkg.user.nap"]
-    targets = {t for site in nap.calls for t in site.targets}
-    # A call on the base type targets the base method AND every override.
-    assert targets == {"pkg.base.Clock.sleep", "pkg.fast.FastClock.sleep"}
-
-
-def test_program_types_self_attributes_from_init_params(tmp_path):
-    program = build_program(tmp_path, {
-        "pkg/__init__.py": "",
-        "pkg/parts.py": (
-            "class Engine:\n"
-            "    def start(self):\n"
-            "        return 'vroom'\n"
-        ),
-        "pkg/car.py": (
-            "from .parts import Engine\n"
-            "class Car:\n"
-            "    def __init__(self, engine: Engine):\n"
-            "        self.engine = engine\n"
-            "    def drive(self):\n"
-            "        return self.engine.start()\n"
-        ),
-    })
-    drive = program.functions["pkg.car.Car.drive"]
-    targets = {t for site in drive.calls for t in site.targets}
-    assert targets == {"pkg.parts.Engine.start"}
-
-
-def test_program_understands_quoted_annotations(tmp_path):
-    program = build_program(tmp_path, {
-        "pkg/__init__.py": "",
-        "pkg/a.py": (
-            "class Resolver:\n"
-            "    def run(self):\n"
-            "        return None\n"
-        ),
-        "pkg/b.py": (
-            "from typing import TYPE_CHECKING\n"
-            "if TYPE_CHECKING:\n"
-            "    from .a import Resolver\n"
-            "def go(r: \"Resolver\"):\n"
-            "    return r.run()\n"
-        ),
-    })
-    go = program.functions["pkg.b.go"]
-    targets = {t for site in go.calls for t in site.targets}
-    assert targets == {"pkg.a.Resolver.run"}

@@ -3,7 +3,12 @@
 import importlib
 import pkgutil
 import random
+import re
+import socket
 import struct
+import threading
+import time
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -23,6 +28,7 @@ from repro.dns.rrset import RRset
 from repro.dns.types import RdataType
 from repro.dns.wire import WireReader
 import repro
+from repro.analysis.sanitizer import DeterminismViolation, determinism_sanitizer
 from repro.cluster import ConsistentHashRing, ResolverCluster
 from repro.net.clock import SimulatedClock
 from repro.net.endpoint import Endpoint
@@ -589,6 +595,95 @@ def test_every_door_turns_a_raising_body_into_servfail(world, worlds, monkeypatc
                     ), (type(endpoint).__name__, method, door)
                     assert seen == [Rcode.SERVFAIL], (type(endpoint).__name__, method, door)
     assert knocks == 5 * len(fabric.registered_endpoints())
+
+
+# -- no real blocking in a door: the sanitizer trips a blocking body -------------------
+
+BLOCKING_CALLS = (
+    "threading.Event.wait", "time.sleep", "threading.Thread.join", "socket.socket.send",
+)
+
+
+@contextmanager
+def _blocking_call(name: str):
+    """One real-blocking call named ``name``; the thread or socket it
+    needs is made here, outside any door."""
+    if name == "threading.Thread.join":
+        thread = threading.Thread(target=lambda: None)
+        thread.start()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        yield lambda: thread.join()
+    elif name == "socket.socket.send":
+        near, far = socket.socketpair()
+
+        def send():
+            near.send(b"x")
+            far.recv(1)  # reached unarmed only: keeps the buffer from filling
+
+        with near, far:
+            yield send
+    else:
+        yield {
+            "threading.Event.wait": lambda: threading.Event().wait(0),
+            "time.sleep": lambda: time.sleep(0),
+        }[name]
+
+
+@pytest.mark.parametrize("call", BLOCKING_CALLS)
+@pytest.mark.parametrize("world", WORLDS)
+def test_every_door_trips_the_sanitizer_on_a_blocking_body(world, call, worlds, monkeypatch):
+    """No door blocks in real time.  Knocked under the armed sanitizer,
+    each endpoint's own body answers without tripping it.  When the body
+    makes one blocking call, the armed sanitizer raises a
+    DeterminismViolation naming it — although the door itself answered
+    the SERVFAIL of rule 6 — and the same knock unarmed gets the body's
+    answer.  A TIMEOUT server never reaches its body."""
+    fabric, qname = worlds[world]
+    query = Message.make_query(qname, RdataType.AAAA, msg_id=0x5154)
+    knocks = 0
+    endpoints = [
+        (endpoint, getattr(endpoint, "behavior", None) is Behavior.TIMEOUT)
+        for endpoint in fabric.registered_endpoints()
+    ]
+    for endpoint, silent in endpoints:
+        for door in DOORS:
+            with determinism_sanitizer():
+                own = _knock(endpoint, door, query)
+            assert (own is None) == silent, (type(endpoint).__name__, door)
+    with _blocking_call(call) as block, monkeypatch.context() as patch:
+        for endpoint, _silent in endpoints:
+            for owner in _door_owners(endpoint):
+                def blocking_body(asked, source, answer=owner.handle_query):
+                    block()
+                    return answer(asked, source)
+
+                patch.setattr(owner, "handle_query", blocking_body)
+                # Rule 0 would replay a reply an earlier knock kept.
+                patch.setattr(owner, "stored_reply", lambda wire, source: None)
+        for endpoint, silent in endpoints:
+            for door in DOORS:
+                knocks += 1
+                where = (type(endpoint).__name__, door)
+                if silent:
+                    with determinism_sanitizer():
+                        assert _knock(endpoint, door, query) is None, where
+                    continue
+                with pytest.raises(DeterminismViolation, match=re.escape(f"{call}()")):
+                    with determinism_sanitizer():
+                        tripped = _knock(endpoint, door, query)
+                assert Message.from_wire(bytes(tripped)).rcode == Rcode.SERVFAIL, where
+                control = Message.from_wire(bytes(_knock(endpoint, door, query)))
+                assert (control.id, control.qr) == (query.id, True), where
+    assert knocks == 3 * len(endpoints)
+
+
+@pytest.mark.parametrize("call", sorted(set(BLOCKING_CALLS) - {"time.sleep"}))
+def test_a_blocking_call_outside_any_door_does_not_trip(call):
+    """The tripwires are door-scoped: armed, the same calls made outside
+    every door behave as before (``time.sleep`` trips everywhere)."""
+    with _blocking_call(call) as block, determinism_sanitizer():
+        block()
 
 
 def test_a_cluster_whose_routing_raises_drops_the_query(worlds, monkeypatch):

@@ -11,6 +11,7 @@ the same ``contract_rows`` the ``serve --drill`` door prints.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import random
 
@@ -191,6 +192,22 @@ def replay(sanitizer_if_requested):
     return run
 
 
+class JitterSeededSchedule(LoadEngine):
+    """A test-only arm with the leak the gates exist for: its schedule
+    seed is derived from the jitter seed."""
+
+    def __init__(self, config: LoadConfig, population=None):
+        leaked = config.schedule_seed * 1_000_003 + config.jitter_seed
+        super().__init__(dataclasses.replace(config, schedule_seed=leaked), population)
+
+
+def schedule_of(engine: LoadEngine) -> list[tuple]:
+    """What a client sees of one phase's schedule: (at, address, wire)."""
+    phase = SCENARIOS["steady"].phases[0]
+    events = engine._build_events(phase, 0, 0, 0.0, ZipfMix(["x."]))
+    return [(e.at, e.client.address, e.wire) for e in events]
+
+
 def assert_deterministic_and_in_contract(runs: list[dict]) -> None:
     """The determinism gate — phase reports byte-identical across jitter
     seeds — and the degradation contract, through the door's own rows."""
@@ -209,15 +226,31 @@ class TestEngineEndToEnd:
         return LoadEngine(LoadConfig(**TINY))
 
     def test_schedule_is_jitter_seed_independent(self, engine):
-        spec = SCENARIOS["steady"]
-        events_a = engine._build_events(spec.phases[0], 0, 0, 0.0, ZipfMix(["x."]))
         other = LoadEngine(
             LoadConfig(**TINY, jitter_seed=999), population=engine.population
         )
-        events_b = other._build_events(spec.phases[0], 0, 0, 0.0, ZipfMix(["x."]))
-        assert [(e.at, e.client.address, e.wire) for e in events_a] == [
-            (e.at, e.client.address, e.wire) for e in events_b
+        assert schedule_of(engine) == schedule_of(other)
+
+    def test_a_jitter_seeded_schedule_fails_both_gates(self, engine, sanitizer_if_requested):
+        """The load gates are the one mechanism for seed-domain
+        separation: an engine that derives its schedule seed from the
+        jitter seed fails the schedule comparison and the phase-report
+        byte comparison.  Every client-visible sink — query IDs,
+        arrivals, the mix's draws, the events, the phase report — lands
+        in one of the two."""
+        leaky = [
+            JitterSeededSchedule(
+                LoadConfig(**TINY, jitter_seed=seed), population=engine.population
+            )
+            for seed in JITTER_SEEDS
         ]
+        assert schedule_of(leaky[0]) != schedule_of(leaky[1])
+        with sanitizer_if_requested():
+            runs = [arm.run_scenario("steady") for arm in leaky]
+        with pytest.raises(AssertionError):
+            assert_deterministic_and_in_contract(runs)
+        # It is the byte comparison that fails.
+        assert json.dumps(runs[0], sort_keys=True) != json.dumps(runs[1], sort_keys=True)
 
     def test_outage_scenario_identical_across_jitter_seeds(self, replay):
         """The scenario most exposed to retry jitter (timeouts + chaos RNG)."""

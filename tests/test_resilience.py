@@ -11,9 +11,13 @@ three-zone world under two seeds.
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+import inspect
 import os
 import random
+import textwrap
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +33,7 @@ from repro.dns.types import RdataType
 from repro.net.chaos import ChaosPolicy, Outage
 from repro.net.clock import SimulatedClock
 from repro.net.fabric import NetworkFabric
+from repro.net.lanes import run_in_lanes
 from repro.resolver.cache import STALE_TTL, default_cache_config
 from repro.resolver.profiles import CLOUDFLARE
 from repro.resolver.recursive import RecursiveResolver
@@ -44,6 +49,8 @@ from repro.resolver.resilience import (
     TokenBucket,
 )
 from repro.server.authoritative import AuthoritativeServer
+from repro.testbed.infra import build_testbed
+from repro.testbed.subdomains import ALL_CASES
 from repro.zones.builder import ZoneBuilder, address_rrset
 from repro.zones.mutations import ZoneMutation
 
@@ -186,6 +193,101 @@ class TestDeadlineBudget:
         clock.advance(1.0)
         # Even a spent budget buys one very impatient query.
         assert budget.clamp(2.0) == DeadlineBudget.MIN_TIMEOUT
+
+
+def _dropping_wake_at(function):
+    """``function`` recompiled with the ``wake_at`` keyword removed from
+    each ``wait_virtual`` call: the one-line mutation the spy row below
+    exists to catch, and which a syntactic check passed."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "wait_virtual":
+            node.keywords = [kw for kw in node.keywords if kw.arg != "wake_at"]
+    namespace: dict = {}
+    exec(compile(tree, inspect.getsourcefile(function), "exec"), function.__globals__, namespace)
+    return namespace[function.__name__]
+
+
+class TestDeadlineBoundedWaits:
+    """A lane parked on another lane's in-flight resolution wakes no later
+    than its client's deadline: every wait made under an active
+    :class:`DeadlineBudget` carries ``wake_at == budget.deadline``."""
+
+    CLIENT = "198.51.100.9"
+
+    @pytest.fixture(scope="class")
+    def testbed(self):
+        return build_testbed(cases=ALL_CASES[:8])
+
+    def _waits(self, testbed, monkeypatch, sanitizer_if_requested) -> list[tuple]:
+        """(wake_at, active budget's deadline) of every budgeted wait while
+        eight lanes resolve eight signed cases, two clients each."""
+        active = threading.local()
+
+        def carrying_budget(method):
+            signature = inspect.signature(method)
+
+            def wrapper(self, *args, **kwargs):
+                outer = getattr(active, "budget", None)
+                active.budget = signature.bind(self, *args, **kwargs).arguments.get("deadline")
+                try:
+                    return method(self, *args, **kwargs)
+                finally:
+                    active.budget = outer
+
+            return wrapper
+
+        for name in ("_resolve_outcome", "_resolve_uncached"):
+            method = getattr(RecursiveResolver, name)
+            monkeypatch.setattr(RecursiveResolver, name, carrying_budget(method))
+        waits = []
+        wait_virtual = SimulatedClock.wait_virtual
+
+        def spy(clock, predicate, wake_at=None):
+            budget = getattr(active, "budget", None)
+            if budget is not None:
+                waits.append((wake_at, budget.deadline))
+            return wait_virtual(clock, predicate, wake_at)
+
+        monkeypatch.setattr(SimulatedClock, "wait_virtual", spy)
+        resolver = RecursiveResolver(
+            fabric=testbed.fabric, profile=CLOUDFLARE, root_hints=testbed.root_hints,
+            trust_anchors=testbed.trust_anchors,
+            resilience=ResilienceConfig(client_deadline=1.5),
+        )
+        wires = [
+            Message.make_query(case.query_name, RdataType.A, want_dnssec=True).to_wire()
+            for case in testbed.cases.values()
+        ]
+        with sanitizer_if_requested():
+            run_in_lanes(
+                testbed.fabric.clock, 8, wires * 2,
+                lambda wire: resolver.handle_datagram(wire, self.CLIENT),
+            )
+        # Clients coalesced on a question and on a zone's DNSKEY/DS set.
+        assert resolver.stats.coalesced > 0 and resolver.stats.coalesced_infra > 0
+        return waits
+
+    @staticmethod
+    def _assert_bounded(waits: list[tuple]) -> None:
+        # A gate that compared nothing is a failing gate.
+        assert waits
+        assert all(wake_at == deadline for wake_at, deadline in waits), waits
+
+    def test_every_coalesced_wait_wakes_at_the_client_deadline(
+        self, testbed, monkeypatch, sanitizer_if_requested
+    ):
+        self._assert_bounded(self._waits(testbed, monkeypatch, sanitizer_if_requested))
+
+    def test_a_wait_without_wake_at_fails_the_row(
+        self, testbed, monkeypatch, sanitizer_if_requested
+    ):
+        for name, member in vars(RecursiveResolver).items():
+            if inspect.isfunction(member) and "wait_virtual(" in inspect.getsource(member):
+                monkeypatch.setattr(RecursiveResolver, name, _dropping_wake_at(member))
+        waits = self._waits(testbed, monkeypatch, sanitizer_if_requested)
+        with pytest.raises(AssertionError):
+            self._assert_bounded(waits)
 
 
 class TestRefreshQueue:

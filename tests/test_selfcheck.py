@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import random
+import socket
+import threading
 import time
 
 import pytest
@@ -21,7 +23,12 @@ from repro.analysis import (
     analyze_repo,
     determinism_sanitizer,
 )
+from repro.analysis.engine import RULE_CATALOG
 from repro.analysis.invariants import check_tables, check_testbed_matrix
+from repro.dns.message import Message
+from repro.dns.rcode import Rcode
+from repro.dns.types import RdataType
+from repro.net.endpoint import Endpoint
 from repro.tools import selfcheck
 
 
@@ -219,6 +226,29 @@ class TestSelfcheckCli:
         write_fixture(tmp_path, "x = 1\n", "b.py")
         assert selfcheck.main([str(tmp_path)]) == 1
 
+    def test_list_rules_and_rule_filter(self, tmp_path, capsys):
+        assert selfcheck.main(["--list-rules"]) == 0
+        listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert listed == list(RULE_CATALOG)
+        # A single-rule run reports only that rule.
+        path = write_fixture(
+            tmp_path, "import random, time\nnow = time.time()\nx = random.random()\n"
+        )
+        assert selfcheck.main(["--rule", "global-random", "--json", str(path)]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert [(f["check"], f["line"]) for f in payload["findings"]] == [("global-random", 3)]
+
+    def test_rejects_unknown_rule(self):
+        # The serving contracts are run-time facts (tests/test_fuzz.py,
+        # tests/test_load.py, tests/test_resilience.py), not rules.
+        for name in (
+            "not-a-rule", "never-raise", "answer-path-blocking",
+            "seed-domain-taint", "stale-baseline",
+        ):
+            with pytest.raises(SystemExit) as exc:
+                selfcheck.main(["--rule", name])
+            assert exc.value.code == 2
+
 
 class TestDeterminismSanitizer:
     def test_wall_clock_raises_inside(self):
@@ -256,6 +286,35 @@ class TestDeterminismSanitizer:
             time.sleep(0)  # explicitly allowed
             with pytest.raises(DeterminismViolation):
                 time.time()
+
+    def test_a_door_does_not_swallow_a_violation(self):
+        """Rule 6 turns the body's violation into a SERVFAIL, and the
+        armed block still raises it on exit."""
+
+        class WallClockBody(Endpoint):
+            def handle_query(self, query, source):
+                time.time()
+                return query.make_response()
+
+        wire = Message.make_query("example.test.", RdataType.A, msg_id=9).to_wire()
+        with pytest.raises(DeterminismViolation, match="time.time"):
+            with determinism_sanitizer():
+                reply = WallClockBody().handle_datagram(wire, "198.51.100.7")
+        assert Message.from_wire(reply).rcode == Rcode.SERVFAIL
+        # Disarmed, nothing is left over to raise.
+        with determinism_sanitizer():
+            pass
+
+    def test_disarming_restores_the_classes_exactly(self):
+        """``socket.socket.recv`` is inherited from ``_socket.socket``: it
+        is deleted on disarm, not set back as the class's own."""
+        owners = (socket.socket, threading.Event, time, random)
+        before = [dict(vars(owner)) for owner in owners]
+        with determinism_sanitizer():
+            assert "recv" in vars(socket.socket)
+            assert vars(threading.Event)["wait"] is not before[1]["wait"]
+        assert [dict(vars(owner)) for owner in owners] == before
+        assert "recv" not in vars(socket.socket)
 
     def test_fabric_resolution_is_clean_under_sanitizer(self, testbed):
         """The full resolve path — fabric, chaos hooks, resolver, message
