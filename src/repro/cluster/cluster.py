@@ -74,7 +74,7 @@ from ..resolver.resilience import (
 )
 from .chaos import ShardChaosPolicy
 from .health import ShardHealthConfig, ShardHealthMonitor, ShardHealthState
-from .ring import DEFAULT_VNODES, ConsistentHashRing, registered_domain_key
+from .ring import ConsistentHashRing, registered_domain_key
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,6 @@ class ClusterConfig:
     """Shape of one resolver cluster."""
 
     shards: int = 2
-    #: Virtual points per shard on the hash ring.
-    vnodes: int = DEFAULT_VNODES
     #: Shard health monitoring (ejection + half-open probe).  ``None``
     #: disables it entirely; the default config never perturbs a
     #: no-fault run because with zero failures no state ever changes.
@@ -267,10 +265,10 @@ class ResolverCluster(Endpoint):
         #: The *routing* ring: ejection removes a shard, rejoin re-adds
         #: it (the hypothesis-pinned symmetry restores the original
         #: mapping exactly).
-        self.ring = ConsistentHashRing(shard_ids, vnodes=config.vnodes)
+        self.ring = ConsistentHashRing(shard_ids)
         #: The *home* ring: the fault-free mapping, never mutated —
         #: probes need to know which ejected shard a key belongs to.
-        self._home_ring = ConsistentHashRing(shard_ids, vnodes=config.vnodes)
+        self._home_ring = ConsistentHashRing(shard_ids)
         self._index_of = {
             self._shard_id(i): i for i in range(config.shards)
         }
@@ -397,13 +395,6 @@ class ResolverCluster(Endpoint):
             return self.frontends[index].stats.datagrams
         return self.shards[index].stats.queries
 
-    def _breaches_of(self, index: int) -> int:
-        """The shard frontend's own deadline-breach counter; the health
-        monitor is fed from it when the frontend measures deadlines."""
-        if self.frontends is not None:
-            return self.frontends[index].stats.deadline_breaches
-        return 0
-
     def datagrams_while_ejected(self, index: int) -> int:
         """Growth of the shard's datagram counter while ejected (the
         blackhole gate pins this at exactly 0).  Live while the shard is
@@ -480,37 +471,16 @@ class ResolverCluster(Endpoint):
         except LookupError:
             return None
 
-    def _observe_success(
-        self, index: int, probe: bool, service: float, breached: bool = False
-    ) -> None:
+    def _observe_success(self, index: int, probe: bool) -> None:
         if self.health is None:
             return
-        if probe:
-            if self.health.on_success(index):
-                self._rejoin(index)
-            if self.obs.enabled:
-                self._m_probe.labels(outcome="ok").inc()
-        elif breached:
-            # The shard frontend's own deadline counter moved: count it
-            # as a breach even though the dispatch itself came back.
-            if self.health.on_failure(index, breach=True):
-                self._eject(index)
-        else:
-            # A success can also be a rejoin edge without the local
-            # probe flag: a dispatch that was granted the probe slot by
-            # another lane's plan.  Ring membership must follow the
-            # health state either way, so detect the EJECTED -> HEALTHY
-            # transition rather than trusting the flag alone.
-            was_ejected = (
-                self.health.state_of(index) is ShardHealthState.EJECTED
-            )
-            if self.health.observe_service_time(index, service):
-                self._eject(index)
-            elif was_ejected and (
-                self.health.state_of(index)
-                is not ShardHealthState.EJECTED
-            ):
-                self._rejoin(index)
+        # A success can be a rejoin edge without the local probe flag: a
+        # dispatch that was granted the probe slot by another lane's
+        # plan.  Ring membership follows the health state either way.
+        if self.health.on_success(index):
+            self._rejoin(index)
+        if probe and self.obs.enabled:
+            self._m_probe.labels(outcome="ok").inc()
 
     def _observe_down(self, index: int, probe: bool) -> None:
         if self._shard_chaos is not None:
@@ -556,15 +526,8 @@ class ResolverCluster(Endpoint):
             if self._shard_up(index):
                 if key is not None:
                     self._count_route(index)
-                started = self.clock.now()
-                breaches_before = self._breaches_of(index)
                 result = call(index)
-                self._observe_success(
-                    index,
-                    probe,
-                    self.clock.now() - started,
-                    breached=self._breaches_of(index) > breaches_before,
-                )
+                self._observe_success(index, probe)
                 return result
             self._observe_down(index, probe)
             probe = False

@@ -5,8 +5,8 @@ needs to *notice* the shard is gone, stop sending traffic there, and
 bring it back once it recovers.  :class:`ShardHealthMonitor` is the
 noticing half — a per-shard state machine with exactly the circuit
 breaker's shape, but whose observations are whole-dispatch outcomes
-(the shard answered / the shard was unreachable / the shard blew its
-service deadline) rather than single upstream exchanges:
+(the shard answered / the shard was unreachable) rather than single
+upstream exchanges:
 
 ``HEALTHY``
     Traffic flows; failures are counted.  The first failure moves the
@@ -50,18 +50,12 @@ class ShardHealthState(Enum):
 class ShardHealthConfig:
     """Knobs for one :class:`ShardHealthMonitor`."""
 
-    #: Consecutive dispatch failures (unreachable shard or deadline
-    #: breach) that eject a shard from the ring.
+    #: Consecutive dispatch failures (unreachable shard) that eject a
+    #: shard from the ring.
     failure_threshold: int = 3
     #: Virtual seconds an ejected shard stays out before the half-open
     #: probe is allowed.
     cooldown: float = 30.0
-    #: Service-time ceiling per dispatch, virtual seconds; a dispatch
-    #: slower than this counts as a failure (deadline breach).  ``None``
-    #: disables breach detection — the no-fault differential gates run
-    #: with it off so a legitimately slow resolution can never perturb
-    #: routing.
-    breach_deadline: float | None = None
 
 
 @dataclass
@@ -69,7 +63,6 @@ class ShardHealthStats:
     """Counters across every shard in one monitor."""
 
     failures: int = 0
-    breaches: int = 0
     ejections: int = 0
     recoveries: int = 0
     probes: int = 0
@@ -93,7 +86,7 @@ class ShardHealthMonitor:
     """Per-shard HEALTHY → SUSPECT → EJECTED machine on the virtual clock.
 
     The cluster feeds it one observation per dispatch (``on_success`` /
-    ``on_failure`` / ``observe_service_time``) and asks two questions:
+    ``on_failure``) and asks two questions:
     is this shard ejected, and — if so — may this query be the half-open
     probe.  Return values tell the cluster when ring membership must
     change: ``on_failure`` returns True at the ejection edge,
@@ -178,12 +171,10 @@ class ShardHealthMonitor:
         shard.consecutive_failures = 0
         return False
 
-    def on_failure(self, index: int, *, breach: bool = False) -> bool:
+    def on_failure(self, index: int) -> bool:
         """A dispatch to ``index`` failed.  True at the ejection edge.
 
-        ``breach=True`` marks a deadline breach rather than an
-        unreachable shard; both count toward the consecutive-failure
-        run.  A failure observed while EJECTED with a probe in flight
+        A failure observed while EJECTED with a probe in flight
         is the half-open probe failing: the shard stays out for another
         cooldown.  Without a probe in flight it is a straggler from
         before the ejection — it still restarts the cooldown (fresh
@@ -192,8 +183,6 @@ class ShardHealthMonitor:
         """
         shard = self._shards[index]
         self.stats.failures += 1
-        if breach:
-            self.stats.breaches += 1
         if shard.state is ShardHealthState.EJECTED:
             if shard.probe_inflight:
                 self.stats.probe_failures += 1
@@ -204,18 +193,6 @@ class ShardHealthMonitor:
             self._eject(shard)
             return True
         shard.state = ShardHealthState.SUSPECT
-        return False
-
-    def observe_service_time(self, index: int, service: float) -> bool:
-        """Fold a measured dispatch service time into the machine.
-
-        Returns True when the observation ejected the shard.  With
-        ``breach_deadline`` unset this is exactly ``on_success``.
-        """
-        deadline = self.config.breach_deadline
-        if deadline is not None and service > deadline:
-            return self.on_failure(index, breach=True)
-        self.on_success(index)
         return False
 
     # -- half-open probe -----------------------------------------------------

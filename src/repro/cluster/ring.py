@@ -11,7 +11,7 @@ processes and Python versions (``hash()`` is salted per process and
 would violate the determinism sanitizer's spirit), and cheap enough
 that one route costs a digest plus a bisect.
 
-Each shard contributes ``vnodes`` virtual points (default 150, the
+Each shard contributes ``DEFAULT_VNODES`` virtual points (150, the
 classic libketama density): enough that the largest shard's share of a
 large keyspace stays within a few tens of percent of the mean, which
 the hypothesis property tests in ``tests/test_cluster_ring.py`` bound
@@ -56,12 +56,7 @@ def registered_domain_key(qname: Name | str) -> str:
 class ConsistentHashRing:
     """A sorted ring of (point, shard-id) pairs with virtual nodes."""
 
-    def __init__(
-        self, shard_ids: Iterable[str] = (), vnodes: int = DEFAULT_VNODES
-    ):
-        if vnodes < 1:
-            raise ValueError("vnodes must be >= 1")
-        self.vnodes = int(vnodes)
+    def __init__(self, shard_ids: Iterable[str] = ()):
         self._points: list[tuple[int, str]] = []
         self._shards: set[str] = set()
         for shard_id in shard_ids:
@@ -77,7 +72,7 @@ class ConsistentHashRing:
     def _vnode_points(self, shard_id: str) -> list[tuple[int, str]]:
         return [
             (_point(f"{shard_id}#{index}"), shard_id)
-            for index in range(self.vnodes)
+            for index in range(DEFAULT_VNODES)
         ]
 
     def add_shard(self, shard_id: str) -> None:

@@ -107,6 +107,10 @@ class RecordSource(Protocol):
         ...
 
 
+#: NSEC3 iteration counts above this downgrade the zone to insecure.
+NSEC3_ITERATION_LIMIT = 150
+
+
 @dataclass
 class ValidatorConfig:
     """Per-resolver validation capabilities."""
@@ -117,8 +121,6 @@ class ValidatorConfig:
     )
     #: RSA moduli shorter than this are rejected ("unsupported key size").
     min_rsa_bits: int = 0
-    #: NSEC3 iteration counts above this downgrade the zone to insecure.
-    nsec3_iteration_limit: int = 150
     #: DS rdatas anchoring the root zone.
     trust_anchors: list[DS] = field(default_factory=list)
 
@@ -595,7 +597,7 @@ class Validator:
         hash_algorithm, iterations, salt = next(iter(params))
         if hash_algorithm != 1:
             return ValidationTrace.insecure(FailureReason.ALGO_UNSUPPORTED, zone=zone)
-        if iterations > self.config.nsec3_iteration_limit:
+        if iterations > NSEC3_ITERATION_LIMIT:
             return ValidationTrace.insecure(
                 FailureReason.NSEC3_ITERATIONS_TOO_HIGH, zone=zone
             )

@@ -26,7 +26,7 @@ Two seeds, two roles:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..cluster import ResolverCluster, ShardChaosPolicy
 from ..dns.message import Message
@@ -41,7 +41,6 @@ from ..resolver.iterative import EngineConfig
 from ..resolver.profiles import CLOUDFLARE
 from ..resolver.recursive import RecursiveResolver
 from ..resolver.resilience import (
-    BreakerConfig,
     FrontendConfig,
     ResilienceConfig,
     ResilientFrontend,
@@ -68,6 +67,14 @@ from .scenarios import (
 #: the hot set is drawn from these so the outage phase has stale data
 #: to degrade onto.
 _HOT_ELIGIBLE = (Profile.VALID_UNSIGNED, Profile.VALID_SIGNED)
+#: Clients at ``scale=1.0``; a run's client count is this times ``scale``.
+CLIENTS = 64
+#: Domains in the hot set the Zipf mix favours.
+HOT_SIZE = 8
+#: Resolver-side client deadline budget.  Must stay below the 2 s
+#: upstream timeout (see module docstring) and below every client
+#: class deadline.
+CLIENT_DEADLINE = 1.5
 
 
 @dataclass
@@ -76,7 +83,6 @@ class LoadConfig:
 
     #: Synthetic population size (maps to the 1:k sampling scale).
     target_domains: int = 2000
-    population_seed: int = DEFAULT_SEED
     #: Fixes the whole client workload; the determinism gate never varies it.
     schedule_seed: int = 20230515
     #: Retry-jitter + chaos seed; the determinism gate varies this.
@@ -87,17 +93,6 @@ class LoadConfig:
     #: arrival rate (and therefore its RRL/token-bucket behaviour)
     #: intact while shrinking the population.
     scale: float = 1.0
-    clients: int = 64
-    hot_size: int = 8
-    #: Resolver-side client deadline budget.  Must stay below the 2 s
-    #: upstream timeout (see module docstring) and below every client
-    #: class deadline.
-    client_deadline: float = 1.5
-    breaker: BreakerConfig = field(
-        default_factory=lambda: BreakerConfig(failure_threshold=3, cooldown=30.0)
-    )
-    client_rate: float = 20.0
-    client_burst: float = 40.0
     max_inflight: int = 6
     #: Resolver shards behind the consistent-hash router; 1 keeps the
     #: classic single frontend+resolver world byte-identical.
@@ -126,10 +121,10 @@ class LoadEngine:
     def __init__(self, config: LoadConfig, population: Population | None = None):
         self.config = config
         self.population = population or generate_population(
-            population_config_for(config.target_domains, config.population_seed)
+            population_config_for(config.target_domains, DEFAULT_SEED)
         )
         self.clients = build_clients(
-            max(4, round(config.clients * config.scale)), config.schedule_seed
+            max(4, round(CLIENTS * config.scale)), config.schedule_seed
         )
         self._ranked = [
             domain.name + "." for domain in self.population.tranco_domains()
@@ -152,8 +147,6 @@ class LoadEngine:
         wild = WildInternet(self.population)
         obs = Observability(clock=wild.fabric.clock)
         frontend_config = FrontendConfig(
-            client_rate=self.config.client_rate,
-            client_burst=self.config.client_burst,
             max_inflight=self.config.max_inflight,
             # The engine drives background refreshes itself, after
             # measuring client-visible service time.
@@ -168,10 +161,7 @@ class LoadEngine:
                 shards=shards,
                 validate=False,
                 engine_config=EngineConfig(rng_seed=self.config.jitter_seed),
-                resilience=ResilienceConfig(
-                    breaker=self.config.breaker,
-                    client_deadline=self.config.client_deadline,
-                ),
+                resilience=ResilienceConfig(client_deadline=CLIENT_DEADLINE),
                 cache_config=default_cache_config(),
                 frontend_config=frontend_config,
                 obs=obs,
@@ -184,10 +174,7 @@ class LoadEngine:
             trust_anchors=wild.trust_anchors,
             validate=False,
             engine_config=EngineConfig(rng_seed=self.config.jitter_seed),
-            resilience=ResilienceConfig(
-                breaker=self.config.breaker,
-                client_deadline=self.config.client_deadline,
-            ),
+            resilience=ResilienceConfig(client_deadline=CLIENT_DEADLINE),
             cache_config=default_cache_config(),
             obs=obs,
         )
@@ -202,7 +189,7 @@ class LoadEngine:
             if not wild.server_address_for(domain).startswith("45."):
                 continue
             hot.append(domain)
-            if len(hot) >= self.config.hot_size:
+            if len(hot) >= HOT_SIZE:
                 break
         if not hot:
             raise ValueError("population too small to pick a hot set")

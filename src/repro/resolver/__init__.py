@@ -20,7 +20,7 @@ from .iterative import (
     IterativeEngine,
     QueryBudget,
 )
-from .server_stats import ServerSelectionConfig, ServerStat, ServerStatsBook
+from .server_stats import ServerStat, ServerStatsBook
 from .public import (
     TEN_PUBLIC_RESOLVERS,
     SupportProbe,
@@ -65,7 +65,6 @@ __all__ = [
     "EngineConfig",
     "EngineStats",
     "QueryBudget",
-    "ServerSelectionConfig",
     "ServerStat",
     "ServerStatsBook",
     "ErrorReporter",

@@ -59,14 +59,18 @@ class _ErrorEntry(NamedTuple):
     detail: str = ""
 
 
+#: Upper bound on a negative entry's TTL, seconds.
+NEGATIVE_TTL_CAP = 900.0
+#: How long a failed resolution is remembered, seconds.
+ERROR_TTL = 30.0
+
+
 @dataclass
 class CacheConfig:
     max_entries: int = 100_000
     #: RFC 8767 suggests serving stale data for up to 1-3 days.
     serve_stale: bool = False
     stale_window: float = 86_400.0
-    negative_ttl_cap: float = 900.0
-    error_ttl: float = 30.0
 
 
 def default_cache_config() -> CacheConfig:
@@ -172,7 +176,7 @@ class ResolverCache:
         # RFC 2308 section 5: the negative TTL is the *minimum* of the
         # SOA record's own TTL (what the caller passes) and its MINIMUM
         # field — a zone advertising SOA TTL 3600 but MINIMUM 60 wants
-        # its denials forgotten after a minute.  The configured cap
+        # its denials forgotten after a minute.  ``NEGATIVE_TTL_CAP``
         # still bounds both.
         for rrset in authority:
             if int(rrset.rdtype) == int(RdataType.SOA):
@@ -180,7 +184,7 @@ class ResolverCache:
                     minimum = getattr(rdata, "minimum", None)
                     if minimum is not None:
                         ttl = min(ttl, float(minimum))
-        ttl = min(ttl, self.config.negative_ttl_cap)
+        ttl = min(ttl, NEGATIVE_TTL_CAP)
         expires_at = self._clock.now() + ttl
         self._negative.put(
             (name, int(rdtype)),
@@ -207,7 +211,7 @@ class ResolverCache:
     # -- errors ------------------------------------------------------------------------
 
     def put_error(self, name: Name, rdtype: RdataType, rcode: int, detail: str = "") -> None:
-        expires_at = self._clock.now() + self.config.error_ttl
+        expires_at = self._clock.now() + ERROR_TTL
         self._errors.put(
             (name, int(rdtype)), _ErrorEntry(rcode, expires_at, detail), expires_at
         )

@@ -27,7 +27,7 @@ from ..dnssec.trace import EventRecord, ResolutionEvent
 from ..net.fabric import NetworkFabric, Timeout, TransportError, Unreachable
 from ..obs import NULL_OBS, Observability, TraceEventKind
 from .resilience import BreakerBook, BreakerConfig, DeadlineBudget
-from .server_stats import ServerSelectionConfig, ServerStatsBook
+from .server_stats import ServerStatsBook
 
 
 @dataclass
@@ -46,32 +46,32 @@ class IterationResult:
     failed_zone: Name | None = None
 
 
+#: Seconds one upstream query waits for its reply.
+UPSTREAM_TIMEOUT = 2.0
+#: Referrals one resolution follows before it gives up.
+MAX_REFERRALS = 32
+#: CNAME hops one resolution chases before ITERATION_LIMIT_EXCEEDED.
+MAX_CNAME_CHAIN = 8
+#: Ceiling on one retry's exponential backoff, seconds.
+BACKOFF_MAX = 3.0
+
+
 @dataclass
 class EngineConfig:
     source_ip: str = "198.51.100.1"
-    timeout: float = 2.0
     retries: int = 1
-    max_referrals: int = 32
-    max_cname_chain: int = 8
     max_ns_depth: int = 4
     payload: int = 1232
     #: RFC 9156: expose only one extra label per zone while iterating.
     qname_minimization: bool = False
     #: Exponential backoff between retries to one server: the n-th retry
-    #: waits ``backoff_base * 2**n`` seconds (capped at ``backoff_max``),
+    #: waits ``backoff_base * 2**n`` seconds (capped at ``BACKOFF_MAX``),
     #: spread by ±``backoff_jitter`` to avoid synchronized retry storms.
     backoff_base: float = 0.4
-    backoff_max: float = 3.0
     backoff_jitter: float = 0.25
     #: Unbound-style anti-amplification guard: total upstream queries
     #: one client resolution may spend before it turns into SERVFAIL.
     max_queries_per_resolution: int = 100
-    #: Best-server-first selection from SRTT/lameness memory.  Off by
-    #: default (referral order, the seed behaviour); automatically
-    #: enabled while a chaos policy is installed on the fabric.
-    adaptive_server_selection: bool = False
-    #: Per-server quality-memory knobs (SRTT smoothing, lame TTL).
-    selection: ServerSelectionConfig = field(default_factory=ServerSelectionConfig)
     #: Seed for retry-jitter decisions, so hardened runs replay exactly.
     rng_seed: int = 20230524
     #: Circuit-breaker knobs for the resilience layer.  ``None`` (the
@@ -159,9 +159,7 @@ class IterativeEngine:
         #: config carries no BreakerConfig (the seed behaviour).
         self.breakers = BreakerBook(fabric.clock, self.config.breaker, obs=self.obs)
         self.server_stats = ServerStatsBook(
-            fabric.clock,
-            self.config.selection,
-            listener=self.breakers if self.breakers.enabled else None,
+            fabric.clock, listener=self.breakers if self.breakers.enabled else None
         )
         self.stats = EngineStats()
 
@@ -193,7 +191,7 @@ class IterativeEngine:
         """
         if attempt + 1 >= attempts or self.config.backoff_base <= 0:
             return
-        delay = min(self.config.backoff_max, self.config.backoff_base * (2 ** attempt))
+        delay = min(BACKOFF_MAX, self.config.backoff_base * (2 ** attempt))
         jitter = self.config.backoff_jitter
         if jitter:
             delay *= 1 + jitter * (2 * self.rng.random() - 1)
@@ -389,9 +387,7 @@ class IterativeEngine:
                 self._note_deadline_exhausted(deadline, qname, rdtype, events)
                 return None
             timeout = (
-                self.config.timeout
-                if deadline is None
-                else deadline.clamp(self.config.timeout)
+                UPSTREAM_TIMEOUT if deadline is None else deadline.clamp(UPSTREAM_TIMEOUT)
             )
             msg_id = self._next_id()
             query = Message.make_query(
@@ -483,9 +479,9 @@ class IterativeEngine:
                     raw = self.fabric.send(
                         server, wire, source=self.config.source_ip,
                         timeout=(
-                            self.config.timeout
+                            UPSTREAM_TIMEOUT
                             if deadline is None
-                            else deadline.clamp(self.config.timeout)
+                            else deadline.clamp(UPSTREAM_TIMEOUT)
                         ),
                         transport="tcp",
                     )
@@ -518,12 +514,9 @@ class IterativeEngine:
         return None
 
     def _ordered_servers(self, servers: list[str]) -> list[str]:
-        """Referral order normally; best-server-first when adaptive
-        selection is on (explicitly, or implicitly under chaos)."""
-        adaptive = self.config.adaptive_server_selection or (
-            getattr(self.fabric, "chaos", None) is not None
-        )
-        if not adaptive:
+        """Best-server-first while a chaos policy is installed on the
+        fabric; referral order otherwise."""
+        if getattr(self.fabric, "chaos", None) is None:
             return list(servers)
         return self.server_stats.order(servers)
 
@@ -617,7 +610,7 @@ class IterativeEngine:
         cname_hops = 0
 
         min_extra_labels = 1  # qname-minimization probe depth below the cut
-        for _ in range(self.config.max_referrals):
+        for _ in range(MAX_REFERRALS):
             probe = target
             if (
                 self.config.qname_minimization
@@ -662,7 +655,7 @@ class IterativeEngine:
 
             if cname_rrset is not None:
                 cname_hops += 1
-                if cname_hops > self.config.max_cname_chain:
+                if cname_hops > MAX_CNAME_CHAIN:
                     self._note(events,
                         EventRecord(
                             ResolutionEvent.ITERATION_LIMIT_EXCEEDED,

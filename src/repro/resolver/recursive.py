@@ -42,6 +42,9 @@ from .iterative import EngineConfig, IterativeEngine
 from .profiles import ResolverProfile
 from .resilience import DeadlineBudget, RefreshQueue, ResilienceConfig
 
+#: Background refreshes attempted after each client query.
+REFRESH_PER_QUERY = 1
+
 
 @dataclass
 class ResolverStats:
@@ -175,11 +178,7 @@ class RecursiveResolver(Endpoint):
         self.resilience = resilience
         self._refresh: RefreshQueue | None = None
         if resilience is not None:
-            self._refresh = RefreshQueue(
-                self.clock,
-                capacity=resilience.refresh_capacity,
-                retry_interval=resilience.refresh_retry_interval,
-            )
+            self._refresh = RefreshQueue(self.clock)
         #: Reentrancy guard: a background refresh must not enqueue more
         #: refresh work (or recurse into run_refreshes) when it, too,
         #: can only come up with a stale answer.
@@ -718,7 +717,7 @@ class RecursiveResolver(Endpoint):
         if self._refresh is None or self._refreshing:
             return 0
         if limit is None:
-            limit = self.resilience.refresh_per_query
+            limit = REFRESH_PER_QUERY
         refreshed = 0
         self._refreshing = True
         try:

@@ -353,12 +353,6 @@ class ResilienceConfig:
     #: Client-facing deadline per query, virtual seconds; 0 disables the
     #: budget (breakers and revalidation still apply).
     client_deadline: float = 5.0
-    #: Bounded revalidation queue size.
-    refresh_capacity: int = 256
-    #: Background refreshes attempted after each client query.
-    refresh_per_query: int = 1
-    #: Back-off before re-trying a refresh that still came back stale.
-    refresh_retry_interval: float = 30.0
 
 
 # ---------------------------------------------------------------------------
@@ -420,13 +414,6 @@ class FrontendConfig:
     #: engine) turn this off and call ``resolver.run_refreshes()``
     #: themselves.
     inline_refreshes: bool = True
-    #: Virtual-seconds ceiling on one full-resolution serve; answers
-    #: slower than this count as deadline breaches in
-    #: :class:`FrontendStats` (and feed shard health when the frontend
-    #: sits behind a :class:`~repro.cluster.cluster.ResolverCluster`).
-    #: ``None`` — the default — disables breach accounting, so a
-    #: legitimately slow resolution can never perturb routing.
-    service_deadline: float | None = None
 
 
 #: The closed vocabulary of shed reasons, as exposed on the
@@ -450,8 +437,6 @@ class FrontendStats:
     inflight_sheds: int = 0
     handler_errors: int = 0
     inflight_peak: int = 0
-    #: Answered serves slower than ``FrontendConfig.service_deadline``.
-    deadline_breaches: int = 0
     #: Datagrams answered straight from the rendered-wire cache (each
     #: also counted as the answered or shed query it replays).
     render_hits: int = 0
@@ -473,7 +458,6 @@ class FrontendStats:
             "shed_truncated": self.shed_truncated,
             "handler_errors": self.handler_errors,
             "inflight_peak": self.inflight_peak,
-            "deadline_breaches": self.deadline_breaches,
             "render_hits": self.render_hits,
             "shed_by_reason": {
                 reason: self.shed_by_reason.get(reason, 0)
@@ -581,12 +565,7 @@ class ResilientFrontend(Endpoint):
         self.stats.inflight_peak = max(self.stats.inflight_peak, self._inflight)
         self._m_inflight.set(self._inflight)
 
-    def _answered(self, took: float) -> None:
-        """Count a resolution that answered in ``took`` virtual seconds;
-        one slower than the service deadline is a breach too."""
-        deadline = self.config.service_deadline
-        if deadline is not None and took > deadline:
-            self.stats.deadline_breaches += 1
+    def _answered(self) -> None:
         self.stats.answered += 1
         self._m_responses.labels(outcome="answered").inc()
 
@@ -648,7 +627,7 @@ class ResilientFrontend(Endpoint):
             else:
                 self._in_flight(1)
                 self._in_flight(-1)
-                self._answered(0.0)  # a cache hit takes no virtual time
+                self._answered()
             self.resolver.count_render_hit(hit[1], shed)
             self.stats.render_hits += 1
             return hit[0]
@@ -672,12 +651,11 @@ class ResilientFrontend(Endpoint):
                 self._served_cached()
                 return cached
             self._in_flight(1)
-            started = self._clock.now()
             try:
                 response = self.resolver.handle_query(query, source)
             finally:
                 self._in_flight(-1)
-            self._answered(self._clock.now() - started)
+            self._answered()
             return response
         finally:
             self._drain_refreshes()

@@ -8,11 +8,12 @@ every resolution.  :class:`ServerStatsBook` gives the iterative engine
 the same memory, driven entirely by the virtual clock so hardened runs
 stay deterministic.
 
-Selection is *conservative by default*: servers the book knows nothing
-about keep their referral order (stable sort), so with adaptive
-selection disabled — or on a fault-free fabric where every server
-performs identically on first contact — resolution order is exactly
-the seed behaviour.
+The engine ranks by this book only while a chaos policy is installed
+on the fabric; otherwise it keeps referral order.  The ranking is
+conservative too: servers the book knows nothing about keep their
+referral order (stable sort).
+
+The knobs follow BIND's adb.
 """
 
 from __future__ import annotations
@@ -21,26 +22,21 @@ from dataclasses import dataclass
 
 from ..net.clock import Clock
 
-
-@dataclass
-class ServerSelectionConfig:
-    """Knobs for the quality book (defaults follow BIND's adb)."""
-
-    #: EWMA weight of a new RTT sample: srtt = (1-alpha)*srtt + alpha*rtt.
-    rtt_alpha: float = 0.3
-    #: Optimistic starting SRTT for a never-tried server, seconds.
-    initial_srtt: float = 0.05
-    #: A timeout multiplies the server's SRTT by this factor…
-    timeout_factor: float = 2.0
-    #: …capped here, so one bad streak cannot exile a server forever.
-    srtt_cap: float = 8.0
-    #: How long a lame/dead mark deprioritizes a server, seconds.
-    lame_ttl: float = 900.0
-    #: Idle SRTT decay: every ``decay_interval`` seconds without an
-    #: update, effective SRTT shrinks by ``decay_factor`` so unused
-    #: servers are eventually retried (BIND does the same).
-    decay_interval: float = 30.0
-    decay_factor: float = 0.98
+#: EWMA weight of a new RTT sample: srtt = (1-alpha)*srtt + alpha*rtt.
+RTT_ALPHA = 0.3
+#: Optimistic starting SRTT for a never-tried server, seconds.
+INITIAL_SRTT = 0.05
+#: A timeout multiplies the server's SRTT by this factor…
+TIMEOUT_FACTOR = 2.0
+#: …capped here, so one bad streak cannot exile a server forever.
+SRTT_CAP = 8.0
+#: How long a lame/dead mark deprioritizes a server, seconds.
+LAME_TTL = 900.0
+#: Idle SRTT decay: every ``DECAY_INTERVAL`` seconds without an
+#: update, effective SRTT shrinks by ``DECAY_FACTOR`` so unused
+#: servers are eventually retried (BIND does the same).
+DECAY_INTERVAL = 30.0
+DECAY_FACTOR = 0.98
 
 
 @dataclass
@@ -64,14 +60,8 @@ class ServerStatsBook:
     without the engine calling two books everywhere.
     """
 
-    def __init__(
-        self,
-        clock: Clock,
-        config: ServerSelectionConfig | None = None,
-        listener=None,
-    ):
+    def __init__(self, clock: Clock, listener=None):
         self._clock = clock
-        self.config = config or ServerSelectionConfig()
         self.listener = listener
         self._stats: dict[str, ServerStat] = {}
 
@@ -81,15 +71,14 @@ class ServerStatsBook:
         stat = self._stats.get(server)
         if stat is None:
             stat = ServerStat(
-                srtt=self.config.initial_srtt, last_update=self._clock.now()
+                srtt=INITIAL_SRTT, last_update=self._clock.now()
             )
             self._stats[server] = stat
         return stat
 
     def note_rtt(self, server: str, rtt: float) -> None:
         stat = self._entry(server)
-        alpha = self.config.rtt_alpha
-        stat.srtt = (1 - alpha) * stat.srtt + alpha * max(0.0, rtt)
+        stat.srtt = (1 - RTT_ALPHA) * stat.srtt + RTT_ALPHA * max(0.0, rtt)
         stat.successes += 1
         stat.last_update = self._clock.now()
         if self.listener is not None:
@@ -97,7 +86,7 @@ class ServerStatsBook:
 
     def note_timeout(self, server: str) -> None:
         stat = self._entry(server)
-        stat.srtt = min(self.config.srtt_cap, stat.srtt * self.config.timeout_factor)
+        stat.srtt = min(SRTT_CAP, stat.srtt * TIMEOUT_FACTOR)
         stat.timeouts += 1
         stat.last_update = self._clock.now()
         if self.listener is not None:
@@ -110,7 +99,7 @@ class ServerStatsBook:
         stat.failures += 1
         stat.lame_until = max(
             stat.lame_until,
-            self._clock.now() + (self.config.lame_ttl if duration is None else duration),
+            self._clock.now() + (LAME_TTL if duration is None else duration),
         )
         stat.last_update = self._clock.now()
         if self.listener is not None:
@@ -128,14 +117,14 @@ class ServerStatsBook:
         """SRTT with idle decay applied (never mutates the entry)."""
         stat = self._stats.get(server)
         if stat is None:
-            return self.config.initial_srtt
+            return INITIAL_SRTT
         now = self._clock.now() if now is None else now
         idle = max(0.0, now - stat.last_update)
-        intervals = idle / self.config.decay_interval
+        intervals = idle / DECAY_INTERVAL
         if intervals <= 0:
             return stat.srtt
-        decayed = stat.srtt * (self.config.decay_factor ** intervals)
-        return max(decayed, self.config.initial_srtt * 0.1)
+        decayed = stat.srtt * (DECAY_FACTOR ** intervals)
+        return max(decayed, INITIAL_SRTT * 0.1)
 
     def order(self, servers: list[str], now: float | None = None) -> list[str]:
         """Best-server-first ordering: non-lame before lame, then by

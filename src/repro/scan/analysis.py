@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from ..dns.ede import EdeCode, describe
 from ..dns.rcode import Rcode
-from .population import Population, Profile
+from .population import FIX_COVERAGE, FIX_FRACTION, Population, Profile
 from .scanner import ScanRecord, ScanResult
 
 
@@ -111,7 +111,7 @@ def _nameserver_report(result: ScanResult, population: Population) -> Nameserver
     report.mega_servers = sum(1 for c in counts if c > report.mega_threshold)
 
     if counts and total:
-        target = population.config.fix_coverage
+        target = FIX_COVERAGE
         covered = 0
         for index, count in enumerate(counts, start=1):
             covered += count
@@ -119,7 +119,7 @@ def _nameserver_report(result: ScanResult, population: Population) -> Nameserver
                 report.fix_count_for_81pct = index
                 report.fix_fraction_for_81pct = index / len(counts)
                 break
-        paper_top = max(1, round(population.config.fix_fraction * len(counts)))
+        paper_top = max(1, round(FIX_FRACTION * len(counts)))
         report.coverage_at_paper_fraction = sum(counts[:paper_top]) / total
     return report
 

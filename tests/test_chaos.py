@@ -34,7 +34,7 @@ from repro.resolver.cache import CacheConfig, ResolverCache
 from repro.resolver.iterative import EngineConfig, IterativeEngine
 from repro.resolver.profiles import CLOUDFLARE
 from repro.resolver.recursive import RecursiveResolver
-from repro.resolver.server_stats import ServerSelectionConfig, ServerStatsBook
+from repro.resolver.server_stats import LAME_TTL, ServerStatsBook
 from repro.scan.io import scanned_names
 from repro.scan.population import PopulationConfig, Profile, generate_population
 from repro.scan.scanner import WildScanner
@@ -346,25 +346,24 @@ class TestHardenedEngine:
 
 class TestServerStats:
     def test_order_prefers_fast_then_lame_last(self, clock):
-        book = ServerStatsBook(clock, ServerSelectionConfig())
+        book = ServerStatsBook(clock)
         book.note_rtt("slow", 0.5)
         book.note_rtt("fast", 0.01)
         book.note_lame("lame")
         assert book.order(["lame", "slow", "fast"]) == ["fast", "slow", "lame"]
 
     def test_timeout_penalizes_srtt(self, clock):
-        book = ServerStatsBook(clock, ServerSelectionConfig())
+        book = ServerStatsBook(clock)
         book.note_rtt("a", 0.05)
         before = book.effective_srtt("a")
         book.note_timeout("a")
         assert book.effective_srtt("a") > before
 
     def test_lameness_expires(self, clock):
-        config = ServerSelectionConfig(lame_ttl=900.0)
-        book = ServerStatsBook(clock, config)
+        book = ServerStatsBook(clock)
         book.note_lame("a")
         assert book.is_lame("a")
-        clock.advance(901.0)
+        clock.advance(LAME_TTL + 1.0)
         assert not book.is_lame("a")
 
 

@@ -1,7 +1,6 @@
 """Unit tests for the shard health monitor (PR 4 breaker semantics
 lifted to shard granularity): HEALTHY -> SUSPECT -> EJECTED edges,
-virtual-time cooldown, the single half-open probe slot, and optional
-deadline-breach detection."""
+virtual-time cooldown and the single half-open probe slot."""
 
 from __future__ import annotations
 
@@ -145,28 +144,6 @@ class TestProbe:
     def test_healthy_shard_never_probes(self, clock):
         mon = monitor(clock)
         assert mon.allow_probe(0) is False
-
-
-class TestBreaches:
-    def test_breach_detection_off_by_default(self, clock):
-        mon = monitor(clock, failure_threshold=1)
-        assert mon.observe_service_time(0, 1e9) is False
-        assert mon.state_of(0) is ShardHealthState.HEALTHY
-        assert mon.stats.breaches == 0
-
-    def test_slow_service_counts_as_breach(self, clock):
-        mon = monitor(clock, failure_threshold=2, breach_deadline=5.0)
-        assert mon.observe_service_time(0, 5.1) is False
-        assert mon.state_of(0) is ShardHealthState.SUSPECT
-        assert mon.observe_service_time(0, 6.0) is True  # ejects
-        assert mon.stats.breaches == 2
-        assert mon.stats.failures == 2
-
-    def test_fast_service_is_success(self, clock):
-        mon = monitor(clock, failure_threshold=2, breach_deadline=5.0)
-        mon.on_failure(0)
-        assert mon.observe_service_time(0, 4.9) is False
-        assert mon.state_of(0) is ShardHealthState.HEALTHY
 
 
 class TestSnapshot:

@@ -18,11 +18,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import (
-    DEFAULT_VNODES,
-    ConsistentHashRing,
-    registered_domain_key,
-)
+from repro.cluster import ConsistentHashRing, registered_domain_key
 from repro.dns.name import Name
 
 #: A fixed, reproducible keyspace of registered-domain-shaped keys.
@@ -64,9 +60,7 @@ class TestBalance:
     @given(shard_counts)
     def test_imbalance_bounded_at_default_vnodes(self, shards: int):
         """max/mean load stays under 1.5 at 150 vnodes per shard."""
-        ring = ConsistentHashRing(
-            [f"shard-{i}" for i in range(shards)], vnodes=DEFAULT_VNODES
-        )
+        ring = ConsistentHashRing([f"shard-{i}" for i in range(shards)])
         distribution = ring.distribution(KEYSPACE)
         assert set(distribution) == {f"shard-{i}" for i in range(shards)}
         mean = len(KEYSPACE) / shards

@@ -4,14 +4,16 @@ Unit coverage for the seeded building blocks (client population, Zipf
 mix, on/off arrivals, phase reports) plus the load-bearing end-to-end
 property: every scenario replayed under two retry-jitter seeds produces
 byte-identical phase reports — upstream randomness must never leak into
-client-visible behaviour — and meets its degradation contract, through
-the same ``contract_rows`` the ``serve --drill`` door prints.
+client-visible behaviour — whose SHA-256 is pinned, and meets its
+degradation contract, through the same ``contract_rows`` the
+``serve --drill`` door prints.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+import hashlib
 import json
 import random
 
@@ -30,6 +32,7 @@ from repro.load import (
     percentile,
     render_phase_table,
 )
+from repro.load.engine import CLIENT_DEADLINE
 from repro.load.report import build_phase_report
 from repro.resolver.resilience import SHED_REASONS, FrontendStats
 
@@ -37,6 +40,17 @@ from repro.resolver.resilience import SHED_REASONS, FrontendStats
 TINY = dict(target_domains=200, scale=0.1, workers=2)
 #: The retry-jitter seeds the determinism gate compares.
 JITTER_SEEDS = (1, 20230524)
+#: SHA-256 of ``json.dumps(run, sort_keys=True)`` for each scenario at
+#: ``TINY`` scale.  The jitter-seed comparison cannot see a change that
+#: moves both runs alike; these pin the bytes themselves.
+SCENARIO_DIGESTS = {
+    "flash": "99d1ecb1bae8b69b5573e37bf0a6653dae438449d7e160b19af581d4b381c327",
+    "outage": "1719496e12fa6098e87bc8edcb8638b9bd5ebc505679e23d2c3401da639f11a2",
+    "overload": "d42c5cc29931d057073f6fd3108a5b47d2b3ff75e6eac3a0d6efdd209eab4181",
+    "shard-outage": "981bff32d0f5abbc16c0bef9f92212f5f1123950911db2f4bcd0f5eb5e80f11f",
+    "stampede": "653f83c7d4db9e476391ff9d45f8324b4c72ec08a125706681e6170612220d2f",
+    "steady": "7d5346a90439281636314d00a083554cdf1637e741bc8a8dd2db136799a1dd1f",
+}
 
 
 class TestClients:
@@ -52,9 +66,8 @@ class TestClients:
 
     def test_every_deadline_clears_the_resolver_budget(self):
         # The engine's no-deadline-violations contract relies on this.
-        budget = LoadConfig().client_deadline
         for client in build_clients(64, 20230515):
-            assert client.klass.deadline > budget
+            assert client.klass.deadline > CLIENT_DEADLINE
 
 
 class TestZipfMix:
@@ -220,6 +233,13 @@ def assert_deterministic_and_in_contract(runs: list[dict]) -> None:
     assert rows and all(row["ok"] for row in rows), rows
 
 
+def assert_pinned(name: str, runs: list[dict]) -> None:
+    """Every run of ``name`` reproduces the committed scenario bytes."""
+    for run in runs:
+        digest = hashlib.sha256(json.dumps(run, sort_keys=True).encode()).hexdigest()
+        assert digest == SCENARIO_DIGESTS[name], name
+
+
 class TestEngineEndToEnd:
     @pytest.fixture(scope="class")
     def engine(self):
@@ -254,14 +274,18 @@ class TestEngineEndToEnd:
 
     def test_outage_scenario_identical_across_jitter_seeds(self, replay):
         """The scenario most exposed to retry jitter (timeouts + chaos RNG)."""
-        assert_deterministic_and_in_contract(replay("outage"))
+        runs = replay("outage")
+        assert_deterministic_and_in_contract(runs)
+        assert_pinned("outage", runs)
 
     @pytest.mark.parametrize(
         "name", sorted(set(SCENARIOS) - {"outage", "shard-outage"})
     )
     def test_every_other_scenario_identical_across_jitter_seeds(self, replay, name):
         """Whatever ``SCENARIOS`` holds beside the two named tests."""
-        assert_deterministic_and_in_contract(replay(name))
+        runs = replay(name)
+        assert_deterministic_and_in_contract(runs)
+        assert_pinned(name, runs)
 
     def test_drill_cli_smoke(self, capsys):
         from repro.tools.serve import main
@@ -296,6 +320,7 @@ class TestShardOutageDrill:
 
     def test_shard_outage_scenario_identical_across_jitter_seeds(self, shard_outage_runs):
         assert_deterministic_and_in_contract(shard_outage_runs)
+        assert_pinned("shard-outage", shard_outage_runs)
 
     def test_doctored_report_fails_its_row_and_the_door(
         self, shard_outage, monkeypatch, capsys
