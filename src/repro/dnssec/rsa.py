@@ -305,19 +305,34 @@ def sign(key: RsaPrivateKey, message: bytes, digest_name: str = "sha256") -> byt
     return s.to_bytes(key.byte_length, "big")
 
 
+#: Recovered encoded messages ``s^e mod n``, keyed by ``(n, e, signature)``,
+#: least recently used first.  A Table 4 matrix checks 75 distinct pairs
+#: about 2 000 times; each check still compares against its own message.
+_recovered: dict[tuple[int, int, bytes], bytes] = {}
+_RECOVERED_MAX = 1024
+
+
 def verify(
     key: RsaPublicKey, message: bytes, signature: bytes, digest_name: str = "sha256"
 ) -> bool:
-    """Verify an RSASSA-PKCS1-v1_5 signature; never raises on bad input."""
-    if len(signature) != key.byte_length:
+    """Verify an RSASSA-PKCS1-v1_5 signature; never raises on bad input.
+
+    The public operation is a pure function of ``(key, signature)`` and is
+    remembered in :data:`_recovered`; the encoding of ``message`` under
+    ``digest_name`` is computed and compared on every call."""
+    em_len = key.byte_length
+    if len(signature) != em_len:
         return False
     try:
         s = int.from_bytes(signature, "big")
         if s >= key.n:
             return False
-        m = pow(s, key.e, key.n)
-        em = m.to_bytes(key.byte_length, "big")
-        expected = _emsa_pkcs1_v15(digest_name, message, key.byte_length)
+        pair = (key.n, key.e, signature)
+        em = _recovered.pop(pair, None) or pow(s, key.e, key.n).to_bytes(em_len, "big")
+        _recovered[pair] = em
+        if len(_recovered) > _RECOVERED_MAX:
+            _recovered.pop(next(iter(_recovered)), None)
+        expected = _emsa_pkcs1_v15(digest_name, message, em_len)
     except (ValueError, KeyError):
         return False
     return em == expected

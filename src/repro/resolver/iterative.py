@@ -26,6 +26,7 @@ from ..dns.types import RdataType
 from ..dnssec.trace import EventRecord, ResolutionEvent
 from ..net.fabric import NetworkFabric, Timeout, TransportError, Unreachable
 from ..obs import NULL_OBS, Observability, TraceEventKind
+from .error_reporting import REPORT_CHANNEL, ReportChannelOption
 from .resilience import BreakerBook, BreakerConfig, DeadlineBudget
 from .server_stats import ServerStatsBook
 
@@ -537,7 +538,8 @@ class IterativeEngine:
         the caller falls straight through to serve-stale instead of
         re-timing-out the same dead delegation.
         """
-        zone_key = f"zone/{zone}"
+        # A disabled book drops every key, so none is formatted for it.
+        zone_key = f"zone/{zone}" if self.breakers.enabled else ""
         if not self.breakers.allow(zone_key):
             self.stats.breaker_skips += 1
             self._m_breaker_skips.inc()
@@ -565,8 +567,6 @@ class IterativeEngine:
             if response is not None:
                 self.breakers.on_success(zone_key)
                 if response.edns is not None:
-                    from .error_reporting import REPORT_CHANNEL, ReportChannelOption
-
                     option = response.edns.option(REPORT_CHANNEL)
                     if isinstance(option, ReportChannelOption):
                         self.report_channels[zone] = option.agent_domain

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dnssec import rsa
+from repro.dnssec.keys import verify_signature
 
 from .rsa_oracle import is_probable_prime as reference_is_probable_prime
+from .rsa_oracle import served_rsa_checks
 
 
 @pytest.fixture(scope="module")
@@ -268,3 +270,81 @@ def test_property_bitflip_breaks_signature(message, position):
     signature = bytearray(rsa.sign(key, message))
     signature[position % len(signature)] ^= 0x80
     assert not rsa.verify(key.public, message, bytes(signature))
+
+
+class TestRecoveredMemo:
+    """``verify`` remembers ``s^e mod n`` per (key, signature) and still
+    encodes and compares the message on every call: the memo holds
+    arithmetic, never a verdict, and no verdict can tell it is there."""
+
+    @pytest.fixture
+    def memo(self, monkeypatch):
+        memo: dict = {}
+        monkeypatch.setattr(rsa, "_recovered", memo)
+        return memo
+
+    def test_a_remembered_signature_is_checked_against_each_message(self, key, memo):
+        signature = rsa.sign(key, b"msg")
+        assert rsa.verify(key.public, b"msg", signature)
+        assert len(memo) == 1
+        assert not rsa.verify(key.public, b"msh", signature)
+        assert not rsa.verify(key.public, b"msg", signature, digest_name="sha1")
+        assert rsa.verify(key.public, b"msg", signature)
+        assert len(memo) == 1
+
+    def test_the_memo_holds_at_most_its_cap(self, key, memo):
+        public = key.public
+        signatures = [
+            (index + 2).to_bytes(key.byte_length, "big")
+            for index in range(rsa._RECOVERED_MAX + 1)
+        ]
+        for signature in signatures:
+            assert not rsa.verify(public, b"m", signature)
+        assert len(memo) == rsa._RECOVERED_MAX
+        # The least recently used pair went first.
+        assert (public.n, public.e, signatures[0]) not in memo
+        assert (public.n, public.e, signatures[-1]) in memo
+
+    def test_a_matrix_computes_each_public_operation_once(
+        self, memo, monkeypatch, sanitizer_if_requested
+    ):
+        """The 63×7 matrix makes 2 009 RSA checks over 75 distinct
+        (key, signature) pairs: 75 exponentiations."""
+        from repro.testbed.infra import build_testbed
+        from repro.testbed.runner import run_matrix
+
+        testbed = build_testbed()
+        public_operations = []
+
+        def counting_pow(base, exp, mod=None):
+            if exp == 65537:
+                public_operations.append((base, mod))
+            return pow(base, exp, mod)
+
+        monkeypatch.setattr(rsa, "pow", counting_pow, raising=False)
+        with sanitizer_if_requested():
+            run_matrix(testbed)
+        assert len(public_operations) == len(set(public_operations)) == 75
+        assert len(memo) == 75
+
+    def test_every_served_verdict_is_the_cold_one(self, memo, testbed_checks):
+        """Every RSA RRSIG the testbed serves, against every key of its
+        algorithm at its apex: the same verdicts with the memo cleared
+        before each call as with it filling and then full."""
+        cold = []
+        for dnskey, message, signature in testbed_checks:
+            memo.clear()
+            cold.append(verify_signature(dnskey, message, signature))
+        memo.clear()
+        filling = [verify_signature(*check) for check in testbed_checks]
+        full = [verify_signature(*check) for check in testbed_checks]
+        assert cold == filling == full
+        assert sorted(set(cold)) == [False, True]
+
+
+@pytest.fixture(scope="module")
+def testbed_checks():
+    from repro.testbed.infra import build_testbed
+
+    checks, _uncovered = served_rsa_checks(build_testbed().fabric)
+    return checks
