@@ -349,7 +349,9 @@ _TC_SHEDS = (
 def _read_section(
     reader: WireReader, count: int, message: Message, is_additional: bool
 ) -> list[RRset]:
-    rrsets: list[RRset] = []
+    # (owner, TYPE, CLASS) -> [rdtype, rdclass, ttl, rdatas], in order
+    # of first appearance; each group becomes one RRset at the end.
+    groups: dict[tuple[Name, int, int], list] = {}
     for _ in range(count):
         name = reader.read_name()
         rdtype_value = reader.read_u16()
@@ -369,27 +371,20 @@ def _read_section(
         except ValueError:
             rdtype = rdtype_value  # type: ignore[assignment]
         rdata = Rdata.parse(rdtype, reader, rdlength)
-        for rrset in rrsets:
-            if (
-                rrset.name == name
-                and int(rrset.rdtype) == int(rdtype)
-                and int(rrset.rdclass) == rdclass_value
-            ):
-                rrset.add(rdata)
-                rrset.ttl = min(rrset.ttl, ttl)
-                break
-        else:
+        key = (name, rdtype_value, rdclass_value)
+        group = groups.get(key)
+        if group is None:
             try:
                 rdclass = RdataClass(rdclass_value)
             except ValueError as exc:
                 raise FormError(f"unknown RR class {rdclass_value}") from exc
-            rrsets.append(
-                RRset(
-                    name=name,
-                    rdtype=rdtype if isinstance(rdtype, RdataType) else RdataType.NONE,
-                    ttl=ttl,
-                    rdclass=rdclass,
-                    rdatas=[rdata],
-                )
-            )
-    return rrsets
+            groups[key] = [rdtype, rdclass, ttl, [rdata]]
+        else:
+            # RFC 2181 section 5.2: an RRset's TTLs should agree; the
+            # set keeps the least of them.
+            group[2] = min(group[2], ttl)
+            group[3].append(rdata)
+    return [
+        RRset(name, rdtype, ttl, rdclass, tuple(dict.fromkeys(rdatas)))
+        for (name, _, _), (rdtype, rdclass, ttl, rdatas) in groups.items()
+    ]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .name import Name
@@ -11,19 +11,26 @@ from .types import RdataClass, RdataType
 from .wire import WireWriter
 
 
-@dataclass
+@dataclass(frozen=True)
 class RRset:
     """An RRset in the RFC 2181 sense.
 
-    Rdatas keep insertion order but compare as sets; duplicates are
-    silently ignored on add, matching server behaviour.
+    Immutable, like the names and rdatas it holds: a served, cached or
+    fetched RRset is shared, never copied, because nothing can write
+    it.  Rdatas keep the order they were given in; :meth:`of` drops
+    duplicates, matching server behaviour.  ``rdtype`` is the bare wire
+    value for a type without an :class:`RdataType` member (RFC 3597).
     """
 
     name: Name
     rdtype: RdataType
     ttl: int = 300
     rdclass: RdataClass = RdataClass.IN
-    rdatas: list[Rdata] = field(default_factory=list)
+    rdatas: tuple[Rdata, ...] = ()
+
+    def __post_init__(self) -> None:
+        if type(self.rdatas) is not tuple:
+            object.__setattr__(self, "rdatas", tuple(self.rdatas))
 
     @classmethod
     def of(
@@ -34,17 +41,13 @@ class RRset:
         ttl: int = 300,
         rdclass: RdataClass = RdataClass.IN,
     ) -> "RRset":
-        rrset = cls(name=name, rdtype=rdtype, ttl=ttl, rdclass=rdclass)
-        for rdata in rdatas:
-            rrset.add(rdata)
-        return rrset
+        return cls(name, rdtype, ttl, rdclass, tuple(dict.fromkeys(rdatas)))
 
-    def add(self, rdata: Rdata) -> None:
-        if rdata not in self.rdatas:
-            self.rdatas.append(rdata)
-
-    def key(self) -> tuple[Name, RdataClass, RdataType]:
-        return (self.name, self.rdclass, self.rdtype)
+    def with_ttl(self, ttl: int) -> "RRset":
+        """This RRset served with ``ttl``: itself when the TTL is its own."""
+        if ttl == self.ttl:
+            return self
+        return RRset(self.name, self.rdtype, ttl, self.rdclass, self.rdatas)
 
     def __iter__(self) -> Iterator[Rdata]:
         return iter(self.rdatas)
@@ -57,22 +60,6 @@ class RRset:
 
     def match(self, name: Name, rdtype: RdataType, rdclass: RdataClass = RdataClass.IN) -> bool:
         return self.name == name and self.rdtype == rdtype and self.rdclass == rdclass
-
-    def same_rrset(self, other: "RRset") -> bool:
-        """Equal owner/class/type and equal rdata *sets* (TTL ignored)."""
-        return (
-            self.key() == other.key()
-            and frozenset(self.rdatas) == frozenset(other.rdatas)
-        )
-
-    def copy(self, ttl: int | None = None) -> "RRset":
-        return RRset(
-            name=self.name,
-            rdtype=self.rdtype,
-            ttl=self.ttl if ttl is None else ttl,
-            rdclass=self.rdclass,
-            rdatas=list(self.rdatas),
-        )
 
     # -- wire --------------------------------------------------------------
 
@@ -95,8 +82,11 @@ class RRset:
         return sorted(rdata.to_wire(canonical=True) for rdata in self.rdatas)
 
     def to_text(self) -> str:
+        rdtype = self.rdtype
+        if not isinstance(rdtype, RdataType):
+            rdtype = f"TYPE{rdtype}"  # RFC 3597 section 5
         lines = [
-            f"{self.name} {self.ttl} {self.rdclass} {self.rdtype} {rdata.to_text()}"
+            f"{self.name} {self.ttl} {self.rdclass} {rdtype} {rdata.to_text()}"
             for rdata in self.rdatas
         ]
         return "\n".join(lines)

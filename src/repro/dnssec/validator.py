@@ -14,7 +14,7 @@ trivially testable against in-memory zones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Protocol
 
 from ..dns.dnssec_records import DNSKEY, DS, NSEC3, NSEC3PARAM, RRSIG
@@ -514,8 +514,7 @@ class Validator:
                 # wildcard; verify against the reconstructed wildcard owner.
                 _prefix, suffix = rrset.name.split(sig.labels + 1)
                 wildcard_owner = suffix.prepend(b"*")
-                candidate = rrset.copy()
-                candidate.name = wildcard_owner
+                candidate = replace(rrset, name=wildcard_owner)
             data = signed_data(candidate, sig)
             if verify_signature(entry.dnskey, data, sig.signature):
                 return None

@@ -73,10 +73,10 @@ class TtlStore:
             self._drop_expired(key)
         return None
 
-    def holds(self, key, value) -> bool:
-        """Whether ``key``'s entry, fresh or not, is the ``value`` put."""
-        entry = self._entries.get(key)
-        return entry is not None and entry[0] is value
+    def entry(self, key):
+        """``key``'s entry, fresh or not, as ``put`` made it, or None.
+        Each ``put`` makes a new one, so identity tells a re-put apart."""
+        return self._entries.get(key)
 
     def stale(self, key):
         """The entry while inside its stale window, else None."""

@@ -117,7 +117,7 @@ class ResolverCache:
 
     def put_rrset(self, rrset: RRset) -> None:
         self._positive.put(
-            (rrset.name, int(rrset.rdtype)), rrset.copy(), self._clock.now() + rrset.ttl
+            (rrset.name, int(rrset.rdtype)), rrset, self._clock.now() + rrset.ttl
         )
         self._stats.insertions += 1
 
@@ -128,36 +128,35 @@ class ResolverCache:
             self._stats.misses += 1
             return None
         self._stats.hits += 1
-        return entry[0].copy(ttl=remaining_ttl(entry[1], self._clock.now()))
+        return entry[0].with_ttl(remaining_ttl(entry[1], self._clock.now()))
 
-    def positive_entry(self, name: Name, rdtype: RdataType) -> tuple[RRset, float] | None:
-        """A fresh positive entry as stored — the RRset and its
-        fractional expiry — or None.
+    def entry(self, kind: str, key: tuple[Name, int]) -> tuple | None:
+        """The ``kind`` store's ``(value, expires_at, owner)`` entry for
+        ``key`` as ``put`` made it, or None.  No stats: the rendered-wire
+        cache keeps the entry a hit was served from, so per-hit TTL
+        patches count down from the exact fractional expiry."""
+        if kind == "positive":
+            return self._positive.entry(key)
+        if kind == "negative":
+            return self._negative.entry(key)
+        return self._errors.entry(key)
 
-        No stats: the rendered-wire cache uses it to record the exact
-        ``expires_at`` a hit was served against, so per-hit TTL patches
-        reproduce ``get_rrset``'s remaining TTL byte-for-byte.
-        """
-        entry = self._positive.fresh((name, int(rdtype)))
-        return entry[:2] if entry is not None else None
-
-    def answers_from(self, kind: str, key: tuple[Name, int], value) -> bool:
-        """Whether a lookup of ``key`` — ``(name, int(rdtype))`` — in the
-        resolver's probe order (errors, positive, negative) would be
-        answered from ``value``, the entry a ``kind`` hit was served from,
-        as long as that entry lives.
+    def answers_from(self, kind: str, key: tuple[Name, int], entry: tuple) -> bool:
+        """Whether a lookup of ``key`` in the resolver's probe order
+        (errors, positive, negative) would be answered from ``entry``,
+        the entry a ``kind`` hit was served from, as long as it lives.
 
         No stats: the rendered-wire cache asks before it replays a hit,
-        so a reply is never served after its entry was replaced, evicted
-        or shadowed by one probed before it.
+        so a reply is never served after its entry was put again (even
+        with the same RRset), evicted or shadowed by one probed before it.
         """
         if kind == "error":
-            return self._errors.holds(key, value)
+            return self._errors.entry(key) is entry
         if self._errors.fresh(key) is not None:
             return False
         if kind == "positive":
-            return self._positive.holds(key, value)
-        return self._positive.fresh(key) is None and self._negative.holds(key, value)
+            return self._positive.entry(key) is entry
+        return self._positive.fresh(key) is None and self._negative.entry(key) is entry
 
     def get_stale_rrset(self, name: Name, rdtype: RdataType) -> RRset | None:
         """Expired-but-retained entry for serve-stale, or None."""
@@ -166,7 +165,7 @@ class ResolverCache:
             return None
         self._stats.stale_hits += 1
         # RFC 8767: serve stale data with a TTL of 30 seconds.
-        return entry[0].copy(ttl=STALE_TTL)
+        return entry[0].with_ttl(STALE_TTL)
 
     # -- negative -------------------------------------------------------------------
 
@@ -188,7 +187,7 @@ class ResolverCache:
         expires_at = self._clock.now() + ttl
         self._negative.put(
             (name, int(rdtype)),
-            _NegativeEntry(rcode, [rrset.copy() for rrset in authority], expires_at),
+            _NegativeEntry(rcode, list(authority), expires_at),
             expires_at,
         )
 

@@ -153,8 +153,8 @@ class ForwardingResolver(Endpoint):
         self.stats.forwarded += 1
         response = query.make_response()
         response.rcode = upstream_response.rcode
-        response.answer = [r.copy() for r in upstream_response.answer]
-        response.authority = [r.copy() for r in upstream_response.authority]
+        response.answer = list(upstream_response.answer)
+        response.authority = list(upstream_response.authority)
         for option in upstream_response.extended_errors:
             text = option.extra_text
             if self.annotate_forwarded:

@@ -668,7 +668,7 @@ class IterativeEngine:
                 self._note(events,
                     EventRecord(ResolutionEvent.CNAME_CHASED, qname=target)
                 )
-                chained_answers.extend(rrset.copy() for rrset in response.answer)
+                chained_answers.extend(response.answer)
                 rdata = cname_rrset.rdatas[0]
                 assert isinstance(rdata, CNAME)
                 target = rdata.target

@@ -91,7 +91,7 @@ class _Rendered(NamedTuple):
 
     kind: str
     key: tuple[Name, int]
-    entry: object
+    entry: tuple  # (value, expires_at, owner), as the cache's ``put`` made it
     rcode: str
     ede_codes: tuple[str, ...]
 
@@ -385,7 +385,8 @@ class RecursiveResolver(Endpoint):
         if plan is None:
             return
         self._render_tls.plan = None
-        kind, key, entry, expires_at = plan
+        kind, key, entry = plan
+        expires_at = entry[1]
         ede_codes = tuple(str(int(option.info_code)) for option in reply.extended_errors)
         if ede_codes and self.reporter is not None:
             return
@@ -434,9 +435,12 @@ class RecursiveResolver(Endpoint):
             self._m_ede.labels(profile=label, code=code).inc()
         self._m_latency.labels(profile=label).observe(0.0)  # a hit takes no virtual time
 
-    def _render_note(self, kind: str, qname: Name, rdtype, entry, expires_at: float) -> None:
-        """Record that the outcome being built came from a cache hit."""
-        self._render_tls.plan = (kind, (qname, int(rdtype)), entry, expires_at)
+    def _render_note(self, kind: str, qname: Name, rdtype) -> None:
+        """Record that the outcome being built came from a ``kind``
+        cache hit, and the entry it was served from."""
+        key = (qname, int(rdtype))
+        entry = self.cache.entry(kind, key)
+        self._render_tls.plan = (kind, key, entry)
 
     # -- resolution pipeline ------------------------------------------------------------
 
@@ -515,7 +519,7 @@ class RecursiveResolver(Endpoint):
             outcome.events.append(record)
             outcome.validation = ValidationTrace.insecure()
             self._note_cache_hit("error", record)
-            self._render_note("error", qname, rdtype, error, error.expires_at)
+            self._render_note("error", qname, rdtype)
             return outcome
 
         cached = self.cache.get_rrset(qname, rdtype)
@@ -526,20 +530,19 @@ class RecursiveResolver(Endpoint):
             outcome.from_cache = True
             outcome.validation = ValidationTrace.insecure()
             self._note_cache_hit("positive")
-            stored, expires_at = self.cache.positive_entry(qname, rdtype)
             # Keyed by the stored RRset's own name: the store's key holds
             # that object, so the render guard's lookup compares by identity.
-            self._render_note("positive", stored.name, rdtype, stored, expires_at)
+            self._render_note("positive", cached.name, rdtype)
             return outcome
         negative = self.cache.get_negative(qname, rdtype)
         if negative is not None:
             outcome = ResolutionOutcome()
             outcome.rcode = negative.rcode
-            outcome.authority_rrsets = [r.copy() for r in negative.authority]
+            outcome.authority_rrsets = list(negative.authority)
             outcome.from_cache = True
             outcome.validation = ValidationTrace.insecure()
             self._note_cache_hit("negative")
-            self._render_note("negative", qname, rdtype, negative, negative.expires_at)
+            self._render_note("negative", qname, rdtype)
             return outcome
         return None
 
@@ -680,7 +683,7 @@ class RecursiveResolver(Endpoint):
             # RFC 8767's 30-second stale TTL applies to the SOA (and the
             # rest of the authority section) of stale negatives too.
             outcome.authority_rrsets = [
-                r.copy(ttl=min(int(r.ttl), STALE_TTL)) for r in negative.authority
+                r.with_ttl(min(int(r.ttl), STALE_TTL)) for r in negative.authority
             ]
             outcome.stale = True
             event = (
@@ -789,11 +792,11 @@ class RecursiveResolver(Endpoint):
         for rrset in outcome.answer_rrsets:
             if rrset.rdtype == RdataType.RRSIG and not dnssec_ok:
                 continue
-            response.answer.append(rrset.copy())
+            response.answer.append(rrset)
         for rrset in outcome.authority_rrsets:
             if rrset.rdtype in (RdataType.RRSIG, RdataType.NSEC, RdataType.NSEC3) and not dnssec_ok:
                 continue
-            response.authority.append(rrset.copy())
+            response.authority.append(rrset)
         if outcome.validation.state is ValidationState.SECURE and not query.cd:
             response.ad = True
         for emission in self.policy.emissions(outcome):
@@ -873,8 +876,8 @@ class RecursiveResolver(Endpoint):
                 result = FetchResult(
                     ok=True,
                     rcode=response.rcode,
-                    answer=[r.copy() for r in response.answer],
-                    authority=[r.copy() for r in response.authority],
+                    answer=list(response.answer),
+                    authority=list(response.authority),
                     events=events,
                 )
             self._infra_cache.put(key, result, now + self._infra_ttl)

@@ -62,7 +62,7 @@ def axfr(
 
     zone = Zone(zone_name)
     for rrset in response.answer:
-        zone.add(rrset.copy())
+        zone.add(rrset)
     return zone
 
 

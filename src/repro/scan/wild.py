@@ -218,19 +218,19 @@ class VirtualTldServer(Endpoint):
         response = query.make_response(recursion_available=False)
         response.aa = True
         soa = self.apex_zone.find(self.origin, RdataType.SOA)
-        response.answer.append(soa.copy())
+        response.answer.append(soa)
         for rrset in self.apex_zone.all_rrsets():
             if rrset.rdtype in (RdataType.SOA, RdataType.NSEC3, RdataType.RRSIG):
                 continue
-            response.answer.append(rrset.copy())
+            response.answer.append(rrset)
         for domain in self.wild.population.domains:
             if domain.tld != self.tld:
                 continue
             delegation = self.wild.delegation_for(domain)
-            response.answer.append(delegation.ns.copy())
+            response.answer.append(delegation.ns)
             if delegation.ds is not None:
-                response.answer.append(delegation.ds.copy())
-        response.answer.append(soa.copy())
+                response.answer.append(delegation.ds)
+        response.answer.append(soa)
         return response
 
     def handle_query(self, query: Message, source: str = "192.0.2.0") -> Message:
@@ -259,10 +259,10 @@ class VirtualTldServer(Endpoint):
             return response
 
         # Referral to the child.
-        response.authority.append(delegation.ns.copy())
+        response.authority.append(delegation.ns)
         if not self._add_ds(response.authority, delegation, dnssec_ok) and dnssec_ok:
             self._add_optout_denial(response)
-        response.additional.extend(glue.copy() for glue in delegation.glue)
+        response.additional.extend(delegation.glue)
         return response
 
     # -- helpers ---------------------------------------------------------------------
@@ -275,7 +275,7 @@ class VirtualTldServer(Endpoint):
         ds_rrset = delegation.ds
         if ds_rrset is None:
             return False
-        section.append(ds_rrset.copy())
+        section.append(ds_rrset)
         if dnssec_ok:
             assert delegation.ds_sig is not None
             section.append(
@@ -299,11 +299,11 @@ class VirtualTldServer(Endpoint):
         response.aa = True
         rrset = self.apex_zone.find(qname, rdtype)
         if rrset is not None:
-            response.answer.append(rrset.copy())
+            response.answer.append(rrset)
             if dnssec_ok:
                 sigs = self.apex_zone.rrsigs_for(qname, rdtype)
                 if sigs is not None:
-                    response.answer.append(sigs.copy())
+                    response.answer.append(sigs)
         else:
             self._add_negative(response, dnssec_ok)
         return response
@@ -311,11 +311,11 @@ class VirtualTldServer(Endpoint):
     def _add_negative(self, response: Message, dnssec_ok: bool) -> None:
         soa = self.apex_zone.find(self.origin, RdataType.SOA)
         if soa is not None:
-            response.authority.append(soa.copy())
+            response.authority.append(soa)
             if dnssec_ok:
                 sigs = self.apex_zone.rrsigs_for(self.origin, RdataType.SOA)
                 if sigs is not None:
-                    response.authority.append(sigs.copy())
+                    response.authority.append(sigs)
         if dnssec_ok:
             self._add_optout_denial(response)
 
@@ -337,7 +337,7 @@ class VirtualTldServer(Endpoint):
 
     def _add_optout_denial(self, response: Message) -> None:
         slot = self._optout
-        response.authority.append(slot.rrset.copy())
+        response.authority.append(slot.rrset)
         if not self.broken_denial:
             response.authority.append(
                 RRset.of(slot.rrset.name, RdataType.RRSIG, slot.made(), ttl=300)

@@ -10,7 +10,7 @@ answers…) used by the wild-scan tier live in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..dns.message import Message
 from ..dns.name import Name
@@ -91,12 +91,12 @@ class AuthoritativeServer(Endpoint):
             return self._reply(query, Rcode.SERVFAIL)
         response = query.make_response(recursion_available=False)
         response.aa = True
-        response.answer.append(soa.copy())
+        response.answer.append(soa)
         for rrset in zone.all_rrsets():
             if rrset.rdtype == RdataType.SOA:
                 continue
-            response.answer.append(rrset.copy())
-        response.answer.append(soa.copy())
+            response.answer.append(rrset)
+        response.answer.append(soa)
         return response
 
     def handle_query(self, query: Message, source: str = "192.0.2.0") -> Message | None:
@@ -131,7 +131,7 @@ class AuthoritativeServer(Endpoint):
 
         if result.status in (LookupStatus.ANSWER, LookupStatus.CNAME):
             for rrset in result.rrsets:
-                response.answer.append(rrset.copy())
+                response.answer.append(rrset)
                 if dnssec_ok:
                     sigs = zone.rrsigs_for(rrset.name, rrset.rdtype)
                     if sigs is None and result.node_name is not None:
@@ -140,26 +140,24 @@ class AuthoritativeServer(Endpoint):
                         # labels field betrays the expansion (RFC 4035).
                         sigs = zone.rrsigs_for(result.node_name, rrset.rdtype)
                         if sigs is not None:
-                            sigs = sigs.copy()
-                            sigs.name = rrset.name
+                            sigs = replace(sigs, name=rrset.name)
                     if sigs is not None:
-                        response.answer.append(sigs.copy())
+                        response.answer.append(sigs)
             return response
 
         # Negative answers
         soa = zone.find(zone.origin, RdataType.SOA)
         if soa is not None:
-            response.authority.append(soa.copy())
+            response.authority.append(soa)
             if dnssec_ok:
                 sigs = zone.rrsigs_for(zone.origin, RdataType.SOA)
                 if sigs is not None:
-                    response.authority.append(sigs.copy())
+                    response.authority.append(sigs)
         if result.status is LookupStatus.NXDOMAIN:
             self.stats.nxdomain += 1
             response.rcode = Rcode.NXDOMAIN
         if dnssec_ok:
-            for rrset in zone.denial_rrsets(qname):
-                response.authority.append(rrset.copy())
+            response.authority.extend(zone.denial_rrsets(qname))
         return response
 
     # -- helpers -------------------------------------------------------------------------
@@ -171,19 +169,18 @@ class AuthoritativeServer(Endpoint):
             return
         ns = zone.find(cut, RdataType.NS)
         if ns is not None:
-            response.authority.append(ns.copy())
+            response.authority.append(ns)
             self._add_glue(response, zone, ns)
         ds = zone.find(cut, RdataType.DS)
         if ds is not None:
-            response.authority.append(ds.copy())
+            response.authority.append(ds)
             if dnssec_ok:
                 sigs = zone.rrsigs_for(cut, RdataType.DS)
                 if sigs is not None:
-                    response.authority.append(sigs.copy())
+                    response.authority.append(sigs)
         elif dnssec_ok:
             # Prove the delegation is unsigned (insecure referral proof).
-            for rrset in zone.denial_rrsets(cut):
-                response.authority.append(rrset.copy())
+            response.authority.extend(zone.denial_rrsets(cut))
 
     def _add_glue(self, response: Message, zone: Zone, ns_rrset: RRset) -> None:
         from ..dns.rdata import NS as NsRdata
@@ -197,4 +194,4 @@ class AuthoritativeServer(Endpoint):
             for glue_type in (RdataType.A, RdataType.AAAA):
                 glue = zone.find(target, glue_type)
                 if glue is not None:
-                    response.additional.append(glue.copy())
+                    response.additional.append(glue)

@@ -17,7 +17,7 @@ from ..dns.dnssec_records import NSEC, NSEC3, RRSIG
 from ..dns.name import Name
 from ..dns.rdata import CNAME, Rdata
 from ..dns.rrset import RRset
-from ..dns.types import RdataType
+from ..dns.types import RdataClass, RdataType
 from ..dnssec.nsec3 import base32hex_decode, base32hex_encode, hash_covers, nsec3_hash
 from ..dnssec.signer import SignatureSlot
 
@@ -61,24 +61,26 @@ class SignatureSet(RRset):
     them, each either made or still a :class:`SignatureSlot`.  Reading
     :attr:`rdatas` makes every one of them (a transfer, a lint, a dump);
     :meth:`covering` makes only those over one type (a served answer).
-    A made signature replaces its slot in ``items``.
+    A made signature replaces its slot in ``items``.  That is the set's
+    only change, and no reader can see it: a slot stands for exactly
+    the signature it makes, so the set is as immutable as any
+    :class:`RRset` and is shared the same way.
     """
 
     def __init__(self, name: Name, items: list[RRSIG | SignatureSlot], ttl: int = 300):
-        super().__init__(name=name, rdtype=RdataType.RRSIG, ttl=ttl)
-        self.items = items
+        for attr, value in (
+            ("name", name), ("rdtype", RdataType.RRSIG), ("ttl", ttl),
+            ("rdclass", RdataClass.IN), ("items", items),
+        ):
+            object.__setattr__(self, attr, value)
 
     @property  # type: ignore[override]
-    def rdatas(self) -> list[Rdata]:
+    def rdatas(self) -> tuple[Rdata, ...]:
         items = self.items
         for index, item in enumerate(items):
             if isinstance(item, SignatureSlot):
                 items[index] = item.made()
-        return items  # type: ignore[return-value]
-
-    @rdatas.setter
-    def rdatas(self, rdatas: list[Rdata]) -> None:
-        self.items = rdatas  # type: ignore[assignment]
+        return tuple(items)  # type: ignore[arg-type]
 
     def covering(self, covered: RdataType) -> list[RRSIG]:
         """The signatures over ``covered``, made if they were not."""
@@ -117,11 +119,12 @@ class Zone:
             raise ValueError(f"{rrset.name} is outside zone {self.origin}")
         node = self._nodes.setdefault(rrset.name, {})
         existing = node.get(int(rrset.rdtype))
-        if existing is None:
-            node[int(rrset.rdtype)] = rrset.copy()
-        else:
-            for rdata in rrset.rdatas:
-                existing.add(rdata)
+        if existing is not None:
+            rrset = RRset.of(
+                existing.name, existing.rdtype, *existing.rdatas, *rrset.rdatas,
+                ttl=existing.ttl, rdclass=existing.rdclass,
+            )
+        node[int(rrset.rdtype)] = rrset
         self._nsec3_chain = None
 
     def remove(self, name: Name, rdtype: RdataType) -> RRset | None:
@@ -218,8 +221,11 @@ class Zone:
             if wildcard is not None:
                 rrset = self.find(wildcard, rdtype)
                 if rrset is not None:
-                    synthesized = rrset.copy()
-                    synthesized.name = qname
+                    # Not ``dataclasses.replace``: the wildcard's RRSIG
+                    # store is a SignatureSet, whose fields differ.
+                    synthesized = RRset(
+                        qname, rrset.rdtype, rrset.ttl, rrset.rdclass, rrset.rdatas
+                    )
                     return LookupResult(
                         LookupStatus.ANSWER, rrsets=[synthesized], node_name=wildcard
                     )

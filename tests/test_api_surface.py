@@ -5,10 +5,13 @@ counters, convenience helpers) so refactors cannot silently change
 them.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import repro
 from repro.dns.ede import ExtendedError
@@ -105,23 +108,21 @@ class TestRRsetHelpers:
         assert found is rrsets[1]
         assert find_rrset(rrsets, Name.from_text("c.test."), RdataType.A) is None
 
-    def test_same_rrset_ignores_ttl_and_order(self):
-        a = RRset.of(Name.from_text("x.test."), RdataType.A,
-                     A(address="192.0.2.1"), A(address="192.0.2.2"), ttl=60)
-        b = RRset.of(Name.from_text("x.test."), RdataType.A,
-                     A(address="192.0.2.2"), A(address="192.0.2.1"), ttl=300)
-        assert a.same_rrset(b)
+    def test_of_deduplicates(self):
+        rrset = RRset.of(Name.from_text("x.test."), RdataType.A,
+                         A(address="192.0.2.1"), A(address="192.0.2.1"))
+        assert len(rrset) == 1 and rrset.rdatas == (A(address="192.0.2.1"),)
 
-    def test_add_deduplicates(self):
+    @pytest.mark.parametrize("field, value", [
+        ("name", Name.from_text("y.test.")),
+        ("ttl", 5),
+        ("rdatas", ()),
+    ])
+    def test_fields_are_frozen(self, field, value):
         rrset = RRset.of(Name.from_text("x.test."), RdataType.A, A(address="192.0.2.1"))
-        rrset.add(A(address="192.0.2.1"))
-        assert len(rrset) == 1
-
-    def test_copy_is_independent(self):
-        rrset = RRset.of(Name.from_text("x.test."), RdataType.A, A(address="192.0.2.1"))
-        clone = rrset.copy(ttl=5)
-        clone.add(A(address="192.0.2.9"))
-        assert len(rrset) == 1 and clone.ttl == 5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(rrset, field, value)
+        assert rrset.ttl == 300 and len(rrset) == 1
 
 
 class TestStatsObjects:

@@ -1,5 +1,7 @@
 """Resolver cache: TTL decay, serve-stale, negative and error caches."""
 
+import dataclasses
+
 import pytest
 
 from repro.dns.name import Name
@@ -49,10 +51,13 @@ class TestPositive:
         assert cache.get_rrset(NAME, RdataType.A) is None
 
     def test_copy_semantics(self, cache):
+        # Value semantics without a copy: the cache keeps the RRset it
+        # was given, which nobody can change.
         original = rrset()
         cache.put_rrset(original)
-        original.add(A(address="192.0.2.2"))
-        assert len(cache.get_rrset(NAME, RdataType.A)) == 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            original.rdatas = (A(address="192.0.2.2"),)
+        assert cache.get_rrset(NAME, RdataType.A) is original
 
     def test_eviction_when_full(self, clock):
         cache = ResolverCache(clock, CacheConfig(max_entries=10))

@@ -204,12 +204,12 @@ def signed_first_rows(mutation: ZoneMutation, drop: SigScope | None, corrupt: Si
         if not kept:
             zone.remove(rrset.name, RdataType.RRSIG)
             continue
-        rrset.rdatas = [
+        zone.replace(RRset(rrset.name, RdataType.RRSIG, rrset.ttl, rdatas=[
             dataclasses.replace(rd, signature=_corrupt(rd.signature))
             if corrupt is not None and in_scope(rd, rrset.name, corrupt, ksk_tag)
             else rd
             for rd in kept
-        ]
+        ]))
     return zone_rows(zone)
 
 

@@ -1,5 +1,7 @@
 """Message encode/decode: header flags, sections, EDNS, extended RCODE."""
 
+import struct
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -71,7 +73,7 @@ class TestSections:
             RRset.of(Name.from_text("a.test."), RdataType.A, A(address="192.0.2.1"), ttl=60)
         )
         decoded = rt(message)
-        assert decoded.answer[0].rdatas == [A(address="192.0.2.1")]
+        assert decoded.answer[0].rdatas == (A(address="192.0.2.1"),)
         assert decoded.answer[0].ttl == 60
 
     def test_rrset_grouping_on_parse(self):
@@ -87,6 +89,24 @@ class TestSections:
         decoded = rt(message)
         assert len(decoded.answer) == 1
         assert len(decoded.answer[0]) == 2
+
+    def test_unknown_types_keep_their_type_through_parse(self):
+        """RFC 3597: each TYPE without a known form is its own RRset,
+        written back as the TYPE it came with."""
+        question = Name.from_text("a.test.").to_wire() + struct.pack("!HH", 1, 1)
+        answers = b"".join(
+            struct.pack("!HHHIH", 0xC00C, rdtype, 1, ttl, len(data)) + data
+            for rdtype, ttl, data in (
+                (65280, 200, b"\x01\x02"), (65280, 200, b"\x03"), (65281, 100, b"\x04"),
+            )
+        )
+        wire = struct.pack("!HHHHHH", 7, 0x8000, 1, 3, 0, 0) + question + answers
+        decoded = Message.from_wire(wire)
+        assert [(int(r.rdtype), len(r), r.ttl) for r in decoded.answer] == [
+            (65280, 2, 200), (65281, 1, 100),
+        ]
+        assert decoded.to_wire() == wire
+        assert decoded.answer[1].to_text().split()[3] == "TYPE65281"  # RFC 3597 section 5
 
     def test_authority_and_additional(self):
         message = Message(id=7, qr=True)

@@ -93,7 +93,7 @@ class TestGluelessDelegation:
         assert result.ok
         assert result.rcode == Rcode.NOERROR
         answers = [r for r in result.answer if r.rdtype == RdataType.A]
-        assert answers[0].rdatas == [A(address="203.0.113.10")]
+        assert answers[0].rdatas == (A(address="203.0.113.10"),)
 
     def test_ns_chase_depth_limit(self, world):
         engine = IterativeEngine(

@@ -115,7 +115,7 @@ class TestPolicyInResolver:
         assert response.rcode == Rcode.NOERROR
         assert response.ede_codes == (4,)
         rrset = response.find_answer(Name.from_text("walled.test."), RdataType.A)
-        assert rrset.rdatas == [A(address="192.0.2.200")]
+        assert rrset.rdatas == (A(address="192.0.2.200"),)
 
     def test_prohibited(self, resolver):
         response = resolver.resolve("noclient.test.", RdataType.A)

@@ -262,7 +262,7 @@ class TestParseEquivalent:
         """The parser folds same-(name,type,class) rows with min-TTL, so
         a response carrying the duplicate is not parse-stable."""
         _query, response = make_response(answer_ttls=(300,))
-        response.answer.append(response.answer[0].copy(ttl=5))
+        response.answer.append(response.answer[0].with_ttl(5))
         assert not parse_equivalent(response)
 
     def test_extended_rcode_without_opt_refused(self):
@@ -695,6 +695,43 @@ class TestRenderHitNeedsItsEntry:
         (on, on_sent, on_stats), (off, off_sent, _off_stats) = arms
         assert on == off and on_sent == off_sent
         assert (on_stats.render_stores, on_stats.render_hits) == (2, 0)
+
+    def test_same_rrset_put_again_is_not_replayed(self):
+        """A refresh may put the very RRset object the kept reply was
+        rendered from back with a later expiry.  That is a new entry:
+        replaying the reply would serve TTLs counted down from the old
+        expiry, lower than the body's."""
+        population = generate_population(population_config_for(40))
+        qname = next(
+            d.fqdn for d in population.domains if d.profile is Profile.VALID_UNSIGNED
+        )
+        key = (Name.from_text(qname), int(RdataType.A))
+        arms = []
+        for off in (False, True):
+            wild = WildInternet(population)
+            resolver = RecursiveResolver(
+                fabric=wild.fabric,
+                profile=CLOUDFLARE,
+                root_hints=wild.root_hints,
+                trust_anchors=wild.trust_anchors,
+            )
+            if off:
+                render_off(resolver)
+            replies = []
+            for msg_id in range(3):
+                if msg_id == 2:
+                    # cold, then the hit that keeps a render; now the same
+                    # RRset is put again, 100 virtual seconds on
+                    wild.fabric.clock.advance(100.0)
+                    stored = resolver.cache.entry("positive", key)[0]
+                    resolver.cache.put_rrset(stored)
+                wire = Message.make_query(qname, RdataType.A, msg_id=msg_id).to_wire()
+                replies.append(resolver.handle_datagram(wire, "203.0.113.5"))
+            arms.append((replies, resolver.stats))
+        (on, on_stats), (off, _off_stats) = arms
+        assert on == off
+        assert (on_stats.render_stores, on_stats.render_hits) == (2, 0)
+        assert Message.from_wire(on[2]).answer[0].ttl == stored.ttl
 
 
 def test_offsets_patch_exactly_the_ttl_fields():

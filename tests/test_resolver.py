@@ -104,7 +104,7 @@ class TestIterativeEngine:
         assert result.rcode == Rcode.NOERROR
         assert result.zone_path == [Name.root(), TEST, DOMAIN]
         answers = [r for r in result.answer if r.rdtype == RdataType.A]
-        assert answers and answers[0].rdatas == [A(address="203.0.113.80")]
+        assert answers and answers[0].rdatas == (A(address="203.0.113.80"),)
 
     def test_learns_zone_servers(self, engine):
         engine.resolve(DOMAIN, RdataType.A, [])

@@ -92,7 +92,7 @@ class TestSigner:
     def test_ttl_change_breaks_signature(self, zsk):
         rrset = a_rrset()
         sig = sign_rrset(rrset, zsk, ZONE, SigningPolicy.window(NOW))
-        altered = rrset.copy(ttl=999)
+        altered = rrset.with_ttl(999)
         # signed_data uses original_ttl from the RRSIG, so validation still
         # succeeds — TTL decay must not break signatures (RFC 4034 3.1.8.1).
         assert verify_signature(
@@ -123,14 +123,13 @@ class DictSource:
         result = FetchResult()
         rrset = store.find(qname, rdtype)
         if rrset is not None:
-            result.answer.append(rrset.copy())
+            result.answer.append(rrset)
             sigs = store.rrsigs_for(qname, rdtype)
             if sigs is not None:
-                result.answer.append(sigs.copy())
+                result.answer.append(sigs)
         else:
             result.rcode = Rcode.NOERROR
-            for denial in store.denial_rrsets(qname):
-                result.authority.append(denial.copy())
+            result.authority.extend(store.denial_rrsets(qname))
         return result
 
 
@@ -165,11 +164,11 @@ def validate_answer(source, config, qname="www.example.com.", rcode=Rcode.NOERRO
     answer = []
     rrset = child_zone.find(qname, RdataType.A)
     if rrset is not None:
-        answer.append(rrset.copy())
+        answer.append(rrset)
         sigs = child_zone.rrsigs_for(qname, RdataType.A)
         if sigs is not None:
-            answer.append(sigs.copy())
-    authority = [] if answer else [r.copy() for r in child_zone.denial_rrsets(qname)]
+            answer.append(sigs)
+    authority = [] if answer else list(child_zone.denial_rrsets(qname))
     return validator.validate(
         qname, RdataType.A, [Name.root(), ZONE], answer, authority,
         rcode if answer else Rcode.NXDOMAIN, NOW,

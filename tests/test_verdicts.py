@@ -185,7 +185,7 @@ def caching_world(mutation: ZoneMutation | None = None):
 def validate_www(source, config, now=NOW):
     zone = source.zones[ZONE]
     answer = [
-        zone.find(WWW, RdataType.A).copy(), zone.rrsigs_for(WWW, RdataType.A).copy()
+        zone.find(WWW, RdataType.A), zone.rrsigs_for(WWW, RdataType.A)
     ]
     return Validator(config, source).validate(
         WWW, RdataType.A, [ROOT, ZONE], answer, [], Rcode.NOERROR, now
@@ -265,7 +265,7 @@ class TestWhatIsRemembered:
 def validate_www_unsigned(source, config):
     zone = source.zones[ZONE]
     return Validator(config, source).validate(
-        WWW, RdataType.A, [ROOT, ZONE], [zone.find(WWW, RdataType.A).copy()], [],
+        WWW, RdataType.A, [ROOT, ZONE], [zone.find(WWW, RdataType.A)], [],
         Rcode.NOERROR, NOW,
     )
 

@@ -66,7 +66,7 @@ class TestWildcardServing:
             Name.from_text("anything.svc.wild.test."), RdataType.A
         )
         assert rrset is not None
-        assert rrset.rdatas == [A(address="203.0.113.42")]
+        assert rrset.rdatas == (A(address="203.0.113.42"),)
 
     def test_rrsig_labels_field_smaller_than_owner(self, world):
         from repro.dns.message import Message

@@ -28,8 +28,10 @@ from typing import NamedTuple
 import pytest
 
 from repro.analysis.sanitizer import determinism_sanitizer
+from repro.dns.message import Message
 from repro.dns.name import Name
 from repro.dns.rdata import A, NS, TXT
+from repro.dns.render import LazyWire
 from repro.dns.rrset import RRset
 from repro.dns.types import RdataType
 from repro.net.chaos import ChaosPolicy
@@ -52,6 +54,7 @@ from .fabric_arms import (
     CountingFabric,
     PlainFabric,
     count_handback_verdicts,
+    handed_back,
     served_state,
 )
 
@@ -168,6 +171,29 @@ class TestHandOffOwnership:
         fabric = paved_arm.wild.fabric
         assert fabric.handed_back
         assert fabric.mutated_handbacks() == 0
+
+    def test_served_fetched_and_cached_rrsets_are_the_zones(self, testbed):
+        """RRsets are immutable, so no side copies one to keep it safe:
+        a paved answer, a fetch and the answer cache all hold the
+        zone's own objects."""
+        case = testbed.cases["valid"]
+        zone, origin = case.built.zone, case.zone_name
+        query = Message.make_query(origin, RdataType.A, msg_id=9)
+        served = handed_back(testbed.fabric.send(
+            case.server_address, LazyWire(query), message=query
+        ))
+        apex_a = zone.find(origin, RdataType.A)
+        assert served is not None and served.answer[0] is apex_a
+
+        resolver = RecursiveResolver(
+            fabric=testbed.fabric, profile=CLOUDFLARE,
+            root_hints=testbed.root_hints, trust_anchors=testbed.trust_anchors,
+        )
+        resolver.resolve(origin, RdataType.A)
+        stored = resolver.cache.entry("positive", (origin, int(RdataType.A)))
+        assert stored[0] is apex_a
+        fetched = resolver.fetch_from_zone(origin, Name.from_text("nx", origin), RdataType.A)
+        assert fetched.ok and fetched.authority[0] is zone.find(origin, RdataType.SOA)
 
 
 class TestMatrixDifferential:

@@ -41,11 +41,12 @@ class TestContent:
         zone.add(RRset.of(name("www"), RdataType.A, A(address="192.0.2.2")))
         assert len(zone.find(name("www"), RdataType.A)) == 2
 
-    def test_add_is_copy(self, zone):
+    def test_add_shares_and_merges_into_a_new_rrset(self, zone):
         rrset = RRset.of(name("x"), RdataType.A, A(address="192.0.2.5"))
         zone.add(rrset)
-        rrset.add(A(address="192.0.2.6"))
-        assert len(zone.find(name("x"), RdataType.A)) == 1
+        assert zone.find(name("x"), RdataType.A) is rrset
+        zone.add(RRset.of(name("x"), RdataType.A, A(address="192.0.2.6")))
+        assert len(zone.find(name("x"), RdataType.A)) == 2 and len(rrset) == 1
 
     def test_remove(self, zone):
         assert zone.remove(name("www"), RdataType.A) is not None
@@ -63,7 +64,7 @@ class TestLookup:
     def test_exact_answer(self, zone):
         result = zone.lookup(name("www"), RdataType.A)
         assert result.status is LookupStatus.ANSWER
-        assert result.rrsets[0].rdatas == [A(address="192.0.2.1")]
+        assert result.rrsets[0].rdatas == (A(address="192.0.2.1"),)
 
     def test_nodata(self, zone):
         result = zone.lookup(name("www"), RdataType.AAAA)
@@ -107,7 +108,7 @@ class TestLookup:
         result = zone.lookup(name("anything.wild"), RdataType.A)
         assert result.status is LookupStatus.ANSWER
         assert result.rrsets[0].name == name("anything.wild")
-        assert result.rrsets[0].rdatas == [A(address="192.0.2.42")]
+        assert result.rrsets[0].rdatas == (A(address="192.0.2.42"),)
 
     def test_wildcard_nodata(self, zone):
         result = zone.lookup(name("anything.wild"), RdataType.AAAA)
@@ -199,7 +200,7 @@ class TestDelegation:
             (ns2, RdataType.AAAA, "2001:db8::53"),
         ]
         # Callable before build(), and equal to what build() reports.
-        assert delegation.ds.rdatas == child.build().ds_rdatas
+        assert list(delegation.ds.rdatas) == child.build().ds_rdatas
 
     def test_unsigned_child_is_an_insecure_delegation(self):
         delegation = self._child(signed=False).delegation([(name("ns1.sub"), "192.0.2.53")])
