@@ -218,17 +218,25 @@ class RRSIG(Rdata):
         writer.write_bytes(self.signature)
 
     def rdata_without_signature(self) -> bytes:
-        """The RRSIG rdata prefix that is included in the signed data."""
-        writer = WireWriter(enable_compression=False)
-        writer.write_u16(int(self.type_covered))
-        writer.write_u8(self.algorithm)
-        writer.write_u8(self.labels)
-        writer.write_u32(self.original_ttl)
-        writer.write_u32(self.expiration)
-        writer.write_u32(self.inception)
-        writer.write_u16(self.key_tag)
-        writer.write_bytes(self.signer.canonical_wire())
-        return writer.getvalue()
+        """The RRSIG rdata prefix that is included in the signed data.
+
+        Pure function of this immutable rdata, so it is made once and
+        kept on the instance: a validator reads it for every check."""
+        try:
+            return self._unsigned
+        except AttributeError:
+            writer = WireWriter(enable_compression=False)
+            writer.write_u16(int(self.type_covered))
+            writer.write_u8(self.algorithm)
+            writer.write_u8(self.labels)
+            writer.write_u32(self.original_ttl)
+            writer.write_u32(self.expiration)
+            writer.write_u32(self.inception)
+            writer.write_u16(self.key_tag)
+            writer.write_bytes(self.signer.canonical_wire())
+            unsigned = writer.getvalue()
+            object.__setattr__(self, "_unsigned", unsigned)
+            return unsigned
 
     @classmethod
     def read(cls, reader: WireReader, rdlength: int) -> "RRSIG":

@@ -143,6 +143,8 @@ class Edns:
         """Octets :meth:`write` appends: the fixed OPT fields (root
         owner, TYPE, CLASS, TTL, RDLENGTH) plus each option's header
         and data."""
+        if not self.options:
+            return 11
         return 11 + sum(4 + len(opt.to_wire_data()) for opt in self.options)
 
     @classmethod

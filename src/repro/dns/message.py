@@ -90,17 +90,20 @@ class Message:
         if not qname.is_absolute():
             # Queries are always for absolute names; be dig-like about it.
             qname = Name(qname.labels + (b"",))
-        rdtype = RdataType.make(rdtype)
+        if type(rdtype) is not RdataType:
+            rdtype = RdataType.make(rdtype)
         if msg_id is None:
             msg_id = (rng if rng is not None else _ID_RNG).randrange(0x10000)
-        message = cls(
+        return cls(
             id=msg_id,
             rd=recursion_desired,
+            question=[Question(qname, rdtype, rdclass)],
+            edns=(
+                Edns(payload=payload, dnssec_ok=want_dnssec)
+                if use_edns or want_dnssec
+                else None
+            ),
         )
-        message.question.append(Question(qname, rdtype, rdclass))
-        if use_edns or want_dnssec:
-            message.edns = Edns(payload=payload, dnssec_ok=want_dnssec)
-        return message
 
     def make_response(self, recursion_available: bool = True) -> "Message":
         """Skeleton response to this query, echoing id/question/EDNS."""

@@ -68,6 +68,35 @@ def _text_to_labels(text: str) -> list[bytes]:
     return labels
 
 
+def _reject(labels: tuple[bytes, ...]) -> None:
+    """Raise for the first label, in order, that no name may hold."""
+    for index, label in enumerate(labels):
+        if len(label) > MAX_LABEL_LENGTH:
+            raise LabelTooLong(f"label exceeds 63 octets: {label[:16]!r}...")
+        if not label and index != len(labels) - 1:
+            raise EmptyLabel("empty label is only allowed as the root")
+
+
+def _check_length(labels: tuple[bytes, ...]) -> None:
+    # encoded length: one length octet per label plus the label bytes,
+    # and room for the root if the name becomes absolute
+    encoded = sum(map(len, labels)) + len(labels)
+    if not (labels and labels[-1] == b""):
+        encoded += 1
+    if encoded > MAX_NAME_LENGTH:
+        raise NameTooLong(f"name would encode to {encoded} octets")
+
+
+def _fill(name: "Name", labels: tuple[bytes, ...]) -> None:
+    """Set a vetted name's fields.  A name with no upper-case octet is
+    its own folded form, so it holds one label tuple, not two."""
+    joined = b"".join(labels)
+    folded = labels if joined == joined.lower() else tuple(l.lower() for l in labels)
+    object.__setattr__(name, "_labels", labels)
+    object.__setattr__(name, "_folded", folded)
+    object.__setattr__(name, "_hash", hash(folded))
+
+
 @total_ordering
 class Name:
     """An immutable, absolute or relative DNS name.
@@ -77,26 +106,16 @@ class Name:
     produces absolute names unless told otherwise.
     """
 
-    __slots__ = ("_labels", "_folded", "_hash")
+    __slots__ = ("_labels", "_folded", "_hash", "_suffixes")
 
     def __init__(self, labels: Iterable[bytes]):
         labels = tuple(labels)
-        for index, label in enumerate(labels):
-            if len(label) > MAX_LABEL_LENGTH:
-                raise LabelTooLong(f"label exceeds 63 octets: {label[:16]!r}...")
-            if not label and index != len(labels) - 1:
-                raise EmptyLabel("empty label is only allowed as the root")
-        # encoded length: one length octet per label plus the label bytes
-        encoded = sum(len(label) + 1 for label in labels)
-        if labels and labels[-1] == b"":
-            pass  # root's length octet already counted
-        else:
-            encoded += 1  # room for the root if the name becomes absolute
-        if encoded > MAX_NAME_LENGTH:
-            raise NameTooLong(f"name would encode to {encoded} octets")
-        object.__setattr__(self, "_labels", labels)
-        object.__setattr__(self, "_folded", tuple(l.lower() for l in labels))
-        object.__setattr__(self, "_hash", hash(self._folded))
+        if labels and (
+            max(map(len, labels)) > MAX_LABEL_LENGTH or b"" in labels[:-1]
+        ):
+            _reject(labels)
+        _check_length(labels)
+        _fill(self, labels)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Name is immutable")
@@ -145,16 +164,9 @@ class Name:
         :class:`Name` would.
         """
         labels = tuple(labels)
-        encoded = sum(len(label) + 1 for label in labels)
-        if not (labels and labels[-1] == b""):
-            encoded += 1
-        if encoded > MAX_NAME_LENGTH:
-            raise NameTooLong(f"name would encode to {encoded} octets")
+        _check_length(labels)
         self = object.__new__(cls)
-        folded = tuple(label.lower() for label in labels)
-        object.__setattr__(self, "_labels", labels)
-        object.__setattr__(self, "_folded", folded)
-        object.__setattr__(self, "_hash", hash(folded))
+        _fill(self, labels)
         return self
 
     # -- properties --------------------------------------------------------
@@ -168,9 +180,25 @@ class Name:
         """Lowercased labels, precomputed at construction (RFC 4343).
 
         Writers and canonical-form consumers should prefer this over
-        re-folding ``labels`` — it is already paid for.
+        re-folding ``labels`` — it is already paid for.  It *is*
+        ``labels`` when the name has no upper-case octet.
         """
         return self._folded
+
+    @property
+    def suffixes(self) -> tuple[tuple[bytes, ...], ...]:
+        """The folded suffix starting at each label but the root, longest
+        first: the keys a compressing writer registers for this name.
+        Made on first use and kept, like every value derived from a
+        name."""
+        try:
+            return self._suffixes
+        except AttributeError:
+            folded = self._folded
+            count = len(folded) - 1 if self.is_absolute() else len(folded)
+            suffixes = tuple(folded[index:] for index in range(count))
+            object.__setattr__(self, "_suffixes", suffixes)
+            return suffixes
 
     def is_absolute(self) -> bool:
         return bool(self._labels) and self._labels[-1] == b""
@@ -183,7 +211,7 @@ class Name:
 
     def __len__(self) -> int:
         """Encoded wire length in octets (for absolute names)."""
-        return sum(len(label) + 1 for label in self._labels)
+        return sum(map(len, self._labels)) + len(self._labels)
 
     def label_count(self) -> int:
         return len(self._labels)

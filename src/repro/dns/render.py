@@ -33,7 +33,7 @@ import struct
 from .message import Message
 from .rcode import Rcode, extended_bits
 from .types import Opcode
-from .wire import name_wire_size
+from .wire import MAX_POINTER_TARGET, name_wire_size
 
 HEADER_LENGTH = 12
 _OPT_TYPE = 41
@@ -127,32 +127,53 @@ def wire_length(message) -> int | None:
     rule sits beside the encoder.  Refused: a relative name, and an
     rdata whose size depends on the message around it.
     """
+    question = message.question
+    if not (message.answer or message.authority or message.additional):
+        # A query: nothing to compress against but the one question.
+        if len(question) == 1:
+            name = question[0].name
+            if not name.is_absolute():
+                return None
+            return HEADER_LENGTH + len(name) + 4 + _edns_size(message)
     suffixes: set[tuple[bytes, ...]] = set()
     pos = HEADER_LENGTH
     try:
-        for question in message.question:
-            pos += name_wire_size(question.name, pos, suffixes) + 4
+        for entry in question:
+            pos += name_wire_size(entry.name, pos, suffixes) + 4
         for section in (message.answer, message.authority, message.additional):
             for rrset in section:
                 owner = rrset.name
+                folded = owner.folded_labels
                 for rdata in rrset.rdatas:
-                    # owner, then TYPE CLASS TTL RDLENGTH
-                    pos += name_wire_size(owner, pos, suffixes) + 10
+                    # owner, then TYPE CLASS TTL RDLENGTH; once the
+                    # owner is registered, it is a 2-octet pointer
+                    if folded in suffixes:
+                        pos += 12
+                    else:
+                        pos += name_wire_size(owner, pos, suffixes) + 10
                     shape = rdata.wire_shape()
                     if shape is None:
                         return None
                     if type(shape) is not int:
-                        for at in range(1, len(shape), 2):
-                            name_wire_size(
-                                shape[at + 1], pos + shape[at], suffixes, compress=False
-                            )
+                        if pos + shape[0] <= MAX_POINTER_TARGET:
+                            # every name in it lies below the pointer
+                            # limit: all of its suffixes are registered
+                            for at in range(2, len(shape), 2):
+                                suffixes.update(shape[at].suffixes)
+                        else:
+                            for at in range(1, len(shape), 2):
+                                name_wire_size(
+                                    shape[at + 1], pos + shape[at], suffixes, compress=False
+                                )
                         shape = shape[0]
                     pos += shape
     except ValueError:
         return None
-    if message.edns is not None:
-        pos += message.edns.wire_size()
-    return pos
+    return pos + _edns_size(message)
+
+
+def _edns_size(message) -> int:
+    return 0 if message.edns is None else message.edns.wire_size()
 
 
 class LazyWire:
@@ -230,10 +251,10 @@ def parse_equivalent(response) -> bool:
         for rrset in section:
             if not rrset.rdatas:
                 return False
-            skey = (rrset.name, int(rrset.rdtype), int(rrset.rdclass))
-            if skey in seen:
-                return False
-            seen.add(skey)
+            # RdataType and RdataClass hash and compare as their ints
+            seen.add((rrset.name, rrset.rdtype, rrset.rdclass))
+        if len(seen) != len(section):
+            return False
     return True
 
 

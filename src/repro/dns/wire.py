@@ -24,7 +24,7 @@ from .exceptions import BadLabelType, BadPointer, TruncatedMessage
 from .name import MAX_NAME_LENGTH, Name
 
 _POINTER_FLAG = 0xC0
-_MAX_POINTER_TARGET = 0x3FFF
+MAX_POINTER_TARGET = 0x3FFF
 
 
 class WireWriter:
@@ -88,7 +88,7 @@ class WireWriter:
                 pointer = self._offsets[suffix]
                 self.write_u16(0xC000 | pointer)
                 return
-            if self.offset <= _MAX_POINTER_TARGET:
+            if self.offset <= MAX_POINTER_TARGET:
                 self._offsets.setdefault(suffix, self.offset)
             label = labels[index]
             self.write_u8(len(label))
@@ -106,18 +106,23 @@ def name_wire_size(
     as ``write_name`` updates its own: every suffix that starts at or
     below the 0x3FFF pointer limit is registered, compressed or not.
     """
-    folded = name.folded_labels
-    if compress and folded in suffixes:
+    if compress and name.folded_labels in suffixes:
         return 2  # the common case: an owner name seen before
     labels = name.labels
     if not labels or labels[-1]:
         raise ValueError("can only encode absolute names")
+    if not (compress and suffixes):
+        # Nothing to point at: the name is written in full.
+        size = len(name)
+        if offset + size <= MAX_POINTER_TARGET:
+            # Every label starts below the limit: all are registered.
+            suffixes.update(name.suffixes)
+            return size
     size = 0
-    for index in range(len(labels) - 1):
-        suffix = folded[index:]
+    for index, suffix in enumerate(name.suffixes):
         if compress and suffix in suffixes:
             return size + 2
-        if offset + size <= _MAX_POINTER_TARGET:
+        if offset + size <= MAX_POINTER_TARGET:
             suffixes.add(suffix)
         size += 1 + len(labels[index])
     return size + 1
@@ -291,6 +296,6 @@ class WireReader:
         if cache is not None and starts:
             wire_labels = name.labels
             for index, start in enumerate(starts):
-                if start <= _MAX_POINTER_TARGET and start not in cache:
+                if start <= MAX_POINTER_TARGET and start not in cache:
                     cache[start] = wire_labels[index:]
         return name

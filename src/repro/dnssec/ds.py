@@ -62,13 +62,29 @@ def make_ds(
 
 
 def ds_matches_dnskey(ds: DS, owner: Name, dnskey: DNSKEY) -> bool:
-    """True when ``ds`` authenticates ``dnskey`` (tag, algorithm, digest)."""
+    """True when ``ds`` authenticates ``dnskey`` (tag, algorithm, digest).
+
+    The digest a DS is compared against is a pure function of the
+    immutable DNSKEY, the owner and the digest type, so it is kept on
+    the DNSKEY per ``(owner, digest type)`` (None: a type that cannot be
+    computed); every DS still compares its own digest with it."""
     if ds.key_tag != dnskey.key_tag():
         return False
     if ds.algorithm != dnskey.algorithm:
         return False
     try:
-        expected = compute_digest(owner, dnskey, ds.digest_type)
-    except ValueError:
-        return False
-    return expected == ds.digest
+        kept = dnskey._ds_digests
+    except AttributeError:
+        kept = ()
+    for seen_owner, digest_type, digest in kept:
+        if digest_type == ds.digest_type and seen_owner == owner:
+            break
+    else:
+        try:
+            digest = compute_digest(owner, dnskey, ds.digest_type)
+        except ValueError:
+            digest = None
+        # A tuple, not a dict: a key is almost always read at one owner
+        # under one or two digest types.
+        object.__setattr__(dnskey, "_ds_digests", (*kept, (owner, ds.digest_type, digest)))
+    return digest is not None and digest == ds.digest

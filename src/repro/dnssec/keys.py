@@ -93,6 +93,24 @@ class KeyPair:
         return sim_mod.sign(self._sim, message)
 
 
+def rsa_public_key(dnskey: DNSKEY) -> rsa_mod.RsaPublicKey | None:
+    """The RFC 3110 public key in an RSA ``dnskey``, or None when its
+    key field does not parse.
+
+    Parsed once and kept on the immutable DNSKEY, a failure as
+    ``False``, so every check and size probe of one key reads one
+    parse."""
+    try:
+        public = dnskey._rsa_public
+    except AttributeError:
+        try:
+            public = rsa_mod.RsaPublicKey.from_dnskey_format(dnskey.key)
+        except ValueError:
+            public = False
+        object.__setattr__(dnskey, "_rsa_public", public)
+    return public or None
+
+
 def verify_signature(dnskey: DNSKEY, message: bytes, signature: bytes) -> bool:
     """Verify ``signature`` over ``message`` with the public key in ``dnskey``.
 
@@ -102,9 +120,8 @@ def verify_signature(dnskey: DNSKEY, message: bytes, signature: bytes) -> bool:
     """
     algorithm = dnskey.algorithm
     if algorithm in RSA_DIGESTS:
-        try:
-            public = rsa_mod.RsaPublicKey.from_dnskey_format(dnskey.key)
-        except ValueError:
+        public = rsa_public_key(dnskey)
+        if public is None:
             return False
         return rsa_mod.verify(public, message, signature, RSA_DIGESTS[algorithm])
     public_sim = sim_mod.SimulatedPublicKey(algorithm=algorithm, key=dnskey.key)
@@ -119,8 +136,5 @@ def rsa_key_size_bits(dnskey: DNSKEY) -> int | None:
     """
     if dnskey.algorithm not in RSA_DIGESTS:
         return None
-    try:
-        public = rsa_mod.RsaPublicKey.from_dnskey_format(dnskey.key)
-    except ValueError:
-        return None
-    return public.n.bit_length()
+    public = rsa_public_key(dnskey)
+    return None if public is None else public.n.bit_length()

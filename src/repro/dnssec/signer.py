@@ -9,13 +9,17 @@ class | original TTL | rdlength | canonical rdata`` and the RRs are
 sorted by canonical rdata.  A zone's signatures are made when first
 read: a :class:`SignatureSlot` holds what one will cover and what makes
 it, and calls :func:`sign_rrset` once.  Both the signer here and the
-validator in :mod:`repro.dnssec.validator` build this buffer through
-:func:`signed_data`, so a signature round-trips by construction and any
-mismatch seen by a validator reflects genuine zone damage.
+validator in :mod:`repro.dnssec.validator` build this buffer from the
+same parts in one function, so a signature round-trips by construction
+and any mismatch seen by a validator reflects genuine zone damage.  The
+validator's parts are kept on the RRset and the RRSIG
+(:func:`signed_data`); the signer's are made and dropped, because each
+slot signs once.
 """
 
 from __future__ import annotations
 
+import struct
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
@@ -23,13 +27,16 @@ from ..dns.dnssec_records import RRSIG
 from ..dns.name import Name
 from ..dns.rrset import RRset
 from ..dns.types import RdataType
-from ..dns.wire import WireWriter
 from .keys import KeyPair
 
 #: Default signature validity window (seconds), mirroring common signer
 #: defaults (30 days, inception 1 hour in the past for clock skew).
 DEFAULT_VALIDITY = 30 * 24 * 3600
 DEFAULT_INCEPTION_SKEW = 3600
+
+_U16 = struct.Struct("!H")
+_U32 = struct.Struct("!I")
+_TYPE_CLASS = struct.Struct("!HH")
 
 
 def owner_label_count(name: Name) -> int:
@@ -40,19 +47,52 @@ def owner_label_count(name: Name) -> int:
     return len(labels)
 
 
+def canonical_records(rrset: RRset) -> tuple[bytes, tuple[bytes, ...]]:
+    """What the signed data takes from ``rrset``: its owner (lowercase,
+    uncompressed) with TYPE and CLASS, and each RR's RDLENGTH and
+    canonical RDATA in canonical order — every field but the RRSIG's
+    original TTL.
+
+    A pure function of the immutable RRset, so it is made once and kept
+    on that object (an equal but distinct RRset makes its own): the
+    validator checks one RRset against every candidate signature, and
+    the same RRset again for each cell that reads it."""
+    try:
+        return rrset._canonical
+    except AttributeError:
+        records = _canonical_records(rrset)
+        object.__setattr__(rrset, "_canonical", records)
+        return records
+
+
+def _canonical_records(rrset: RRset) -> tuple[bytes, tuple[bytes, ...]]:
+    head = rrset.name.canonical_wire() + _TYPE_CLASS.pack(
+        int(rrset.rdtype) & 0xFFFF, int(rrset.rdclass) & 0xFFFF
+    )
+    rdatas = rrset.canonical_rdatas()
+    return head, tuple(_U16.pack(len(wire)) + wire for wire in rdatas)
+
+
+def _assemble(
+    unsigned: bytes, records: tuple[bytes, tuple[bytes, ...]], original_ttl: int
+) -> bytes:
+    head, rdatas = records
+    if not rdatas:
+        return unsigned
+    lead = head + _U32.pack(original_ttl & 0xFFFFFFFF)
+    return unsigned + lead + lead.join(rdatas)
+
+
 def signed_data(rrset: RRset, rrsig: RRSIG) -> bytes:
-    """The exact byte string covered by ``rrsig`` for ``rrset``."""
-    writer = WireWriter(enable_compression=False)
-    writer.write_bytes(rrsig.rdata_without_signature())
-    owner_wire = rrset.name.canonical_wire()
-    for rdata_wire in rrset.canonical_rdatas():
-        writer.write_bytes(owner_wire)
-        writer.write_u16(int(rrset.rdtype))
-        writer.write_u16(int(rrset.rdclass))
-        writer.write_u32(rrsig.original_ttl)
-        writer.write_u16(len(rdata_wire))
-        writer.write_bytes(rdata_wire)
-    return writer.getvalue()
+    """The exact byte string covered by ``rrsig`` for ``rrset``.
+
+    Built afresh on every call from parts kept on the two immutable
+    objects (:func:`canonical_records`,
+    :meth:`~repro.dns.dnssec_records.RRSIG.rdata_without_signature`);
+    only the RRSIG's original TTL is joined in here."""
+    return _assemble(
+        rrsig.rdata_without_signature(), canonical_records(rrset), rrsig.original_ttl
+    )
 
 
 @dataclass
@@ -98,7 +138,10 @@ def sign_rrset(
         signer=signer_name,
         signature=b"",
     )
-    signature = key.sign(signed_data(rrset, template))
+    # Made once per slot, so nothing is kept on the zone's RRset.
+    signature = key.sign(
+        _assemble(template.rdata_without_signature(), _canonical_records(rrset), rrset.ttl)
+    )
     return RRSIG(
         type_covered=template.type_covered,
         algorithm=template.algorithm,

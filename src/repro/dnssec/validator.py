@@ -46,8 +46,10 @@ class FetchResult:
     """Outcome of one targeted fetch made on the validator's behalf."""
 
     rcode: int = Rcode.NOERROR
-    answer: list[RRset] = field(default_factory=list)
-    authority: list[RRset] = field(default_factory=list)
+    #: The response's sections, frozen like the RRsets they hold: a
+    #: result is shared by every reader of the cache entry it sits in.
+    answer: tuple[RRset, ...] = ()
+    authority: tuple[RRset, ...] = ()
     ok: bool = True  # transport succeeded and a response was obtained
     events: list[EventRecord] = field(default_factory=list)
     #: The last successful link validation proved from these records
@@ -63,7 +65,7 @@ class FetchResult:
 
     def rrsigs_covering(self, qname: Name, rdtype: RdataType) -> list[RRSIG]:
         sigs: list[RRSIG] = []
-        for rrset in [*self.answer, *self.authority]:
+        for rrset in self.answer + self.authority:
             if rrset.rdtype == RdataType.RRSIG and rrset.name == qname:
                 for rdata in rrset.rdatas:
                     if isinstance(rdata, RRSIG) and int(rdata.type_covered) == int(rdtype):

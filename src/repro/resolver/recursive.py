@@ -876,8 +876,8 @@ class RecursiveResolver(Endpoint):
                 result = FetchResult(
                     ok=True,
                     rcode=response.rcode,
-                    answer=list(response.answer),
-                    authority=list(response.authority),
+                    answer=tuple(response.answer),
+                    authority=tuple(response.authority),
                     events=events,
                 )
             self._infra_cache.put(key, result, now + self._infra_ttl)

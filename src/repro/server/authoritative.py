@@ -48,11 +48,13 @@ class AuthoritativeServer(Endpoint):
         #: Who may AXFR (RFC 5936). Registries default to nobody; the
         #: paper's .se/.nu/.ch/.li allow it.
         self.allow_transfer = allow_transfer or Acl.none()
-        self._zones: dict[Name, Zone] = {}
+        #: ``origin.folded_labels`` -> zone: keyed so that a qname's
+        #: suffixes are looked up without building a Name.
+        self._zones: dict[tuple[bytes, ...], Zone] = {}
         self.stats = ServerStats()
 
     def add_zone(self, zone: Zone) -> None:
-        self._zones[zone.origin] = zone
+        self._zones[zone.origin.folded_labels] = zone
 
     def zones(self) -> list[Zone]:
         return list(self._zones.values())
@@ -60,17 +62,17 @@ class AuthoritativeServer(Endpoint):
     def find_zone(self, qname: Name) -> Zone | None:
         """Deepest zone this server is authoritative for above ``qname``.
 
-        Walks the qname's suffixes longest-first with dict lookups
-        (Name hashes and compares case-folded, the same relation
-        ``is_subdomain_of`` uses), so lookup cost tracks the qname's
-        label count instead of the number of hosted zones.
+        Walks the qname's folded suffixes longest-first with dict
+        lookups (the relation ``is_subdomain_of`` uses), so lookup cost
+        tracks the qname's label count instead of the number of hosted
+        zones, and no Name is built on the way.
         """
         zones = self._zones
         if not zones:
             return None
-        labels = qname.labels
-        for start in range(len(labels)):
-            zone = zones.get(Name(labels[start:]))
+        folded = qname.folded_labels
+        for start in range(len(folded)):
+            zone = zones.get(folded[start:])
             if zone is not None:
                 return zone
         return None
@@ -83,7 +85,7 @@ class AuthoritativeServer(Endpoint):
         if not self.allow_transfer.allows(source):
             self.stats.refused += 1
             return self._reply(query, Rcode.REFUSED)
-        zone = self._zones.get(query.question[0].name)
+        zone = self._zones.get(query.question[0].name.folded_labels)
         if zone is None:
             return self._reply(query, Rcode.NOTAUTH)
         soa = zone.find(zone.origin, RdataType.SOA)

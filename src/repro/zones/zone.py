@@ -111,6 +111,10 @@ class Zone:
         self.origin = origin
         self._nodes: dict[Name, dict[int, RRset]] = {}
         self._nsec3_chain: _Nsec3Chain | None = None  # derived; see denial_rrsets
+        #: Derived too (see find_zone_cut): each cut's folded labels -> cut.
+        self._cut_index: dict[tuple[bytes, ...], Name] | None = None
+        #: Derived too (see rrsigs_for): (owner, covered type) -> RRset.
+        self._rrsig_sets: dict[tuple[Name, int], RRset | None] = {}
 
     # -- content management ---------------------------------------------------
 
@@ -125,7 +129,7 @@ class Zone:
                 ttl=existing.ttl, rdclass=existing.rdclass,
             )
         node[int(rrset.rdtype)] = rrset
-        self._nsec3_chain = None
+        self._drop_derived()
 
     def remove(self, name: Name, rdtype: RdataType) -> RRset | None:
         node = self._nodes.get(name)
@@ -134,12 +138,19 @@ class Zone:
         rrset = node.pop(int(rdtype), None)
         if not node:
             del self._nodes[name]
-        self._nsec3_chain = None
+        self._drop_derived()
         return rrset
 
     def replace(self, rrset: RRset) -> None:
         self._nodes.setdefault(rrset.name, {})[int(rrset.rdtype)] = rrset
+        self._drop_derived()
+
+    def _drop_derived(self) -> None:
+        """Forget what was derived from the store; it is re-derived on
+        the next read that needs it."""
         self._nsec3_chain = None
+        self._cut_index = None
+        self._rrsig_sets.clear()
 
     def find(self, name: Name, rdtype: RdataType) -> RRset | None:
         node = self._nodes.get(name)
@@ -159,10 +170,6 @@ class Zone:
         return sum(len(node) for node in self._nodes.values())
 
     # -- semantics ----------------------------------------------------------------
-
-    def is_delegation_point(self, name: Name) -> bool:
-        """NS present below the apex marks a zone cut."""
-        return name != self.origin and self.find(name, RdataType.NS) is not None
 
     def zone_cuts(self) -> set[Name]:
         """Every delegation point: a name below the apex that owns NS."""
@@ -186,16 +193,27 @@ class Zone:
         return True
 
     def find_zone_cut(self, qname: Name) -> Name | None:
-        """Deepest delegation point at or above ``qname`` (strictly below apex)."""
+        """Shallowest delegation point at or above ``qname`` (strictly
+        below the apex), spelt as in ``qname``.
+
+        Looks the qname's folded suffixes up, apex side first, in an
+        index of the :meth:`zone_cuts` that is derived on first use and
+        dropped by every change to the store.
+        """
         if not qname.is_subdomain_of(self.origin):
             return None
-        current = qname
-        cuts: list[Name] = []
-        while current != self.origin:
-            if self.is_delegation_point(current):
-                cuts.append(current)
-            current = current.parent()
-        return cuts[-1] if cuts else None  # shallowest cut wins on the way down
+        cuts = self._cut_index
+        if cuts is None:
+            cuts = self._cut_index = {cut.folded_labels: cut for cut in self.zone_cuts()}
+        if not cuts:
+            return None
+        folded = qname.folded_labels
+        for start in range(len(folded) - len(self.origin.folded_labels) - 1, -1, -1):
+            cut = cuts.get(folded[start:])
+            if cut is not None:
+                labels = qname.labels[start:]
+                return cut if cut.labels == labels else Name.from_wire_labels(labels)
+        return None
 
     def name_exists(self, qname: Name) -> bool:
         """True when the name exists, including as an empty non-terminal."""
@@ -255,12 +273,20 @@ class Zone:
         """The RRSIG RRset at ``name`` filtered to signatures over ``covered``.
 
         It carries the TTL of the RRset it covers (RFC 4034 section 3),
-        not that of the mixed RRSIG store at the owner.
+        not that of the mixed RRSIG store at the owner.  One RRset per
+        (owner, type) is made and kept until the store changes; a
+        ``name`` spelt otherwise than the kept one gets its own.
         """
+        key = (name, int(covered))
+        kept_sets = self._rrsig_sets
+        if key in kept_sets:
+            kept = kept_sets[key]
+            if kept is None or kept.name.labels == name.labels:
+                return kept
         rrsig_set = self.find(name, RdataType.RRSIG)
         if rrsig_set is None:
-            return None
-        if isinstance(rrsig_set, SignatureSet):
+            filtered = []
+        elif isinstance(rrsig_set, SignatureSet):
             filtered = rrsig_set.covering(covered)
         else:
             filtered = [
@@ -268,15 +294,17 @@ class Zone:
                 for rd in rrsig_set.rdatas
                 if isinstance(rd, RRSIG) and int(rd.type_covered) == int(covered)
             ]
-        if not filtered:
-            return None
-        covered_set = self.find(name, covered)
-        return RRset(
-            name=name,
-            rdtype=RdataType.RRSIG,
-            ttl=covered_set.ttl if covered_set is not None else rrsig_set.ttl,
-            rdatas=filtered,
-        )
+        made = None
+        if filtered:
+            covered_set = self.find(name, covered)
+            made = RRset(
+                name=name,
+                rdtype=RdataType.RRSIG,
+                ttl=covered_set.ttl if covered_set is not None else rrsig_set.ttl,
+                rdatas=filtered,
+            )
+        kept_sets.setdefault(key, made)
+        return made
 
     def nsec3_records(self) -> list[tuple[Name, NSEC3]]:
         return self._records_of(RdataType.NSEC3, NSEC3)

@@ -120,17 +120,11 @@ class DictSource:
         store = self.zones.get(zone)
         if store is None:
             return FetchResult(ok=False, rcode=Rcode.SERVFAIL)
-        result = FetchResult()
         rrset = store.find(qname, rdtype)
-        if rrset is not None:
-            result.answer.append(rrset)
-            sigs = store.rrsigs_for(qname, rdtype)
-            if sigs is not None:
-                result.answer.append(sigs)
-        else:
-            result.rcode = Rcode.NOERROR
-            result.authority.extend(store.denial_rrsets(qname))
-        return result
+        if rrset is None:
+            return FetchResult(authority=tuple(store.denial_rrsets(qname)))
+        sigs = store.rrsigs_for(qname, rdtype)
+        return FetchResult(answer=(rrset,) if sigs is None else (rrset, sigs))
 
 
 def build_world(child_mutation: ZoneMutation | None = None):

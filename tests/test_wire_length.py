@@ -179,6 +179,86 @@ def test_rdata_names_register_compression_targets():
 
 
 # ---------------------------------------------------------------------------
+# one row per fast path of the sizing pass
+# ---------------------------------------------------------------------------
+
+
+class TestFastPaths:
+    def test_a_question_only_message_with_and_without_opt(self):
+        qname = Name.from_text("WWW.example.com.")
+        bare = Message.make_query(qname, RdataType.A, use_edns=False, msg_id=1)
+        with_opt = Message.make_query(qname, RdataType.A, want_dnssec=True, msg_id=1)
+        assert wire_length(bare) == len(bare.to_wire()) == 12 + 17 + 4
+        assert wire_length(with_opt) == len(with_opt.to_wire()) == 12 + 17 + 4 + 11
+        root = Message.make_query(Name.root(), RdataType.NS, msg_id=1)
+        assert wire_length(root) == len(root.to_wire()) == 12 + 1 + 4 + 11
+        relative = Message(question=[Question(Name.from_text("www"), RdataType.A)])
+        assert wire_length(relative) is None
+
+    def test_root_owner_records_are_one_octet_each_never_a_pointer(self):
+        ns = [NS(target=Name.from_text(f"{c}.root-servers.net.")) for c in "abc"]
+        message = Message(question=[Question(Name.root(), RdataType.NS)])
+        message.answer = [RRset(name=Name.root(), rdtype=RdataType.NS, rdatas=ns)]
+        wire = message.to_wire()
+        assert wire_length(message) == len(wire)
+        # question 1+4; each RR a 1-octet owner, 10 octets of TYPE to
+        # RDLENGTH and its target, uncompressed (20)
+        assert len(wire) == 12 + 5 + 3 * (1 + 10 + 20)
+
+    def test_an_rrsets_second_record_past_the_pointer_limit(self):
+        """The owner was registered by the first record, below 0x3FFF:
+        the second, past it, still points there.  An owner first written
+        past the limit is never registered, so its second record is
+        written in full."""
+        owner = Name.from_text("two.example.")
+        question = [Question(Name.from_text("q.test."), RdataType.A)]
+
+        def message(filler_length: int) -> Message:
+            # header 12, question 8 + 4; filler owner "filler" + a
+            # pointer to "test." (9) + 10: the filler's data at 43
+            return Message(question=question, answer=[
+                RRset(name=Name.from_text("filler.test."), rdtype=RdataType.NONE,
+                      rdatas=[GenericRdata(data=bytes(filler_length))]),
+                RRset(name=owner, rdtype=RdataType.NONE,
+                      rdatas=[GenericRdata(data=bytes(40)), GenericRdata(data=b"\x01")]),
+            ])
+
+        first = 0x3FFF - 20
+        early = message(first - 43)
+        wire = early.to_wire()
+        second = first + 13 + 10 + 40
+        assert wire[first:first + 4] == b"\x03two" and second > 0x3FFF
+        assert wire[second] & 0xC0 == 0xC0
+        assert (wire[second] & 0x3F) << 8 | wire[second + 1] == first
+        assert wire_length(early) == len(wire) == second + 2 + 10 + 1
+        late = message(0x4000)
+        assert wire_length(late) == len(late.to_wire()) == 43 + 0x4000 + 63 + 13 + 10 + 1
+
+    def test_an_uncompressed_rdata_name_straddling_the_pointer_limit(self):
+        """Only the suffixes of an NS target that start at or below
+        0x3FFF become targets: "b.c.example." does, "c.example." starts
+        at 0x4000 and does not."""
+        target = Name.from_text("a.b.c.example.")
+        zone = Name.from_text("example.")
+        message = Message(question=[Question(Name.from_text("q.test."), RdataType.A)])
+        # the NS rdata starts at 24 + (9 + 10 + L) + (9 + 10)
+        length = 0x3FFC - 62
+        message.answer = [
+            RRset(name=Name.from_text("filler.test."), rdtype=RdataType.NONE,
+                  rdatas=[GenericRdata(data=bytes(length))]),
+        ]
+        message.authority = [RRset.of(zone, RdataType.NS, NS(target=target))]
+        message.additional = [
+            RRset.of(Name.from_text("b.c.example."), RdataType.A, A(address="192.0.2.1")),
+            RRset.of(Name.from_text("c.example."), RdataType.A, A(address="192.0.2.2")),
+        ]
+        wire = message.to_wire()
+        assert wire.index(target.to_wire()) == 0x3FFC
+        # NS target 15 in full; glue owners: a pointer, then "c" + a pointer
+        assert wire_length(message) == len(wire) == 0x3FFC + 15 + (2 + 14) + (4 + 14)
+
+
+# ---------------------------------------------------------------------------
 # refusals
 # ---------------------------------------------------------------------------
 
