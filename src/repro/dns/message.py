@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field, replace
 
 from . import rcode as rcode_mod
-from .edns import Edns, EdnsOption
+from .edns import DEFAULT_PAYLOAD, Edns, EdnsOption
 from .ede import ExtendedError
 from .exceptions import FormError
 from .name import Name
@@ -39,7 +39,7 @@ FLAG_AD = 0x0020
 FLAG_CD = 0x0010
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Question:
     name: Name
     rdtype: RdataType
@@ -94,31 +94,32 @@ class Message:
             rdtype = RdataType.make(rdtype)
         if msg_id is None:
             msg_id = (rng if rng is not None else _ID_RNG).randrange(0x10000)
-        return cls(
-            id=msg_id,
+        return _message(
+            cls,
+            msg_id=msg_id,
+            qr=False,
+            opcode=Opcode.QUERY,
             rd=recursion_desired,
-            question=[Question(qname, rdtype, rdclass)],
-            edns=(
-                Edns(payload=payload, dnssec_ok=want_dnssec)
-                if use_edns or want_dnssec
-                else None
-            ),
+            ra=False,
+            cd=False,
+            question=[_question(qname, rdtype, rdclass)],
+            edns=_edns(payload, want_dnssec) if use_edns or want_dnssec else None,
         )
 
     def make_response(self, recursion_available: bool = True) -> "Message":
         """Skeleton response to this query, echoing id/question/EDNS."""
-        response = Message(
-            id=self.id,
+        edns = self.edns
+        return _message(
+            Message,
+            msg_id=self.id,
             qr=True,
             opcode=self.opcode,
             rd=self.rd,
             ra=recursion_available,
             cd=self.cd,
+            question=list(self.question),
+            edns=None if edns is None else _edns(DEFAULT_PAYLOAD, edns.dnssec_ok),
         )
-        response.question = list(self.question)
-        if self.edns is not None:
-            response.edns = Edns(dnssec_ok=self.edns.dnssec_ok)
-        return response
 
     def is_reply_to(self, query: "Message") -> bool:
         """Whether a sender may accept this message as the reply to
@@ -339,6 +340,76 @@ class Message:
         for ede in self.extended_errors:
             lines.append(f";; {ede}")
         return "\n".join(lines)
+
+
+# -- the two hot constructors' builders ------------------------------------------
+# ``make_query`` and ``make_response`` run once per upstream query and
+# per answer.  The generated ``__init__``s cost more than the values they
+# build: the frozen ``Question``'s sets each field through
+# ``object.__setattr__``, and ``Message``'s and ``Edns``'s parse every
+# defaulted keyword.  These write the same fields straight into a new
+# instance (a ``Question``'s through its slots, which its frozen
+# ``__setattr__`` does not guard); what they build equals the generated
+# constructors' value field for field (tests/test_message.py holds the
+# two equal).
+
+_new = object.__new__
+_set_qname = Question.name.__set__
+_set_qtype = Question.rdtype.__set__
+_set_qclass = Question.rdclass.__set__
+
+
+def _question(name: Name, rdtype: RdataType, rdclass: RdataClass) -> Question:
+    """``Question(name, rdtype, rdclass)``: equal, hashed and frozen alike."""
+    question = _new(Question)
+    _set_qname(question, name)
+    _set_qtype(question, rdtype)
+    _set_qclass(question, rdclass)
+    return question
+
+
+def _edns(payload: int, dnssec_ok: bool) -> Edns:
+    """``Edns(payload=payload, dnssec_ok=dnssec_ok)``."""
+    edns = _new(Edns)
+    edns.payload = payload
+    edns.extended_rcode_bits = 0
+    edns.version = 0
+    edns.dnssec_ok = dnssec_ok
+    edns.options = []
+    return edns
+
+
+def _message(
+    cls: type[Message],
+    *,
+    msg_id: int,
+    qr: bool,
+    opcode: Opcode,
+    rd: bool,
+    ra: bool,
+    cd: bool,
+    question: list[Question],
+    edns: Edns | None,
+) -> Message:
+    """``cls(id=msg_id, qr=qr, opcode=opcode, rd=rd, ra=ra, cd=cd,
+    question=question, edns=edns)``, every other field at its default."""
+    message = _new(cls)
+    message.id = msg_id
+    message.qr = qr
+    message.opcode = opcode
+    message.aa = False
+    message.tc = False
+    message.rd = rd
+    message.ra = ra
+    message.ad = False
+    message.cd = cd
+    message.rcode = rcode_mod.Rcode.NOERROR
+    message.question = question
+    message.answer = []
+    message.authority = []
+    message.additional = []
+    message.edns = edns
+    return message
 
 
 #: What :meth:`Message.truncated` drops from its OPT, a step at a time.

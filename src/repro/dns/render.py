@@ -112,7 +112,8 @@ def wire_key(query_wire) -> bytes | None:
     """
     if len(query_wire) <= HEADER_LENGTH:
         return None
-    return bytes(query_wire[2:])
+    key = query_wire[2:]
+    return key if type(key) is bytes else bytes(key)
 
 
 def wire_length(message) -> int | None:

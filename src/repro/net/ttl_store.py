@@ -31,7 +31,8 @@ from itertools import islice
 def remaining_ttl(expires_at: float, now: float) -> int:
     """Whole seconds left before ``expires_at``, floored at 1 (a served
     record never carries TTL 0, which downstream caches would drop)."""
-    return max(1, int(expires_at - now))
+    ttl = int(expires_at - now)
+    return ttl if ttl > 0 else 1
 
 
 class TtlStore:
@@ -61,12 +62,15 @@ class TtlStore:
             self._make_room()
         entries[key] = (value, expires_at, owner)
 
-    def fresh(self, key):
-        """The ``(value, expires_at, owner)`` entry while fresh, else None."""
-        entry = self._entries.get(key)
+    def fresh(self, key, now: float | None = None):
+        """The ``(value, expires_at, owner)`` entry while fresh at ``now``
+        (the clock's time when not given), else None."""
+        entries = self._entries
+        entry = entries.get(key) if entries else None
         if entry is None:
             return None
-        now = self._clock.now()
+        if now is None:
+            now = self._clock.now()
         if now < entry[1]:
             return entry
         if now >= entry[1] + self._stale_window:

@@ -141,10 +141,13 @@ class ResolverCache:
             return self._negative.entry(key)
         return self._errors.entry(key)
 
-    def answers_from(self, kind: str, key: tuple[Name, int], entry: tuple) -> bool:
-        """Whether a lookup of ``key`` in the resolver's probe order
-        (errors, positive, negative) would be answered from ``entry``,
-        the entry a ``kind`` hit was served from, as long as it lives.
+    def answers_from(
+        self, kind: str, key: tuple[Name, int], entry: tuple, now: float
+    ) -> bool:
+        """Whether a lookup of ``key`` at ``now`` in the resolver's probe
+        order (errors, positive, negative) would be answered from
+        ``entry``, the entry a ``kind`` hit was served from, as long as
+        it lives.
 
         No stats: the rendered-wire cache asks before it replays a hit,
         so a reply is never served after its entry was put again (even
@@ -152,11 +155,14 @@ class ResolverCache:
         """
         if kind == "error":
             return self._errors.entry(key) is entry
-        if self._errors.fresh(key) is not None:
+        if self._errors.fresh(key, now) is not None:
             return False
         if kind == "positive":
             return self._positive.entry(key) is entry
-        return self._positive.fresh(key) is None and self._negative.entry(key) is entry
+        return (
+            self._positive.fresh(key, now) is None
+            and self._negative.entry(key) is entry
+        )
 
     def get_stale_rrset(self, name: Name, rdtype: RdataType) -> RRset | None:
         """Expired-but-retained entry for serve-stale, or None."""
@@ -276,17 +282,23 @@ class RenderedWireCache:
         stats.evictions = self._store.evicted
         return stats
 
-    def serve(self, key, query_wire) -> tuple[bytes, object] | None:
-        """The cached response for ``key`` patched for this query, and
-        the ``note`` it was stored with; or None."""
-        entry = self._store.fresh(key)
+    def serve(
+        self, key, query_wire, now: float | None = None
+    ) -> tuple[bytes, object] | None:
+        """The cached response for ``key`` patched for this query at
+        ``now`` (the clock's time when not given), and the ``note`` it
+        was stored with; or None.  One lookup: the freshness check and
+        the TTL patch read the same instant."""
+        if now is None:
+            now = self._clock.now()
+        entry = self._store.fresh(key, now)
         if entry is None:
             self._stats.misses += 1
             return None
         pieces, expires_at, note = entry[0]
         ttl = b""
         if len(pieces) > 1:
-            ttl = remaining_ttl(expires_at, self._clock.now()).to_bytes(4, "big")
+            ttl = remaining_ttl(expires_at, now).to_bytes(4, "big")
         self._stats.hits += 1
         return query_wire[:2] + ttl.join(pieces), note
 

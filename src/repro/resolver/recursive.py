@@ -366,7 +366,7 @@ class RecursiveResolver(Endpoint):
     def stored_reply(self, wire: bytes, source: str) -> bytes | None:
         """A repeat query the rendered-wire cache covers: the kept reply,
         counted as :meth:`handle_query` counts the cache hit it replays."""
-        hit = self.render_lookup(wire)
+        hit = self.render_hit(wire)
         if hit is None:
             return None
         self.count_render_hit(hit[1])
@@ -399,17 +399,23 @@ class RecursiveResolver(Endpoint):
         ):
             self.stats.render_stores += 1
 
-    def render_lookup(self, wire: bytes) -> tuple[bytes, _Rendered] | None:
-        """The kept reply to ``wire`` patched for it, and its note, while
-        the answer-cache entry it was rendered from still answers the
-        question; else None, with this lane's render plan cleared for the
-        body about to run.  Counts nothing."""
+    def render_hit(self, wire: bytes) -> tuple[bytes, _Rendered, float] | None:
+        """Rule 0's one lookup, shared by this resolver's datagram door
+        and a frontend's: the kept reply to ``wire`` patched for it, its
+        note, and ``now``, the one clock read the hit makes — freshness,
+        TTL patch and entry guard all hold at it, and a frontend refills
+        its bucket at it — while the answer-cache entry the reply was
+        rendered from still answers the question.  Else None, with this
+        lane's render plan cleared for the body about to run.  Counts
+        nothing but the render cache's own hit or miss."""
         key = wire_key(wire)
-        hit = None if key is None else self.render_cache.serve(key, wire)
-        if hit is not None:
-            note = hit[1]
-            if self.cache.answers_from(note.kind, note.key, note.entry):
-                return hit
+        if key is not None:
+            now = self.clock.now()
+            hit = self.render_cache.serve(key, wire, now)
+            if hit is not None:
+                reply, note = hit
+                if self.cache.answers_from(note.kind, note.key, note.entry, now):
+                    return reply, note, now
         self._render_tls.plan = None
         return None
 

@@ -376,18 +376,24 @@ class TokenBucket:
 
     __slots__ = ("_clock", "rate", "burst", "tokens", "last")
 
-    def __init__(self, clock: Clock, rate: float, burst: float):
+    def __init__(
+        self, clock: Clock, rate: float, burst: float, now: float | None = None
+    ):
         self._clock = clock
         self.rate = rate
         self.burst = burst
         self.tokens = burst
-        self.last = clock.now()
+        self.last = clock.now() if now is None else now
 
-    def take(self, n: float = 1.0) -> bool:
-        now = self._clock.now()
+    def take(self, n: float = 1.0, now: float | None = None) -> bool:
+        """Spend ``n`` tokens, refilled up to ``now`` (the clock's time
+        when not given); whether there were enough."""
+        if now is None:
+            now = self._clock.now()
         elapsed = now - self.last
         if elapsed > 0.0:
-            self.tokens = min(self.burst, self.tokens + elapsed * self.rate)
+            tokens = self.tokens + elapsed * self.rate
+            self.tokens = tokens if tokens < self.burst else self.burst
             self.last = now
         if self.tokens >= n:
             self.tokens -= n
@@ -508,14 +514,15 @@ class ResilientFrontend(Endpoint):
 
     # -- shed policy ---------------------------------------------------------
 
-    def _bucket(self, source: str) -> TokenBucket:
+    def _bucket(self, source: str, now: float | None = None) -> TokenBucket:
+        """``source``'s bucket, made full at ``now`` if it has none."""
         bucket = self._buckets.get(source)
         if bucket is None:
             if len(self._buckets) >= self.config.max_clients:
                 # Drop the oldest-inserted client to stay bounded.
                 self._buckets.pop(next(iter(self._buckets)))
             bucket = TokenBucket(
-                self._clock, self.config.client_rate, self.config.client_burst
+                self._clock, self.config.client_rate, self.config.client_burst, now
             )
             self._buckets[source] = bucket
         return bucket
@@ -530,44 +537,51 @@ class ResilientFrontend(Endpoint):
         ):
             response.tc = True
             self.stats.shed_truncated += 1
-            self._m_responses.labels(outcome="truncated").inc()
+            if self.obs.enabled:
+                self._m_responses.labels(outcome="truncated").inc()
             return response
         response.rcode = Rcode.REFUSED
         response.add_ede(int(EdeCode.PROHIBITED), "client rate limited")
         self.stats.shed_refused += 1
-        self._m_responses.labels(outcome="refused").inc()
+        if self.obs.enabled:
+            self._m_responses.labels(outcome="refused").inc()
         return response
 
-    def _sheds(self, source: str) -> bool:
-        """Shed policy for one received query: the in-flight cap first,
-        without charging the client's bucket, then the bucket.  Counts
-        the reason when it sheds."""
+    def _sheds(self, source: str, now: float | None = None) -> bool:
+        """Shed policy for one query received at ``now``: the in-flight
+        cap first, without charging the client's bucket, then the
+        bucket.  Counts the reason when it sheds."""
         if self._inflight >= self.config.max_inflight:
+            reason = "inflight-cap"
             self.stats.inflight_sheds += 1
-            self.stats.shed(reason="inflight-cap")
-            self._m_shed.labels(reason="inflight-cap").inc()
-            return True
-        if not self._bucket(source).take():
+        else:
+            bucket = self._buckets.get(source) or self._bucket(source, now)
+            if bucket.take(1.0, now):
+                return False
+            reason = "rrl"
             self.stats.bucket_sheds += 1
-            self.stats.shed(reason="rrl")
-            self._m_shed.labels(reason="rrl").inc()
-            return True
-        return False
+        self.stats.shed(reason)
+        if self.obs.enabled:
+            self._m_shed.labels(reason=reason).inc()
+        return True
 
     def _served_cached(self) -> None:
         self.stats.served_cached += 1
-        self._m_served_cached.inc()
-        self._m_responses.labels(outcome="cached").inc()
+        if self.obs.enabled:
+            self._m_served_cached.inc()
+            self._m_responses.labels(outcome="cached").inc()
 
     def _in_flight(self, delta: int) -> None:
         """One more (+1) or one fewer (-1) resolution in flight."""
         self._inflight += delta
         self.stats.inflight_peak = max(self.stats.inflight_peak, self._inflight)
-        self._m_inflight.set(self._inflight)
+        if self.obs.enabled:
+            self._m_inflight.set(self._inflight)
 
     def _answered(self) -> None:
         self.stats.answered += 1
-        self._m_responses.labels(outcome="answered").inc()
+        if self.obs.enabled:
+            self._m_responses.labels(outcome="answered").inc()
 
     # -- endpoint -----------------------------------------------------------
     # Each query is received and drained once, at any door: a kept reply
@@ -575,7 +589,8 @@ class ResilientFrontend(Endpoint):
 
     def _received(self) -> None:
         self.stats.datagrams += 1
-        self._m_datagrams.inc()
+        if self.obs.enabled:
+            self._m_datagrams.inc()
 
     def _drain_refreshes(self) -> None:
         """Stale-while-revalidate: refresh entries whose staleness was
@@ -593,19 +608,21 @@ class ResilientFrontend(Endpoint):
         """Count the door's own reply.  A SERVFAIL here is a raise out of
         the body, which already received the query, or out of rule 0,
         which received it only if the raise came after its render hit."""
+        observed = self.obs.enabled
         if rcode == Rcode.SERVFAIL:
             self.stats.handler_errors += 1
-            self._m_responses.labels(outcome="servfail").inc()
+            if observed:
+                self._m_responses.labels(outcome="servfail").inc()
         else:
             self._received()
             if rcode == Rcode.FORMERR:
                 self.stats.formerr += 1
                 self.stats.shed(reason="garbage")
-                self._m_shed.labels(reason="garbage").inc()
-                self._m_responses.labels(outcome="formerr").inc()
+                if observed:
+                    self._m_shed.labels(reason="garbage").inc()
+                    self._m_responses.labels(outcome="formerr").inc()
             else:
-                self.stats.answered += 1
-                self._m_responses.labels(outcome="answered").inc()
+                self._answered()
             self._drain_refreshes()
 
     #: Endpoint's datagram door, bound in this class body so that
@@ -613,24 +630,38 @@ class ResilientFrontend(Endpoint):
     handle_datagram = Endpoint.handle_datagram
 
     def stored_reply(self, wire: bytes, source: str) -> bytes | None:
-        """Rule 0 through the resolver's rendered-wire cache: the kept
+        """Rule 0 through the resolver's :meth:`render_hit`: the kept
         reply, received, charged, shed and counted exactly as
-        :meth:`handle_query` would answer the cache hit it replays."""
-        hit = self.resolver.render_lookup(wire)
+        :meth:`handle_query` would answer the cache hit it replays.  The
+        bucket refills at the instant the hit was looked up at, so the
+        frontend's clock is its resolver's (the default)."""
+        hit = self.resolver.render_hit(wire)
         if hit is None:
             return None
-        self._received()
+        reply, note, now = hit
+        stats = self.stats
+        observed = self.obs.enabled
+        stats.datagrams += 1  # received
+        if observed:
+            self._m_datagrams.inc()
         try:
-            shed = self._sheds(source)
+            shed = self._sheds(source, now)
             if shed:
                 self._served_cached()
             else:
-                self._in_flight(1)
-                self._in_flight(-1)
-                self._answered()
-            self.resolver.count_render_hit(hit[1], shed)
-            self.stats.render_hits += 1
-            return hit[0]
+                # In flight for no virtual time: the peak that
+                # ``_in_flight(1)`` then ``_in_flight(-1)`` would leave,
+                # the count never moved.
+                inflight = self._inflight
+                if inflight >= stats.inflight_peak:
+                    stats.inflight_peak = inflight + 1
+                stats.answered += 1
+                if observed:
+                    self._m_inflight.set(inflight)
+                    self._m_responses.labels(outcome="answered").inc()
+            self.resolver.count_render_hit(note, shed)
+            stats.render_hits += 1
+            return reply
         finally:
             self._drain_refreshes()
 

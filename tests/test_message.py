@@ -1,5 +1,6 @@
 """Message encode/decode: header flags, sections, EDNS, extended RCODE."""
 
+import dataclasses
 import struct
 
 import pytest
@@ -13,7 +14,7 @@ from repro.dns.name import Name
 from repro.dns.rcode import Rcode
 from repro.dns.rdata import A, CNAME
 from repro.dns.rrset import RRset
-from repro.dns.types import Opcode, RdataType
+from repro.dns.types import Opcode, RdataClass, RdataType
 
 
 def rt(message: Message) -> Message:
@@ -315,3 +316,58 @@ def test_property_ede_codes_round_trip(codes):
     for code in codes:
         message.add_ede(code)
     assert rt(message).ede_codes == tuple(sorted(set(codes)))
+
+
+def _fields(obj) -> list:
+    """Every dataclass field's name and value, in declaration order."""
+    return [(field.name, getattr(obj, field.name)) for field in dataclasses.fields(obj)]
+
+
+class TestHotConstructors:
+    """``make_query`` and ``make_response`` skip the generated
+    ``__init__``s; what they build is still the value those build."""
+
+    @pytest.mark.parametrize("want_dnssec", [False, True])
+    @pytest.mark.parametrize("use_edns", [False, True])
+    @pytest.mark.parametrize("rd", [False, True])
+    def test_make_query_is_the_generated_value(self, want_dnssec, use_edns, rd):
+        name = Name.from_text("hot.test.")
+        query = Message.make_query(
+            name, RdataType.AAAA, RdataClass.CH, want_dnssec=want_dnssec,
+            use_edns=use_edns, recursion_desired=rd, payload=4096, msg_id=77,
+        )
+        edns = Edns(payload=4096, dnssec_ok=want_dnssec) if use_edns or want_dnssec else None
+        want = Message(
+            id=77, rd=rd, question=[Question(name, RdataType.AAAA, RdataClass.CH)], edns=edns
+        )
+        assert _fields(query) == _fields(want)
+        assert list(vars(query)) == [field.name for field in dataclasses.fields(Message)]
+        if edns is not None:
+            assert _fields(query.edns) == _fields(edns)
+            assert query.edns.options is not Message.make_query("a.").edns.options
+
+    def test_question_keeps_equality_hash_and_immutability(self):
+        [question] = Message.make_query("hot.test.", RdataType.MX).question
+        generated = Question(Name.from_text("hot.test."), RdataType.MX)
+        assert question == generated and hash(question) == hash(generated)
+        assert {question: 1}[generated] == 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            question.rdtype = RdataType.A
+
+    @pytest.mark.parametrize("edns", [False, True])
+    @pytest.mark.parametrize("ra", [False, True])
+    def test_make_response_is_the_generated_value(self, edns, ra):
+        query = Message.make_query("hot.test.", use_edns=edns, want_dnssec=edns, msg_id=9)
+        query.cd, query.rd, query.opcode = True, False, Opcode.NOTIFY
+        response = query.make_response(ra)
+        want = Message(
+            id=9, qr=True, opcode=Opcode.NOTIFY, rd=False, ra=ra, cd=True,
+            question=list(query.question),
+            edns=Edns(dnssec_ok=True) if edns else None,
+        )
+        assert _fields(response) == _fields(want)
+        assert response.question is not query.question
+        assert response.edns is None or _fields(response.edns) == _fields(want.edns)
+        assert response.edns is None or response.edns.payload == DEFAULT_PAYLOAD
+        fresh = query.make_response(ra)
+        assert fresh.answer is not response.answer and fresh.additional is not response.additional

@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import random
 import struct
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -23,7 +24,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cluster import ClusterConfig, ResolverCluster, ShardChaosPolicy
 from repro.dns.edns import Edns
-from repro.dns.message import Message
+from repro.dns import message as message_module, name as name_module
+from repro.dns.message import Message, Question
 from repro.dns.name import Name
 from repro.dns.rcode import Rcode
 from repro.dns.rdata import A, SOA
@@ -41,7 +43,8 @@ from repro.dns.types import RdataType
 from repro.load import ZipfMix, build_clients
 from repro.net.chaos import ChaosPolicy
 from repro.net.clock import SimulatedClock
-from repro.obs import Observability
+from repro.net.lanes import run_in_lanes
+from repro.obs import Observability, metrics
 from repro.resolver.cache import CacheConfig, RenderedWireCache, default_cache_config
 from repro.resolver.profiles import CLOUDFLARE
 from repro.resolver.recursive import RecursiveResolver
@@ -753,3 +756,148 @@ def test_offsets_patch_exactly_the_ttl_fields():
     original = Message.from_wire(wire)
     assert reparsed.id == original.id
     assert [r.name for r in reparsed.answer] == [r.name for r in original.answer]
+
+
+@pytest.fixture(scope="module")
+def population():
+    return generate_population(population_config_for(40))
+
+
+def _healthy(population) -> list[str]:
+    return [d.fqdn for d in population.domains if d.profile is Profile.VALID_UNSIGNED]
+
+
+def _warm_resolver(population, observed: bool = False, off: bool = False):
+    """A resolver over a fresh wild universe that has answered one
+    healthy name twice (cold, then the answer-cache hit that keeps its
+    reply), and that name's query wire with a new ID."""
+    wild = WildInternet(population)
+    resolver = RecursiveResolver(
+        fabric=wild.fabric,
+        profile=CLOUDFLARE,
+        root_hints=wild.root_hints,
+        trust_anchors=wild.trust_anchors,
+        obs=Observability(clock=wild.fabric.clock) if observed else None,
+    )
+    if off:
+        render_off(resolver)
+    qname = _healthy(population)[0]
+    for msg_id in (1, 2):
+        wire = Message.make_query(qname, RdataType.A, msg_id=msg_id).to_wire()
+        resolver.handle_datagram(wire, "203.0.113.5")
+    assert resolver.stats.render_stores == (0 if off else 1)
+    return wild, resolver, Message.make_query(qname, RdataType.A, msg_id=3).to_wire()
+
+
+class TestRenderHitCost:
+    """What a render hit costs, counted: with observability off, an
+    admitted hit, a hit shed by the in-flight cap or by the client's
+    bucket, and a hit at the bare resolver's door each read the virtual
+    clock once, build no ``Message``, ``Question``, ``Name`` or
+    ``RRset`` and call no metric instrument."""
+
+    CLIENT = "203.0.113.9"
+    DOORS = {
+        "admitted": FrontendConfig(),
+        "capped": FrontendConfig(max_inflight=0),
+        "rate-limited": FrontendConfig(client_burst=0.0),
+        "resolver": None,
+    }
+
+    @staticmethod
+    def _counting(monkeypatch) -> Counter:
+        """Count, for the rest of the test, clock reads, constructions
+        of the four classes (through their ``__init__`` or the builders
+        that skip it) and calls into a metric instrument."""
+        counts: Counter = Counter()
+
+        def count(owner, attr, what):
+            real = getattr(owner, attr)
+
+            def counted(*args, **kwargs):
+                counts[what] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counted)
+
+        count(SimulatedClock, "now", "clock reads")
+        for cls in (Message, Question, RRset):
+            count(cls, "__init__", "built")
+        count(message_module, "_new", "built")
+        count(name_module, "_fill", "built")
+        for instrument in (type(metrics.NULL_INSTRUMENT), metrics.MetricFamily):
+            for attr in ("inc", "set", "observe", "labels"):
+                count(instrument, attr, "metric calls")
+        return counts
+
+    @pytest.mark.parametrize("door", list(DOORS))
+    def test_a_hit_reads_the_clock_once_and_builds_nothing(self, population, door, monkeypatch):
+        _wild, resolver, wire = _warm_resolver(population)
+        config = self.DOORS[door]
+        endpoint = resolver if config is None else ResilientFrontend(resolver, config)
+        counts = self._counting(monkeypatch)
+        reply = endpoint.handle_datagram(wire, self.CLIENT)
+        assert dict(counts) == {"clock reads": 1}
+        monkeypatch.undo()
+        assert resolver.stats.render_hits == 1
+        assert Message.from_wire(reply).answer
+        if config is not None:
+            stats = endpoint.stats
+            assert stats.render_hits == stats.datagrams == 1
+            assert (stats.answered, stats.served_cached) == ((1, 0) if door == "admitted" else (0, 1))
+
+
+class TestRenderHitInFlight:
+    """An admitted hit is in flight for no virtual time: it raises
+    ``inflight_peak`` as the off arm's body does, without moving the
+    count — with observability off and on, where the
+    ``repro_frontend_inflight`` gauge reads as the off arm's after every
+    datagram."""
+
+    @staticmethod
+    def _gauge(obs) -> float | None:
+        """The gauge's one series, or None with observability off."""
+        families = {family["name"]: family for family in obs.registry.snapshot()["metrics"]}
+        if "repro_frontend_inflight" not in families:
+            return None
+        [series] = families["repro_frontend_inflight"]["series"]
+        return series["value"]
+
+    def _arm(self, population, off: bool, observed: bool, lanes: bool) -> list:
+        wild, resolver, hot = _warm_resolver(population, observed, off)
+        frontend = ResilientFrontend(resolver)
+        seen = []
+
+        def send(wire: bytes) -> None:
+            frontend.handle_datagram(wire, "203.0.113.9")
+            seen.append((frontend.stats.inflight_peak, self._gauge(resolver.obs)))
+
+        if not lanes:
+            # A fresh frontend whose first datagram is the hit: peak 0 -> 1.
+            send(hot)
+        else:
+            # A cold name's resolution is in flight on one lane while the
+            # hit arrives on the other: peak 1 -> 2.
+            cold = Message.make_query(_healthy(population)[1], RdataType.A, msg_id=4)
+            clock = wild.fabric.clock
+            start = clock.now()
+            arrivals = [(start, cold.to_wire()), (start + 0.001, hot)]
+
+            def handle(arrival):
+                at, wire = arrival
+                if at > clock.now():
+                    clock.advance(at - clock.now())
+                send(wire)
+
+            run_in_lanes(clock, 2, arrivals, handle)
+        seen.append((frontend.stats.inflight_peak, self._gauge(resolver.obs)))
+        return [seen, frontend.stats.render_hits, frontend.stats.answered]
+
+    @pytest.mark.parametrize("observed", [False, True], ids=["obs-off", "obs-on"])
+    @pytest.mark.parametrize("lanes", [False, True], ids=["first-datagram", "beside-a-resolution"])
+    def test_peak_and_gauge_match_the_off_arm(self, population, observed, lanes):
+        on = self._arm(population, off=False, observed=observed, lanes=lanes)
+        off = self._arm(population, off=True, observed=observed, lanes=lanes)
+        assert on[0] == off[0]
+        assert on[1:] == [1, off[2]] and off[1] == 0
+        assert on[0][-1][0] == (2 if lanes else 1)

@@ -478,7 +478,7 @@ class _FakeResolver:
     def run_refreshes(self, limit=None):
         return 0
 
-    def render_lookup(self, wire):
+    def render_hit(self, wire):
         return None  # keeps no rendered replies
 
     def keep_reply(self, wire, reply, encoded):
@@ -604,7 +604,7 @@ class TestResilientFrontend:
         def broken(wire):
             raise RuntimeError("boom")
 
-        resolver.render_lookup = broken
+        resolver.render_hit = broken
         frontend = ResilientFrontend(resolver, clock=clock)
         seen = []
         counted = frontend.on_door_reply
