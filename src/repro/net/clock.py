@@ -16,7 +16,7 @@ class Clock:
 
     def now(self) -> float:
         # The one sanctioned wall-clock read: this adapter IS the boundary.
-        return time.time()  # repro: allow[wall-clock]
+        return time.time()
 
     def advance(self, seconds: float) -> None:  # pragma: no cover - wall clock
         raise NotImplementedError("cannot advance the wall clock")
@@ -24,7 +24,7 @@ class Clock:
     def sleep(self, seconds: float) -> None:  # pragma: no cover - wall clock
         """Wait out a delay (retry backoff); real time on the wall clock."""
         if seconds > 0:
-            time.sleep(seconds)  # repro: allow[wall-clock]
+            time.sleep(seconds)
 
     def wait_virtual(
         self, predicate: Callable[[], bool], wake_at: float | None = None

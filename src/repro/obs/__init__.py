@@ -7,7 +7,7 @@ resilient frontend, and the wild scanner all accept an ``obs=``
 argument.  Omit it and they share :data:`NULL_OBS`, whose every
 operation is a no-op — the seed behaviour, bit for bit.
 
-Design rules (enforced by tests and ``repro.tools.selfcheck``):
+Design rules (enforced by tests):
 
 * **Off the hot path, provably.**  Recording reads the virtual clock
   but never advances it, never consumes randomness, and never touches
@@ -15,8 +15,9 @@ Design rules (enforced by tests and ``repro.tools.selfcheck``):
   to null-sink runs (``tests/test_obs_differential.py``).
 * **Closed vocabularies.**  Metric names live in
   :data:`repro.obs.registry.METRICS`; trace event kinds are the
-  :class:`TraceEventKind` enum.  The ``obs-registry`` selfcheck rule
-  cross-checks code against both.
+  :class:`TraceEventKind` enum.  An instrument is looked up by its
+  declared name and kind when it is wired, and ``tests/test_obs.py``
+  holds that every declared metric is requested somewhere.
 * **Virtual timestamps.**  Trace events are stamped with the fabric
   clock, so a seeded run replays to the same NDJSON bytes.
 """
@@ -105,20 +106,23 @@ class Observability:
     #
     # Instruments are looked up by documented name only: help text and
     # label names come from the METRICS registry, so code cannot drift
-    # from the documentation (an undocumented name raises KeyError at
-    # wiring time, before the selfcheck rule would even see it).
+    # from the documentation. An undocumented name raises KeyError and a
+    # name asked for as the wrong kind raises ValueError, at wiring time.
+
+    def _instrument(self, name: str, kind: str):
+        spec = METRICS[name]
+        if spec.kind != kind:
+            raise ValueError(f"metric {name!r} is declared as a {spec.kind}, not a {kind}")
+        return getattr(self.registry, kind)(name, spec.help, spec.labels)
 
     def counter(self, name: str):
-        spec = METRICS[name]
-        return self.registry.counter(name, spec.help, spec.labels)
+        return self._instrument(name, "counter")
 
     def gauge(self, name: str):
-        spec = METRICS[name]
-        return self.registry.gauge(name, spec.help, spec.labels)
+        return self._instrument(name, "gauge")
 
     def histogram(self, name: str):
-        spec = METRICS[name]
-        return self.registry.histogram(name, spec.help, spec.labels)
+        return self._instrument(name, "histogram")
 
     # -- trace lifecycle ----------------------------------------------------
 

@@ -19,8 +19,8 @@ escaping round-trip is testable property-style: any label value must
 survive ``render -> parse`` losslessly.
 
 Every metric *name* used in the package must be declared in
-:mod:`repro.obs.registry`; ``python -m repro.tools.selfcheck`` enforces
-this (rule ``obs-registry``).
+:mod:`repro.obs.registry`; :class:`repro.obs.Observability` refuses an
+undeclared name or a wrong kind when the instrument is wired.
 """
 
 from __future__ import annotations

@@ -4,12 +4,12 @@ Two closed vocabularies make the observability layer checkable:
 
 * :data:`METRICS` — every metric family the package may emit, with its
   type, help text, and label names.  Code must request instruments with
-  literal names from this table; ``python -m repro.tools.selfcheck``
-  (rule ``obs-registry``) flags any ``counter()/gauge()/histogram()``
-  call whose name is undocumented, any type mismatch, and any
-  documented metric no code emits.
+  literal names from this table: ``Observability.counter()`` /
+  ``gauge()`` / ``histogram()`` raise on an undocumented name or a kind
+  mismatch when the instrument is wired, and ``tests/test_obs.py``
+  flags any documented metric no code requests.
 * :class:`~repro.obs.trace.TraceEventKind` — the span-event registry;
-  the existing ``enum-member`` rule covers references to it.
+  ``tests/test_selfcheck.py``'s enum-member row covers references to it.
 
 Keeping the vocabulary closed is what lets dashboards, the golden-trace
 snapshots, and the differential tests treat names as stable API.

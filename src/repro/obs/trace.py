@@ -29,7 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover - hints only
 
 
 class TraceEventKind(Enum):
-    """The closed registry of span-event kinds (selfcheck-enforced)."""
+    """The closed registry of span-event kinds."""
 
     #: Resolution accepted: qname, rdtype, profile.
     BEGIN = "begin"

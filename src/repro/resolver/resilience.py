@@ -52,7 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (hints only)
 
 #: Every INFO-CODE the resilience layer itself can emit: Stale Answer
 #: (3) and Stale NXDOMAIN Answer (19) on degraded answers, Prohibited
-#: (18) on shed queries.  ``repro.tools.selfcheck`` cross-checks each
+#: (18) on shed queries.  ``tests/test_selfcheck.py`` cross-checks each
 #: against the RFC 8914 registry and the vendor policy tables.
 RESILIENCE_EDE_CODES: tuple[int, ...] = (
     int(EdeCode.STALE_ANSWER),

@@ -7,14 +7,12 @@ never appear in the paper's 17.7M.
 
 Exits 1 when any ``Severity.ERROR`` finding is reported (validation
 would fail for clients), 2 on usage errors, 0 on a clean or
-warnings-only zone.  ``--json`` emits the same findings schema as
-``python -m repro.tools.selfcheck --json``.
+warnings-only zone.
 
 Examples::
 
     python -m repro.tools.lint rrsig-exp-all      # testbed case by label
     python -m repro.tools.lint --file zone.db --now 1684108800
-    python -m repro.tools.lint --file zone.db --json
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ import argparse
 import sys
 import time
 
-from ..analysis.findings import findings_to_json
 from ..zones.lint import Severity, lint_zone
 from ..zones.zonefile import parse_zone
 
@@ -40,17 +37,13 @@ def main(argv: list[str] | None = None) -> int:
         "--now", type=int, default=None,
         help="validation timestamp (default: wall clock, or the testbed's epoch)",
     )
-    parser.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="emit the shared lint/selfcheck JSON findings schema",
-    )
     args = parser.parse_args(argv)
 
     if args.file:
         with open(args.file, encoding="utf-8") as handle:
             zone = parse_zone(handle.read(), origin=args.origin)
         # Operator-facing CLI default: "is this zone valid right now".
-        now = args.now if args.now is not None else int(time.time())  # repro: allow[wall-clock]
+        now = args.now if args.now is not None else int(time.time())
         findings = lint_zone(zone, now=now)
     elif args.label:
         from ..testbed.infra import build_testbed
@@ -63,10 +56,7 @@ def main(argv: list[str] | None = None) -> int:
         testbed = build_testbed()
         deployed = testbed.cases[args.label]
         if deployed.built is None:
-            if args.as_json:
-                print(findings_to_json([]))
-            else:
-                print(f"{args.label} hosts no zone (bad-glue case); nothing to lint")
+            print(f"{args.label} hosts no zone (bad-glue case); nothing to lint")
             return 0
         now = args.now if args.now is not None else int(testbed.fabric.clock.now())
         findings = lint_zone(
@@ -77,9 +67,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     errors = sum(1 for f in findings if f.severity is Severity.ERROR)
-    if args.as_json:
-        print(findings_to_json(findings))
-        return 1 if errors else 0
     if not findings:
         print("clean: no findings")
         return 0

@@ -12,7 +12,6 @@ from contextlib import nullcontext
 
 import pytest
 
-from repro.analysis.sanitizer import determinism_sanitizer
 from repro.net.clock import SimulatedClock
 from repro.net.fabric import NetworkFabric
 from repro.scan.population import PopulationConfig, generate_population
@@ -20,6 +19,8 @@ from repro.scan.scanner import WildScanner
 from repro.scan.wild import WildInternet
 from repro.testbed.infra import Testbed, build_testbed
 from repro.testbed.runner import MatrixResult, run_matrix
+
+from .sanitizer import determinism_sanitizer
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,9 @@
 """Runtime determinism sanitizer.
 
-The static rules in :mod:`.determinism` prove no *source line* reaches
-the wall clock or the global RNG; this guard proves it *dynamically*,
-catching anything the AST cannot see (C extensions, ``getattr`` tricks,
-third-party code).  While armed, the process-global entry points raise
-:class:`DeterminismViolation` instead of answering::
+While armed, the process-global wall-clock and RNG entry points raise
+:class:`DeterminismViolation` instead of answering, catching dynamic
+access a source scan cannot see (``getattr`` tricks, C extensions,
+third-party code)::
 
     with determinism_sanitizer():
         run_matrix(testbed)        # any time.time()/random.random() raises
@@ -36,9 +35,9 @@ import sys
 import threading
 import time
 from contextlib import contextmanager
-from typing import Iterable, Iterator
+from typing import Iterator
 
-from ..net.endpoint import Endpoint
+from repro.net.endpoint import Endpoint
 
 
 class DeterminismViolation(RuntimeError):
@@ -127,14 +126,9 @@ def _name(owner, attr: str) -> str:
 
 
 @contextmanager
-def determinism_sanitizer(allow: Iterable[str] = ()) -> Iterator[None]:
-    """Arm the tripwires for the duration of the block (re-entrant).
-
-    ``allow`` names entry points (``"time.sleep"``) left unpatched, for
-    harnesses that must really wait while everything else stays strict.
-    """
+def determinism_sanitizer() -> Iterator[None]:
+    """Arm the tripwires for the duration of the block (re-entrant)."""
     global _arm_depth
-    allowed = set(allow)
     outermost = _arm_depth == 0
     saved: list[tuple[object, str, object]] = []
     escaped: BaseException | None = None
@@ -144,8 +138,6 @@ def determinism_sanitizer(allow: Iterable[str] = ()) -> Iterator[None]:
             for everywhere, guarded in ((True, _GUARDED), (False, _DOOR_GUARDED)):
                 for owner, attr in guarded:
                     name = _name(owner, attr)
-                    if name in allowed:
-                        continue
                     saved.append((owner, attr, vars(owner).get(attr, _MISSING)))
                     setattr(owner, attr, _tripwire(name, getattr(owner, attr), everywhere))
         yield

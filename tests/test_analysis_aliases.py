@@ -1,56 +1,45 @@
-"""Alias-resolution unit tests: the bindings the determinism rules stand on.
+"""Binding forms: how the determinism source rows see a tracked module.
 
-``AliasResolver`` maps module-local names to the dotted entry points
-they denote; these tests pin the binding forms it must handle — plain
-imports, ``as`` renames, attribute chains, module-level aliases — and
-that a relative import binds nothing.
+The rows in ``tests/test_selfcheck.py`` resolve no aliases.  A tracked
+stdlib module (``time``, ``random``, ``os``, ``datetime``, ``secrets``,
+``uuid``) may be bound only by a plain ``import x`` and read only as
+``x.attr``; every other binding form is itself a finding, so a read
+cannot hide behind a rename.  A relative import binds the package's
+own module, never the stdlib one.
 """
 
-import ast
-
-from repro.analysis import AliasResolver
-
-
-def resolve(source, expr):
-    aliases = AliasResolver.collect(ast.parse(source))
-    node = ast.parse(expr, mode="eval").body
-    return aliases.dotted(node)
+from .test_selfcheck import rules_of
 
 
 def test_plain_import_binds_root_name():
-    assert resolve("import time", "time.sleep") == "time.sleep"
-    # ``import a.b`` binds only ``a``; the chain still resolves through it.
-    assert resolve("import os.path", "os.path.join") == "os.path.join"
+    assert rules_of("import time\ntime.sleep(1)\n") == {"wall-clock"}
+    # An untracked attribute of a tracked module is fine.
+    assert rules_of("import os\npath = os.path.join('a', 'b')\n") == set()
 
 
 def test_import_as_binds_the_full_dotted_module():
-    assert resolve("import time as t", "t.sleep") == "time.sleep"
-    assert resolve("import os.path as p", "p.join") == "os.path.join"
+    assert rules_of("import time as t\nt.sleep(1)\n") == {"import-form"}
+    assert rules_of("import os.path\n") == {"import-form"}
 
 
 def test_from_import_and_rename():
-    assert resolve("from time import sleep", "sleep") == "time.sleep"
-    assert resolve("from time import sleep as zz", "zz") == "time.sleep"
-    assert resolve("from os import path as p", "p.join") == "os.path.join"
+    assert rules_of("from time import sleep\nsleep(1)\n") == {"import-form"}
+    assert rules_of("from time import sleep as zz\nzz(1)\n") == {"import-form"}
+    assert rules_of("from os import urandom\nkey = urandom(8)\n") == {"import-form"}
 
 
 def test_module_level_alias_assignment():
-    source = "import time\nwall = time.time\n"
-    assert resolve(source, "wall") == "time.time"
+    assert rules_of("import time\nwall = time.time\nnow = wall()\n") == {"wall-clock"}
+    assert rules_of("import random\nrng = random\nx = rng.random()\n") == {"module-as-value"}
 
 
 def test_relative_import_binds_nothing():
     # A package's own ``time`` module is not the stdlib one.
-    assert resolve("from . import time", "time.sleep") is None
-    assert resolve("from .clock import Clock", "Clock") is None
-    assert resolve("from ..dns import wire", "wire.to_bytes") is None
+    assert rules_of("from . import time\ntime.sleep(1)\n") == set()
+    assert rules_of("from .clock import Clock\nnow = Clock().now()\n") == set()
 
 
 def test_stdlib_dotted_filters_to_tracked_modules():
-    aliases = AliasResolver.collect(
-        ast.parse("import time\nimport collections")
-    )
-    time_call = ast.parse("time.sleep", mode="eval").body
-    deque_call = ast.parse("collections.deque", mode="eval").body
-    assert aliases.stdlib_dotted(time_call) == "time.sleep"
-    assert aliases.stdlib_dotted(deque_call) is None
+    assert rules_of("import collections\nq = collections.deque()\n") == set()
+    # ``hasattr`` only probes the module; it reads nothing through it.
+    assert rules_of("import os\nok = hasattr(os, 'sched_getaffinity')\n") == set()

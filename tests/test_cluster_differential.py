@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.sanitizer import determinism_sanitizer
 from repro.obs import NULL_OBS, Observability
 from repro.obs.registry import METRICS
 from repro.resolver.iterative import EngineConfig
@@ -25,6 +24,8 @@ from repro.scan.population import generate_population, population_config_for
 from repro.scan.scanner import WildScanner, categorization_of
 from repro.scan.wild import WildInternet
 from repro.testbed.runner import run_matrix
+
+from .sanitizer import determinism_sanitizer
 
 #: The retry-jitter seeds the gate sweeps (same pair as the serving
 #: benchmark's determinism gate).

@@ -28,7 +28,6 @@ from repro.dns.rrset import RRset
 from repro.dns.types import RdataType
 from repro.dns.wire import WireReader
 import repro
-from repro.analysis.sanitizer import DeterminismViolation, determinism_sanitizer
 from repro.cluster import ConsistentHashRing, ResolverCluster
 from repro.net.clock import SimulatedClock
 from repro.net.endpoint import Endpoint
@@ -51,6 +50,7 @@ from repro.testbed.subdomains import ALL_CASES
 
 from .authorities import make_simple_authority
 from .fabric_arms import handed_back
+from .sanitizer import DeterminismViolation, determinism_sanitizer
 
 
 @given(st.binary(max_size=512))

@@ -24,12 +24,13 @@ import pathlib
 
 import pytest
 
-from repro.analysis.sanitizer import determinism_sanitizer
 from repro.obs import CollectingSink, Observability, normalize_trace
 from repro.resolver.iterative import EngineConfig
 from repro.resolver.recursive import RecursiveResolver
 from repro.resolver.profiles import get_profile
 from repro.testbed.infra import build_testbed
+
+from .sanitizer import determinism_sanitizer
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "data" / "golden_traces"
 PROFILES = ("bind", "unbound")

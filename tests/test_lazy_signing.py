@@ -24,7 +24,6 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.analysis.sanitizer import determinism_sanitizer
 from repro.dns.dnssec_records import RRSIG
 from repro.dns.name import Name
 from repro.dns.rdata import A, NS
@@ -39,6 +38,7 @@ from repro.testbed.runner import run_matrix
 from repro.zones.builder import ZoneBuilder, _corrupt
 from repro.zones.mutations import SigScope, ZoneMutation
 
+from .sanitizer import determinism_sanitizer
 from .zone_digest import zone_rows
 
 #: Signatures the first 63×7 matrix makes on a fresh testbed.

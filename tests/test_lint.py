@@ -269,40 +269,24 @@ class TestEdgeCases:
 class TestLintCli:
     """``python -m repro.tools.lint`` round trip through a zone file."""
 
-    def run_cli(self, tmp_path, mutation, argv_extra=()):
-        import json
-
+    def run_cli(self, tmp_path, mutation):
         from repro.tools import lint as lint_cli
         from repro.zones.zonefile import write_zone
 
         built = build(mutation)
         path = tmp_path / "zone.db"
         path.write_text(write_zone(built.zone))
-        argv = ["--file", str(path), "--now", str(NOW), *argv_extra]
-        return lint_cli, json, argv
+        argv = ["--file", str(path), "--now", str(NOW)]
+        return lint_cli, argv
 
     def test_clean_zone_exits_zero(self, tmp_path, capsys):
-        lint_cli, _, argv = self.run_cli(tmp_path, None)
+        lint_cli, argv = self.run_cli(tmp_path, None)
         assert lint_cli.main(argv) == 0
 
     def test_error_zone_exits_nonzero(self, tmp_path, capsys):
-        lint_cli, _, argv = self.run_cli(
+        lint_cli, argv = self.run_cli(
             tmp_path, ZoneMutation(algorithm=13, drop_sigs=SigScope.ALL)
         )
         assert lint_cli.main(argv) == 1
         out = capsys.readouterr().out
         assert "rrsig-missing" in out
-
-    def test_json_matches_selfcheck_schema(self, tmp_path, capsys):
-        lint_cli, json, argv = self.run_cli(
-            tmp_path,
-            ZoneMutation(algorithm=13, drop_sigs=SigScope.ALL),
-            argv_extra=["--json"],
-        )
-        assert lint_cli.main(argv) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert set(payload) == {"findings", "total", "errors"}
-        assert payload["total"] == len(payload["findings"]) > 0
-        record = payload["findings"][0]
-        assert set(record) >= {"check", "severity", "message"}
-        assert {f["severity"] for f in payload["findings"]} <= {"error", "warning", "info"}

@@ -9,10 +9,13 @@ order and the ``EventRecord.__str__`` field order including rdtype.
 """
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.dns.name import Name
 from repro.dnssec.trace import EventRecord, ResolutionEvent, ResolutionOutcome
 from repro.obs import (
@@ -20,6 +23,7 @@ from repro.obs import (
     NULL_OBS,
     CollectingSink,
     MetricsRegistry,
+    MetricSpec,
     Observability,
     QueryTrace,
     TraceEventKind,
@@ -126,6 +130,35 @@ def test_observability_rejects_undocumented_metric_names():
     obs = Observability(clock=_Clock())
     with pytest.raises(KeyError):
         obs.counter("repro_totally_undocumented_total")
+
+
+def test_observability_rejects_a_metric_asked_for_as_the_wrong_kind():
+    obs = Observability(clock=_Clock())
+    with pytest.raises(ValueError, match="declared as a counter, not a gauge"):
+        obs.gauge("repro_resolver_queries_total")
+    with pytest.raises(ValueError, match="declared as a histogram, not a counter"):
+        obs.counter("repro_resolver_resolve_virtual_seconds")
+    assert obs.registry.snapshot()["metrics"] == []
+
+
+#: A literal instrument request in source: ``obs.counter("repro_...")``.
+_REQUEST = re.compile(r'\.(?:counter|gauge|histogram)\(\s*"([a-zA-Z_:][a-zA-Z0-9_:]*)"')
+
+
+def unrequested_metrics() -> set[str]:
+    """Documented metrics that no module of ``src/repro`` requests."""
+    src = Path(repro.__file__).parent
+    requested = {name for path in src.rglob("*.py") for name in _REQUEST.findall(path.read_text())}
+    return set(METRICS) - requested
+
+
+def test_every_documented_metric_is_requested_somewhere():
+    assert unrequested_metrics() == set()
+
+
+def test_a_documented_metric_no_code_requests_is_caught(monkeypatch):
+    monkeypatch.setitem(METRICS, "repro_never_requested_total", MetricSpec("counter", "dead"))
+    assert unrequested_metrics() == {"repro_never_requested_total"}
 
 
 def test_every_documented_metric_spec_instantiates():

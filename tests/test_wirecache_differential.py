@@ -27,7 +27,6 @@ from typing import NamedTuple
 
 import pytest
 
-from repro.analysis.sanitizer import determinism_sanitizer
 from repro.dns.message import Message
 from repro.dns.name import Name
 from repro.dns.rdata import A, NS, TXT
@@ -57,6 +56,7 @@ from .fabric_arms import (
     handed_back,
     served_state,
 )
+from .sanitizer import determinism_sanitizer
 
 #: Same retry-jitter pair as the cluster differential and serving gates.
 JITTER_SEEDS = (1, 20230524)
